@@ -485,12 +485,6 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         solver,
         ..Default::default()
     };
-    if !tensors.is_empty() && tensors.dim() != 3 {
-        return Err(CmdError(format!(
-            "fiber extraction needs dimension-3 tensors, file has n={}",
-            tensors.dim()
-        )));
-    }
     let (all_fibers, report) =
         dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, &Telemetry::disabled())?;
     let mut counts = [0usize; 4];
@@ -1445,6 +1439,20 @@ mod tests {
         fibers(sv(&[&path, "--starts", "16", "--solver", "qrst"]), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("summary: 4 voxels"), "{text}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn fibers_rejects_non_3d_tensors() {
+        let path = tmp("fib4d.txt");
+        let mut out = Vec::new();
+        random(sv(&["4", "4", "1", "--out", &path]), &mut out).unwrap();
+        let mut out = Vec::new();
+        let err = fibers(sv(&[&path]), &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            "fiber extraction needs dimension-3 tensors, file has n=4"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -109,8 +109,9 @@ pub fn extract_fibers<'a>(
 ///
 /// Note the GPU-simulated backends support only [`Shift::Fixed`]; pass a
 /// CPU backend for the convex/adaptive shifts recommended for noisy data.
-/// Backend failures (unsupported shift, an exhausted resilient run)
-/// surface as [`backend::BackendError`], never panics.
+/// A batch of non-3-dimensional tensors and backend failures (unsupported
+/// shift, an exhausted resilient run) surface as [`backend::BackendError`],
+/// never panics.
 pub fn extract_fibers_with(
     tensors: &TensorBatch<f64>,
     cfg: &ExtractConfig,
@@ -130,10 +131,12 @@ pub fn extract_fibers_reported(
     backend: &dyn SolveBackend<f64>,
     telemetry: &Telemetry,
 ) -> Result<(Vec<Vec<FiberEstimate>>, backend::BatchReport<f64>), backend::BackendError> {
-    assert!(
-        tensors.is_empty() || tensors.dim() == 3,
-        "fiber extraction is for 3D tensors"
-    );
+    if !tensors.is_empty() && tensors.dim() != 3 {
+        return Err(backend::BackendError(format!(
+            "fiber extraction needs dimension-3 tensors, file has n={}",
+            tensors.dim()
+        )));
+    }
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
     let report = backend.solve_batch(tensors, &starts, &*solver, telemetry)?;
@@ -369,6 +372,25 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn non_3d_batch_is_a_typed_error() {
+        use backend::{CpuSequential, KernelStrategy};
+
+        let tensors = TensorBatch::from_tensors(&[SymTensor::<f64>::diagonal_ones(4, 4)]).unwrap();
+        let Err(err) = extract_fibers_reported(
+            &tensors,
+            &ExtractConfig::default(),
+            &CpuSequential::new(KernelStrategy::General),
+            &Telemetry::disabled(),
+        ) else {
+            panic!("a dimension-4 batch must not extract fibers");
+        };
+        assert_eq!(
+            err.to_string(),
+            "fiber extraction needs dimension-3 tensors, file has n=4"
+        );
     }
 
     #[test]

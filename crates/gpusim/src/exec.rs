@@ -244,6 +244,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn wrong_record_count_panics() {
         let g = GridConfig {

@@ -330,8 +330,17 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn from_vec_length_mismatch_panics() {
         Matrix::from_vec(2, 2, vec![1.0; 3]);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    #[should_panic]
+    fn from_vec_short_buffer_panics_on_access_in_release() {
+        let m = Matrix::from_vec(2, 2, vec![1.0; 3]);
+        let _ = m[(1, 1)];
     }
 }

@@ -52,6 +52,11 @@ pub fn sufficient_shift<'a, S: Scalar>(a: impl Into<SymTensorRef<'a, S>>) -> f64
 impl Shift {
     /// The fixed shift value used for the whole solve, or `None` for the
     /// adaptive policy (which must be evaluated per iterate).
+    ///
+    /// `Fixed`, `Convex` and `Concave` are constants of the tensor, so
+    /// [`SsHopm`](crate::SsHopm) resolves them once per solve, not once per
+    /// iteration. For `Convex` and `Concave` each call walks the tensor for
+    /// `‖A‖_F`.
     pub fn fixed_value<'a, S: Scalar>(&self, a: impl Into<SymTensorRef<'a, S>>) -> Option<f64> {
         match self {
             Shift::Fixed(v) => Some(*v),

@@ -266,8 +266,9 @@ impl SsHopm {
     /// [`solve_with`](Self::solve_with) reusing a caller-held iteration
     /// buffer. One SS-HOPM solve needs a single length-`n` work vector;
     /// batched drivers that solve hundreds of thousands of voxels pass
-    /// the same `scratch` to every call so the solve path performs no
-    /// per-voxel allocation beyond the returned eigenvector itself.
+    /// the same `scratch` to every call. The solve then allocates only the
+    /// returned eigenvector and, under a convex or concave shift, the one
+    /// index class its `‖A‖_F` walk uses, however many iterations it runs.
     pub fn solve_with_scratch<'a, S, K>(
         &self,
         kernels: &K,
@@ -327,7 +328,11 @@ impl SsHopm {
             Ok(v) => v,
             Err(_) => return poisoned(x, 0.0),
         };
-        let mut alpha = self.shift.value_at(a, &x);
+        // Fixed, convex and concave shifts are constants of the tensor:
+        // resolve them once per solve. Only the adaptive shift is
+        // re-evaluated at each iterate.
+        let fixed_alpha = self.shift.fixed_value(a);
+        let mut alpha = fixed_alpha.unwrap_or_else(|| self.shift.value_at(a, &x));
         observer.observe(&IterationUpdate {
             k: 0,
             lambda: lambda.to_f64(),
@@ -383,8 +388,7 @@ impl SsHopm {
                 break;
             }
             lambda = new_lambda;
-            // Adaptive policy re-evaluates the shift at the new iterate.
-            if self.shift.fixed_value(a).is_none() {
+            if fixed_alpha.is_none() {
                 alpha = self.shift.value_at(a, &x);
             }
         }
@@ -555,6 +559,33 @@ mod tests {
         let pair = solver.solve(&a, &[1.0, 1.0, 1.0]);
         assert!(!pair.converged);
         assert_eq!(pair.iterations, 2);
+    }
+
+    #[test]
+    fn tensor_constant_shifts_match_their_fixed_value_bitwise() {
+        fn check<S: Scalar>(a: &SymTensor<S>, x0: &[S]) {
+            for shift in [Shift::Convex, Shift::Concave] {
+                let alpha = shift.fixed_value(a).unwrap();
+                let got = SsHopm::new(shift).solve(a, x0);
+                let want = SsHopm::new(Shift::Fixed(alpha)).solve(a, x0);
+                let bits = |v: S| v.to_f64().to_bits();
+                let (m, n) = (a.order(), a.dim());
+                assert_eq!(bits(got.lambda), bits(want.lambda), "({m},{n}) {shift:?}");
+                assert_eq!(
+                    got.x.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
+                    want.x.iter().map(|&v| bits(v)).collect::<Vec<_>>()
+                );
+                assert_eq!(got.iterations, want.iterations);
+                assert_eq!(got.converged, want.converged);
+                assert_eq!(got.alpha.to_bits(), want.alpha.to_bits());
+            }
+        }
+        for (seed, (m, n)) in [(3, 3), (4, 3), (6, 3)].into_iter().enumerate() {
+            let a = random_tensor(m, n, 40 + seed as u64);
+            let x0 = [0.3, -0.5, 0.8];
+            check(&a, &x0);
+            check(&a.to_f32(), &x0.map(|v| v as f32));
+        }
     }
 
     #[test]

@@ -180,9 +180,16 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn fibonacci_zero_count_panics() {
         fibonacci_sphere::<f64>(0);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn fibonacci_zero_count_is_empty_in_release() {
+        assert!(fibonacci_sphere::<f64>(0).is_empty());
     }
 
     #[test]

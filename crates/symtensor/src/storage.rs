@@ -216,14 +216,10 @@ impl<S: Scalar> SymTensor<S> {
         IndexClassIter::new(self.m, self.n).zip(self.values.iter().copied())
     }
 
-    /// Frobenius norm of the *full* symmetric tensor: each unique value is
-    /// weighted by the size of its index class.
+    /// Frobenius norm of the *full* symmetric tensor; see
+    /// [`SymTensorRef::frobenius_norm`].
     pub fn frobenius_norm(&self) -> S {
-        let mut acc = S::ZERO;
-        for (class, v) in self.iter_classes() {
-            acc += S::from_u64(class.occurrences()) * v * v;
-        }
-        acc.sqrt()
+        self.view().frobenius_norm()
     }
 
     /// Scale every entry by `c` in place.
@@ -460,10 +456,16 @@ impl<'a, S: Scalar> SymTensorRef<'a, S> {
 
     /// Frobenius norm of the *full* symmetric tensor: each unique value is
     /// weighted by the size of its index class.
+    ///
+    /// Walks the classes in the lexicographic order of
+    /// [`iter_classes`](Self::iter_classes), advancing one [`IndexClass`] in
+    /// place, so the whole walk makes a single allocation.
     pub fn frobenius_norm(&self) -> S {
         let mut acc = S::ZERO;
-        for (class, v) in self.iter_classes() {
+        let mut class = IndexClass::first(self.m, self.n);
+        for &v in self.values {
             acc += S::from_u64(class.occurrences()) * v * v;
+            class.advance();
         }
         acc.sqrt()
     }
@@ -618,6 +620,28 @@ mod tests {
         let mut t = SymTensor::<f64>::zeros(3, 2);
         t.set(&[0, 0, 1], 1.0).unwrap();
         assert!((t.frobenius_norm() - 3.0f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn frobenius_norm_is_the_class_fold_bit_for_bit() {
+        fn check<S: Scalar>(t: &SymTensor<S>) {
+            let fold = t
+                .iter_classes()
+                .fold(S::ZERO, |acc, (class, v)| {
+                    acc + S::from_u64(class.occurrences()) * v * v
+                })
+                .sqrt()
+                .to_f64()
+                .to_bits();
+            assert_eq!(t.frobenius_norm().to_f64().to_bits(), fold);
+            assert_eq!(t.view().frobenius_norm().to_f64().to_bits(), fold);
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        for (m, n) in [(3, 3), (4, 3), (6, 3)] {
+            let t = SymTensor::<f64>::random(m, n, &mut rng);
+            check(&t);
+            check(&t.to_f32());
+        }
     }
 
     #[test]
