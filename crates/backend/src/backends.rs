@@ -1,14 +1,20 @@
-//! The [`SolveBackend`] trait and its four substrate implementations.
+//! The [`SolveBackend`] trait and its two substrate implementations: the
+//! CPU ([`CpuParallel`]) and the simulated GPU ([`GpuSimBackend`]), whose
+//! topology — one device, one multi-GPU host or a cluster — is data.
 
-use crate::report::{BatchReport, DeviceProfile, FaultLog};
-use crate::spec::BackendError;
+use crate::report::{BatchReport, DeviceProfile};
+use crate::spec::{device_slug, BackendError};
 use crate::strategy::{KernelRegistry, KernelStrategy};
-use gpusim::{DeviceSpec, MultiGpu, ProfileSnapshot, TransferModel};
+use gpusim::{Cluster, DeviceSlice, DeviceSpec, Host, ProfileSnapshot, Schedule, TransferModel};
 use sshopm::batch::BatchSolver;
 use sshopm::Solver;
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
-use telemetry::{CommStats, Telemetry};
+use telemetry::{CommStats, HostStats, Telemetry};
+
+/// Tensors per launch chunk, for pipelined and cluster schedules and for
+/// the resilient backend, whose chunks bound the blast radius of a fault.
+pub(crate) const CHUNK_TENSORS: usize = 256;
 
 /// An execution substrate for the paper's batched SS-HOPM workload: many
 /// same-shaped tensors, each solved from a shared set of starting vectors.
@@ -68,46 +74,38 @@ pub trait SolveBackend<S: Scalar>: Sync {
     }
 }
 
-/// Emit the run's unified report as a structured `run.report` event, so
-/// sinks (JSON-lines, memory) and the snapshot's event list carry the
-/// same record the `report` renderers print. Called by every backend at
-/// the end of a successful `solve_batch`.
-pub(crate) fn emit_run_report<S: Scalar>(telemetry: &Telemetry, report: &BatchReport<S>) {
+/// Attach the kernel-registry activity since `cache_before` and emit the
+/// run's unified report as a structured `run.report` event, so sinks
+/// (JSON-lines, memory) and the snapshot's event list carry the same
+/// record the `report` renderers print. The last step of every
+/// successful solve.
+pub(crate) fn finish<S: Scalar>(
+    mut report: BatchReport<S>,
+    cache_before: &kernelgen::CacheStats,
+    telemetry: &Telemetry,
+) -> BatchReport<S> {
+    report.kernel_cache = kernel_cache_delta(cache_before);
     if telemetry.is_enabled() {
         use serde::Serialize as _;
         telemetry.event("run.report", report.run_report().to_value());
     }
+    report
 }
 
+/// A report with no results, for an empty batch.
 pub(crate) fn empty_report<S: Scalar>(
     label: String,
     kernel: KernelStrategy,
     solver: &dyn Solver<S>,
 ) -> BatchReport<S> {
-    BatchReport {
-        backend: label,
-        kernel: kernel.name().to_string(),
-        solver: solver.name().to_string(),
-        results: Vec::new(),
-        total_iterations: 0,
-        seconds: 0.0,
-        useful_flops: 0,
-        profiles: Vec::new(),
-        hosts: Vec::new(),
-        comm: Default::default(),
-        fault_log: FaultLog::default(),
-        kernel_cache: None,
-        timeline: None,
-    }
+    BatchReport::new(label, kernel.name(), solver.name(), Vec::new(), 0, 0.0, 0)
 }
 
 /// What the process-wide kernel registry did since `before`, in the
 /// [`telemetry::KernelCacheStats`] export form reports carry. `None` when
 /// this solve touched no registry-managed kernels, so reports from paths
 /// that never consult the registry stay unchanged.
-pub(crate) fn kernel_cache_delta(
-    before: &kernelgen::CacheStats,
-) -> Option<telemetry::KernelCacheStats> {
+fn kernel_cache_delta(before: &kernelgen::CacheStats) -> Option<telemetry::KernelCacheStats> {
     let d = KernelRegistry::global().stats().delta_since(before);
     if d.is_empty() {
         return None;
@@ -122,136 +120,22 @@ pub(crate) fn kernel_cache_delta(
     })
 }
 
-fn cpu_solve_batch<S: Scalar>(
-    label: String,
-    strategy: KernelStrategy,
-    threads: usize,
-    batch: &TensorBatch<S>,
-    starts: &[Vec<S>],
-    solver: &dyn Solver<S>,
-    telemetry: &Telemetry,
-) -> Result<BatchReport<S>, BackendError> {
-    if batch.is_empty() {
-        return Ok(empty_report(label, strategy, solver));
-    }
-    let (m, n) = (batch.order(), batch.dim());
-    let registry = KernelRegistry::global();
-    let cache_before = registry.stats();
-    // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
-    // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
-    // keep the scalar per-tensor loop with the same lane-table kernels.
-    if strategy == KernelStrategy::Batched {
-        if let Some(alpha) = sshopm::lockstep_alpha(solver) {
-            let kernels = registry.batched(m, n);
-            let started = Instant::now();
-            let result = sshopm::solve_batch_lockstep(
-                &kernels,
-                batch.view(),
-                starts,
-                alpha,
-                solver.policy(),
-                threads,
-                telemetry,
-            );
-            let seconds = started.elapsed().as_secs_f64();
-            let report = BatchReport {
-                backend: label,
-                kernel: strategy.name().to_string(),
-                solver: solver.name().to_string(),
-                useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
-                results: result.results,
-                total_iterations: result.total_iterations,
-                seconds,
-                profiles: Vec::new(),
-                hosts: Vec::new(),
-                comm: Default::default(),
-                fault_log: FaultLog::default(),
-                kernel_cache: kernel_cache_delta(&cache_before),
-                timeline: None,
-            };
-            emit_run_report(telemetry, &report);
-            return Ok(report);
-        }
-    }
-    let plan = registry.plan::<S>(m, n, strategy);
-    let started = Instant::now();
-    let result = BatchSolver::new(solver).with_threads(threads).run(
-        &*plan.kernels,
-        batch,
-        starts,
-        telemetry,
-    );
-    let seconds = started.elapsed().as_secs_f64();
-    let report = BatchReport {
-        backend: label,
-        kernel: plan.effective.name().to_string(),
-        solver: solver.name().to_string(),
-        useful_flops: result.total_iterations * flops::sshopm_iter_flops(m, n),
-        results: result.results,
-        total_iterations: result.total_iterations,
-        seconds,
-        profiles: Vec::new(),
-        hosts: Vec::new(),
-        comm: Default::default(),
-        fault_log: FaultLog::default(),
-        kernel_cache: kernel_cache_delta(&cache_before),
-        timeline: None,
-    };
-    emit_run_report(telemetry, &report);
-    Ok(report)
-}
-
-/// The paper's "CPU – 1 core" row: strictly sequential on the calling
-/// thread, no thread pool involved.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuSequential {
-    /// Kernel implementation to use.
-    pub strategy: KernelStrategy,
-}
-
-impl CpuSequential {
-    /// A sequential CPU backend with the given kernel strategy.
-    pub fn new(strategy: KernelStrategy) -> Self {
-        Self { strategy }
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for CpuSequential {
-    fn label(&self) -> String {
-        "cpu".to_string()
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        cpu_solve_batch(
-            SolveBackend::<S>::label(self),
-            self.strategy,
-            1,
-            batch,
-            starts,
-            solver,
-            telemetry,
-        )
-    }
-}
-
-/// The paper's OpenMP rows: rayon `par_iter` over tensors.
+/// The paper's CPU rows: `threads == 1` is the strictly sequential
+/// "CPU – 1 core" row on the calling thread, `k > 1` the OpenMP rows on a
+/// dedicated `k`-worker rayon pool, `0` the global pool.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuParallel {
-    /// Worker threads: `0` = the global rayon pool, `k` = a dedicated
-    /// pool of exactly `k` workers (the 4-core / 8-core benchmark rows).
+    /// Worker threads: `1` = sequential on the calling thread, `0` = the
+    /// global rayon pool, `k` = a dedicated pool of exactly `k` workers
+    /// (the 4-core / 8-core benchmark rows).
     pub threads: usize,
     /// Kernel implementation to use.
     pub strategy: KernelStrategy,
 }
 
 impl CpuParallel {
-    /// A parallel CPU backend on `threads` workers (`0` = all cores).
+    /// A CPU backend on `threads` workers (`1` = sequential, `0` = all
+    /// cores).
     pub fn new(threads: usize, strategy: KernelStrategy) -> Self {
         Self { threads, strategy }
     }
@@ -259,10 +143,10 @@ impl CpuParallel {
 
 impl<S: Scalar> SolveBackend<S> for CpuParallel {
     fn label(&self) -> String {
-        if self.threads == 0 {
-            "cpu:all".to_string()
-        } else {
-            format!("cpu:{}", self.threads)
+        match self.threads {
+            0 => "cpu:all".to_string(),
+            1 => "cpu".to_string(),
+            k => format!("cpu:{k}"),
         }
     }
 
@@ -273,15 +157,59 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         solver: &dyn Solver<S>,
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
-        cpu_solve_batch(
-            SolveBackend::<S>::label(self),
-            self.strategy,
-            self.threads,
+        let label = SolveBackend::<S>::label(self);
+        if batch.is_empty() {
+            return Ok(empty_report(label, self.strategy, solver));
+        }
+        let (m, n) = (batch.order(), batch.dim());
+        let registry = KernelRegistry::global();
+        let cache_before = registry.stats();
+        // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
+        // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
+        // keep the scalar per-tensor loop with the same lane-table kernels.
+        if self.strategy == KernelStrategy::Batched {
+            if let Some(alpha) = sshopm::lockstep_alpha(solver) {
+                let kernels = registry.batched(m, n);
+                let started = Instant::now();
+                let result = sshopm::solve_batch_lockstep(
+                    &kernels,
+                    batch.view(),
+                    starts,
+                    alpha,
+                    solver.policy(),
+                    self.threads,
+                    telemetry,
+                );
+                let report = BatchReport::new(
+                    label,
+                    self.strategy.name(),
+                    solver.name(),
+                    result.results,
+                    result.total_iterations,
+                    started.elapsed().as_secs_f64(),
+                    result.total_iterations * flops::sshopm_iter_flops(m, n),
+                );
+                return Ok(finish(report, &cache_before, telemetry));
+            }
+        }
+        let plan = registry.plan::<S>(m, n, self.strategy);
+        let started = Instant::now();
+        let result = BatchSolver::new(solver).with_threads(self.threads).run(
+            &*plan.kernels,
             batch,
             starts,
-            solver,
             telemetry,
-        )
+        );
+        let report = BatchReport::new(
+            label,
+            plan.effective.name(),
+            solver.name(),
+            result.results,
+            result.total_iterations,
+            started.elapsed().as_secs_f64(),
+            result.total_iterations * flops::sshopm_iter_flops(m, n),
+        );
+        Ok(finish(report, &cache_before, telemetry))
     }
 }
 
@@ -301,57 +229,199 @@ pub(crate) fn fixed_alpha<S: Scalar>(
     }
 }
 
-/// Record the same progress counters the CPU paths emit, so traces from
+/// Record the same progress counters the CPU drivers emit, so traces from
 /// different substrates stay comparable.
-pub(crate) fn record_gpu_batch_counters<S: Scalar>(
-    telemetry: &Telemetry,
-    results: &[Vec<sshopm::Eigenpair<S>>],
-    total_iterations: u64,
-) {
+pub(crate) fn record_batch_counters<S: Scalar>(telemetry: &Telemetry, report: &BatchReport<S>) {
     if !telemetry.is_enabled() {
         return;
     }
-    let solves: u64 = results.iter().map(|row| row.len() as u64).sum();
-    let converged: u64 = results
-        .iter()
-        .flat_map(|row| row.iter())
-        .filter(|p| p.converged)
-        .count() as u64;
-    telemetry.counter("batch.tensors_done", results.len() as u64);
-    telemetry.counter("batch.solves", solves);
-    telemetry.counter("batch.converged", converged);
-    telemetry.counter("batch.iterations", total_iterations);
+    telemetry.counter("batch.tensors_done", report.num_tensors() as u64);
+    telemetry.counter(
+        "batch.solves",
+        report.results.iter().map(|row| row.len() as u64).sum(),
+    );
+    telemetry.counter("batch.converged", report.num_converged());
+    telemetry.counter("batch.iterations", report.total_iterations);
 }
 
-pub(crate) fn total_iterations_of<S: Scalar>(results: &[Vec<sshopm::Eigenpair<S>>]) -> u64 {
-    results
-        .iter()
-        .flat_map(|row| row.iter())
-        .map(|p| p.iterations as u64)
-        .sum()
+/// The report row of one simulated `device` that ran work (its launch
+/// reports merged into `slice`), with its profile snapshot emitted.
+/// `device_index` is global and host-major.
+pub(crate) fn device_profile(
+    device: &DeviceSpec,
+    device_index: usize,
+    host_index: usize,
+    slice: &DeviceSlice,
+    telemetry: &Telemetry,
+) -> DeviceProfile {
+    let snapshot = ProfileSnapshot::from_report(device, &slice.report);
+    snapshot.emit(telemetry);
+    DeviceProfile {
+        device_index,
+        host_index,
+        num_tensors: slice.num_tensors,
+        transfer_seconds: slice.transfer_seconds,
+        snapshot,
+    }
 }
 
-/// One simulated GPU (Section V of the paper): one thread block per
-/// tensor, one thread per starting vector. Wall time is the analytic
-/// kernel estimate; transfers are excluded, as in the paper's timings.
+/// The spec family a [`GpuSimBackend`] was built from. It fixes the label
+/// and the report convention when the backend is built; the arithmetic
+/// is the same for all four.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Family {
+    /// `gpusim`, `gpusim:<device>`: the paper's Table III convention —
+    /// kernel time only, no transfers, no timeline.
+    Device,
+    /// `gpusim:<device>:N` and the `gpu` command: the stream timeline's
+    /// makespan, PCIe included, with the timeline attached.
+    Devices,
+    /// `pipelined:…`: like `Devices`, with chunks double-buffered over
+    /// the streams.
+    Pipelined,
+    /// `cluster:…`: the slowest shard's NIC time plus its makespan, one
+    /// host row per shard and the communication accounting.
+    Cluster,
+}
+
+/// Simulated GPUs (Section V of the paper): one thread block per tensor,
+/// one thread per starting vector, on a [`Cluster`] of hosts × devices —
+/// one device, a multi-GPU host (Section V-B: the tensors are independent,
+/// so the batch splits across devices with no communication) or several
+/// hosts sharded over modeled NICs. Every spec family runs through the
+/// one [`Cluster::launch`]; only the clock and the report rows differ:
+///
+/// * one device (`gpusim`, [`GpuSimBackend::new`]): `seconds` is the
+///   analytic kernel estimate; transfers are excluded, as in the paper's
+///   timings.
+/// * one host (`gpusim:<device>:N`, `pipelined:…`,
+///   [`GpuSimBackend::on_host`]): `seconds` is the stream timeline's
+///   makespan, PCIe included, and the timeline is attached.
+/// * a cluster (`cluster:…`): `seconds` is the slowest shard's NIC time
+///   plus its makespan, with one host row per shard and the NIC traffic
+///   charged against the Al Daas et al. lower bound.
 #[derive(Debug, Clone)]
 pub struct GpuSimBackend {
-    /// The device model to launch on.
-    pub device: DeviceSpec,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
+    cluster: Cluster,
+    strategy: KernelStrategy,
+    family: Family,
+    streams_per_device: usize,
+    chunk_tensors: usize,
 }
 
 impl GpuSimBackend {
     /// A single simulated device with the given kernel strategy.
     pub fn new(device: DeviceSpec, strategy: KernelStrategy) -> Self {
-        Self { device, strategy }
+        Self::from_parts(Cluster::from(device), strategy, Family::Device)
+    }
+
+    /// `devices` on one host behind the `transfer` link, timed by the
+    /// stream timeline even for a single device.
+    ///
+    /// Errors when the device list is empty.
+    pub fn on_host(
+        devices: Vec<DeviceSpec>,
+        transfer: TransferModel,
+        strategy: KernelStrategy,
+    ) -> Result<Self, BackendError> {
+        Ok(Self::from_parts(
+            Cluster::single_host(devices, transfer)?,
+            strategy,
+            Family::Devices,
+        ))
+    }
+
+    /// A backend over `cluster` reporting as `family`, one stream per
+    /// device and the default chunk size.
+    pub(crate) fn from_parts(cluster: Cluster, strategy: KernelStrategy, family: Family) -> Self {
+        Self {
+            cluster,
+            strategy,
+            family,
+            streams_per_device: 1,
+            chunk_tensors: CHUNK_TENSORS,
+        }
+    }
+
+    /// Set the number of streams per device, which chunked schedules and
+    /// the resilient wrapper deal chunks over (on a `cluster` backend,
+    /// more than one stream turns chunking on). Zero is an error (the
+    /// CLI's `--streams` flag lands here): a device with no streams can
+    /// never receive a chunk.
+    pub fn with_streams(mut self, streams_per_device: usize) -> Result<Self, BackendError> {
+        if streams_per_device == 0 {
+            return Err(BackendError(
+                "invalid --streams 0: need at least one stream per device".to_string(),
+            ));
+        }
+        self.streams_per_device = streams_per_device;
+        Ok(self)
+    }
+
+    /// Set the tensors per chunk of a chunked schedule: `pipelined` specs
+    /// and `cluster` specs with more than one stream per device. Zero is
+    /// an error (the CLI's
+    /// `--chunk-tensors` flag lands here): a zero-sized pipeline chunk
+    /// would make no progress.
+    pub fn with_chunk_tensors(mut self, chunk_tensors: usize) -> Result<Self, BackendError> {
+        if chunk_tensors == 0 {
+            return Err(BackendError(
+                "invalid --chunk-tensors 0: need at least one tensor per pipeline chunk"
+                    .to_string(),
+            ));
+        }
+        self.chunk_tensors = chunk_tensors;
+        Ok(self)
+    }
+
+    /// The host/device/link topology the batch runs on.
+    pub(crate) fn cluster(&self) -> &Cluster {
+        &self.cluster
+    }
+
+    /// Streams per device.
+    pub(crate) fn streams_per_device(&self) -> usize {
+        self.streams_per_device
+    }
+
+    /// Kernel implementation in use (mapped onto a GPU variant).
+    pub(crate) fn strategy(&self) -> KernelStrategy {
+        self.strategy
+    }
+
+    /// How each device runs its slice: `gpusim` specs launch it whole,
+    /// `pipelined` specs always cut it into double-buffered chunks, and
+    /// `cluster` specs chunk when they run more than one stream per device.
+    pub(crate) fn schedule(&self) -> Schedule {
+        let chunked = match self.family {
+            Family::Device | Family::Devices => false,
+            Family::Pipelined => true,
+            Family::Cluster => self.streams_per_device > 1,
+        };
+        if chunked {
+            Schedule::pipelined(self.chunk_tensors, self.streams_per_device)
+        } else {
+            Schedule::SYNCHRONOUS
+        }
     }
 }
 
 impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
     fn label(&self) -> String {
-        format!("gpusim:{}", crate::spec::device_slug(self.device.name))
+        let host = &self.cluster.hosts()[0];
+        let slug = device_slug(host.devices[0].name);
+        let devices = self.cluster.num_devices();
+        let streams = self.streams_per_device;
+        match self.family {
+            Family::Device => format!("gpusim:{slug}"),
+            Family::Devices => format!("gpusim:{slug}:{devices}"),
+            Family::Pipelined => format!("pipelined:gpusim:{slug}:{devices}x{streams}"),
+            Family::Cluster => format!(
+                "cluster:gpusim:{slug}:{}x{}x{streams}",
+                self.cluster.num_hosts(),
+                host.num_devices()
+            ),
+        }
     }
 
     fn solve_batch(
@@ -370,306 +440,85 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
             crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
         let cache_before = KernelRegistry::global().stats();
         let _batch_span = telemetry.span("batch.solve");
-        let (result, report) =
-            gpusim::launch_sshopm(&self.device, batch, starts, solver.policy(), alpha, variant)?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let snapshot = ProfileSnapshot::from_report(&self.device, &report);
-        snapshot.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.timing.seconds,
-            useful_flops: report.useful_flops,
-            profiles: vec![DeviceProfile {
-                device_index: 0,
-                host_index: 0,
-                num_tensors: batch.len(),
-                transfer_seconds: 0.0,
-                snapshot,
-            }],
-            hosts: Vec::new(),
-            comm: Default::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: None,
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
-}
-
-/// Several simulated GPUs sharing one host (Section V-B: the tensors are
-/// independent, so the batch splits across devices with no communication).
-/// Wall time is the slowest device's kernel-plus-transfer time.
-#[derive(Debug, Clone)]
-pub struct MultiGpuBackend {
-    /// The device models (may be heterogeneous).
-    pub devices: Vec<DeviceSpec>,
-    /// Host↔device interconnect model.
-    pub transfer: TransferModel,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-}
-
-impl MultiGpuBackend {
-    /// A multi-device backend over `devices` with the given strategy.
-    ///
-    /// Returns an error if the device list is empty.
-    pub fn new(
-        devices: Vec<DeviceSpec>,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        if devices.is_empty() {
-            return Err(BackendError(
-                "multi-GPU backend needs at least one device".to_string(),
-            ));
-        }
-        Ok(Self {
-            devices,
-            transfer,
-            strategy,
-        })
-    }
-
-    /// `count` identical devices; errors when `count == 0`.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        count: usize,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        Self::new(vec![device; count], transfer, strategy)
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for MultiGpuBackend {
-    fn label(&self) -> String {
-        format!(
-            "gpusim:{}:{}",
-            crate::spec::device_slug(self.devices[0].name),
-            self.devices.len()
-        )
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "MultiGpuBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let mg = MultiGpu::new(self.devices.clone(), self.transfer)?;
-        let (result, report) = mg.launch(batch, starts, solver.policy(), alpha, variant)?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let profiles: Vec<DeviceProfile> = report
-            .slices
-            .iter()
-            .map(|slice| {
-                let snapshot =
-                    ProfileSnapshot::from_report(&self.devices[slice.device_index], &slice.report);
-                snapshot.emit(telemetry);
-                DeviceProfile {
-                    device_index: slice.device_index,
-                    host_index: 0,
-                    num_tensors: slice.num_tensors,
-                    transfer_seconds: slice.transfer_seconds,
-                    snapshot,
-                }
-            })
-            .collect();
-        report.timeline.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.seconds,
-            useful_flops: report.useful_flops,
-            profiles,
-            hosts: Vec::new(),
-            comm: CommStats::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: Some(report.timeline),
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
-}
-
-/// Double-buffered asynchronous execution (the stream model of a real
-/// CUDA driver): each device's share of the batch is cut into
-/// `chunk_tensors`-sized pieces dealt round-robin across
-/// `streams_per_device` streams, so chunk `k+1`'s upload overlaps chunk
-/// `k`'s kernel on the device's single copy engine. Wall time is the
-/// event timeline's makespan; results are bitwise identical to the
-/// synchronous backends (chunking changes the clock, never the
-/// arithmetic).
-#[derive(Debug, Clone)]
-pub struct PipelinedBackend {
-    /// The device models (may be heterogeneous).
-    pub devices: Vec<DeviceSpec>,
-    /// Host↔device interconnect model.
-    pub transfer: TransferModel,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-    /// Streams per device (2 = classic double buffering).
-    pub streams_per_device: usize,
-    /// Tensors per chunk (each chunk is one upload + kernel + download).
-    pub chunk_tensors: usize,
-}
-
-impl PipelinedBackend {
-    /// Tensors per chunk unless overridden: matches the resilient
-    /// backend's chunking so the two models agree on launch granularity.
-    pub const DEFAULT_CHUNK_TENSORS: usize = 256;
-
-    /// A pipelined backend over `devices` with 2 streams per device and
-    /// the default chunk size; errors when the device list is empty.
-    pub fn new(
-        devices: Vec<DeviceSpec>,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        if devices.is_empty() {
-            return Err(BackendError(
-                "pipelined backend needs at least one device".to_string(),
-            ));
-        }
-        Ok(Self {
-            devices,
-            transfer,
-            strategy,
-            streams_per_device: 2,
-            chunk_tensors: Self::DEFAULT_CHUNK_TENSORS,
-        })
-    }
-
-    /// `count` identical devices; errors when `count == 0`.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        count: usize,
-        transfer: TransferModel,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        Self::new(vec![device; count], transfer, strategy)
-    }
-
-    /// Set the number of streams per device. Zero is an error (the CLI's
-    /// `--streams` flag lands here): a device with no streams can never
-    /// receive a chunk.
-    pub fn with_streams(mut self, streams_per_device: usize) -> Result<Self, BackendError> {
-        if streams_per_device == 0 {
-            return Err(BackendError(
-                "invalid --streams 0: need at least one stream per device".to_string(),
-            ));
-        }
-        self.streams_per_device = streams_per_device;
-        Ok(self)
-    }
-
-    /// Set the chunk size in tensors. Zero is an error (the CLI's
-    /// `--chunk-tensors` flag lands here): a zero-sized pipeline chunk
-    /// would make no progress.
-    pub fn with_chunk_tensors(mut self, chunk_tensors: usize) -> Result<Self, BackendError> {
-        if chunk_tensors == 0 {
-            return Err(BackendError(
-                "invalid --chunk-tensors 0: need at least one tensor per pipeline chunk"
-                    .to_string(),
-            ));
-        }
-        self.chunk_tensors = chunk_tensors;
-        Ok(self)
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for PipelinedBackend {
-    fn label(&self) -> String {
-        format!(
-            "pipelined:gpusim:{}:{}x{}",
-            crate::spec::device_slug(self.devices[0].name),
-            self.devices.len(),
-            self.streams_per_device
-        )
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "PipelinedBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let mg = MultiGpu::new(self.devices.clone(), self.transfer)?;
-        let (result, report) = mg.launch_pipelined(
+        let (result, launch) = self.cluster.launch(
             batch,
             starts,
             solver.policy(),
             alpha,
             variant,
-            self.chunk_tensors,
-            self.streams_per_device,
+            self.schedule(),
         )?;
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-        let profiles: Vec<DeviceProfile> = report
-            .slices
+        let total_iterations = result
+            .results
             .iter()
-            .map(|slice| {
-                let snapshot =
-                    ProfileSnapshot::from_report(&self.devices[slice.device_index], &slice.report);
-                snapshot.emit(telemetry);
-                DeviceProfile {
-                    device_index: slice.device_index,
-                    host_index: 0,
-                    num_tensors: slice.num_tensors,
-                    transfer_seconds: slice.transfer_seconds,
-                    snapshot,
-                }
-            })
-            .collect();
-        report.timeline.emit(telemetry);
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
+            .flatten()
+            .map(|p| p.iterations as u64)
+            .sum();
+        let mut report = BatchReport::new(
+            label,
+            effective.name(),
+            solver.name(),
+            result.results,
             total_iterations,
-            seconds: report.seconds,
-            useful_flops: report.useful_flops,
-            profiles,
-            hosts: Vec::new(),
-            comm: CommStats::default(),
-            fault_log: FaultLog::default(),
-            kernel_cache: kernel_cache_delta(&cache_before),
-            timeline: Some(report.timeline),
+            launch.seconds,
+            launch.useful_flops,
+        );
+        record_batch_counters(telemetry, &report);
+        let comm = CommStats {
+            nic_bytes: launch.nic_bytes,
+            lower_bound_bytes: launch.comm_lower_bound_bytes,
+            ratio: launch.comm_ratio(),
         };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
+        for shard in launch.shards {
+            let hosts = self.cluster.hosts();
+            let host = &hosts[shard.host_index];
+            // Global (host-major) index of this host's first device.
+            let base: usize = hosts[..shard.host_index]
+                .iter()
+                .map(Host::num_devices)
+                .sum();
+            for slice in &shard.slices {
+                let mut profile = device_profile(
+                    &host.devices[slice.device_index],
+                    base + slice.device_index,
+                    shard.host_index,
+                    slice,
+                    telemetry,
+                );
+                if self.family == Family::Device {
+                    // Table III: the one kernel estimate, transfers out.
+                    profile.transfer_seconds = 0.0;
+                    report.seconds = slice.report.timing.seconds;
+                }
+                report.profiles.push(profile);
+            }
+            match self.family {
+                Family::Device => {}
+                Family::Devices | Family::Pipelined => {
+                    shard.timeline.emit(telemetry);
+                    report.timeline = Some(shard.timeline);
+                }
+                Family::Cluster => {
+                    shard.timeline.emit(telemetry);
+                    report.hosts.push(HostStats {
+                        host_index: shard.host_index as u64,
+                        num_devices: host.num_devices() as u64,
+                        num_tensors: shard.num_tensors as u64,
+                        nic_down_bytes: shard.nic_down_bytes,
+                        nic_up_bytes: shard.nic_up_bytes,
+                        nic_seconds: shard.nic_seconds,
+                        seconds: shard.seconds,
+                    });
+                }
+            }
+        }
+        if self.family == Family::Cluster {
+            if telemetry.is_enabled() {
+                telemetry.counter("cluster.hosts", report.hosts.len() as u64);
+                telemetry.counter("cluster.nic_bytes", comm.nic_bytes);
+            }
+            report.comm = comm;
+        }
+        Ok(finish(report, &cache_before, telemetry))
     }
 }

@@ -1,228 +1,16 @@
-//! [`ClusterBackend`]: sharded batched execution across simulated hosts.
-//!
-//! The batch arena is cut into one contiguous slice per host
-//! (proportional to the host's summed peak throughput — the
-//! [`gpusim::Cluster::shard`] policy), each non-root shard pays one
-//! modeled NIC round trip, and every host runs its shard on its own
-//! devices through the same launch machinery as the single-host
-//! backends. With one host and one stream per device the execution path
-//! is literally [`gpusim::MultiGpu::launch`], so `cluster:1:N` results
-//! are bitwise identical to `gpusim:N` (the cluster-parity suite asserts
-//! this).
-//!
-//! Reports carry the cluster-specific signals: one
-//! [`telemetry::HostStats`] row per shard (NIC bytes/seconds, shard
-//! makespan), a [`telemetry::CommStats`] charging the achieved NIC
-//! traffic against the Al Daas et al. communication lower bound, and a
-//! `host` latency distribution of per-shard completion times.
-
-use crate::backends::{
-    emit_run_report, empty_report, fixed_alpha, record_gpu_batch_counters, total_iterations_of,
-    SolveBackend,
-};
-use crate::report::{BatchReport, DeviceProfile, FaultLog};
-use crate::spec::{device_slug, BackendError};
-use crate::strategy::KernelStrategy;
-use gpusim::{Cluster, DeviceSpec, ProfileSnapshot};
-use sshopm::Solver;
-use symtensor::{Scalar, TensorBatch};
-use telemetry::{CommStats, HostStats, Telemetry};
-
-/// A multi-host execution backend over a simulated [`Cluster`].
-///
-/// Construct with [`ClusterBackend::new`] (any topology) or
-/// [`ClusterBackend::homogeneous`] (the `cluster:h:d` spec path), then
-/// layer on [`with_streams`] / [`with_chunk_tensors`] for pipelined
-/// shard execution.
-///
-/// [`with_streams`]: ClusterBackend::with_streams
-/// [`with_chunk_tensors`]: ClusterBackend::with_chunk_tensors
-#[derive(Debug, Clone)]
-pub struct ClusterBackend {
-    /// The host/device/link topology shards run on.
-    pub cluster: Cluster,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
-    /// Streams per device: 1 launches each shard synchronously (the
-    /// multi-GPU path, byte-identical timing included); ≥ 2 runs each
-    /// shard through the double-buffered chunked path.
-    pub streams_per_device: usize,
-    /// Tensors per pipeline chunk when `streams_per_device > 1`.
-    pub chunk_tensors: usize,
-}
-
-impl ClusterBackend {
-    /// A cluster backend over an explicit topology.
-    pub fn new(cluster: Cluster, strategy: KernelStrategy) -> Self {
-        Self {
-            cluster,
-            strategy,
-            streams_per_device: 1,
-            chunk_tensors: crate::backends::PipelinedBackend::DEFAULT_CHUNK_TENSORS,
-        }
-    }
-
-    /// `hosts` identical hosts of `devices_per_host` copies of `device`,
-    /// behind the default links (PCIe 2.0 inside each host, a
-    /// QDR-InfiniBand-class NIC between hosts).
-    ///
-    /// Errors when either count is zero.
-    pub fn homogeneous(
-        device: DeviceSpec,
-        hosts: usize,
-        devices_per_host: usize,
-        strategy: KernelStrategy,
-    ) -> Result<Self, BackendError> {
-        Ok(Self::new(
-            Cluster::homogeneous(device, hosts, devices_per_host)?,
-            strategy,
-        ))
-    }
-
-    /// Set the number of streams per device. Zero is an error (the CLI's
-    /// `--streams` flag lands here): a device with no streams can never
-    /// receive a chunk.
-    pub fn with_streams(mut self, streams_per_device: usize) -> Result<Self, BackendError> {
-        if streams_per_device == 0 {
-            return Err(BackendError(
-                "invalid --streams 0: need at least one stream per device".to_string(),
-            ));
-        }
-        self.streams_per_device = streams_per_device;
-        Ok(self)
-    }
-
-    /// Set the pipeline chunk size in tensors. Zero is an error (the
-    /// CLI's `--chunk-tensors` flag lands here): a zero-sized pipeline
-    /// chunk would make no progress.
-    pub fn with_chunk_tensors(mut self, chunk_tensors: usize) -> Result<Self, BackendError> {
-        if chunk_tensors == 0 {
-            return Err(BackendError(
-                "invalid --chunk-tensors 0: need at least one tensor per pipeline chunk"
-                    .to_string(),
-            ));
-        }
-        self.chunk_tensors = chunk_tensors;
-        Ok(self)
-    }
-}
-
-impl<S: Scalar> SolveBackend<S> for ClusterBackend {
-    fn label(&self) -> String {
-        let hosts = self.cluster.hosts();
-        format!(
-            "cluster:gpusim:{}:{}x{}x{}",
-            device_slug(hosts[0].devices[0].name),
-            hosts.len(),
-            hosts[0].num_devices(),
-            self.streams_per_device
-        )
-    }
-
-    fn solve_batch(
-        &self,
-        batch: &TensorBatch<S>,
-        starts: &[Vec<S>],
-        solver: &dyn Solver<S>,
-        telemetry: &Telemetry,
-    ) -> Result<BatchReport<S>, BackendError> {
-        let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
-        let alpha = fixed_alpha(solver, "ClusterBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
-        let cache_before = crate::strategy::KernelRegistry::global().stats();
-        let _batch_span = telemetry.span("batch.solve");
-        let (result, report) = if self.streams_per_device > 1 {
-            self.cluster.launch_pipelined(
-                batch,
-                starts,
-                solver.policy(),
-                alpha,
-                variant,
-                self.chunk_tensors,
-                self.streams_per_device,
-            )?
-        } else {
-            self.cluster
-                .launch(batch, starts, solver.policy(), alpha, variant)?
-        };
-        let total_iterations = total_iterations_of(&result.results);
-        record_gpu_batch_counters(telemetry, &result.results, total_iterations);
-
-        // Global (host-major) device index of each host's first device.
-        let mut device_base = Vec::with_capacity(self.cluster.num_hosts());
-        let mut acc = 0usize;
-        for host in self.cluster.hosts() {
-            device_base.push(acc);
-            acc += host.num_devices();
-        }
-
-        let mut profiles: Vec<DeviceProfile> = Vec::new();
-        let mut hosts: Vec<HostStats> = Vec::new();
-        for shard in &report.shards {
-            let host = &self.cluster.hosts()[shard.host_index];
-            for slice in &shard.report.slices {
-                let snapshot =
-                    ProfileSnapshot::from_report(&host.devices[slice.device_index], &slice.report);
-                snapshot.emit(telemetry);
-                profiles.push(DeviceProfile {
-                    device_index: device_base[shard.host_index] + slice.device_index,
-                    host_index: shard.host_index,
-                    num_tensors: slice.num_tensors,
-                    transfer_seconds: slice.transfer_seconds,
-                    snapshot,
-                });
-            }
-            shard.report.timeline.emit(telemetry);
-            hosts.push(HostStats {
-                host_index: shard.host_index as u64,
-                num_devices: host.num_devices() as u64,
-                num_tensors: shard.num_tensors as u64,
-                nic_down_bytes: shard.nic_down_bytes,
-                nic_up_bytes: shard.nic_up_bytes,
-                nic_seconds: shard.nic_seconds,
-                seconds: shard.seconds,
-            });
-        }
-        if telemetry.is_enabled() {
-            telemetry.counter("cluster.hosts", hosts.len() as u64);
-            telemetry.counter("cluster.nic_bytes", report.nic_bytes);
-        }
-        let comm = CommStats {
-            nic_bytes: report.nic_bytes,
-            lower_bound_bytes: report.comm_lower_bound_bytes,
-            ratio: report.comm_ratio(),
-        };
-        let batch_report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
-            results: result.results,
-            total_iterations,
-            seconds: report.seconds,
-            useful_flops: report.useful_flops,
-            profiles,
-            hosts,
-            comm,
-            fault_log: FaultLog::default(),
-            kernel_cache: crate::backends::kernel_cache_delta(&cache_before),
-            timeline: None,
-        };
-        emit_run_report(telemetry, &batch_report);
-        Ok(batch_report)
-    }
-}
+//! Tests of the `cluster:…` spec family of [`crate::GpuSimBackend`]: its
+//! label, its typed errors, and the host and communication rows of its
+//! report.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{BackendSpec, DeviceKind, GpuSimBackend, KernelStrategy, SolveBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
     use sshopm::{IterationPolicy, Shift, SsHopm};
+    use symtensor::TensorBatch;
+    use telemetry::Telemetry;
 
     fn workload(t: usize, v: usize) -> (TensorBatch<f64>, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(21);
@@ -231,11 +19,16 @@ mod tests {
         (tensors, starts)
     }
 
+    fn cluster(spec: &str) -> GpuSimBackend {
+        BackendSpec::parse(spec)
+            .unwrap()
+            .build_gpusim(KernelStrategy::Unrolled)
+            .unwrap()
+    }
+
     #[test]
     fn label_names_topology_and_streams() {
-        let b =
-            ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 4, 2, KernelStrategy::Unrolled)
-                .unwrap();
+        let b = cluster("cluster:4:2");
         assert_eq!(
             SolveBackend::<f64>::label(&b),
             "cluster:gpusim:tesla-c2050:4x2x1"
@@ -249,9 +42,7 @@ mod tests {
 
     #[test]
     fn zero_streams_and_zero_chunks_are_typed_errors_naming_the_flags() {
-        let b =
-            ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 2, 2, KernelStrategy::Unrolled)
-                .unwrap();
+        let b = cluster("cluster:2:2");
         let err = b.clone().with_streams(0).unwrap_err();
         assert!(err.to_string().contains("--streams"), "{err}");
         let err = b.with_chunk_tensors(0).unwrap_err();
@@ -260,28 +51,20 @@ mod tests {
 
     #[test]
     fn zero_hosts_or_devices_are_errors() {
-        assert!(ClusterBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            0,
-            2,
-            KernelStrategy::Unrolled
-        )
-        .is_err());
-        assert!(ClusterBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            2,
-            0,
-            KernelStrategy::Unrolled
-        )
-        .is_err());
+        let spec = |hosts, devices| BackendSpec::Cluster {
+            device: DeviceKind::TeslaC2050,
+            hosts,
+            devices,
+            streams: 1,
+        };
+        assert!(spec(0, 2).build_gpusim(KernelStrategy::Unrolled).is_err());
+        assert!(spec(2, 0).build_gpusim(KernelStrategy::Unrolled).is_err());
     }
 
     #[test]
     fn report_carries_host_rows_and_comm_accounting() {
         let (tensors, starts) = workload(96, 8);
-        let backend =
-            ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 2, 2, KernelStrategy::Unrolled)
-                .unwrap();
+        let backend = cluster("cluster:2:2");
         let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(6));
         let report = backend
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
@@ -307,9 +90,7 @@ mod tests {
     #[test]
     fn adaptive_solvers_are_rejected_with_a_pointer_to_cpu() {
         let (tensors, starts) = workload(4, 2);
-        let backend =
-            ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 2, 1, KernelStrategy::Unrolled)
-                .unwrap();
+        let backend = cluster("cluster:2:1");
         let solver = SsHopm::new(Shift::Adaptive).with_policy(IterationPolicy::Fixed(4));
         let err = backend
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())

@@ -8,16 +8,19 @@
 //! crate models both axes explicitly:
 //!
 //! * [`SolveBackend`] — the substrate: *where* the batch runs.
-//!   Implementations: [`CpuSequential`], [`CpuParallel`],
-//!   [`GpuSimBackend`], [`MultiGpuBackend`], and the fault-tolerant
-//!   [`ResilientBackend`] (retry / failover / NaN recovery under an
-//!   injected [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
+//!   Implementations: [`CpuParallel`] (one thread is the sequential
+//!   row), [`GpuSimBackend`] (one device, a multi-GPU host or a cluster —
+//!   the topology is data), and the fault-tolerant [`ResilientBackend`]
+//!   wrapping it (retry / failover / NaN recovery under an injected
+//!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
 //!   `A·xᵐ⁻¹` are computed. Falls back gracefully when a strategy is
 //!   unavailable for a shape (e.g. no generated unrolled kernel).
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
-//!   `gpusim`, `gpusim:tesla-c2050:4`) so CLIs and benchmark drivers
-//!   select backends without hand-rolled dispatch.
+//!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined`, `cluster:2:2`) so
+//!   CLIs and benchmark drivers select backends without hand-rolled
+//!   dispatch; it is the one place a spec becomes a topology, a schedule
+//!   and a label.
 //! * [`BatchReport`] — one result type unifying what used to be scattered
 //!   across `BatchResult`, `LaunchReport` and ad-hoc timing tuples:
 //!   eigenpairs, total iterations, wall time, flop accounting and
@@ -53,10 +56,7 @@ mod resilient;
 mod spec;
 mod strategy;
 
-pub use backends::{
-    CpuParallel, CpuSequential, GpuSimBackend, MultiGpuBackend, PipelinedBackend, SolveBackend,
-};
-pub use cluster::ClusterBackend;
+pub use backends::{CpuParallel, GpuSimBackend, SolveBackend};
 pub use report::{BatchReport, DeviceProfile, FaultLog};
 pub use resilient::{parse_fault_plan, ResilientBackend};
 pub use spec::{BackendError, BackendSpec, DeviceKind};

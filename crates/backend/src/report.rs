@@ -90,7 +90,7 @@ impl FaultLog {
 /// GPU backends) the per-device profile snapshots.
 ///
 /// This unifies what used to be scattered across `sshopm::BatchResult`,
-/// `gpusim::LaunchReport`/`MultiReport` and ad-hoc `(seconds, iterations)`
+/// `gpusim::LaunchReport`/`ClusterReport` and ad-hoc `(seconds, iterations)`
 /// tuples in the benchmark drivers.
 #[derive(Debug, Clone)]
 pub struct BatchReport<S> {
@@ -131,6 +131,34 @@ pub struct BatchReport<S> {
 }
 
 impl<S: Scalar> BatchReport<S> {
+    /// A report of `results` with no device, host, comm, fault, cache or
+    /// timeline rows; each backend fills in what its substrate measured.
+    pub(crate) fn new(
+        backend: String,
+        kernel: &str,
+        solver: &str,
+        results: Vec<Vec<Eigenpair<S>>>,
+        total_iterations: u64,
+        seconds: f64,
+        useful_flops: u64,
+    ) -> Self {
+        Self {
+            backend,
+            kernel: kernel.to_string(),
+            solver: solver.to_string(),
+            results,
+            total_iterations,
+            seconds,
+            useful_flops,
+            profiles: Vec::new(),
+            hosts: Vec::new(),
+            comm: CommStats::default(),
+            fault_log: FaultLog::default(),
+            kernel_cache: None,
+            timeline: None,
+        }
+    }
+
     /// Number of tensors solved.
     pub fn num_tensors(&self) -> usize {
         self.results.len()

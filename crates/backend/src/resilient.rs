@@ -1,8 +1,8 @@
 //! [`ResilientBackend`]: fault-tolerant batched execution over simulated
 //! GPUs.
 //!
-//! Wraps the same launch machinery as the plain GPU backends, but splits
-//! the batch into small chunks and survives the faults a
+//! Wraps a [`GpuSimBackend`] — its topology, kernel strategy and streams —
+//! but splits the batch into small chunks and survives the faults a
 //! [`gpusim::FaultPlan`] injects:
 //!
 //! * **Transient launch failures** (watchdog timeouts, transfer errors)
@@ -32,8 +32,9 @@
 //! fault shows up only in the modeled wall time: timeouts, backoff waits
 //! and re-solves all cost seconds, never correctness.
 //!
-//! Execution is stream-based: chunks are enqueued round-robin onto
-//! per-device [`gpusim::StreamQueue`] streams, so fault recovery is
+//! Execution is stream-based: each device deals the chunks it runs
+//! round-robin over its own streams ([`gpusim::DeviceStreams`], the rule
+//! the pipelined launch uses), so fault recovery is
 //! **in-flight-chunk granular**. A faulted attempt marks the chunk's
 //! stream, cancels only that stream's pending ops from the mark
 //! ([`StreamQueue::cancel_from`]), and enqueues a [`Op::Stall`] for the
@@ -42,23 +43,22 @@
 //! wall-clock is the resolved [`gpusim::Timeline`] makespan plus any CPU
 //! fallback time.
 
-use crate::backends::{empty_report, fixed_alpha, SolveBackend};
+use crate::backends::{
+    device_profile, empty_report, finish, fixed_alpha, record_batch_counters, GpuSimBackend,
+    SolveBackend, CHUNK_TENSORS,
+};
 use crate::report::{BatchReport, FaultLog};
 use crate::spec::{device_slug, BackendError, BackendSpec};
 use crate::strategy::KernelStrategy;
 use gpusim::{
-    corrupt_tensor, problem_traffic_bytes, DeviceSpec, FaultKind, FaultPlan, FaultSite, Op,
-    StreamId, StreamQueue, TransferModel, BACKOFF_BASE_SECONDS, WATCHDOG_TIMEOUT_SECONDS,
+    corrupt_tensor, problem_traffic_bytes, DeviceSlice, DeviceSpec, DeviceStreams, FaultKind,
+    FaultPlan, FaultSite, LaunchReport, Op, StreamQueue, TransferModel, BACKOFF_BASE_SECONDS,
+    WATCHDOG_TIMEOUT_SECONDS,
 };
 use sshopm::batch::BatchSolver;
 use sshopm::{Eigenpair, Solver};
 use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::Telemetry;
-
-/// Tensors per launch chunk. Small chunks bound the blast radius of one
-/// fault (a lost launch re-runs at most this many tensors) and give the
-/// fault plan many independent draw sites per batch.
-const MAX_CHUNK_TENSORS: usize = 256;
 
 /// A fault-tolerant execution backend over one or more simulated GPUs.
 ///
@@ -71,30 +71,22 @@ const MAX_CHUNK_TENSORS: usize = 256;
 /// [`with_failover`]: ResilientBackend::with_failover
 #[derive(Debug, Clone)]
 pub struct ResilientBackend {
-    /// The device models (chunks are dealt round-robin across them).
-    pub devices: Vec<DeviceSpec>,
-    /// Host↔device interconnect model the stream queue times copies with.
-    pub transfer: TransferModel,
-    /// Kernel implementation to use (mapped onto a GPU variant).
-    pub strategy: KernelStrategy,
+    /// The simulated GPUs the chunks run on: their topology (chunks are
+    /// dealt round-robin across its devices, host-major; a
+    /// [`FaultKind::HostLoss`] kills every device of the struck device's
+    /// host), kernel strategy and streams per device.
+    pub inner: GpuSimBackend,
     /// The fault schedule to run under.
     pub plan: FaultPlan,
     /// Extra launch attempts per device after a transient fault.
     pub max_retries: u32,
     /// Move failed chunks to other devices / the CPU instead of failing.
     pub failover: bool,
-    /// Streams per device: chunks are dealt round-robin across them, so
-    /// ≥2 double-buffers transfers behind kernels even under faults.
-    pub streams_per_device: usize,
-    /// Host owning each device (global index → host index). All zeros for
-    /// single-host backends; host-major for cluster specs. A
-    /// [`FaultKind::HostLoss`] kills every device sharing the struck
-    /// device's host.
-    pub host_of: Vec<usize>,
 }
 
 impl ResilientBackend {
-    /// A resilient backend over `devices`; errors if the list is empty.
+    /// A resilient backend over `devices` on one host; errors if the list
+    /// is empty.
     ///
     /// Defaults: 2 retries, failover disabled, 2 streams per device.
     pub fn new(
@@ -103,67 +95,45 @@ impl ResilientBackend {
         strategy: KernelStrategy,
         plan: FaultPlan,
     ) -> Result<Self, BackendError> {
-        if devices.is_empty() {
-            return Err(BackendError(
-                "resilient backend needs at least one device".to_string(),
-            ));
-        }
-        let ndev = devices.len();
-        Ok(Self {
-            devices,
-            transfer,
-            strategy,
-            plan,
-            max_retries: 2,
-            failover: false,
-            streams_per_device: 2,
-            host_of: vec![0; ndev],
-        })
+        let inner = GpuSimBackend::on_host(devices, transfer, strategy)?.with_streams(2)?;
+        Ok(Self::wrap(inner, plan))
     }
 
-    /// Wrap the device set a [`BackendSpec`] describes. Only `gpusim`
-    /// specs have devices to fail; `cpu` specs are rejected. Cluster
-    /// specs flatten host-major, so a host loss kills one contiguous run
-    /// of device indices and its chunks ladder to the sibling hosts.
+    /// Wrap the simulated GPUs a [`BackendSpec`] describes, with the
+    /// streams its schedule runs: a resilient run is always chunked, so a
+    /// `gpusim` spec runs as its `pipelined` form (2 streams per device)
+    /// and a `cluster` spec keeps its own stream field. `cpu` specs have
+    /// no devices to fail and are rejected.
     pub fn from_spec(
         spec: &BackendSpec,
         strategy: KernelStrategy,
         plan: FaultPlan,
     ) -> Result<Self, BackendError> {
-        match *spec {
-            BackendSpec::GpuSim { device, devices }
-            | BackendSpec::Pipelined { device, devices } => Self::new(
-                vec![device.spec(); devices],
-                TransferModel::pcie2(),
-                strategy,
-                plan,
-            ),
-            BackendSpec::Cluster {
-                device,
-                hosts,
-                devices,
-                ..
-            } => {
-                let mut backend = Self::new(
-                    vec![device.spec(); hosts * devices],
-                    TransferModel::pcie2(),
-                    strategy,
-                    plan,
-                )?;
-                backend.host_of = (0..hosts * devices).map(|i| i / devices).collect();
-                Ok(backend)
+        let chunked = match *spec {
+            BackendSpec::Cpu { .. } => {
+                return Err(BackendError(format!(
+                    "fault injection requires a gpusim backend, got {spec}: cpu backends have \
+                     no simulated devices to fail"
+                )))
             }
-            BackendSpec::Cpu { .. } => Err(BackendError(format!(
-                "fault injection requires a gpusim backend, got {spec}: cpu backends have \
-                 no simulated devices to fail"
-            ))),
+            BackendSpec::GpuSim { device, devices } => BackendSpec::Pipelined { device, devices },
+            other => other,
+        };
+        Ok(Self::wrap(chunked.build_gpusim(strategy)?, plan))
+    }
+
+    fn wrap(inner: GpuSimBackend, plan: FaultPlan) -> Self {
+        Self {
+            inner,
+            plan,
+            max_retries: 2,
+            failover: false,
         }
     }
 
-    /// Number of hosts behind the device list (1 unless built from a
-    /// cluster spec).
+    /// Number of hosts the devices sit on.
     pub fn num_hosts(&self) -> usize {
-        self.host_of.iter().max().map_or(1, |&h| h + 1)
+        self.inner.cluster().num_hosts()
     }
 
     /// Set the per-device retry budget for transient faults.
@@ -182,12 +152,7 @@ impl ResilientBackend {
     /// `--streams` flag lands here): a device with no streams can never
     /// receive a chunk.
     pub fn with_streams(mut self, streams_per_device: usize) -> Result<Self, BackendError> {
-        if streams_per_device == 0 {
-            return Err(BackendError(
-                "invalid --streams 0: need at least one stream per device".to_string(),
-            ));
-        }
-        self.streams_per_device = streams_per_device;
+        self.inner = self.inner.with_streams(streams_per_device)?;
         Ok(self)
     }
 }
@@ -204,20 +169,16 @@ enum Attempt<S> {
 
 impl<S: Scalar> SolveBackend<S> for ResilientBackend {
     fn label(&self) -> String {
-        let hosts = self.num_hosts();
+        let cluster = self.inner.cluster();
+        let slug = device_slug(cluster.hosts()[0].devices[0].name);
+        let (hosts, devices) = (cluster.num_hosts(), cluster.num_devices());
         if hosts > 1 {
             format!(
-                "resilient:cluster:gpusim:{}:{}x{}",
-                device_slug(self.devices[0].name),
-                hosts,
-                self.devices.len() / hosts
+                "resilient:cluster:gpusim:{slug}:{hosts}x{}",
+                devices / hosts
             )
         } else {
-            format!(
-                "resilient:gpusim:{}:{}",
-                device_slug(self.devices[0].name),
-                self.devices.len()
-            )
+            format!("resilient:gpusim:{slug}:{devices}")
         }
     }
 
@@ -229,15 +190,16 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
         let label = SolveBackend::<S>::label(self);
+        let strategy = self.inner.strategy();
         if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
+            return Ok(empty_report(label, strategy, solver));
         }
         if starts.is_empty() {
             return Err(gpusim::GpuError::EmptyStarts.into());
         }
         let (m, n) = (batch.order(), batch.dim());
         let alpha = fixed_alpha(solver, "ResilientBackend")?;
-        let (variant, effective) = crate::strategy::gpu_variant(self.strategy, m, n);
+        let (variant, effective) = crate::strategy::gpu_variant(strategy, m, n);
         let cache_before = crate::strategy::KernelRegistry::global().stats();
         // The CPU kernels used for failover and NaN recovery: `effective`
         // is exactly what the GPU variant executes, so CPU re-solves are
@@ -251,27 +213,30 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
 
         let mut log = FaultLog::default();
         let mut results: Vec<Vec<Eigenpair<S>>> = vec![Vec::new(); batch.len()];
-        let ndev = self.devices.len();
+        let cluster = self.inner.cluster();
+        let devices = cluster.flat_devices();
+        let ndev = devices.len();
         // Every GPU-side cost — transfers, kernels, watchdog stalls — is an
-        // op on a per-device stream; the wall-clock is the timeline makespan.
-        let mut queue = StreamQueue::new(ndev, self.transfer);
-        let streams: Vec<Vec<StreamId>> = (0..ndev)
-            .map(|d| {
-                (0..self.streams_per_device.max(1))
-                    .map(|_| queue.stream(d))
-                    .collect()
-            })
+        // op on a per-device stream of one queue over every device (timed
+        // against the root host's PCIe link); the wall-clock is the
+        // timeline makespan.
+        let mut queue = StreamQueue::new(ndev, cluster.hosts()[0].pcie);
+        let mut streams: Vec<DeviceStreams> = (0..ndev)
+            .map(|d| DeviceStreams::new(&mut queue, d, self.inner.streams_per_device()))
             .collect();
+        // Per device that ran chunks: tensors solved and its merged
+        // launch reports, for the report's device rows.
+        let mut ran: Vec<Option<(usize, LaunchReport)>> = vec![None; ndev];
         let mut cpu_seconds = 0.0_f64;
         let mut alive = vec![true; ndev];
         let mut total_iterations = 0u64;
         let mut useful_flops = 0u64;
         let iter_flops = flops::sshopm_iter_flops(m, n);
 
-        let num_chunks = batch.len().div_ceil(MAX_CHUNK_TENSORS);
+        let num_chunks = batch.len().div_ceil(CHUNK_TENSORS);
         for chunk_index in 0..num_chunks {
-            let lo = chunk_index * MAX_CHUNK_TENSORS;
-            let hi = (lo + MAX_CHUNK_TENSORS).min(batch.len());
+            let lo = chunk_index * CHUNK_TENSORS;
+            let hi = (lo + CHUNK_TENSORS).min(batch.len());
             // Zero-copy view into the arena: the chunk is never cloned,
             // faults or not.
             let chunk = batch.slice(lo..hi);
@@ -297,7 +262,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                     // The chunk runs somewhere other than its home device.
                     log.failovers += 1;
                 }
-                let stream = streams[dev][chunk_index % streams[dev].len()];
+                let stream = streams[dev].deal();
                 for attempt in 0..=self.max_retries {
                     let site = FaultSite {
                         device_index: dev,
@@ -344,9 +309,9 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             // dies with it, so this chunk (and all later
                             // ones homed here) ladder to the next host's
                             // devices, then to the CPU.
-                            let struck = self.host_of.get(dev).copied().unwrap_or(0);
+                            let struck = cluster.host_of_device(dev);
                             for (d, a) in alive.iter_mut().enumerate() {
-                                if self.host_of.get(d).copied().unwrap_or(0) == struck {
+                                if cluster.host_of_device(d) == struck {
                                     *a = false;
                                 }
                             }
@@ -382,7 +347,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                         let (res, report) = gpusim::enqueue_sshopm(
                             &mut queue,
                             stream,
-                            &self.devices[dev],
+                            &devices[dev],
                             chunk,
                             starts,
                             solver.policy(),
@@ -390,6 +355,13 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             variant,
                         )?;
                         useful_flops += report.useful_flops;
+                        match &mut ran[dev] {
+                            Some((tensors, merged)) => {
+                                *tensors += chunk.len();
+                                merged.merge(&report);
+                            }
+                            None => ran[dev] = Some((chunk.len(), report)),
+                        }
                         let mut chunk_rows = res.results;
                         total_iterations += chunk_rows
                             .iter()
@@ -416,7 +388,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             let (pres, preport) = gpusim::enqueue_sshopm(
                                 &mut queue,
                                 stream,
-                                &self.devices[dev],
+                                &devices[dev],
                                 &scratch,
                                 starts,
                                 solver.policy(),
@@ -424,6 +396,9 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                                 variant,
                             )?;
                             useful_flops += preport.useful_flops;
+                            if let Some((_, merged)) = &mut ran[dev] {
+                                merged.merge(&preport);
+                            }
                             let prow = pres.results.into_iter().next().unwrap_or_default();
                             total_iterations +=
                                 prow.iter().map(|p| p.iterations as u64).sum::<u64>();
@@ -527,25 +502,34 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         // Devices run concurrently (the scheduler resolves their streams
         // against independent engines); CPU fallback work serializes after.
         let timeline = queue.synchronize();
-        timeline.emit(telemetry);
-        let wall = timeline.makespan() + cpu_seconds;
-        let report = BatchReport {
-            backend: label,
-            kernel: effective.name().to_string(),
-            solver: solver.name().to_string(),
+        let mut report = BatchReport::new(
+            label,
+            effective.name(),
+            solver.name(),
             results,
             total_iterations,
-            seconds: wall,
+            timeline.makespan() + cpu_seconds,
             useful_flops,
-            profiles: Vec::new(),
-            hosts: Vec::new(),
-            comm: telemetry::CommStats::default(),
-            fault_log: log,
-            kernel_cache: crate::backends::kernel_cache_delta(&cache_before),
-            timeline: Some(timeline),
-        };
-        crate::backends::emit_run_report(telemetry, &report);
-        Ok(report)
+        );
+        report.fault_log = log;
+        record_batch_counters(telemetry, &report);
+        for (dev, row) in ran.into_iter().enumerate() {
+            if let Some((num_tensors, launched)) = row {
+                let slice = DeviceSlice {
+                    device_index: dev,
+                    num_tensors,
+                    report: launched,
+                    transfer_seconds: timeline.copy_seconds(dev),
+                    total_seconds: timeline.device_busy_seconds(dev),
+                };
+                let host = cluster.host_of_device(dev);
+                let profile = device_profile(&devices[dev], dev, host, &slice, telemetry);
+                report.profiles.push(profile);
+            }
+        }
+        timeline.emit(telemetry);
+        report.timeline = Some(timeline);
+        Ok(finish(report, &cache_before, telemetry))
     }
 }
 
@@ -669,7 +653,7 @@ mod tests {
                 .unwrap()
                 .with_retries(5)
                 .with_failover(true);
-        assert_eq!(backend.devices.len(), 3);
+        assert_eq!(backend.inner.cluster().num_devices(), 3);
         assert_eq!(backend.max_retries, 5);
         assert!(backend.failover);
         assert_eq!(
@@ -683,8 +667,10 @@ mod tests {
         let spec = BackendSpec::parse("cluster:3:2").unwrap();
         let backend =
             ResilientBackend::from_spec(&spec, KernelStrategy::General, FaultPlan::new(1)).unwrap();
-        assert_eq!(backend.devices.len(), 6);
-        assert_eq!(backend.host_of, vec![0, 0, 1, 1, 2, 2]);
+        let cluster = backend.inner.cluster();
+        assert_eq!(cluster.num_devices(), 6);
+        let host_of: Vec<usize> = (0..6).map(|d| cluster.host_of_device(d)).collect();
+        assert_eq!(host_of, vec![0, 0, 1, 1, 2, 2]);
         assert_eq!(backend.num_hosts(), 3);
         assert_eq!(
             SolveBackend::<f64>::label(&backend),

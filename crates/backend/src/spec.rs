@@ -1,12 +1,9 @@
 //! Declarative backend selection: parse `cpu:8` / `gpusim:tesla-c2050:4`
 //! strings into [`BackendSpec`] values and build [`SolveBackend`] objects.
 
-use crate::backends::{
-    CpuParallel, CpuSequential, GpuSimBackend, MultiGpuBackend, PipelinedBackend, SolveBackend,
-};
-use crate::cluster::ClusterBackend;
+use crate::backends::{CpuParallel, Family, GpuSimBackend, SolveBackend};
 use crate::strategy::KernelStrategy;
-use gpusim::{DeviceSpec, TransferModel};
+use gpusim::{Cluster, DeviceSpec, TransferModel};
 use symtensor::Scalar;
 
 /// Error from parsing a backend spec or kernel-strategy token.
@@ -128,15 +125,16 @@ pub(crate) fn device_slug(name: &str) -> String {
 /// | `cluster:4:2:3`        | same, 3 streams per device                |
 /// | `cluster:gtx-580:1:4`  | one host with 4 named devices             |
 ///
-/// `pipelined` takes the same `[:device][:count]` fields as `gpusim` but
-/// builds the stream-based [`PipelinedBackend`], which chunks the batch
-/// and overlaps PCIe transfers with kernels on each device's engines.
-///
-/// `cluster` takes `[:device][:hosts[:devices[:streams]]]` and builds the
-/// sharded [`ClusterBackend`]: the batch is cut into one contiguous arena
-/// slice per host, each non-root shard pays a modeled NIC round trip, and
-/// each host runs its shard on its own devices (pipelined when
-/// `streams > 1`).
+/// Every `gpusim`, `pipelined` and `cluster` spec builds the one
+/// [`GpuSimBackend`] over a [`Cluster`] topology; the spec fixes the
+/// topology, the schedule, the label and the report convention
+/// ([`BackendSpec::build_gpusim`]). `pipelined` takes the same
+/// `[:device][:count]` fields as `gpusim` but cuts each device's slice
+/// into double-buffered chunks, overlapping PCIe transfers with kernels.
+/// `cluster` takes `[:device][:hosts[:devices[:streams]]]`: the batch is
+/// cut into one contiguous arena slice per host, each non-root shard pays
+/// a modeled NIC round trip, and each host runs its shard on its own
+/// devices (in chunks when `streams > 1`).
 ///
 /// `Display` renders the canonical minimal form, so specs round-trip
 /// through parse → `Display` → parse at the value level.
@@ -279,8 +277,8 @@ impl BackendSpec {
     }
 
     /// Build the backend this spec describes, with the given kernel
-    /// strategy. Multi-device specs model host↔device transfers over
-    /// PCIe 2.0, as the paper's hardware used.
+    /// strategy: [`CpuParallel`] for `cpu` specs, the simulated-GPU
+    /// backend of [`build_gpusim`](BackendSpec::build_gpusim) otherwise.
     ///
     /// Errors on degenerate hand-built specs (zero devices) — parsed
     /// specs always build, since the grammar rejects a zero count.
@@ -289,33 +287,56 @@ impl BackendSpec {
         strategy: KernelStrategy,
     ) -> Result<Box<dyn SolveBackend<S>>, BackendError> {
         Ok(match *self {
-            BackendSpec::Cpu { threads: 1 } => Box::new(CpuSequential::new(strategy)),
             BackendSpec::Cpu { threads } => Box::new(CpuParallel::new(threads, strategy)),
-            BackendSpec::GpuSim { device, devices: 1 } => {
-                Box::new(GpuSimBackend::new(device.spec(), strategy))
+            _ => Box::new(self.build_gpusim(strategy)?),
+        })
+    }
+
+    /// The simulated-GPU backend a `gpusim`, `pipelined` or `cluster` spec
+    /// describes — the one place a spec becomes a topology, a schedule and
+    /// a label:
+    ///
+    /// * `gpusim`: one device; `gpusim:<device>:N`: N devices on one host.
+    ///   Each device's slice is one launch.
+    /// * `pipelined`: N devices on one host, 2 streams per device,
+    ///   chunks of 256 tensors.
+    /// * `cluster`: hosts × devices, `streams` per device; chunks of 256
+    ///   tensors when `streams > 1`.
+    ///
+    /// Devices share a host over PCIe 2.0, as the paper's hardware did;
+    /// hosts talk over QDR InfiniBand. Errors for `cpu` specs and for
+    /// degenerate hand-built ones (zero hosts, devices or streams).
+    pub fn build_gpusim(&self, strategy: KernelStrategy) -> Result<GpuSimBackend, BackendError> {
+        let one_host = |device: DeviceKind, devices: usize| {
+            Cluster::single_host(vec![device.spec(); devices], TransferModel::pcie2())
+        };
+        let (cluster, family, streams) = match *self {
+            BackendSpec::Cpu { .. } => {
+                return Err(BackendError(format!(
+                    "{self} is a cpu backend: it has no simulated devices"
+                )))
             }
-            BackendSpec::GpuSim { device, devices } => Box::new(MultiGpuBackend::homogeneous(
-                device.spec(),
-                devices,
-                TransferModel::pcie2(),
-                strategy,
-            )?),
-            BackendSpec::Pipelined { device, devices } => Box::new(PipelinedBackend::homogeneous(
-                device.spec(),
-                devices,
-                TransferModel::pcie2(),
-                strategy,
-            )?),
+            BackendSpec::GpuSim { device, devices: 1 } => {
+                return Ok(GpuSimBackend::new(device.spec(), strategy))
+            }
+            BackendSpec::GpuSim { device, devices } => {
+                (one_host(device, devices)?, Family::Devices, 1)
+            }
+            BackendSpec::Pipelined { device, devices } => {
+                (one_host(device, devices)?, Family::Pipelined, 2)
+            }
             BackendSpec::Cluster {
                 device,
                 hosts,
                 devices,
                 streams,
-            } => Box::new(
-                ClusterBackend::homogeneous(device.spec(), hosts, devices, strategy)?
-                    .with_streams(streams)?,
+            } => (
+                Cluster::homogeneous(device.spec(), hosts, devices)?,
+                Family::Cluster,
+                streams,
             ),
-        })
+        };
+        GpuSimBackend::from_parts(cluster, strategy, family).with_streams(streams)
     }
 
     /// True for the simulated-GPU variants (which only support fixed

@@ -8,8 +8,7 @@
 //! `ci` runs this suite under `--release`.
 
 use backend::{
-    BackendSpec, BatchReport, ClusterBackend, KernelStrategy, MultiGpuBackend, ResilientBackend,
-    SolveBackend,
+    BackendSpec, BatchReport, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use rand::SeedableRng;
@@ -56,16 +55,12 @@ fn assert_results_bitwise_equal(got: &BatchReport<f32>, want: &BatchReport<f32>)
 fn single_host_cluster_matches_multi_gpu_bitwise_on_10k_tensors() {
     let (tensors, starts, solver) = workload();
     for devices in [1usize, 2, 3] {
-        let cluster = ClusterBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            1,
-            devices,
-            KernelStrategy::Unrolled,
-        )
-        .unwrap();
-        let multi = MultiGpuBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            devices,
+        let cluster = BackendSpec::parse(&format!("cluster:1:{devices}"))
+            .unwrap()
+            .build_gpusim(KernelStrategy::Unrolled)
+            .unwrap();
+        let multi = GpuSimBackend::on_host(
+            vec![DeviceSpec::tesla_c2050(); devices],
             TransferModel::pcie2(),
             KernelStrategy::Unrolled,
         )
@@ -133,22 +128,20 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
 #[test]
 fn pipelined_single_host_cluster_matches_pipelined_backend_bitwise() {
     // The stream>1 path routes through the same chunked double-buffered
-    // launcher as PipelinedBackend; results (not timelines) stay bitwise.
+    // launcher as a pipelined spec; results (not timelines) stay bitwise.
     let (tensors, starts, solver) = workload();
-    let cluster =
-        ClusterBackend::homogeneous(DeviceSpec::tesla_c2050(), 1, 2, KernelStrategy::Unrolled)
-            .unwrap()
-            .with_streams(2)
-            .unwrap();
-    let piped = backend::PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
-        TransferModel::pcie2(),
-        KernelStrategy::Unrolled,
-    )
-    .unwrap()
-    .with_streams(2)
-    .unwrap();
+    let cluster = BackendSpec::parse("cluster:1:2")
+        .unwrap()
+        .build_gpusim(KernelStrategy::Unrolled)
+        .unwrap()
+        .with_streams(2)
+        .unwrap();
+    let piped = BackendSpec::parse("pipelined:2")
+        .unwrap()
+        .build_gpusim(KernelStrategy::Unrolled)
+        .unwrap()
+        .with_streams(2)
+        .unwrap();
     let a = cluster
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();

@@ -3,9 +3,7 @@
 //! host → CPU, keep the [`backend::FaultLog`] ledger balanced, and never
 //! emit a silently wrong eigenpair. `ci` runs this suite seeded.
 
-use backend::{
-    BackendSpec, CpuSequential, FaultLog, KernelStrategy, ResilientBackend, SolveBackend,
-};
+use backend::{BackendSpec, CpuParallel, FaultLog, KernelStrategy, ResilientBackend, SolveBackend};
 use gpusim::{FaultKind, FaultPlan};
 use rand::SeedableRng;
 use sshopm::{starts, Eigenpair, IterationPolicy, Shift, SsHopm};
@@ -25,7 +23,7 @@ fn cpu_reference(
     starts: &[Vec<f32>],
     solver: &SsHopm,
 ) -> Vec<Vec<Eigenpair<f32>>> {
-    CpuSequential::new(KernelStrategy::General)
+    CpuParallel::new(1, KernelStrategy::General)
         .solve_batch(tensors, starts, solver, &Telemetry::disabled())
         .unwrap()
         .results

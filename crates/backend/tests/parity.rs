@@ -2,10 +2,7 @@
 //! workload must produce identical eigenpair sets and iteration counts on
 //! all four backends.
 
-use backend::{
-    BatchReport, CpuParallel, CpuSequential, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    SolveBackend,
-};
+use backend::{BatchReport, CpuParallel, GpuSimBackend, KernelStrategy, SolveBackend};
 use gpusim::{DeviceSpec, TransferModel};
 use rand::SeedableRng;
 use sshopm::{starts, IterationPolicy, Shift, SsHopm};
@@ -28,13 +25,12 @@ fn workload(m: usize, n: usize) -> (TensorBatch<f32>, Vec<Vec<f32>>, SsHopm) {
 
 fn backends(strategy: KernelStrategy) -> Vec<Box<dyn SolveBackend<f32>>> {
     vec![
-        Box::new(CpuSequential::new(strategy)),
+        Box::new(CpuParallel::new(1, strategy)),
         Box::new(CpuParallel::new(4, strategy)),
         Box::new(GpuSimBackend::new(DeviceSpec::tesla_c2050(), strategy)),
         Box::new(
-            MultiGpuBackend::homogeneous(
-                DeviceSpec::tesla_c2050(),
-                3,
+            GpuSimBackend::on_host(
+                vec![DeviceSpec::tesla_c2050(); 3],
                 TransferModel::pcie2(),
                 strategy,
             )

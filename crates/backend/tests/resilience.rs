@@ -5,8 +5,8 @@
 //! ledger must account for every injected fault.
 
 use backend::{
-    BackendSpec, CpuSequential, FaultLog, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    ResilientBackend, SolveBackend,
+    BackendSpec, CpuParallel, FaultLog, GpuSimBackend, KernelStrategy, ResilientBackend,
+    SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ fn cpu_reference(
     starts: &[Vec<f32>],
     solver: &SsHopm,
 ) -> Vec<Vec<Eigenpair<f32>>> {
-    CpuSequential::new(KernelStrategy::General)
+    CpuParallel::new(1, KernelStrategy::General)
         .solve_batch(tensors, starts, solver, &Telemetry::disabled())
         .unwrap()
         .results
@@ -322,9 +322,8 @@ fn empty_batches_and_device_lists_are_not_panics() {
         .unwrap();
     assert_eq!(report.num_tensors(), 0);
 
-    let multi = MultiGpuBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        2,
+    let multi = GpuSimBackend::on_host(
+        vec![DeviceSpec::tesla_c2050(); 2],
         TransferModel::pcie2(),
         KernelStrategy::General,
     )
@@ -334,7 +333,7 @@ fn empty_batches_and_device_lists_are_not_panics() {
         .unwrap();
     assert_eq!(report.num_tensors(), 0);
 
-    let err = MultiGpuBackend::new(Vec::new(), TransferModel::pcie2(), KernelStrategy::General)
+    let err = GpuSimBackend::on_host(Vec::new(), TransferModel::pcie2(), KernelStrategy::General)
         .unwrap_err();
     assert!(err.to_string().contains("at least one device"), "{err}");
     let err = ResilientBackend::new(
@@ -428,5 +427,44 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&replay.fault_log.injected, &log.injected);
         prop_assert_eq!(replay.fault_log.failed_indices, log.failed_indices.clone());
+    }
+}
+
+/// Each device deals the chunks it runs round-robin over its own streams,
+/// so an even device count still double-buffers: a fault-free `gpusim:2`
+/// run with four chunks per device puts work on all four streams and
+/// models a shorter makespan than one stream per device, bit for bit the
+/// same eigenpairs.
+#[test]
+fn resilient_chunks_double_buffer_with_an_even_device_count() {
+    let (tensors, starts, solver) = workload(4, 3, 2048, 8, 61);
+    let spec = BackendSpec::parse("gpusim:2").unwrap();
+    let run = |streams: usize| {
+        ResilientBackend::from_spec(&spec, KernelStrategy::General, FaultPlan::new(0))
+            .unwrap()
+            .with_streams(streams)
+            .unwrap()
+            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
+            .unwrap()
+    };
+    let (one, two) = (run(1), run(2));
+    let timeline = two
+        .timeline
+        .as_ref()
+        .expect("resilient runs have a timeline");
+    let used: std::collections::BTreeSet<_> = timeline.ops.iter().map(|o| o.stream).collect();
+    assert_eq!(used.len(), 4, "{}", timeline.summary());
+    assert!(
+        two.seconds < one.seconds,
+        "2 streams per device {} s should beat 1 stream {} s",
+        two.seconds,
+        one.seconds
+    );
+    for ((t, v, a), (_, _, b)) in two.iter_flat().zip(one.iter_flat()) {
+        assert_eq!(
+            a.lambda.to_bits(),
+            b.lambda.to_bits(),
+            "tensor {t} start {v}"
+        );
     }
 }

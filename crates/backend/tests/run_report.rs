@@ -3,8 +3,8 @@
 //! here); stream-timeline observations land in the telemetry snapshot.
 
 use backend::{
-    CpuParallel, CpuSequential, FaultLog, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    PipelinedBackend, ResilientBackend, SolveBackend,
+    BackendSpec, CpuParallel, FaultLog, GpuSimBackend, KernelStrategy, ResilientBackend,
+    SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use rand::SeedableRng;
@@ -28,15 +28,17 @@ fn all_backends() -> Vec<Box<dyn SolveBackend<f32>>> {
     let strategy = KernelStrategy::General;
     let device = DeviceSpec::tesla_c2050();
     vec![
-        Box::new(CpuSequential::new(strategy)),
+        Box::new(CpuParallel::new(1, strategy)),
         Box::new(CpuParallel::new(2, strategy)),
         Box::new(GpuSimBackend::new(device.clone(), strategy)),
         Box::new(
-            MultiGpuBackend::homogeneous(device.clone(), 2, TransferModel::pcie2(), strategy)
+            GpuSimBackend::on_host(vec![device.clone(); 2], TransferModel::pcie2(), strategy)
                 .unwrap(),
         ),
         Box::new(
-            PipelinedBackend::homogeneous(device, 1, TransferModel::pcie2(), strategy)
+            BackendSpec::parse("pipelined")
+                .unwrap()
+                .build_gpusim(strategy)
                 .unwrap()
                 .with_chunk_tensors(2)
                 .unwrap(),
@@ -104,7 +106,7 @@ fn summaries_are_derived_from_run_report_renderers() {
     // delegation to RunReport::headline / FaultStats::summary_line.
     let (batch, starts, solver) = workload();
     let tel = Telemetry::disabled();
-    let report = CpuSequential::new(KernelStrategy::General)
+    let report = CpuParallel::new(1, KernelStrategy::General)
         .solve_batch(&batch, &starts, &solver, &tel)
         .unwrap();
     let expected = format!(
@@ -143,15 +145,12 @@ fn pipelined_observations_land_in_snapshot_and_sink() {
     let (batch, starts, solver) = workload();
     let sink = Arc::new(MemorySink::new());
     let tel = Telemetry::with_sink(Box::new(Arc::clone(&sink)));
-    let backend = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .unwrap()
-    .with_chunk_tensors(2)
-    .unwrap();
+    let backend = BackendSpec::parse("pipelined")
+        .unwrap()
+        .build_gpusim(KernelStrategy::General)
+        .unwrap()
+        .with_chunk_tensors(2)
+        .unwrap();
     backend.solve_batch(&batch, &starts, &solver, &tel).unwrap();
 
     let snap = tel.snapshot();
@@ -184,4 +183,48 @@ fn pipelined_observations_land_in_snapshot_and_sink() {
             ..
         }
     )));
+}
+
+/// A resilient run reports like the plain backend it wraps: one device row
+/// per device that ran chunks, whose tensors add up to the batch, and the
+/// same `batch.*` progress counters.
+#[test]
+fn resilient_reports_carry_device_rows_and_batch_counters() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a7);
+    let batch = TensorBatch::<f32>::random(4, 3, 600, &mut rng).unwrap();
+    let starts = starts::random_uniform_starts::<f32, _>(3, NUM_STARTS, &mut rng);
+    let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(3));
+    let spec = BackendSpec::parse("gpusim:2").unwrap();
+    let run = |backend: &dyn SolveBackend<f32>| {
+        let tel = Telemetry::enabled();
+        let report = backend.solve_batch(&batch, &starts, &solver, &tel).unwrap();
+        let snap = tel.snapshot();
+        let counters: Vec<Option<u64>> = [
+            "batch.tensors_done",
+            "batch.solves",
+            "batch.converged",
+            "batch.iterations",
+        ]
+        .iter()
+        .map(|name| snap.counter(name))
+        .collect();
+        (report, counters)
+    };
+    let plain = spec.build::<f32>(KernelStrategy::General).unwrap();
+    let (_, plain_counters) = run(&*plain);
+    let resilient =
+        ResilientBackend::from_spec(&spec, KernelStrategy::General, FaultPlan::new(0)).unwrap();
+    let (report, counters) = run(&resilient);
+
+    assert_eq!(report.profiles.len(), 2);
+    assert_eq!(
+        report.profiles.iter().map(|p| p.num_tensors).sum::<usize>(),
+        batch.len()
+    );
+    assert_eq!(report.run_report().devices.len(), 2);
+    assert!(
+        plain_counters.iter().all(Option::is_some),
+        "{plain_counters:?}"
+    );
+    assert_eq!(counters, plain_counters);
 }

@@ -5,10 +5,7 @@
 //! backend must produce bitwise-identical eigenpairs, iteration counts
 //! and convergence flags for the two spellings.
 
-use backend::{
-    BatchReport, CpuParallel, CpuSequential, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    SolveBackend,
-};
+use backend::{BatchReport, CpuParallel, GpuSimBackend, KernelStrategy, SolveBackend};
 use gpusim::{DeviceSpec, TransferModel};
 use rand::SeedableRng;
 use sshopm::{starts, IterationPolicy, Shift, Solver, SolverSpec, SsHopm};
@@ -29,13 +26,12 @@ fn workload(m: usize, n: usize) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
 
 fn backends(strategy: KernelStrategy) -> Vec<Box<dyn SolveBackend<f32>>> {
     vec![
-        Box::new(CpuSequential::new(strategy)),
+        Box::new(CpuParallel::new(1, strategy)),
         Box::new(CpuParallel::new(4, strategy)),
         Box::new(GpuSimBackend::new(DeviceSpec::tesla_c2050(), strategy)),
         Box::new(
-            MultiGpuBackend::homogeneous(
-                DeviceSpec::tesla_c2050(),
-                2,
+            GpuSimBackend::on_host(
+                vec![DeviceSpec::tesla_c2050(); 2],
                 TransferModel::pcie2(),
                 strategy,
             )
@@ -138,7 +134,7 @@ fn boxed_and_borrowed_solver_spellings_agree() {
     let (tensors, starts) = workload(4, 3);
     let concrete = legacy_solver(Shift::Fixed(1.0));
     let boxed: Box<dyn Solver<f32>> = Box::new(legacy_solver(Shift::Fixed(1.0)));
-    let backend = CpuSequential::new(KernelStrategy::General);
+    let backend = CpuParallel::new(1, KernelStrategy::General);
     let via_concrete = backend
         .solve_batch(&tensors, &starts, &concrete, &Telemetry::disabled())
         .unwrap();

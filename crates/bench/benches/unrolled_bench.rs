@@ -4,7 +4,7 @@
 //! (The full 1024-tensor run lives in the `table3` binary; this keeps
 //! Criterion iterations tractable.)
 
-use backend::{CpuSequential, KernelStrategy};
+use backend::{CpuParallel, KernelStrategy};
 use bench::{bench_policy, run_on, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,7 +15,7 @@ fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_64tensors_32starts");
     group.sample_size(10);
     for strategy in KernelStrategy::ALL {
-        let cpu = CpuSequential::new(strategy);
+        let cpu = CpuParallel::new(1, strategy);
         group.bench_function(strategy.name(), |b| {
             b.iter(|| black_box(run_on(&cpu, &workload, bench_policy(), 0.0)))
         });

@@ -10,7 +10,7 @@
 //!   owns a 15-entry `Vec`), then a sequential per-tensor solve loop —
 //!   exactly what `read_tensors` + the old per-tensor dispatch did;
 //! * **packed layout** — one arena allocation for all tensors, then
-//!   [`CpuSequential::solve_batch`] over borrowed views.
+//!   a one-thread [`CpuParallel::solve_batch`] over borrowed views.
 //!
 //! The solver runs short fixed-iteration solves (one start, few
 //! iterations) so the memory system — staging, allocator traffic,
@@ -24,7 +24,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin batch_layout`
 
-use backend::{CpuSequential, KernelStrategy, SolveBackend};
+use backend::{CpuParallel, KernelStrategy, SolveBackend};
 use bench::{bench_metadata, write_bench_json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,9 +147,9 @@ fn run_vec_layout(raw: &[f32], t: usize, solver: &SsHopm, start: &[f32]) -> Meas
 }
 
 /// The arena pipeline: one contiguous buffer for all voxels, solved
-/// through [`CpuSequential`] over borrowed views.
+/// through a one-thread [`CpuParallel`] over borrowed views.
 fn run_packed_layout(raw: &[f32], _t: usize, solver: &SsHopm, start: &[f32]) -> Measured {
-    let backend = CpuSequential::new(KernelStrategy::Unrolled);
+    let backend = CpuParallel::new(1, KernelStrategy::Unrolled);
     let starts = vec![start.to_vec()];
     let before = alloc_begin();
     let started = Instant::now();

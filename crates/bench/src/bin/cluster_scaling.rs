@@ -11,9 +11,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin cluster_scaling`
 
-use backend::{ClusterBackend, KernelStrategy, SolveBackend};
+use backend::{BackendSpec, DeviceKind, KernelStrategy, SolveBackend};
 use bench::{bench_metadata, write_bench_json};
-use gpusim::DeviceSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Value;
@@ -41,15 +40,15 @@ struct Run {
 
 fn run(batch: &TensorBatch<f32>, start_vecs: &[Vec<f32>], hosts: usize) -> Run {
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(ITERS));
-    let backend = ClusterBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
+    let spec = BackendSpec::Cluster {
+        device: DeviceKind::TeslaC2050,
         hosts,
-        DEVICES_PER_HOST,
-        KernelStrategy::Unrolled,
-    )
-    .expect("host counts are nonzero")
-    .with_streams(STREAMS)
-    .expect("streams");
+        devices: DEVICES_PER_HOST,
+        streams: STREAMS,
+    };
+    let backend = spec
+        .build_gpusim(KernelStrategy::Unrolled)
+        .expect("host counts are nonzero");
     let report = backend
         .solve_batch(batch, start_vecs, &solver, &Telemetry::disabled())
         .expect("bench workload is well-formed");

@@ -19,9 +19,8 @@
 //!
 //! Run with: `cargo run --release -p bench --bin pipeline_overlap`
 
-use backend::{KernelStrategy, PipelinedBackend, SolveBackend};
+use backend::{BackendSpec, KernelStrategy, SolveBackend};
 use bench::{bench_metadata, write_bench_json};
-use gpusim::{DeviceSpec, TransferModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Value;
@@ -48,17 +47,13 @@ struct Run {
 
 fn run(batch: &TensorBatch<f32>, start_vecs: &[Vec<f32>], streams: usize) -> Run {
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(ITERS));
-    let backend = PipelinedBackend::homogeneous(
-        DeviceSpec::tesla_c2050(),
-        1,
-        TransferModel::pcie2(),
-        KernelStrategy::General,
-    )
-    .expect("one device is valid")
-    .with_streams(streams)
-    .expect("streams")
-    .with_chunk_tensors(CHUNK)
-    .expect("chunk");
+    let backend = BackendSpec::parse("pipelined")
+        .and_then(|spec| spec.build_gpusim(KernelStrategy::General))
+        .expect("one device is valid")
+        .with_streams(streams)
+        .expect("streams")
+        .with_chunk_tensors(CHUNK)
+        .expect("chunk");
     let telemetry = Telemetry::enabled();
     let report = backend
         .solve_batch(batch, start_vecs, &solver, &telemetry)

@@ -20,8 +20,7 @@
 
 use crate::{bench_metadata, bench_policy, paper, run_on, run_on_solver, Workload};
 use backend::{
-    ClusterBackend, CpuSequential, GpuSimBackend, KernelStrategy, MultiGpuBackend,
-    PipelinedBackend, ResilientBackend, SolveBackend,
+    BackendSpec, CpuParallel, GpuSimBackend, KernelStrategy, ResilientBackend, SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use serde::Value;
@@ -94,27 +93,19 @@ pub const SCENARIO_KEYS: [&str; 9] = [
 
 fn scenario_backend(key: &str) -> Box<dyn SolveBackend<f32>> {
     let c2050 = DeviceSpec::tesla_c2050();
+    let spec = |s: &str| {
+        BackendSpec::parse(s)
+            .and_then(|spec| spec.build(KernelStrategy::General))
+            .expect("static scenario spec is valid")
+    };
     match key {
-        "cpu-seq-general" => Box::new(CpuSequential::new(KernelStrategy::General)),
-        "cpu-seq-batched" => Box::new(CpuSequential::new(KernelStrategy::Batched)),
-        "cpu-seq-tape" => Box::new(CpuSequential::new(KernelStrategy::Tape)),
+        "cpu-seq-general" => Box::new(CpuParallel::new(1, KernelStrategy::General)),
+        "cpu-seq-batched" => Box::new(CpuParallel::new(1, KernelStrategy::Batched)),
+        "cpu-seq-tape" => Box::new(CpuParallel::new(1, KernelStrategy::Tape)),
         "gpusim-c2050-general" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::General)),
         "gpusim-c2050-unrolled" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::Unrolled)),
-        "multigpu-2x-c2050-general" => Box::new(
-            MultiGpuBackend::homogeneous(c2050, 2, TransferModel::pcie2(), KernelStrategy::General)
-                .expect("static scenario spec is valid"),
-        ),
-        "pipelined-1x2-c2050-general" => Box::new(
-            PipelinedBackend::homogeneous(
-                c2050,
-                1,
-                TransferModel::pcie2(),
-                KernelStrategy::General,
-            )
-            .expect("static scenario spec is valid")
-            .with_streams(2)
-            .expect("streams"),
-        ),
+        "multigpu-2x-c2050-general" => spec("gpusim:2"),
+        "pipelined-1x2-c2050-general" => spec("pipelined"),
         "resilient-watchdog-retry" => Box::new(
             ResilientBackend::new(
                 vec![DeviceSpec::tesla_c2050(); 2],
@@ -125,12 +116,7 @@ fn scenario_backend(key: &str) -> Box<dyn SolveBackend<f32>> {
             .expect("static scenario spec is valid")
             .with_retries(3),
         ),
-        "cluster-2x2-c2050-general" => Box::new(
-            ClusterBackend::homogeneous(c2050, 2, 2, KernelStrategy::General)
-                .expect("static scenario spec is valid")
-                .with_streams(2)
-                .expect("streams"),
-        ),
+        "cluster-2x2-c2050-general" => spec("cluster:2:2:2"),
         other => unreachable!("unknown scenario key {other:?}"),
     }
 }
@@ -271,7 +257,7 @@ pub fn run_solver_scenario(key: &'static str, workload: &Workload) -> ScenarioRe
                 max_iters: SOLVER_SCENARIO_MAX_ITERS,
             },
         );
-    let backend = CpuSequential::new(KernelStrategy::General);
+    let backend = CpuParallel::new(1, KernelStrategy::General);
     let report = run_on_solver(&backend, workload, &*solver);
     let solves = report.results.iter().map(Vec::len).sum::<usize>() as u64;
     let converged = report

@@ -5,8 +5,8 @@
 use crate::args::Args;
 use crate::CmdError;
 use backend::{
-    parse_fault_plan, BackendSpec, ClusterBackend, CpuParallel, GpuSimBackend, KernelStrategy,
-    MultiGpuBackend, PipelinedBackend, ResilientBackend, SolveBackend,
+    parse_fault_plan, BackendSpec, CpuParallel, DeviceKind, GpuSimBackend, KernelStrategy,
+    ResilientBackend, SolveBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,16 +65,22 @@ fn gpu_solver(solver: SolverSpec) -> Result<(), CmdError> {
     }
 }
 
+/// Streams per device when `--pipeline` asks for overlap without
+/// `--streams`: classic double buffering.
+const DEFAULT_STREAMS: usize = 2;
+
 /// Parse `--backend` (default `cpu`) and `--kernel` (default `general`)
-/// into a built [`SolveBackend`] plus its parsed spec. When any of
-/// `--faults SPEC`, `--retry N` or `--failover` is present the backend is
-/// wrapped in a [`ResilientBackend`] (gpusim specs only). `--pipeline`
-/// upgrades a `gpusim` spec to the stream-based [`PipelinedBackend`]
-/// (double-buffered chunks) and `--streams N` sets the streams per device
-/// for pipelined and resilient execution. `--kernel-cache-dir DIR` points
-/// the process-wide kernel registry at an on-disk artifact cache, so
-/// `--kernel tape` runs load previously generated tapes instead of
-/// regenerating them.
+/// into a built [`SolveBackend`] plus its parsed spec; the spec alone
+/// fixes the topology, schedule and label ([`BackendSpec::build_gpusim`]).
+/// When any of `--faults SPEC`, `--retry N` or `--failover` is present
+/// the backend is wrapped in a [`ResilientBackend`] (gpusim specs only).
+/// `--pipeline` upgrades a `gpusim` spec to its `pipelined` form and a
+/// one-stream `cluster` spec to [`DEFAULT_STREAMS`]. An explicit
+/// `--streams N` overrides the streams per device everywhere;
+/// `--chunk-tensors N` resizes the chunks of pipelined and cluster
+/// schedules. `--kernel-cache-dir DIR` points the process-wide kernel
+/// registry at an on-disk artifact cache, so `--kernel tape` runs load
+/// previously generated tapes instead of regenerating them.
 fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>), CmdError> {
     let mut spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
     let strategy = match args.get("kernel") {
@@ -84,7 +90,10 @@ fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>
     if let Some(dir) = args.get("kernel-cache-dir") {
         backend::KernelRegistry::global().set_cache_dir(Some(std::path::PathBuf::from(dir)));
     }
-    let streams: usize = args.get_parsed("streams", 2)?;
+    let streams: Option<usize> = match args.get("streams") {
+        Some(_) => Some(args.get_parsed("streams", DEFAULT_STREAMS)?),
+        None => None,
+    };
     let chunk_tensors: Option<usize> = match args.get("chunk-tensors") {
         Some(_) => Some(args.get_parsed("chunk-tensors", 1)?),
         None => None,
@@ -92,55 +101,42 @@ fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>
     if args.flag("pipeline") {
         spec = match spec {
             BackendSpec::GpuSim { device, devices } => BackendSpec::Pipelined { device, devices },
-            pipelined @ BackendSpec::Pipelined { .. } => pipelined,
-            // Cluster shards already pipeline when the spec's stream
-            // count (or --streams) exceeds 1.
-            cluster @ BackendSpec::Cluster { .. } => cluster,
+            BackendSpec::Cluster {
+                device,
+                hosts,
+                devices,
+                streams: 1,
+            } => BackendSpec::Cluster {
+                device,
+                hosts,
+                devices,
+                streams: DEFAULT_STREAMS,
+            },
             BackendSpec::Cpu { .. } => {
                 return Err(CmdError(format!(
                     "--pipeline requires a gpusim backend, got {spec}: CPU backends have no \
                      streams to overlap"
                 )));
             }
+            other => other,
         };
     }
     let resilient =
         args.get("faults").is_some() || args.get("retry").is_some() || args.flag("failover");
     let backend: Box<dyn SolveBackend<f64>> = if resilient {
         let plan = parse_fault_plan(args.get("faults").unwrap_or(""))?;
-        Box::new(
-            ResilientBackend::from_spec(&spec, strategy, plan)?
-                .with_retries(args.get_parsed("retry", 2)?)
-                .with_failover(args.flag("failover"))
-                .with_streams(streams)?,
-        )
-    } else if let BackendSpec::Pipelined { device, devices } = spec {
-        let mut built = PipelinedBackend::homogeneous(
-            device.spec(),
-            devices,
-            gpusim::TransferModel::pcie2(),
-            strategy,
-        )?
-        .with_streams(streams)?;
-        if let Some(chunk) = chunk_tensors {
-            built = built.with_chunk_tensors(chunk)?;
+        let mut built = ResilientBackend::from_spec(&spec, strategy, plan)?
+            .with_retries(args.get_parsed("retry", 2)?)
+            .with_failover(args.flag("failover"));
+        if let Some(k) = streams {
+            built = built.with_streams(k)?;
         }
         Box::new(built)
-    } else if let BackendSpec::Cluster {
-        device,
-        hosts,
-        devices,
-        streams: spec_streams,
-    } = spec
-    {
-        // An explicit --streams overrides the spec's stream field.
-        let effective = if args.get("streams").is_some() {
-            streams
-        } else {
-            spec_streams
-        };
-        let mut built = ClusterBackend::homogeneous(device.spec(), hosts, devices, strategy)?
-            .with_streams(effective)?;
+    } else if spec.is_gpu() {
+        let mut built = spec.build_gpusim(strategy)?;
+        if let Some(k) = streams {
+            built = built.with_streams(k)?;
+        }
         if let Some(chunk) = chunk_tensors {
             built = built.with_chunk_tensors(chunk)?;
         }
@@ -657,9 +653,8 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
     let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
     let starts = sshopm::starts::random_uniform_starts::<f32, _>(n, starts_count, &mut rng);
 
-    let backend = MultiGpuBackend::homogeneous(
-        gpusim::DeviceSpec::tesla_c2050(),
-        devices,
+    let backend = GpuSimBackend::on_host(
+        vec![gpusim::DeviceSpec::tesla_c2050(); devices],
         gpusim::TransferModel::pcie2(),
         strategy,
     )?;
@@ -712,9 +707,9 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
 /// the full profile snapshot — counter breakdown, occupancy, divergence
 /// and coalescing statistics, timing components — as pretty JSON. Without
 /// a tensor file it profiles a synthetic random workload. With
-/// `--pipeline` the launch runs through the stream-based
-/// [`PipelinedBackend`] instead and the resolved event-timeline summary
-/// (makespan vs serial, overlap saved) is appended after the JSON.
+/// `--pipeline` the launch runs as a `pipelined` spec instead and the
+/// resolved event-timeline summary (makespan vs serial, overlap saved) is
+/// appended after the JSON.
 pub fn profile(
     argv: Vec<String>,
     out: &mut dyn Write,
@@ -753,22 +748,21 @@ fn inner_profile(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) 
     let n = tensors.dim();
     let strategy = parse_variant(args.get("variant"))?;
     let device = match args.get("device") {
-        None | Some("c2050") => gpusim::DeviceSpec::tesla_c2050(),
-        Some("c1060") => gpusim::DeviceSpec::tesla_c1060(),
-        Some("gtx580") => gpusim::DeviceSpec::gtx_580(),
+        None | Some("c2050") => DeviceKind::TeslaC2050,
+        Some("c1060") => DeviceKind::TeslaC1060,
+        Some("gtx580") => DeviceKind::Gtx580,
         Some(v) => return Err(CmdError(format!("invalid --device {v:?}"))),
     };
     let starts_count: usize = args.get_parsed("starts", 128)?;
     let iters: usize = args.get_parsed("iters", 20)?;
     let starts = sshopm::starts::random_uniform_starts::<f32, _>(n, starts_count, &mut rng);
 
-    let backend: Box<dyn SolveBackend<f32>> = if args.flag("pipeline") {
-        Box::new(
-            PipelinedBackend::homogeneous(device, 1, gpusim::TransferModel::pcie2(), strategy)?
-                .with_streams(args.get_parsed("streams", 2)?)?,
-        )
+    let backend = if args.flag("pipeline") {
+        BackendSpec::Pipelined { device, devices: 1 }
+            .build_gpusim(strategy)?
+            .with_streams(args.get_parsed("streams", DEFAULT_STREAMS)?)?
     } else {
-        Box::new(GpuSimBackend::new(device, strategy))
+        GpuSimBackend::new(device.spec(), strategy)
     };
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
     let _span = telemetry.span("cli.profile");
@@ -1728,6 +1722,70 @@ mod tests {
         let err = report(sv(&["--format", "xml"]), &mut out).unwrap_err();
         assert!(err.contains("invalid report format"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `report --format json` on `tensors` synthetic tensors (2 starts, 1
+    /// iteration), parsed back into the unified run report.
+    fn report_json(tensors: &str, args: &[&str]) -> telemetry::RunReport {
+        let mut argv = vec![
+            "--tensors",
+            tensors,
+            "--starts",
+            "2",
+            "--iters",
+            "1",
+            "--format",
+            "json",
+        ];
+        argv.extend_from_slice(args);
+        let mut out = Vec::new();
+        report(sv(&argv), &mut out).unwrap();
+        telemetry::RunReport::parse_json(&String::from_utf8(out).unwrap()).unwrap()
+    }
+
+    /// Streams that ran at least one op.
+    fn streams_used(run: &telemetry::RunReport) -> u64 {
+        run.latency("stream").map_or(0, |h| h.count())
+    }
+
+    #[test]
+    fn faulted_cluster_runs_honour_the_spec_stream_field() {
+        // 12 chunks over 2 x 2 devices: three per device, one per stream.
+        let run = report_json("3072", &["--backend", "cluster:2:2:3", "--retry", "1"]);
+        assert!(
+            run.backend.starts_with("resilient:cluster"),
+            "{}",
+            run.backend
+        );
+        assert_eq!(streams_used(&run), 12);
+    }
+
+    #[test]
+    fn explicit_streams_override_the_spec_stream_count() {
+        let run = report_json("8", &["--backend", "cluster:2:2:3", "--streams", "2"]);
+        assert_eq!(run.backend, "cluster:gpusim:tesla-c2050:2x2x2");
+        let run = report_json("8", &["--backend", "pipelined", "--streams", "3"]);
+        assert_eq!(run.backend, "pipelined:gpusim:tesla-c2050:1x3");
+        let run = report_json(
+            "3072",
+            &[
+                "--backend",
+                "cluster:2:2:3",
+                "--retry",
+                "1",
+                "--streams",
+                "2",
+            ],
+        );
+        assert_eq!(streams_used(&run), 8);
+    }
+
+    #[test]
+    fn pipeline_flag_pipelines_a_one_stream_cluster() {
+        let run = report_json("8", &["--backend", "cluster", "--pipeline"]);
+        assert_eq!(run.backend, "cluster:gpusim:tesla-c2050:2x2x2");
+        let run = report_json("8", &["--backend", "cluster:2:2:3", "--pipeline"]);
+        assert_eq!(run.backend, "cluster:gpusim:tesla-c2050:2x2x3");
     }
 
     #[test]

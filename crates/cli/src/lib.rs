@@ -27,10 +27,12 @@
 //!
 //! `--backend` takes a [`backend::BackendSpec`] string — `cpu` (default,
 //! sequential), `cpu:8` / `cpu:all` (rayon pool), `gpusim` (one simulated
-//! Tesla C2050), `gpusim:gtx-580`, `gpusim:tesla-c2050:4` (multi-GPU), or
+//! Tesla C2050), `gpusim:gtx-580`, `gpusim:tesla-c2050:4` (multi-GPU),
 //! `pipelined[:device][:count]` (stream-based double buffering; also
 //! reachable via `--pipeline` on a gpusim spec, with `--streams K`
-//! streams per device) — and `--kernel` a [`backend::KernelStrategy`]
+//! streams per device and `--chunk-tensors N` tensors per chunk), or
+//! `cluster[:device][:hosts[:devices[:streams]]]` (hosts sharded over
+//! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
 //! (`general|blocked|precomputed|unrolled|batched|tape`, with automatic
 //! shape fallback; `batched` runs fixed-shift SS-HOPM batches in lockstep
 //! panels over the tensor arena; `tape` replays runtime-generated kernel
@@ -188,9 +190,9 @@ pub fn usage() -> String {
      commands:\n\
      \x20 random <m> <n> <count> --out FILE [--seed S]\n\
      \x20 info <file>\n\
-     \x20 solve <file> [--backend B] [--kernel K] [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] [--tol T] [--seed S] [--refine] [--all] [--pipeline] [--streams K]\n\
+     \x20 solve <file> [--backend B] [--kernel K] [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] [--tol T] [--seed S] [--refine] [--all] [--pipeline] [--streams K] [--chunk-tensors N]\n\
      \x20 phantom --out FILE [--width W] [--height H] [--noise X] [--seed S]\n\
-     \x20 fibers <file> [--backend B] [--kernel K] [--solver V] [--shift ...] [--starts N] [--max-fibers K] [--pipeline] [--streams K]\n\
+     \x20 fibers <file> [--backend B] [--kernel K] [--solver V] [--shift ...] [--starts N] [--max-fibers K] [--pipeline] [--streams K] [--chunk-tensors N]\n\
      \x20 decompose <file> [--terms K] [--starts N] [--tol T]\n\
      \x20 tract <file> --width W [--height H] [--starts N] [--seeds K]\n\
      \x20 gpu <file> [--starts N] [--variant general|unrolled] [--devices K] [--iters I] [--seed S]\n\
@@ -208,12 +210,16 @@ pub fn usage() -> String {
      \x20 tensors or random starting vectors are drawn.\n\
      \x20 --backend B picks where batched solves run: cpu (default), cpu:K,\n\
      \x20 cpu:all, gpusim, gpusim:<device>[:count] with devices tesla-c2050,\n\
-     \x20 tesla-c1060, gtx-580, or pipelined[:device][:count] for stream-based\n\
-     \x20 double-buffered execution. gpusim backends need a fixed numeric\n\
-     \x20 --shift.\n\
+     \x20 tesla-c1060, gtx-580, pipelined[:device][:count] for stream-based\n\
+     \x20 double-buffered execution, or cluster[:device][:hosts[:devices[:streams]]]\n\
+     \x20 for hosts sharded over modeled NICs (default 2 hosts x 2 devices,\n\
+     \x20 1 stream). gpusim backends need a fixed numeric --shift.\n\
      \x20 --pipeline upgrades a gpusim backend to pipelined (chunked launches\n\
-     \x20 whose transfers overlap compute); --streams K sets the streams per\n\
-     \x20 device (default 2) and prints the resolved event-timeline summary.\n\
+     \x20 whose transfers overlap compute; prints the resolved event-timeline\n\
+     \x20 summary) and a one-stream cluster to 2 streams per device.\n\
+     \x20 --streams K overrides the streams per device (default 2);\n\
+     \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
+     \x20 cluster backends (default 256).\n\
      \x20 --kernel K picks how contractions are computed: general, blocked,\n\
      \x20 precomputed, unrolled (auto-fallback for unavailable shapes),\n\
      \x20 batched (lane-vectorized over the tensor arena; fixed-shift sshopm\n\
@@ -387,8 +393,10 @@ mod tests {
             "qrst",
             "gpusim:<device>[:count]",
             "pipelined[:device][:count]",
+            "cluster[:device][:hosts[:devices[:streams]]]",
             "--pipeline",
             "--streams K",
+            "--chunk-tensors N",
             "profile",
             "report [file]",
             "--format text|json|prom",

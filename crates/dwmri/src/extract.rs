@@ -339,7 +339,7 @@ mod tests {
         // shift) must be bitwise-indistinguishable from the scalar
         // per-tensor path on real fitted DW-MRI tensors — here a sweep of
         // two-fiber crossing voxels across the hard low-angle range.
-        use backend::{CpuSequential, KernelStrategy};
+        use backend::{CpuParallel, KernelStrategy};
         use sshopm::SsHopm;
         use telemetry::Telemetry;
 
@@ -352,10 +352,10 @@ mod tests {
             tol: 1e-12,
             max_iters: 2000,
         });
-        let scalar = CpuSequential::new(KernelStrategy::Precomputed)
+        let scalar = CpuParallel::new(1, KernelStrategy::Precomputed)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
-        let lockstep = CpuSequential::new(KernelStrategy::Batched)
+        let lockstep = CpuParallel::new(1, KernelStrategy::Batched)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
         assert_eq!(lockstep.kernel, "batched");
@@ -376,13 +376,13 @@ mod tests {
 
     #[test]
     fn non_3d_batch_is_a_typed_error() {
-        use backend::{CpuSequential, KernelStrategy};
+        use backend::{CpuParallel, KernelStrategy};
 
         let tensors = TensorBatch::from_tensors(&[SymTensor::<f64>::diagonal_ones(4, 4)]).unwrap();
         let Err(err) = extract_fibers_reported(
             &tensors,
             &ExtractConfig::default(),
-            &CpuSequential::new(KernelStrategy::General),
+            &CpuParallel::new(1, KernelStrategy::General),
             &Telemetry::disabled(),
         ) else {
             panic!("a dimension-4 batch must not extract fibers");
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn batched_extraction_records_telemetry() {
-        use backend::{CpuSequential, KernelStrategy};
+        use backend::{CpuParallel, KernelStrategy};
         use telemetry::Telemetry;
 
         let tensors =
@@ -405,7 +405,7 @@ mod tests {
         let fibers = extract_fibers_with(
             &tensors,
             &ExtractConfig::default(),
-            &CpuSequential::new(KernelStrategy::General),
+            &CpuParallel::new(1, KernelStrategy::General),
             &telemetry,
         )
         .unwrap();

@@ -172,13 +172,46 @@ pub struct LaunchReport {
     pub host_transfer: HostTransfer,
 }
 
+impl LaunchReport {
+    /// Fold the report of a later chunk launched on the *same device and
+    /// variant* into this one, giving one per-device report: counts,
+    /// stats, flops and serial kernel seconds add up; occupancy and
+    /// resources are per-launch constants and carry over.
+    pub fn merge(&mut self, next: &LaunchReport) {
+        self.grid.num_blocks += next.grid.num_blocks;
+        self.stats.counters.merge(&next.stats.counters);
+        self.stats.warp_serial_instructions += next.stats.warp_serial_instructions;
+        self.stats.thread_instructions += next.stats.thread_instructions;
+        self.stats.num_warps += next.stats.num_warps;
+        self.useful_flops += next.useful_flops;
+        // Kernel time on one device is serial regardless of streams (one
+        // compute engine), so seconds add; per-chunk launch overhead is
+        // already inside each estimate.
+        let (sa, sb) = (self.timing.seconds, next.timing.seconds);
+        self.timing.compute_seconds += next.timing.compute_seconds;
+        self.timing.memory_seconds += next.timing.memory_seconds;
+        self.timing.seconds += next.timing.seconds;
+        if sa + sb > 0.0 {
+            self.timing.issue_efficiency =
+                (self.timing.issue_efficiency * sa + next.timing.issue_efficiency * sb) / (sa + sb);
+        }
+        self.timing.active_sms = self.timing.active_sms.max(next.timing.active_sms);
+        self.gflops = self.timing.gflops(self.useful_flops);
+        self.host_transfer.down_bytes += next.host_transfer.down_bytes;
+        self.host_transfer.up_bytes += next.host_transfer.up_bytes;
+        self.host_transfer.down_copies += next.host_transfer.down_copies;
+        self.host_transfer.up_copies += next.host_transfer.up_copies;
+    }
+}
+
 /// Launch the batched SS-HOPM problem on the simulated device.
 ///
 /// This is a thin synchronous wrapper over the asynchronous path: it
 /// enqueues the launch's three ops (upload, kernel, download) on a default
 /// stream of a fresh single-device [`StreamQueue`] via [`enqueue_sshopm`]
 /// and immediately synchronizes. Callers that want transfer/compute
-/// overlap enqueue on their own queue instead (see [`crate::MultiGpu`]).
+/// overlap enqueue on their own queue instead (see
+/// [`crate::Cluster::launch`]).
 ///
 /// Takes the batch as a borrowed [`TensorBatchRef`] (or anything that
 /// converts into one, e.g. `&TensorBatch`): same-shape is guaranteed by

@@ -25,12 +25,14 @@
 //!    makespan is the modeled wall-clock — double-buffered chunking
 //!    overlaps PCIe transfers with kernels exactly as streams do on
 //!    hardware.
-//! 4. **Cluster topology** ([`topology`]): an explicit `Cluster` → `Host`
-//!    → device tree, each link (NIC and PCIe) with its own
-//!    bandwidth/latency model. Sharded launches cut the packed arena into
-//!    one contiguous slice per host, charge one modeled NIC transfer per
+//! 4. **One execution model** ([`topology`]): an explicit `Cluster` →
+//!    `Host` → device tree, each link (NIC and PCIe) with its own
+//!    bandwidth/latency model; one GPU is the 1 × 1 cluster. The single
+//!    [`Cluster::launch`] cuts the packed arena into one contiguous slice
+//!    per host and per device, charges one modeled NIC transfer per
 //!    non-root shard against the Al Daas et al. communication lower
-//!    bound, and run each shard on the host's own stream queues.
+//!    bound, and runs each device's slice on its host's stream queue
+//!    under a [`Schedule`] (whole, or in double-buffered chunks).
 //!
 //! The model is deliberately simple and fully documented; it is calibrated
 //! so the *shape* of the paper's results (GPU ≫ CPU, unrolled ≫ general,
@@ -62,9 +64,11 @@ pub use fault::{
     WATCHDOG_TIMEOUT_SECONDS,
 };
 pub use kernel::{enqueue_sshopm, launch_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
-pub use multi::{problem_traffic_bytes, HostTransfer, MultiGpu, MultiReport, TransferModel};
+pub use multi::{problem_traffic_bytes, HostTransfer, TransferModel};
 pub use occupancy::{KernelResources, Occupancy};
 pub use profile::{CounterBreakdown, ProfileSnapshot};
-pub use stream::{Engine, EventId, Op, OpId, StreamId, StreamQueue, TimedOp, Timeline};
+pub use stream::{
+    DeviceStreams, Engine, EventId, Op, OpId, StreamId, StreamQueue, TimedOp, Timeline,
+};
 pub use timing::TimingEstimate;
-pub use topology::{Cluster, ClusterReport, Host, HostShard};
+pub use topology::{Cluster, ClusterReport, DeviceSlice, Host, HostShard, Schedule};

@@ -386,6 +386,33 @@ impl StreamQueue {
     }
 }
 
+/// One device's streams, dealt round-robin: the device's `k`-th chunk
+/// runs on its stream `k mod S`, so consecutive chunks on a device
+/// alternate streams and double-buffer. The chunked launch and the
+/// resilient backend both deal chunks through this one rule.
+#[derive(Debug, Clone)]
+pub struct DeviceStreams {
+    streams: Vec<StreamId>,
+    dealt: usize,
+}
+
+impl DeviceStreams {
+    /// Create `count` streams (at least one) on `device` of `queue`.
+    pub fn new(queue: &mut StreamQueue, device: usize, count: usize) -> Self {
+        Self {
+            streams: (0..count.max(1)).map(|_| queue.stream(device)).collect(),
+            dealt: 0,
+        }
+    }
+
+    /// The stream the device's next chunk runs on.
+    pub fn deal(&mut self) -> StreamId {
+        let stream = self.streams[self.dealt % self.streams.len()];
+        self.dealt += 1;
+        stream
+    }
+}
+
 /// One resolved op on the event timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedOp {

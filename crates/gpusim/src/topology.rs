@@ -1,31 +1,89 @@
-//! Explicit cluster topology: `Cluster` → [`Host`] → device.
+//! The simulator's one execution model: `Cluster` → [`Host`] → device.
 //!
-//! The rest of the simulator grew up around one implicit host owning N
-//! devices over PCIe. This module lifts that assumption into data: a
-//! [`Cluster`] is a list of [`Host`]s, each host owns its devices plus
+//! A [`Cluster`] is a list of [`Host`]s; each host owns its devices plus
 //! *two* link models — the intra-host PCIe link its
-//! [`StreamQueue`](crate::stream::StreamQueue) times copies with, and the
-//! NIC connecting the host to the root node where the batch arena lives.
+//! [`StreamQueue`] times copies with, and the NIC connecting the host to
+//! the root node where the batch arena lives. One GPU is the 1 × 1
+//! cluster, several GPUs on one board are 1 × N
+//! ([`Cluster::single_host`]).
 //!
-//! Sharded execution ([`Cluster::launch`]) cuts the packed tensor arena
-//! into one contiguous slice per host (proportional to the host's summed
-//! peak throughput), charges one modeled NIC transfer per non-root shard
-//! (shard arena + starting vectors down, packed eigenpairs back up), and
-//! runs each shard through the host's own [`MultiGpu`] stream scheduling.
-//! Because the tensors are independent, this schedule moves every byte at
-//! most once — the communication cost is charged against the lower bound
+//! [`Cluster::launch`] cuts the packed tensor arena into one contiguous
+//! slice per host and each host's slice into one per device, both
+//! proportional to peak throughput ([`Cluster::shard`], [`Host::split`]).
+//! It charges one modeled NIC transfer per non-root shard (shard arena +
+//! starting vectors down, packed eigenpairs back up) and runs each
+//! device's slice on the host's own stream queue under a [`Schedule`]:
+//! whole, or in double-buffered chunks. Because the tensors are
+//! independent (Section V-B of the paper: the batch "generalizes to a
+//! system with multiple GPUs" with no communication), this moves every
+//! byte at most once — the NIC traffic is charged against the lower bound
 //! of Al Daas, Ballard, Grigori et al., "Minimizing Communication for
 //! Parallel Symmetric Tensor Times Same Vector Computation"
-//! ([`Cluster::comm_lower_bound_bytes`]), and reports the achieved-vs-
-//! bound ratio ([`ClusterReport::comm_ratio`]).
+//! ([`Cluster::comm_lower_bound_bytes`]), and the report carries the
+//! achieved-vs-bound ratio ([`ClusterReport::comm_ratio`]).
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::kernel::{GpuBatchResult, GpuVariant};
-use crate::multi::{problem_traffic_bytes, MultiGpu, MultiReport, TransferModel};
-use sshopm::IterationPolicy;
+use crate::kernel::{enqueue_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
+use crate::multi::{problem_traffic_bytes, TransferModel};
+use crate::stream::{DeviceStreams, StreamQueue, Timeline};
+use sshopm::{Eigenpair, IterationPolicy};
 use symtensor::multinomial::num_unique_entries;
 use symtensor::{Scalar, TensorBatchRef};
+
+/// How each device runs its slice of a launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Schedule {
+    /// Streams per device for chunked schedules: a device's `k`-th chunk
+    /// runs on its stream `k mod S` ([`DeviceStreams`]).
+    pub streams_per_device: usize,
+    /// Tensors per chunk. `None` launches each device's slice whole, on a
+    /// single stream — the synchronous schedule.
+    pub chunk_tensors: Option<usize>,
+}
+
+impl Schedule {
+    /// One launch per device, one stream per device: upload → kernel →
+    /// download back to back.
+    pub const SYNCHRONOUS: Schedule = Schedule {
+        streams_per_device: 1,
+        chunk_tensors: None,
+    };
+
+    /// Double-buffered chunking: each device's slice is cut into
+    /// `chunk_tensors`-sized pieces dealt round-robin across
+    /// `streams_per_device` streams, so chunk `k+1`'s upload overlaps chunk
+    /// `k`'s kernel (and downloads interleave on the copy engine). With one
+    /// stream this is the synchronous schedule plus per-chunk launch
+    /// overhead. Both counts are clamped to at least one.
+    pub fn pipelined(chunk_tensors: usize, streams_per_device: usize) -> Self {
+        Self {
+            streams_per_device: streams_per_device.max(1),
+            chunk_tensors: Some(chunk_tensors.max(1)),
+        }
+    }
+}
+
+/// Split `total` tensors proportionally to `peaks`, every share rounded
+/// down, the remainder dealt one at a time to the fastest first. Both
+/// levels of a launch use it: hosts by summed peak, devices by their own.
+fn split_by_peak(peaks: &[f64], total: usize) -> Vec<usize> {
+    let sum: f64 = peaks.iter().sum();
+    let mut counts: Vec<usize> = peaks
+        .iter()
+        .map(|p| ((p / sum) * total as f64).floor() as usize)
+        .collect();
+    let mut assigned: usize = counts.iter().sum();
+    let mut order: Vec<usize> = (0..peaks.len()).collect();
+    order.sort_by(|&a, &b| peaks[b].total_cmp(&peaks[a]));
+    let mut i = 0;
+    while assigned < total {
+        counts[order[i % order.len()]] += 1;
+        assigned += 1;
+        i += 1;
+    }
+    counts
+}
 
 /// One machine in a simulated cluster: its devices, the PCIe link they
 /// share, and the NIC that connects the host to the root node.
@@ -81,6 +139,90 @@ impl Host {
     pub fn peak_sp_gflops(&self) -> f64 {
         self.devices.iter().map(DeviceSpec::peak_sp_gflops).sum()
     }
+
+    /// Split `total` tensors across this host's devices proportionally to
+    /// peak throughput (every device gets at least one while tensors
+    /// remain).
+    pub fn split(&self, total: usize) -> Vec<usize> {
+        let peaks: Vec<f64> = self
+            .devices
+            .iter()
+            .map(DeviceSpec::peak_sp_gflops)
+            .collect();
+        split_by_peak(&peaks, total)
+    }
+
+    /// Run one shard on this host's devices, on the host's own stream
+    /// queue: each device's slice is a contiguous, zero-copy sub-range of
+    /// the arena, launched whole or in chunks as `schedule` says. Results
+    /// are appended to `results` in tensor order.
+    #[allow(clippy::too_many_arguments)]
+    fn run_shard<S: Scalar>(
+        &self,
+        shard: TensorBatchRef<'_, S>,
+        starts: &[Vec<S>],
+        policy: IterationPolicy,
+        alpha: f64,
+        variant: GpuVariant,
+        schedule: Schedule,
+        results: &mut Vec<Vec<Eigenpair<S>>>,
+    ) -> Result<(Vec<DeviceSlice>, Timeline), GpuError> {
+        let mut queue = StreamQueue::for_host(self);
+        // (device_index, tensors, merged report) per device with work;
+        // transfer/total seconds are read off the timeline afterwards.
+        let mut merged: Vec<(usize, usize, LaunchReport)> = Vec::new();
+        let mut offset = 0usize;
+        for (device_index, (&count, device)) in self
+            .split(shard.len())
+            .iter()
+            .zip(&self.devices)
+            .enumerate()
+        {
+            if count == 0 {
+                continue;
+            }
+            let slice = shard.slice(offset..offset + count);
+            offset += count;
+            let (chunk, streams) = match schedule.chunk_tensors {
+                Some(chunk) => (chunk.max(1), schedule.streams_per_device),
+                None => (count, 1),
+            };
+            let mut streams = DeviceStreams::new(&mut queue, device_index, streams);
+            let mut device_report: Option<LaunchReport> = None;
+            for lo in (0..count).step_by(chunk) {
+                let (res, report) = enqueue_sshopm(
+                    &mut queue,
+                    streams.deal(),
+                    device,
+                    slice.slice(lo..(lo + chunk).min(count)),
+                    starts,
+                    policy,
+                    alpha,
+                    variant,
+                )?;
+                results.extend(res.results);
+                match &mut device_report {
+                    None => device_report = Some(report),
+                    Some(acc) => acc.merge(&report),
+                }
+            }
+            if let Some(report) = device_report {
+                merged.push((device_index, count, report));
+            }
+        }
+        let timeline = queue.synchronize();
+        let slices = merged
+            .into_iter()
+            .map(|(device_index, num_tensors, report)| DeviceSlice {
+                device_index,
+                num_tensors,
+                report,
+                transfer_seconds: timeline.copy_seconds(device_index),
+                total_seconds: timeline.device_busy_seconds(device_index),
+            })
+            .collect();
+        Ok((slices, timeline))
+    }
 }
 
 /// A simulated cluster: an ordered list of [`Host`]s. Host 0 is the
@@ -89,6 +231,19 @@ impl Host {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     hosts: Vec<Host>,
+}
+
+/// The 1 × 1 cluster: one device on the root host behind PCIe 2.0.
+impl From<DeviceSpec> for Cluster {
+    fn from(device: DeviceSpec) -> Self {
+        Self {
+            hosts: vec![Host {
+                devices: vec![device],
+                pcie: TransferModel::pcie2(),
+                nic: TransferModel::qdr_infiniband(),
+            }],
+        }
+    }
 }
 
 impl Cluster {
@@ -121,12 +276,17 @@ impl Cluster {
         Self::new(vec![host; num_hosts])
     }
 
-    /// The degenerate one-host cluster the rest of the stack historically
-    /// assumed: all `devices` on the root, nothing ever crosses a NIC.
+    /// One host owning all `devices` over one PCIe link: a single GPU or a
+    /// multi-GPU board. Everything sits on the root, so nothing ever
+    /// crosses a NIC.
     ///
     /// # Errors
-    /// Returns [`GpuError::EmptyHost`] when the device list is empty.
+    /// Returns [`GpuError::EmptyDeviceList`] when the device list is
+    /// empty.
     pub fn single_host(devices: Vec<DeviceSpec>, pcie: TransferModel) -> Result<Self, GpuError> {
+        if devices.is_empty() {
+            return Err(GpuError::EmptyDeviceList);
+        }
         Self::new(vec![Host::new(
             devices,
             pcie,
@@ -150,8 +310,8 @@ impl Cluster {
     }
 
     /// All devices flattened host-major: host 0's devices first, then
-    /// host 1's, and so on. This is the *global device index* order the
-    /// resilient backend schedules over.
+    /// host 1's, and so on. This is the *global device index* order
+    /// reports and the resilient backend use.
     pub fn flat_devices(&self) -> Vec<DeviceSpec> {
         self.hosts
             .iter()
@@ -173,26 +333,11 @@ impl Cluster {
     }
 
     /// Split `total` tensors across hosts proportionally to each host's
-    /// summed peak throughput, remainder dealt to the fastest hosts
-    /// first — the same policy [`MultiGpu::split`] applies to devices, one
-    /// level up.
+    /// summed peak throughput — the split [`Host::split`] applies to
+    /// devices, one level up.
     pub fn shard(&self, total: usize) -> Vec<usize> {
         let peaks: Vec<f64> = self.hosts.iter().map(Host::peak_sp_gflops).collect();
-        let sum: f64 = peaks.iter().sum();
-        let mut counts: Vec<usize> = peaks
-            .iter()
-            .map(|p| ((p / sum) * total as f64).floor() as usize)
-            .collect();
-        let mut assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..self.hosts.len()).collect();
-        order.sort_by(|&a, &b| peaks[b].total_cmp(&peaks[a]));
-        let mut i = 0;
-        while assigned < total {
-            counts[order[i % order.len()]] += 1;
-            assigned += 1;
-            i += 1;
-        }
-        counts
+        split_by_peak(&peaks, total)
     }
 
     /// The Al Daas et al. communication lower bound for this problem on
@@ -234,14 +379,16 @@ impl Cluster {
 
     /// Launch the batched SS-HOPM problem across the cluster: shard the
     /// arena contiguously over hosts, charge each non-root shard one NIC
-    /// round trip, and run each shard synchronously on its host's devices
-    /// (one stream per device). Results come back in original tensor
-    /// order and are bitwise identical to any single-host launch of the
-    /// same batch — sharding changes the clock, never the arithmetic.
+    /// round trip, and run every host's shard on its own devices and
+    /// stream queue under `schedule`. Hosts and devices run concurrently;
+    /// transfers to distinct devices use distinct PCIe lanes, as on real
+    /// multi-GPU boards. Results come back in original tensor order and
+    /// are bitwise identical for every topology and schedule — sharding
+    /// and chunking change the clock, never the arithmetic.
     ///
     /// # Errors
-    /// Returns a [`GpuError`] for an empty batch or any per-host launch
-    /// failure (empty starts, mixed shapes, missing unrolled kernel).
+    /// Returns a [`GpuError`] for an empty batch or any per-device launch
+    /// failure (empty starts, missing unrolled or tape kernel).
     pub fn launch<'a, S: Scalar>(
         &self,
         batch: impl Into<TensorBatchRef<'a, S>>,
@@ -249,50 +396,9 @@ impl Cluster {
         policy: IterationPolicy,
         alpha: f64,
         variant: GpuVariant,
+        schedule: Schedule,
     ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
-        self.launch_sharded(batch.into(), starts, policy, alpha, variant, None, 1)
-    }
-
-    /// Like [`launch`](Cluster::launch), but each host runs its shard
-    /// through the double-buffered chunked path (`chunk_tensors` per
-    /// chunk, `streams_per_device` streams), overlapping PCIe transfers
-    /// with kernels exactly as [`MultiGpu::launch_pipelined`] does.
-    ///
-    /// # Errors
-    /// Same contract as [`launch`](Cluster::launch).
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_pipelined<'a, S: Scalar>(
-        &self,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-        chunk_tensors: usize,
-        streams_per_device: usize,
-    ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
-        self.launch_sharded(
-            batch.into(),
-            starts,
-            policy,
-            alpha,
-            variant,
-            Some(chunk_tensors.max(1)),
-            streams_per_device.max(1),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch_sharded<S: Scalar>(
-        &self,
-        batch: TensorBatchRef<'_, S>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        alpha: f64,
-        variant: GpuVariant,
-        chunk_tensors: Option<usize>,
-        streams_per_device: usize,
-    ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
+        let batch = batch.into();
         if batch.is_empty() {
             return Err(GpuError::EmptyBatch);
         }
@@ -303,7 +409,6 @@ impl Cluster {
         let mut results = Vec::with_capacity(batch.len());
         let mut shards = Vec::new();
         let mut offset = 0usize;
-        let mut useful_flops = 0u64;
         let mut nic_bytes = 0u64;
         let mut wall = 0.0_f64;
 
@@ -316,21 +421,15 @@ impl Cluster {
             // then over PCIe) as one coalesced payload.
             let slice = batch.slice(offset..offset + count);
             offset += count;
-            let mg = MultiGpu::for_host(host)?;
-            let (res, report) = match chunk_tensors {
-                Some(chunk) => mg.launch_pipelined(
-                    slice,
-                    starts,
-                    policy,
-                    alpha,
-                    variant,
-                    chunk,
-                    streams_per_device,
-                )?,
-                None => mg.launch(slice, starts, policy, alpha, variant)?,
-            };
-            results.extend(res.results);
-            useful_flops += report.useful_flops;
+            let (slices, timeline) = host.run_shard(
+                slice,
+                starts,
+                policy,
+                alpha,
+                variant,
+                schedule,
+                &mut results,
+            )?;
             // One modeled NIC transfer each way per non-root shard; the
             // root's shard is already resident.
             let (nic_down_bytes, nic_up_bytes) = if host_index == 0 {
@@ -344,7 +443,7 @@ impl Cluster {
                 host.nic.transfer_seconds(nic_down_bytes) + host.nic.transfer_seconds(nic_up_bytes)
             };
             nic_bytes += nic_down_bytes + nic_up_bytes;
-            let seconds = nic_seconds + report.seconds;
+            let seconds = nic_seconds + timeline.makespan();
             wall = wall.max(seconds);
             shards.push(HostShard {
                 host_index,
@@ -353,10 +452,16 @@ impl Cluster {
                 nic_up_bytes,
                 nic_seconds,
                 seconds,
-                report,
+                slices,
+                timeline,
             });
         }
 
+        let useful_flops: u64 = shards
+            .iter()
+            .flat_map(|s| &s.slices)
+            .map(|d| d.report.useful_flops)
+            .sum();
         let gflops = if wall > 0.0 {
             useful_flops as f64 / wall / 1e9
         } else {
@@ -378,6 +483,23 @@ impl Cluster {
     }
 }
 
+/// One device's slice of a launch.
+#[derive(Debug, Clone)]
+pub struct DeviceSlice {
+    /// Index of the device on the stream queue it ran on: its host's
+    /// device list, in a cluster launch.
+    pub device_index: usize,
+    /// Tensors assigned to this device.
+    pub num_tensors: usize,
+    /// The device's launch report, its chunks merged
+    /// ([`LaunchReport::merge`]).
+    pub report: LaunchReport,
+    /// Host→device + device→host transfer time for this slice.
+    pub transfer_seconds: f64,
+    /// When the device finished its last op: kernels plus transfers.
+    pub total_seconds: f64,
+}
+
 /// One host's shard of a cluster launch.
 #[derive(Debug, Clone)]
 pub struct HostShard {
@@ -391,11 +513,13 @@ pub struct HostShard {
     pub nic_up_bytes: u64,
     /// Modeled NIC time both ways (0 for the root's shard).
     pub nic_seconds: f64,
-    /// NIC time plus the host's device-level makespan.
+    /// NIC time plus the host's makespan (its timeline's).
     pub seconds: f64,
-    /// The host's own multi-GPU launch report (per-device slices,
-    /// stream timeline, makespan).
-    pub report: MultiReport,
+    /// One entry per device of this host that received work.
+    pub slices: Vec<DeviceSlice>,
+    /// The host's resolved stream timeline: every transfer and kernel op
+    /// with its modeled start/end.
+    pub timeline: Timeline,
 }
 
 /// Aggregate result of a cluster launch.
@@ -437,6 +561,8 @@ mod tests {
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
     use symtensor::TensorBatch;
+
+    const SYNC: Schedule = Schedule::SYNCHRONOUS;
 
     fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -508,13 +634,14 @@ mod tests {
         let (tensors, starts) = workload(64, 16, 11);
         let policy = IterationPolicy::Fixed(8);
         let single =
-            MultiGpu::homogeneous(DeviceSpec::tesla_c2050(), 2, TransferModel::pcie2()).unwrap();
+            Cluster::single_host(vec![DeviceSpec::tesla_c2050(); 2], TransferModel::pcie2())
+                .unwrap();
         let (base, _) = single
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
             .unwrap();
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sharded, report) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
             .unwrap();
         assert_eq!(sharded.results.len(), base.results.len());
         for (a, b) in sharded
@@ -542,6 +669,7 @@ mod tests {
                 IterationPolicy::Fixed(5),
                 0.0,
                 GpuVariant::Unrolled,
+                SYNC,
             )
             .unwrap();
         assert_eq!(report.shards[0].nic_down_bytes, 0);
@@ -567,6 +695,7 @@ mod tests {
                     IterationPolicy::Fixed(3),
                     0.0,
                     GpuVariant::Unrolled,
+                    SYNC,
                 )
                 .unwrap();
             let ratio = report.comm_ratio();
@@ -587,7 +716,7 @@ mod tests {
         for hosts in [1usize, 2, 4] {
             let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), hosts, 2).unwrap();
             let (_, report) = cluster
-                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
                 .unwrap();
             assert!(
                 report.seconds < last,
@@ -610,6 +739,7 @@ mod tests {
                 IterationPolicy::Fixed(3),
                 0.0,
                 GpuVariant::Unrolled,
+                SYNC,
             )
             .unwrap();
         assert_eq!(report.nic_bytes, 0);
@@ -622,10 +752,17 @@ mod tests {
         let policy = IterationPolicy::Fixed(6);
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sync, _) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled)
+            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
             .unwrap();
         let (piped, _) = cluster
-            .launch_pipelined(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, 64, 2)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                0.0,
+                GpuVariant::Unrolled,
+                Schedule::pipelined(64, 2),
+            )
             .unwrap();
         for (a, b) in piped
             .results
@@ -649,6 +786,7 @@ mod tests {
                 IterationPolicy::Fixed(5),
                 0.0,
                 GpuVariant::General,
+                SYNC,
             )
             .unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);

@@ -8,17 +8,23 @@
 //! panels per chunk.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use kernelgen::{KernelRegistry, KernelStrategy};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// allocations other threads make (the test harness's own
+    /// bookkeeping) out of a measured window; the `const` initialiser
+    /// means touching the counter never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -30,12 +36,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-/// One test function: the counter is process-global, so concurrent tests
-/// in this binary would pollute each other's deltas.
 #[test]
 fn memoized_requests_do_not_allocate() {
     let registry = KernelRegistry::new();

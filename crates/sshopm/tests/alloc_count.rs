@@ -6,7 +6,7 @@
 //! inside the iteration loop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use kernelgen::{KernelRegistry, KernelStrategy};
 use rand::rngs::StdRng;
@@ -16,11 +16,17 @@ use symtensor::{PrecomputedTables, SymTensor, TensorKernels};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// allocations other threads make (the test harness's own
+    /// bookkeeping) out of a measured window; the `const` initialiser
+    /// means touching the counter never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -32,8 +38,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Allocations made by one `solve_with_scratch` of exactly `iters`
@@ -53,8 +60,6 @@ fn solve_allocs(
     after - before
 }
 
-/// One test function: the counter is process-global, so concurrent tests
-/// in this binary would pollute each other's deltas.
 #[test]
 fn tensor_constant_shifts_allocate_per_solve_not_per_iteration() {
     let a = SymTensor::<f64>::random(4, 3, &mut StdRng::seed_from_u64(12));

@@ -64,9 +64,8 @@ pub use unrolled;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use backend::{
-        parse_fault_plan, BackendSpec, BatchReport, CpuParallel, CpuSequential, FaultLog,
-        GpuSimBackend, KernelStrategy, MultiGpuBackend, PipelinedBackend, ResilientBackend,
-        SolveBackend,
+        parse_fault_plan, BackendSpec, BatchReport, CpuParallel, FaultLog, GpuSimBackend,
+        KernelStrategy, ResilientBackend, SolveBackend,
     };
     pub use dwmri::{
         extract_fibers, extract_fibers_with, ExtractConfig, NoiseModel, Phantom, PhantomConfig,
@@ -94,13 +93,12 @@ mod tests {
         let _ = DeviceSpec::tesla_c2050();
         let _ = UnrolledKernels::for_shape(4, 3);
         let _ = PhantomConfig::default();
-        let _ = CpuSequential::new(KernelStrategy::General);
+        let _ = CpuParallel::new(1, KernelStrategy::General);
         let spec: BackendSpec = "cpu:2".parse().unwrap();
         let _: Box<dyn SolveBackend<f64>> = spec.build(KernelStrategy::Blocked).unwrap();
         let _ = gpusim::FaultPlan::new(1);
-        let _ = PipelinedBackend::homogeneous(
-            DeviceSpec::tesla_c2050(),
-            1,
+        let _ = GpuSimBackend::on_host(
+            vec![DeviceSpec::tesla_c2050()],
             TransferModel::pcie2(),
             KernelStrategy::General,
         );
