@@ -167,10 +167,15 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
         // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
         // keep the scalar per-tensor loop with the same lane-table kernels.
-        if self.strategy == KernelStrategy::Batched {
-            if let Some(alpha) = sshopm::lockstep_alpha(solver) {
+        let lockstep = match self.strategy {
+            KernelStrategy::Batched => sshopm::lockstep_alpha(solver),
+            _ => None,
+        };
+        let started;
+        let (kernel, result) = match lockstep {
+            Some(alpha) => {
                 let kernels = registry.batched(m, n);
-                let started = Instant::now();
+                started = Instant::now();
                 let result = sshopm::solve_batch_lockstep(
                     &kernels,
                     batch.view(),
@@ -180,29 +185,23 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
                     self.threads,
                     telemetry,
                 );
-                let report = BatchReport::new(
-                    label,
-                    self.strategy.name(),
-                    solver.name(),
-                    result.results,
-                    result.total_iterations,
-                    started.elapsed().as_secs_f64(),
-                    result.total_iterations * flops::sshopm_iter_flops(m, n),
-                );
-                return Ok(finish(report, &cache_before, telemetry));
+                (self.strategy.name(), result)
             }
-        }
-        let plan = registry.plan::<S>(m, n, self.strategy);
-        let started = Instant::now();
-        let result = BatchSolver::new(solver).with_threads(self.threads).run(
-            &*plan.kernels,
-            batch,
-            starts,
-            telemetry,
-        );
+            None => {
+                let plan = registry.plan::<S>(m, n, self.strategy);
+                started = Instant::now();
+                let result = BatchSolver::new(solver).with_threads(self.threads).run(
+                    &*plan.kernels,
+                    batch,
+                    starts,
+                    telemetry,
+                );
+                (plan.kernels.name(), result)
+            }
+        };
         let report = BatchReport::new(
             label,
-            plan.effective.name(),
+            kernel,
             solver.name(),
             result.results,
             result.total_iterations,
@@ -436,8 +435,7 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
             return Ok(empty_report(label, self.strategy, solver));
         }
         let alpha = fixed_alpha(solver, "GpuSimBackend")?;
-        let (variant, effective) =
-            crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
+        let (variant, _) = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
         let cache_before = KernelRegistry::global().stats();
         let _batch_span = telemetry.span("batch.solve");
         let (result, launch) = self.cluster.launch(
@@ -456,7 +454,7 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
             .sum();
         let mut report = BatchReport::new(
             label,
-            effective.name(),
+            variant.name(),
             solver.name(),
             result.results,
             total_iterations,

@@ -22,7 +22,7 @@ mod tests {
     fn cluster(spec: &str) -> GpuSimBackend {
         BackendSpec::parse(spec)
             .unwrap()
-            .build_gpusim(KernelStrategy::Unrolled)
+            .build_gpusim(KernelStrategy::Tape)
             .unwrap()
     }
 
@@ -57,8 +57,8 @@ mod tests {
             devices,
             streams: 1,
         };
-        assert!(spec(0, 2).build_gpusim(KernelStrategy::Unrolled).is_err());
-        assert!(spec(2, 0).build_gpusim(KernelStrategy::Unrolled).is_err());
+        assert!(spec(0, 2).build_gpusim(KernelStrategy::Tape).is_err());
+        assert!(spec(2, 0).build_gpusim(KernelStrategy::Tape).is_err());
     }
 
     #[test]

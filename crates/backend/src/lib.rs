@@ -14,8 +14,8 @@
 //!   wrapping it (retry / failover / NaN recovery under an injected
 //!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
-//!   `A·xᵐ⁻¹` are computed. Falls back gracefully when a strategy is
-//!   unavailable for a shape (e.g. no generated unrolled kernel).
+//!   `A·xᵐ⁻¹` are computed. The kernel registry resolves it per shape
+//!   (e.g. `tape` runs the generated unrolled code where a shape has it).
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
 //!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined`, `cluster:2:2`) so
 //!   CLIs and benchmark drivers select backends without hand-rolled
@@ -39,7 +39,7 @@
 //! let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(10));
 //!
 //! let spec: BackendSpec = "gpusim".parse().unwrap();
-//! let backend = spec.build::<f32>(KernelStrategy::Unrolled).unwrap();
+//! let backend = spec.build::<f32>(KernelStrategy::Tape).unwrap();
 //! let report = backend
 //!     .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
 //!     .unwrap();

@@ -96,7 +96,8 @@ impl FaultLog {
 pub struct BatchReport<S> {
     /// Human-readable backend label (e.g. `cpu:4`, `gpusim:tesla-c2050`).
     pub backend: String,
-    /// Kernel strategy actually in effect (after shape fallback).
+    /// The kernels that ran: the resolved CPU kernels' name (`general`,
+    /// `blocked`, `batched`, `unrolled`, `tape`) or the GPU variant's.
     pub kernel: String,
     /// Solver that produced the eigenpairs (e.g. `sshopm`, `geap`,
     /// `qrst`).

@@ -1,14 +1,9 @@
 //! Kernel-strategy selection: *how* the tensor contractions are computed,
 //! independently of *where* the batch runs.
 //!
-//! The strategy enum and the machinery that materializes kernels now live
-//! in the `kernelgen` crate: backends ask the process-wide
-//! [`KernelRegistry`] for a [`KernelPlan`] and get back a memoized,
-//! shareable kernel object (with automatic shape fallback along
-//! `Unrolled → Blocked → General` and `Tape → Blocked → General`) instead
-//! of boxing a fresh kernel per call. This module re-exports those types
-//! so `backend::KernelStrategy` keeps working, and adds the one mapping
-//! that is backend-specific: strategy → simulated-GPU kernel variant.
+//! The strategy enum and the kernel registry live in `kernelgen`; this
+//! module re-exports them and adds the one backend-specific mapping:
+//! strategy → simulated-GPU kernel variant.
 
 pub use kernelgen::{KernelPlan, KernelRegistry, KernelStrategy};
 
@@ -17,15 +12,14 @@ use unrolled::UnrolledKernels;
 
 /// Map a strategy onto a simulated-GPU kernel variant for shape `(m, n)`.
 ///
-/// The GPU model implements the general, unrolled, and tape variants, so
-/// `Blocked`/`Precomputed`/`Batched` run as `General`; `Unrolled` falls
-/// back to `General` for ungenerated shapes and `Tape` falls back to
-/// `General` for shapes the runtime generator does not support. Returns
-/// the variant and the strategy actually in effect.
+/// `Tape` resolves as [`KernelRegistry::plan`] does: the `Unrolled` variant
+/// on generated shapes, else `Tape` where a tape is supported, else
+/// `General`; every other strategy runs as `General`. Also returns the CPU
+/// strategy computing the same numbers, for bit-identical CPU re-solves.
 pub fn gpu_variant(strategy: KernelStrategy, m: usize, n: usize) -> (GpuVariant, KernelStrategy) {
     match strategy {
-        KernelStrategy::Unrolled if UnrolledKernels::for_shape(m, n).is_some() => {
-            (GpuVariant::Unrolled, KernelStrategy::Unrolled)
+        KernelStrategy::Tape if UnrolledKernels::for_shape(m, n).is_some() => {
+            (GpuVariant::Unrolled, KernelStrategy::Tape)
         }
         KernelStrategy::Tape if kernelgen::tape_supported(m, n) => {
             (GpuVariant::Tape, KernelStrategy::Tape)
@@ -41,34 +35,41 @@ mod tests {
     #[test]
     fn plan_honors_available_strategies() {
         let registry = KernelRegistry::new();
+        // (5, 4) has no compiled kernels, so every strategy runs its own.
         for strategy in KernelStrategy::ALL {
-            let plan = registry.plan::<f64>(4, 3, strategy);
-            assert_eq!(plan.effective, strategy, "(4,3) supports every strategy");
+            let plan = registry.plan::<f64>(5, 4, strategy);
+            assert_eq!(plan.kernels.name(), strategy.name(), "{strategy} at (5,4)");
         }
     }
 
     #[test]
     fn unrolled_falls_back_for_ungenerated_shape() {
         let registry = KernelRegistry::new();
-        // (7, 7) has no generated kernel but is within the blocked range.
-        let plan = registry.plan::<f64>(7, 7, KernelStrategy::Unrolled);
-        assert_eq!(plan.effective, KernelStrategy::Blocked);
+        let unrolled = KernelStrategy::parse("unrolled").unwrap();
+        // (7, 7) has no generated kernel: a runtime tape computes it.
+        let plan = registry.plan::<f64>(7, 7, unrolled);
+        assert_eq!(plan.kernels.name(), "tape");
+        assert_eq!(
+            gpu_variant(unrolled, 7, 7),
+            (GpuVariant::Tape, KernelStrategy::Tape)
+        );
+        // Order 1 has no tape: blocked on the CPU, general on the GPU.
+        let plan = registry.plan::<f64>(1, 3, unrolled);
         assert_eq!(plan.kernels.name(), "blocked");
-        // Order 9 is beyond the blocked range too: all the way to general.
-        let plan = registry.plan::<f64>(9, 3, KernelStrategy::Unrolled);
-        assert_eq!(plan.effective, KernelStrategy::General);
+        assert_eq!(
+            gpu_variant(unrolled, 1, 3),
+            (GpuVariant::General, KernelStrategy::General)
+        );
+        // (14, 20) is beyond the tape and blocked ranges: all the way to general.
+        let plan = registry.plan::<f64>(14, 20, unrolled);
         assert_eq!(plan.kernels.name(), "general");
     }
 
     #[test]
     fn gpu_variant_mapping() {
         assert_eq!(
-            gpu_variant(KernelStrategy::Unrolled, 4, 3),
-            (GpuVariant::Unrolled, KernelStrategy::Unrolled)
-        );
-        assert_eq!(
-            gpu_variant(KernelStrategy::Unrolled, 5, 9),
-            (GpuVariant::General, KernelStrategy::General)
+            gpu_variant(KernelStrategy::Tape, 4, 3),
+            (GpuVariant::Unrolled, KernelStrategy::Tape)
         );
         // The tape generator covers (5, 9); the slot cap rules out (5, 40).
         assert_eq!(
@@ -82,19 +83,12 @@ mod tests {
         for s in [
             KernelStrategy::General,
             KernelStrategy::Blocked,
-            KernelStrategy::Precomputed,
             KernelStrategy::Batched,
         ] {
-            assert_eq!(gpu_variant(s, 4, 3).0, GpuVariant::General);
+            assert_eq!(
+                gpu_variant(s, 4, 3),
+                (GpuVariant::General, KernelStrategy::General)
+            );
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for s in KernelStrategy::ALL {
-            assert_eq!(KernelStrategy::parse(s.name()).unwrap(), s);
-            assert_eq!(s.to_string(), s.name());
-        }
-        assert!(KernelStrategy::parse("fused").is_err());
     }
 }

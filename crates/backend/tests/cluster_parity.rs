@@ -57,12 +57,12 @@ fn single_host_cluster_matches_multi_gpu_bitwise_on_10k_tensors() {
     for devices in [1usize, 2, 3] {
         let cluster = BackendSpec::parse(&format!("cluster:1:{devices}"))
             .unwrap()
-            .build_gpusim(KernelStrategy::Unrolled)
+            .build_gpusim(KernelStrategy::Tape)
             .unwrap();
         let multi = GpuSimBackend::on_host(
             vec![DeviceSpec::tesla_c2050(); devices],
             TransferModel::pcie2(),
-            KernelStrategy::Unrolled,
+            KernelStrategy::Tape,
         )
         .unwrap();
         let a = cluster
@@ -102,7 +102,7 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
     let cluster_spec = BackendSpec::parse("cluster:tesla-c2050:1:2").unwrap();
     let gpu_spec = BackendSpec::parse("gpusim:tesla-c2050:2").unwrap();
     let build = |spec: &BackendSpec| {
-        ResilientBackend::from_spec(spec, KernelStrategy::Unrolled, plan())
+        ResilientBackend::from_spec(spec, KernelStrategy::Tape, plan())
             .unwrap()
             .with_retries(3)
             .with_failover(true)
@@ -132,13 +132,13 @@ fn pipelined_single_host_cluster_matches_pipelined_backend_bitwise() {
     let (tensors, starts, solver) = workload();
     let cluster = BackendSpec::parse("cluster:1:2")
         .unwrap()
-        .build_gpusim(KernelStrategy::Unrolled)
+        .build_gpusim(KernelStrategy::Tape)
         .unwrap()
         .with_streams(2)
         .unwrap();
     let piped = BackendSpec::parse("pipelined:2")
         .unwrap()
-        .build_gpusim(KernelStrategy::Unrolled)
+        .build_gpusim(KernelStrategy::Tape)
         .unwrap()
         .with_streams(2)
         .unwrap();

@@ -1,10 +1,10 @@
 //! Differential property tests for the kernel-strategy layer: every
 //! [`KernelStrategy`] — including the lane-vectorized `batched` one and
-//! the runtime-generated `tape` one — must agree with the on-the-fly
+//! the straight-line `tape` one — must agree with the on-the-fly
 //! [`GeneralKernels`] reference on both contractions, for random shapes,
 //! batch sizes and seeds. This pins the whole registry `plan` surface
-//! (including its fallback chains) to a single numerical truth, so a
-//! strategy can never silently drift.
+//! (including the `tape` resolution chain) to a single numerical truth, so
+//! a strategy can never silently drift.
 
 use backend::{KernelRegistry, KernelStrategy};
 use proptest::prelude::*;
@@ -14,8 +14,8 @@ use symtensor::kernels::GeneralKernels;
 use symtensor::{Scalar, TensorBatch, TensorKernels};
 
 /// Shapes kept small enough that every strategy has something to do:
-/// blocked covers orders 1–8, unrolled only its generated list (falling
-/// back beyond it), batched/precomputed/general cover everything.
+/// blocked covers orders 1–8, tape runs generated code on its list and a
+/// runtime tape elsewhere, batched/general cover everything.
 fn shape() -> impl Strategy<Value = (usize, usize)> {
     (2usize..=6, 2usize..=5)
 }
@@ -39,14 +39,15 @@ proptest! {
 
         for strategy in KernelStrategy::ALL {
             let plan = KernelRegistry::global().plan::<f64>(m, n, strategy);
-            let (kernels, effective) = (plan.kernels, plan.effective);
+            let kernels = plan.kernels;
+            let ran = kernels.name();
             for (t, a) in batch.iter().enumerate() {
                 let want = GeneralKernels.axm(a, &x).unwrap();
                 let got = kernels.axm(a, &x).unwrap();
                 let scale = 1.0 + want.abs();
                 prop_assert!(
                     (got - want).abs() < 1e-12 * scale,
-                    "axm: strategy {strategy} (effective {effective}) diverged on \
+                    "axm: strategy {strategy} (ran {ran}) diverged on \
                      ({m},{n}) tensor {t}: {got} vs {want}"
                 );
 
@@ -58,7 +59,7 @@ proptest! {
                 for (i, (g, w)) in got_y.iter().zip(&want_y).enumerate() {
                     prop_assert!(
                         (g - w).abs() < 1e-12 * scale,
-                        "axm1: strategy {strategy} (effective {effective}) diverged on \
+                        "axm1: strategy {strategy} (ran {ran}) diverged on \
                          ({m},{n}) tensor {t} component {i}: {g} vs {w}"
                     );
                 }
@@ -80,19 +81,20 @@ proptest! {
         let mut y = vec![0.0f64; n];
         for strategy in KernelStrategy::ALL {
             let plan = KernelRegistry::global().plan::<f64>(m, n, strategy);
-            let (kernels, effective) = (plan.kernels, plan.effective);
-            if effective == KernelStrategy::General {
+            let kernels = plan.kernels;
+            let ran = kernels.name();
+            if ran == "general" {
                 continue;
             }
             prop_assert!(
                 kernels.axm(wrong.view(), &x).is_err(),
-                "axm: strategy {strategy} (effective {effective}) accepted a \
+                "axm: strategy {strategy} (ran {ran}) accepted a \
                  ({},{n}) tensor on ({m},{n}) kernels",
                 m + 1
             );
             prop_assert!(
                 kernels.axm1(wrong.view(), &x, &mut y).is_err(),
-                "axm1: strategy {strategy} (effective {effective}) accepted a \
+                "axm1: strategy {strategy} (ran {ran}) accepted a \
                  ({},{n}) tensor on ({m},{n}) kernels",
                 m + 1
             );

@@ -112,7 +112,10 @@ fn backends_agree_bitwise_with_identical_kernels() {
     // code on every substrate, so results match to the bit, not just to a
     // tolerance.
     let (tensors, starts, solver) = workload(4, 3);
-    for strategy in [KernelStrategy::General, KernelStrategy::Unrolled] {
+    for (strategy, kernel) in [
+        (KernelStrategy::General, "general"),
+        (KernelStrategy::Tape, "unrolled"),
+    ] {
         let reports: Vec<BatchReport<f32>> = backends(strategy)
             .iter()
             .map(|b| {
@@ -121,7 +124,7 @@ fn backends_agree_bitwise_with_identical_kernels() {
             })
             .collect();
         let reference = &reports[0];
-        assert_eq!(reference.kernel, strategy.name());
+        assert_eq!(reference.kernel, kernel);
         for report in &reports[1..] {
             assert_eq!(report.kernel, reference.kernel);
             for ((t, v, got), (_, _, want)) in report.iter_flat().zip(reference.iter_flat()) {
@@ -141,15 +144,15 @@ fn backends_agree_bitwise_with_identical_kernels() {
 
 #[test]
 fn parity_holds_for_unrolled_fallback_shapes() {
-    // (3, 5) has no generated unrolled kernel: the CPU backends fall back
-    // to blocked kernels, the GPU backends to the general variant. Within
-    // each substrate class the arithmetic is still identical code, so
-    // results match bitwise; across classes the kernels differ only in
-    // summation order, so eigenvalues agree to f32 round-off.
+    // (3, 5) has no generated unrolled kernel: the CPU backends and the
+    // GPU model both run the runtime tape instead. Within each substrate
+    // class the arithmetic is identical code, so results match bitwise;
+    // the tape is the same code across classes too, so eigenvalues also
+    // agree well within f32 round-off.
     let (tensors, mut starts, mut solver) = workload(3, 5);
     starts.truncate(4);
     solver = solver.with_policy(IterationPolicy::Fixed(25));
-    let reports: Vec<BatchReport<f32>> = backends(KernelStrategy::Unrolled)
+    let reports: Vec<BatchReport<f32>> = backends(KernelStrategy::Tape)
         .iter()
         .map(|b| {
             b.solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
@@ -159,8 +162,8 @@ fn parity_holds_for_unrolled_fallback_shapes() {
 
     let (cpu_seq, cpu_par, gpu_one, gpu_multi) =
         (&reports[0], &reports[1], &reports[2], &reports[3]);
-    assert_eq!(cpu_seq.kernel, "blocked");
-    assert_eq!(gpu_one.kernel, "general");
+    assert_eq!(cpu_seq.kernel, "tape");
+    assert_eq!(gpu_one.kernel, "tape");
     for report in &reports {
         assert_eq!(report.total_iterations, cpu_seq.total_iterations);
     }

@@ -288,11 +288,11 @@ fn inactive_plan_matches_plain_gpu_backend_bitwise() {
     let resilient = ResilientBackend::new(
         vec![DeviceSpec::tesla_c2050()],
         TransferModel::pcie2(),
-        KernelStrategy::Unrolled,
+        KernelStrategy::Tape,
         FaultPlan::new(9),
     )
     .unwrap();
-    let plain = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Unrolled);
+    let plain = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Tape);
     let a = resilient
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();

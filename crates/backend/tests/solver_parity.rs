@@ -115,7 +115,7 @@ fn pinned_alpha_spec_matches_explicit_fixed_shift() {
     let (tensors, starts) = workload(4, 3);
     let pinned = spec_solver("sshopm:2.5", Shift::Convex);
     let explicit = legacy_solver(Shift::Fixed(2.5));
-    for backend in backends(KernelStrategy::Unrolled) {
+    for backend in backends(KernelStrategy::Tape) {
         let a = backend
             .solve_batch(&tensors, &starts, &*pinned, &Telemetry::disabled())
             .unwrap();

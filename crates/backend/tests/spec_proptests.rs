@@ -72,9 +72,12 @@ proptest! {
     }
 
     #[test]
-    fn kernel_names_round_trip(k in 0usize..4) {
+    fn kernel_names_round_trip(k in 0usize..KernelStrategy::ALL.len()) {
         let strategy = KernelStrategy::ALL[k];
         prop_assert_eq!(KernelStrategy::parse(strategy.name()), Ok(strategy));
+        // The paper's labels are spellings of two of the four strategies.
+        prop_assert_eq!(KernelStrategy::parse("precomputed"), Ok(KernelStrategy::Batched));
+        prop_assert_eq!(KernelStrategy::parse("unrolled"), Ok(KernelStrategy::Tape));
     }
 }
 

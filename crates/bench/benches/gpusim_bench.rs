@@ -16,7 +16,7 @@ fn bench_launch(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("gpusim_launch_32x32");
     group.sample_size(10);
-    for strategy in [KernelStrategy::General, KernelStrategy::Unrolled] {
+    for strategy in [KernelStrategy::General, KernelStrategy::Tape] {
         let gpu = GpuSimBackend::new(DeviceSpec::tesla_c2050(), strategy);
         group.bench_function(strategy.name(), |b| {
             b.iter(|| black_box(run_on(&gpu, &workload, policy, 0.0)))

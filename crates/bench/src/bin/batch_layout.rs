@@ -118,7 +118,7 @@ impl Measured {
 /// solve tensor-by-tensor. Same kernels, same arithmetic; scattered
 /// storage and per-voxel allocator traffic.
 fn run_vec_layout(raw: &[f32], t: usize, solver: &SsHopm, start: &[f32]) -> Measured {
-    let plan = backend::KernelRegistry::global().plan::<f32>(M, N, KernelStrategy::Unrolled);
+    let plan = backend::KernelRegistry::global().plan::<f32>(M, N, KernelStrategy::Tape);
     let kernels = plan.kernels;
     let stride = raw.len() / t;
     let before = alloc_begin();
@@ -149,7 +149,7 @@ fn run_vec_layout(raw: &[f32], t: usize, solver: &SsHopm, start: &[f32]) -> Meas
 /// The arena pipeline: one contiguous buffer for all voxels, solved
 /// through a one-thread [`CpuParallel`] over borrowed views.
 fn run_packed_layout(raw: &[f32], _t: usize, solver: &SsHopm, start: &[f32]) -> Measured {
-    let backend = CpuParallel::new(1, KernelStrategy::Unrolled);
+    let backend = CpuParallel::new(1, KernelStrategy::Tape);
     let starts = vec![start.to_vec()];
     let before = alloc_begin();
     let started = Instant::now();

@@ -47,7 +47,7 @@ fn run(batch: &TensorBatch<f32>, start_vecs: &[Vec<f32>], hosts: usize) -> Run {
         streams: STREAMS,
     };
     let backend = spec
-        .build_gpusim(KernelStrategy::Unrolled)
+        .build_gpusim(KernelStrategy::Tape)
         .expect("host counts are nonzero");
     let report = backend
         .solve_batch(batch, start_vecs, &solver, &Telemetry::disabled())

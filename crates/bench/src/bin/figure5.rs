@@ -36,14 +36,14 @@ fn main() {
         for threads in [1usize, 4, 8] {
             let (secs, iters) = run_cpu(
                 &sub,
-                KernelStrategy::Unrolled,
+                KernelStrategy::Tape,
                 threads,
                 bench::bench_policy(),
                 0.0,
             );
             row.push(batch_flops(4, 3, iters) as f64 / secs / 1e9);
         }
-        let (gpu, report) = gpu_row(&sub, KernelStrategy::Unrolled);
+        let (gpu, report) = gpu_row(&sub, KernelStrategy::Tape);
         let snap = &report.profiles[0].snapshot;
         let g = gpu.gflops();
         println!(

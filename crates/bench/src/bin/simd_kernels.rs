@@ -255,11 +255,7 @@ fn main() -> ExitCode {
         let x: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..=1.0)).collect();
         let plan = backend::KernelRegistry::global().plan::<f32>(M, N, KernelStrategy::Blocked);
         let blocked = plan.kernels;
-        assert_eq!(
-            plan.effective,
-            KernelStrategy::Blocked,
-            "(4,3) is a blocked shape"
-        );
+        assert_eq!(blocked.name(), "blocked", "(4,3) is a blocked shape");
         let batched = BatchedKernels::new(M, N);
 
         check_bitwise_prefix(&batched, &batch, &x, 4096);

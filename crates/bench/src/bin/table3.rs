@@ -4,18 +4,31 @@
 //! kernel variant — on the full 1024-tensor, 128-start workload.
 //!
 //! CPU rows are *measured* wall-clock (rayon thread pools standing in for
-//! the paper's OpenMP); GPU rows come from the gpusim analytic model. The
-//! binary also prints the paper's own 2011 numbers next to ours so the
-//! shape comparison (who wins, by what factor) is one glance.
+//! the paper's OpenMP); GPU rows come from the gpusim analytic model. A
+//! thread count above the host's available parallelism is skipped (with a
+//! note), since it would time-slice rather than scale. The binary also
+//! prints the paper's own 2011 numbers next to ours so the shape
+//! comparison (who wins, by what factor) is one glance.
 //!
 //! Run with: `cargo run --release -p bench --bin table3`
 
 use backend::KernelStrategy;
 use bench::{
-    bench_metadata, cpu_rows, gpu_row, print_rows, rows_to_value, write_bench_json, MeasuredRow,
-    Workload,
+    bench_metadata, cpu_label, cpu_rows, gpu_row, print_rows, rows_to_value, runnable_threads,
+    write_bench_json, MeasuredRow, Workload,
 };
 use serde::Value;
+
+/// The paper's 2011 numbers per CPU thread count: the unrolled speedup
+/// over general (a), and the relative performance of general and
+/// unrolled normalized to one core (c).
+fn paper_cpu(threads: usize) -> (f64, f64, f64) {
+    match threads {
+        1 => (8.47, 1.00, 1.00),
+        4 => (8.23, 3.55, 3.45),
+        _ => (5.60, 7.14, 4.72),
+    }
+}
 
 fn main() {
     let physical = std::thread::available_parallelism()
@@ -25,17 +38,26 @@ fn main() {
         "Table III reproduction: T=1024 tensors (m=4, n=3), V=128 starts, {} fixed iterations, f32",
         bench::BENCH_ITERS
     );
-    println!("host has {physical} logical core(s); thread counts beyond that cannot speed up\n");
+    let (threads, skipped) = runnable_threads();
+    if !skipped.is_empty() {
+        let names: Vec<String> = skipped.iter().map(|&t| cpu_label(t)).collect();
+        println!(
+            "skipped rows {}: this host runs {physical} thread(s) at once, so more threads \
+             would time-slice, not scale",
+            names.join(", ")
+        );
+    }
+    println!();
 
     let workload = Workload::paper_workload(2026);
 
-    // Measured CPU rows.
-    let general_rows = cpu_rows(&workload, KernelStrategy::General, "general");
-    let unrolled_rows = cpu_rows(&workload, KernelStrategy::Unrolled, "unrolled");
+    // Measured CPU rows (`tape` runs the generated unrolled code here).
+    let general_rows = cpu_rows(&workload, KernelStrategy::General, "general", &threads);
+    let unrolled_rows = cpu_rows(&workload, KernelStrategy::Tape, "unrolled", &threads);
 
     // Modeled GPU rows.
     let (gpu_general, rep_g) = gpu_row(&workload, KernelStrategy::General);
-    let (gpu_unrolled, rep_u) = gpu_row(&workload, KernelStrategy::Unrolled);
+    let (gpu_unrolled, rep_u) = gpu_row(&workload, KernelStrategy::Tape);
 
     let mut all: Vec<MeasuredRow> = Vec::new();
     all.extend(general_rows.iter().cloned());
@@ -46,21 +68,21 @@ fn main() {
 
     // (a) unrolled speedup column.
     println!("(a) unrolled speedup over general:");
-    let pairs = [
-        ("CPU - 1 core", &general_rows[0], &unrolled_rows[0], 8.47),
-        ("CPU - 4 cores", &general_rows[1], &unrolled_rows[1], 8.23),
-        ("CPU - 8 cores", &general_rows[2], &unrolled_rows[2], 5.60),
-        ("GPU", &gpu_general, &gpu_unrolled, 18.70),
-    ];
     println!("{:<16} {:>10} {:>12}", "platform", "ours", "paper 2011");
-    for (label, g, u, paper_val) in &pairs {
+    let mut speedups = Vec::new();
+    for (i, &t) in threads.iter().enumerate() {
+        let ours = general_rows[i].seconds / unrolled_rows[i].seconds;
         println!(
             "{:<16} {:>9.2}x {:>11.2}x",
-            label,
-            g.seconds / u.seconds,
-            paper_val
+            cpu_label(t),
+            ours,
+            paper_cpu(t).0
         );
+        speedups.push((format!("cpu_{t}"), Value::Float(ours)));
     }
+    let gpu_speedup = gpu_general.seconds / gpu_unrolled.seconds;
+    println!("{:<16} {:>9.2}x {:>11.2}x", "GPU", gpu_speedup, 18.70);
+    speedups.push(("gpu".to_string(), Value::Float(gpu_speedup)));
 
     // (c) relative performance normalized to the sequential implementation.
     println!("\n(c) relative performance (normalized to CPU - 1 core):");
@@ -68,36 +90,26 @@ fn main() {
         "{:<16} {:>10} {:>10} {:>22}",
         "platform", "general", "unrolled", "paper (gen / unr)"
     );
-    let paper_rel = [
-        ("CPU - 1 core", 1.00, 1.00),
-        ("CPU - 4 cores", 3.55, 3.45),
-        ("CPU - 8 cores", 7.14, 4.72),
-        ("GPU", 70.23, 155.07),
-    ];
-    let rel = |rows: &[MeasuredRow], gpu: &MeasuredRow, i: usize| -> f64 {
-        let base = rows[0].seconds;
-        if i < 3 {
-            base / rows[i].seconds
-        } else {
-            base / gpu.seconds
-        }
-    };
-    for (i, (label, pg, pu)) in paper_rel.iter().enumerate() {
+    let (base_g, base_u) = (general_rows[0].seconds, unrolled_rows[0].seconds);
+    for (i, &t) in threads.iter().enumerate() {
+        let (_, pg, pu) = paper_cpu(t);
         println!(
             "{:<16} {:>9.2}x {:>9.2}x {:>12.2} / {:<8.2}",
-            label,
-            rel(&general_rows, &gpu_general, i),
-            rel(&unrolled_rows, &gpu_unrolled, i),
+            cpu_label(t),
+            base_g / general_rows[i].seconds,
+            base_u / unrolled_rows[i].seconds,
             pg,
             pu
         );
     }
-    if physical < 8 {
-        println!(
-            "note: with only {physical} core(s), the 4/8-thread rows measure scheduling overhead,\n\
-             not parallel scaling — the paper's 4-core row scaled 3.55x on real hardware."
-        );
-    }
+    println!(
+        "{:<16} {:>9.2}x {:>9.2}x {:>12.2} / {:<8.2}",
+        "GPU",
+        base_g / gpu_general.seconds,
+        base_u / gpu_unrolled.seconds,
+        70.23,
+        155.07
+    );
 
     // GPU model detail.
     println!("\nGPU model detail (Tesla C2050):");
@@ -128,26 +140,10 @@ fn main() {
                 serde::Serialize::to_value(&rep_u.profiles[0].snapshot),
             ]),
         ),
+        ("unrolled_speedup", Value::Map(speedups)),
         (
-            "unrolled_speedup",
-            Value::object(vec![
-                (
-                    "cpu_1",
-                    Value::Float(general_rows[0].seconds / unrolled_rows[0].seconds),
-                ),
-                (
-                    "cpu_4",
-                    Value::Float(general_rows[1].seconds / unrolled_rows[1].seconds),
-                ),
-                (
-                    "cpu_8",
-                    Value::Float(general_rows[2].seconds / unrolled_rows[2].seconds),
-                ),
-                (
-                    "gpu",
-                    Value::Float(gpu_general.seconds / gpu_unrolled.seconds),
-                ),
-            ]),
+            "skipped_cpu_threads",
+            Value::Seq(skipped.iter().map(|&t| Value::UInt(t as u64)).collect()),
         ),
     ]);
     write_bench_json("table3", &report);
@@ -160,7 +156,7 @@ fn main() {
         gpusim::DeviceSpec::tesla_c2050(),
         gpusim::DeviceSpec::gtx_580(),
     ] {
-        let (_, rep) = bench::gpu_row_on(&workload, KernelStrategy::Unrolled, device.clone());
+        let (_, rep) = bench::gpu_row_on(&workload, KernelStrategy::Tape, device.clone());
         println!(
             "  {:<26} {:>8.1} GFLOP/s = {:>4.1}% of {:>6.0} peak",
             device.name,

@@ -171,24 +171,35 @@ pub fn bench_policy() -> IterationPolicy {
     IterationPolicy::Fixed(BENCH_ITERS)
 }
 
-/// Measure all CPU rows (1/4/8 "cores" i.e. threads) for one kernel
-/// implementation. On hosts with fewer physical cores than threads the
-/// measured times won't scale — the binaries print both measured values
-/// and the physical core count so the reader can judge.
-pub fn cpu_rows(workload: &Workload, strategy: KernelStrategy, label: &str) -> Vec<MeasuredRow> {
-    let mut rows = Vec::new();
-    for threads in [1usize, 4, 8] {
-        let (secs, iters) = run_cpu(workload, strategy, threads, bench_policy(), paper::ALPHA);
-        rows.push(MeasuredRow {
-            label: format!(
-                "CPU - {threads} core{} ({label})",
-                if threads > 1 { "s" } else { "" }
-            ),
+/// The paper's CPU thread counts (Table III's 1/4/8 "cores") split into
+/// those this host runs in parallel and those it would only time-slice.
+pub fn runnable_threads() -> (Vec<usize>, Vec<usize>) {
+    let host = std::thread::available_parallelism().map_or(1, |c| c.get());
+    [1, 4, 8].into_iter().partition(|&t| t <= host)
+}
+
+/// Table III's platform label for a CPU row.
+pub fn cpu_label(threads: usize) -> String {
+    format!("CPU - {threads} core{}", if threads > 1 { "s" } else { "" })
+}
+
+/// Measure the CPU rows, one per thread count, for one kernel
+/// implementation.
+pub fn cpu_rows(
+    workload: &Workload,
+    strategy: KernelStrategy,
+    label: &str,
+    threads: &[usize],
+) -> Vec<MeasuredRow> {
+    let row = |&t: &usize| {
+        let (secs, iters) = run_cpu(workload, strategy, t, bench_policy(), paper::ALPHA);
+        MeasuredRow {
+            label: format!("{} ({label})", cpu_label(t)),
             seconds: secs,
             useful_flops: batch_flops(workload.m, workload.n, iters),
-        });
-    }
-    rows
+        }
+    };
+    threads.iter().map(row).collect()
 }
 
 /// The modeled GPU row for one kernel strategy on the paper's Tesla C2050.
@@ -317,7 +328,7 @@ mod tests {
     #[test]
     fn gpu_row_reports() {
         let w = Workload::random(8, 32, 4, 3, 3);
-        let (row, report) = gpu_row(&w, KernelStrategy::Unrolled);
+        let (row, report) = gpu_row(&w, KernelStrategy::Tape);
         assert!(row.seconds > 0.0);
         assert!(row.gflops() > 0.0);
         assert_eq!(report.kernel, "unrolled");

@@ -103,7 +103,7 @@ fn scenario_backend(key: &str) -> Box<dyn SolveBackend<f32>> {
         "cpu-seq-batched" => Box::new(CpuParallel::new(1, KernelStrategy::Batched)),
         "cpu-seq-tape" => Box::new(CpuParallel::new(1, KernelStrategy::Tape)),
         "gpusim-c2050-general" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::General)),
-        "gpusim-c2050-unrolled" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::Unrolled)),
+        "gpusim-c2050-unrolled" => Box::new(GpuSimBackend::new(c2050, KernelStrategy::Tape)),
         "multigpu-2x-c2050-general" => spec("gpusim:2"),
         "pipelined-1x2-c2050-general" => spec("pipelined"),
         "resilient-watchdog-retry" => Box::new(

@@ -251,7 +251,7 @@ fn inner_info(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         "{path}: {} tensors, order {m}, dimension {n}, {} unique entries each ({} total per tensor)",
         tensors.len(),
         tensors.stride(),
-        (n as u64).pow(m as u32),
+        dense_entries(m, n),
     )?;
     let norms: Vec<f64> = tensors.iter().map(|t| t.frobenius_norm()).collect();
     let min = norms.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -262,6 +262,14 @@ fn inner_info(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         "Frobenius norms: min {min:.4}  mean {mean:.4}  max {max:.4}"
     )?;
     Ok(())
+}
+
+/// `n^m`, the unpacked tensor's entry count, or `over 2^64` on overflow.
+fn dense_entries(m: usize, n: usize) -> String {
+    u32::try_from(m)
+        .ok()
+        .and_then(|m| (n as u64).checked_pow(m))
+        .map_or_else(|| "over 2^64".to_string(), |e| e.to_string())
 }
 
 /// `solve <file> [--backend B] [--kernel K] [--starts N] [--shift ...]
@@ -607,12 +615,12 @@ fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
-/// Parse `--variant` (the GPU-side kernel choice) into a strategy.
+/// Parse `--variant` (the GPU-side kernel choice) into a strategy;
+/// `unrolled` (the default) and `tape` both mean straight-line kernels.
 fn parse_variant(s: Option<&str>) -> Result<KernelStrategy, CmdError> {
     match s {
-        None | Some("unrolled") => Ok(KernelStrategy::Unrolled),
+        None | Some("unrolled" | "tape") => Ok(KernelStrategy::Tape),
         Some("general") => Ok(KernelStrategy::General),
-        Some("tape") => Ok(KernelStrategy::Tape),
         Some(v) => Err(CmdError(format!("invalid --variant {v:?}"))),
     }
 }
@@ -661,11 +669,11 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
     let _launch_span = telemetry.span("cli.gpu");
     let report = backend.solve_batch(&tensors, &starts, &solver, telemetry)?;
-    if report.kernel != strategy.name() {
+    if strategy != KernelStrategy::General && report.kernel == gpusim::GpuVariant::General.name() {
         writeln!(
             out,
             "note: no {} kernel for shape ({m},{n}); falling back to {}",
-            strategy.name(),
+            args.get("variant").unwrap_or("unrolled"),
             report.kernel
         )?;
     }
@@ -1062,14 +1070,29 @@ mod tests {
 
     #[test]
     fn gpu_falls_back_for_ungenerated_unrolled_shape() {
+        // (5, 9) has no generated kernel but a tape: the default
+        // (unrolled) runs the tape variant, with no note.
         let path = tmp("gpu59.txt");
         let mut out = Vec::new();
         random(sv(&["5", "9", "2", "--out", &path]), &mut out).unwrap();
-        // Default (unrolled) on an ungenerated shape falls back with a note.
         let mut out = Vec::new();
         gpu(sv(&[&path, "--iters", "2", "--starts", "8"]), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("falling back to general"), "{text}");
+        assert!(text.contains("(tape kernel)"), "{text}");
+        assert!(!text.contains("falling back"), "{text}");
+        std::fs::remove_file(&path).ok();
+
+        // Order 1 has neither: the default falls back with a note.
+        let path = tmp("gpu13.txt");
+        let mut out = Vec::new();
+        random(sv(&["1", "3", "2", "--out", &path]), &mut out).unwrap();
+        let mut out = Vec::new();
+        gpu(sv(&[&path, "--iters", "2", "--starts", "8"]), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("note: no unrolled kernel for shape (1,3); falling back to general"),
+            "{text}"
+        );
         assert!(text.contains("(general kernel)"), "{text}");
         // Asking for the general variant directly emits no note.
         let mut out = Vec::new();
@@ -1135,6 +1158,36 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("1 rank-one term(s)"), "{text}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn info_rejects_hostile_headers_and_non_finite_values() {
+        let path = tmp("hostile.txt");
+        for (body, want) in [
+            ("order 4 dim 3 count 100000000000000\n", "too many values"),
+            ("order 20 dim 100000 count 1\n", "too many values"),
+            (
+                "order 4 dim 3 count 100000000000000000\n",
+                "too many values",
+            ),
+            (
+                "order 2 dim 2 count 1\n1 NaN 3\n",
+                "non-finite value: \"NaN\"",
+            ),
+        ] {
+            std::fs::write(&path, format!("symtensor 1\n{body}")).unwrap();
+            let mut out = Vec::new();
+            let err = info(sv(&[&path]), &mut out).unwrap_err();
+            assert!(err.contains(want), "{body:?}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn dense_entry_count_does_not_overflow() {
+        assert_eq!(dense_entries(4, 3), "81");
+        assert_eq!(dense_entries(20, 9), 9u64.pow(20).to_string());
+        assert_eq!(dense_entries(20, 10), "over 2^64");
     }
 
     #[test]
@@ -1216,7 +1269,7 @@ mod tests {
             .and_then(serde::Value::as_str)
             .unwrap()
             .contains("GTX 580"));
-        // Unrolled on an ungenerated shape silently resolves to general.
+        // Unrolled on an ungenerated shape resolves to its tape.
         let mut out = Vec::new();
         profile(
             sv(&[&path, "--starts", "4", "--iters", "2"]),
@@ -1228,7 +1281,7 @@ mod tests {
         let v = serde::Value::parse_json(&text).unwrap();
         assert_eq!(
             v.get("variant").and_then(serde::Value::as_str),
-            Some("general")
+            Some("tape")
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1353,7 +1406,9 @@ mod tests {
         )
         .unwrap();
         // Fixed shift → the batched strategy takes the lockstep panel
-        // driver; output must be identical to the scalar precomputed path.
+        // driver; output must be identical to the scalar general kernels,
+        // which walk the index classes in the same order with the same
+        // coefficients. `precomputed` is a spelling of `batched`.
         let run = |kernel: &str| {
             let mut out = Vec::new();
             solve(
@@ -1368,6 +1423,8 @@ mod tests {
         let batched = run("batched");
         assert!(batched.contains("(batched kernel)"), "{batched}");
         let precomputed = run("precomputed");
+        assert!(precomputed.contains("(batched kernel)"), "{precomputed}");
+        let general = run("general");
         // Same eigenvalues line-for-line, only the kernel label differs.
         let strip = |s: &str| {
             s.lines()
@@ -1375,6 +1432,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
+        assert_eq!(strip(&batched), strip(&general));
         assert_eq!(strip(&batched), strip(&precomputed));
         // An adaptive shift still works: the batched kernels serve the
         // scalar per-tensor fallback path.
@@ -1895,9 +1953,11 @@ mod tests {
 
     #[test]
     fn solve_accepts_tape_kernel() {
+        // (3, 4) is not a generated shape, so a tape runs. (5, 4) is left
+        // to the artifact-cache test, which must be the one to generate it.
         let path = tmp("tape.txt");
         let mut out = Vec::new();
-        random(sv(&["5", "4", "2", "--out", &path]), &mut out).unwrap();
+        random(sv(&["3", "4", "2", "--out", &path]), &mut out).unwrap();
         let mut out = Vec::new();
         solve(
             sv(&[&path, "--kernel", "tape", "--starts", "4", "--shift", "2.0"]),
@@ -1906,6 +1966,7 @@ mod tests {
         .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("tensor 0:"), "{text}");
+        assert!(text.contains("(tape kernel)"), "{text}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1915,32 +1976,46 @@ mod tests {
         // test that touches the process-wide registry.
         let dir = tmp("cache-dir");
         std::fs::create_dir_all(&dir).unwrap();
-        let tensors = tmp("cache-tensors.txt");
-        let mut out = Vec::new();
-        random(sv(&["4", "4", "2", "--out", &tensors]), &mut out).unwrap();
-        let mut out = Vec::new();
-        solve(
-            sv(&[
-                &tensors,
-                "--kernel",
-                "tape",
-                "--kernel-cache-dir",
-                &dir,
-                "--starts",
-                "4",
-                "--shift",
-                "2.0",
-            ]),
-            &mut out,
-        )
-        .unwrap();
+        let solve_tape = |shape: [&str; 2], file: &str| {
+            let tensors = tmp(file);
+            let mut out = Vec::new();
+            random(sv(&[shape[0], shape[1], "2", "--out", &tensors]), &mut out).unwrap();
+            let mut out = Vec::new();
+            solve(
+                sv(&[
+                    &tensors,
+                    "--kernel",
+                    "tape",
+                    "--kernel-cache-dir",
+                    &dir,
+                    "--starts",
+                    "4",
+                    "--shift",
+                    "2.0",
+                ]),
+                &mut out,
+            )
+            .unwrap();
+            std::fs::remove_file(&tensors).ok();
+            String::from_utf8(out).unwrap()
+        };
+        let stats = || {
+            let mut out = Vec::new();
+            cache(sv(&["stats", "--kernel-cache-dir", &dir]), &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
 
-        // stats sees the persisted artifact for (4,4) f64.
-        let mut out = Vec::new();
-        cache(sv(&["stats", "--kernel-cache-dir", &dir]), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        // (4,3) runs the generated unrolled code: no tape, no artifact.
+        let text = solve_tape(["4", "3"], "cache-tensors43.txt");
+        assert!(text.contains("(unrolled kernel)"), "{text}");
+        assert!(!stats().contains("(4,3)"));
+
+        // stats sees the persisted artifact for (5,4) f64.
+        let text = solve_tape(["5", "4"], "cache-tensors54.txt");
+        assert!(text.contains("(tape kernel)"), "{text}");
+        let text = stats();
         assert!(text.contains("kernel registry (this process):"), "{text}");
-        assert!(text.contains("(4,4) f64"), "{text}");
+        assert!(text.contains("(5,4) f64"), "{text}");
         assert!(text.contains("[ok]"), "{text}");
 
         // clear removes it; a second stats shows an empty directory.
@@ -1957,7 +2032,6 @@ mod tests {
         let err = cache(sv(&["frobnicate"]), &mut out).unwrap_err();
         assert!(err.contains("expected stats or clear"), "{err}");
 
-        std::fs::remove_file(&tensors).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -33,10 +33,12 @@
 //! streams per device and `--chunk-tensors N` tensors per chunk), or
 //! `cluster[:device][:hosts[:devices[:streams]]]` (hosts sharded over
 //! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
-//! (`general|blocked|precomputed|unrolled|batched|tape`, with automatic
-//! shape fallback; `batched` runs fixed-shift SS-HOPM batches in lockstep
-//! panels over the tensor arena; `tape` replays runtime-generated kernel
-//! tapes for arbitrary shapes, persisted via `--kernel-cache-dir DIR`). Every batched solve runs through the same
+//! (`general|blocked|batched|tape`, with the paper's labels `precomputed`
+//! and `unrolled` as spellings of `batched` and `tape`; `batched` runs
+//! fixed-shift SS-HOPM batches in lockstep panels over the tensor arena;
+//! `tape` runs the generated unrolled code where a shape has it and a
+//! runtime-generated kernel tape elsewhere, persisted via
+//! `--kernel-cache-dir DIR`). Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
 //! directly comparable summaries. The simulated GPU supports only fixed
 //! numeric shifts. `--solver` takes a [`sshopm::SolverSpec`] string —
@@ -221,10 +223,11 @@ pub fn usage() -> String {
      \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
      \x20 cluster backends (default 256).\n\
      \x20 --kernel K picks how contractions are computed: general, blocked,\n\
-     \x20 precomputed, unrolled (auto-fallback for unavailable shapes),\n\
      \x20 batched (lane-vectorized over the tensor arena; fixed-shift sshopm\n\
      \x20 batches additionally run in lockstep panels), or tape (runtime-\n\
-     \x20 generated kernel tapes for arbitrary shapes).\n\
+     \x20 generated kernel tapes, or the generated unrolled code where the\n\
+     \x20 shape has it). precomputed and unrolled, the paper's labels, are\n\
+     \x20 spellings of batched and tape.\n\
      \x20 --kernel-cache-dir DIR persists generated tapes in a content-\n\
      \x20 addressed artifact cache; cache stats|clear inspects or empties it.\n\
      \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\

@@ -337,8 +337,9 @@ mod tests {
     fn lockstep_batched_solves_match_sequential_on_crossing_fixtures() {
         // The lockstep panel driver (kernel strategy `batched` + fixed
         // shift) must be bitwise-indistinguishable from the scalar
-        // per-tensor path on real fitted DW-MRI tensors — here a sweep of
-        // two-fiber crossing voxels across the hard low-angle range.
+        // per-tensor general kernels on real fitted DW-MRI tensors — here
+        // a sweep of two-fiber crossing voxels across the hard low-angle
+        // range.
         use backend::{CpuParallel, KernelStrategy};
         use sshopm::SsHopm;
         use telemetry::Telemetry;
@@ -352,7 +353,7 @@ mod tests {
             tol: 1e-12,
             max_iters: 2000,
         });
-        let scalar = CpuParallel::new(1, KernelStrategy::Precomputed)
+        let scalar = CpuParallel::new(1, KernelStrategy::General)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
         let lockstep = CpuParallel::new(1, KernelStrategy::Batched)

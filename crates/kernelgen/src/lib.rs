@@ -23,19 +23,25 @@
 //!   version-mismatched entries are detected (magic, header fields, and an
 //!   FNV-1a payload checksum) and silently regenerated, never trusted.
 //! * [`KernelRegistry`] — the single place kernel lifetime, caching, and
-//!   fallback policy live. Callers ask for a [`KernelPlan`] for
+//!   shape-based resolution live. Callers ask for a [`KernelPlan`] for
 //!   `(m, n, scalar, strategy)` and get back a memoized, shareable kernel
-//!   object; repeated `solve_batch` calls on the same shape stop re-deriving
-//!   [`symtensor::PrecomputedTables`] and lane tables.
+//!   object. [`KernelStrategy::Tape`] runs the faster build-time unrolled
+//!   code where a shape has it and a tape elsewhere.
 //!
 //! ```
 //! use kernelgen::{KernelRegistry, KernelStrategy};
 //! use symtensor::{SymTensor, TensorKernels};
 //!
-//! // (5, 4) is not in unrolled::GENERATED_SHAPES — the tape covers it.
 //! let registry = KernelRegistry::new();
+//! // (4, 3) is in unrolled::GENERATED_SHAPES: the compiled code runs and
+//! // no tape is generated.
+//! let plan = registry.plan::<f64>(4, 3, KernelStrategy::Tape);
+//! assert_eq!(plan.kernels.name(), "unrolled");
+//! assert_eq!(registry.stats().generated, 0);
+//!
+//! // (5, 4) is not — the runtime tape covers it.
 //! let plan = registry.plan::<f64>(5, 4, KernelStrategy::Tape);
-//! assert_eq!(plan.effective, KernelStrategy::Tape);
+//! assert_eq!(plan.kernels.name(), "tape");
 //!
 //! let a = SymTensor::<f64>::from_fn(5, 4, |c| c.rank() as f64);
 //! let x = [0.1, 0.2, 0.3, 0.4];

@@ -1,7 +1,7 @@
 //! The kernel registry: the single place kernel materialization, caching,
-//! and fallback policy live. Backends ask for a [`KernelPlan`] and get a
-//! memoized, shareable kernel object instead of a freshly boxed one per
-//! `solve_batch` call.
+//! and shape-based resolution live. Backends ask for a [`KernelPlan`] and
+//! get a memoized, shareable kernel object instead of a freshly boxed one
+//! per `solve_batch` call.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -12,9 +12,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use symtensor::{
-    BatchedKernels, BlockedKernels, GeneralKernels, PrecomputedTables, Scalar, TensorKernels,
-};
+use symtensor::{BatchedKernels, BlockedKernels, GeneralKernels, Scalar, TensorKernels};
 use unrolled::UnrolledKernels;
 
 use crate::artifact;
@@ -80,21 +78,20 @@ struct Counters {
     generate_nanos: AtomicU64,
 }
 
-/// A materialized kernel selection: the shareable kernel object plus the
-/// strategy actually in effect after fallback.
+/// A materialized kernel selection. `kernels.name()` says which
+/// implementation the strategy resolved to for the shape (`general`,
+/// `blocked`, `batched`, `unrolled` or `tape`).
 #[derive(Clone)]
 pub struct KernelPlan<S> {
     /// The kernels; cloning the plan clones an `Arc`, not the tables.
     pub kernels: Arc<dyn TensorKernels<S> + Send + Sync>,
-    /// The strategy actually chosen (after shape-based fallback).
-    pub effective: KernelStrategy,
 }
 
-impl<S> std::fmt::Debug for KernelPlan<S> {
+impl<S: Scalar> std::fmt::Debug for KernelPlan<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelPlan")
-            .field("effective", &self.effective)
-            .finish_non_exhaustive()
+            .field("kernels", &self.kernels.name())
+            .finish()
     }
 }
 
@@ -103,14 +100,15 @@ impl<S> std::fmt::Debug for KernelPlan<S> {
 type TapeMap = HashMap<(usize, usize, TypeId), Arc<dyn Any + Send + Sync>>;
 
 /// Memoizing kernel registry with an optional on-disk artifact cache for
-/// generated tapes.
+/// generated tapes. Two kinds are memoized per shape: the `batched`
+/// kernels (which own their precomputed and lane tables) and the runtime
+/// tapes (per scalar type).
 ///
 /// Most callers use the process-wide [`KernelRegistry::global`] instance so
 /// repeated `solve_batch` calls — and concurrent backends — share tables;
 /// tests build private instances to keep counters isolated.
 pub struct KernelRegistry {
     cache_dir: Mutex<Option<PathBuf>>,
-    tables: Mutex<HashMap<(usize, usize), Arc<PrecomputedTables>>>,
     batched: Mutex<HashMap<(usize, usize), Arc<BatchedKernels>>>,
     tapes: Mutex<TapeMap>,
     counters: Counters,
@@ -128,7 +126,6 @@ impl KernelRegistry {
     pub fn new() -> Self {
         KernelRegistry {
             cache_dir: Mutex::new(None),
-            tables: Mutex::new(HashMap::new()),
             batched: Mutex::new(HashMap::new()),
             tapes: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -172,7 +169,6 @@ impl KernelRegistry {
 
     /// Drop every memoized kernel object (the disk cache is untouched).
     pub fn clear_memory(&self) {
-        self.tables.lock().clear();
         self.batched.lock().clear();
         self.tapes.lock().clear();
     }
@@ -197,61 +193,29 @@ impl KernelRegistry {
         artifact::clear_dir(dir)
     }
 
-    /// Materialize kernels for `(m, n, S, strategy)`, falling back when the
-    /// requested strategy has no implementation for that shape
-    /// (`Unrolled → Blocked → General`, `Tape → Blocked → General`).
-    /// Memoized kinds (`Precomputed`, `Batched`, `Tape`) return shared
-    /// `Arc`s; the zero-sized kinds are constructed inline.
+    /// Materialize kernels for `(m, n, S, strategy)`.
+    ///
+    /// `Tape` resolves along one chain: the build-time [`UnrolledKernels`]
+    /// on `unrolled::GENERATED_SHAPES` (no tape is generated, loaded or
+    /// persisted), else the memoized tape when [`tape_supported`], else
+    /// `Blocked`. `Blocked` beyond order 8 is `General`.
     pub fn plan<S: Scalar>(&self, m: usize, n: usize, strategy: KernelStrategy) -> KernelPlan<S> {
-        match strategy {
-            KernelStrategy::General => KernelPlan {
-                kernels: Arc::new(GeneralKernels),
-                effective: KernelStrategy::General,
-            },
+        let kernels: Arc<dyn TensorKernels<S> + Send + Sync> = match strategy {
+            KernelStrategy::General => Arc::new(GeneralKernels),
             KernelStrategy::Blocked => match BlockedKernels::for_shape(m, n) {
-                Some(k) => KernelPlan {
-                    kernels: Arc::new(k),
-                    effective: KernelStrategy::Blocked,
+                Some(k) => Arc::new(k),
+                None => Arc::new(GeneralKernels),
+            },
+            KernelStrategy::Batched => self.batched(m, n),
+            KernelStrategy::Tape => match UnrolledKernels::for_shape(m, n) {
+                Some(k) => Arc::new(k),
+                None => match self.tape::<S>(m, n) {
+                    Ok(k) => k,
+                    Err(_) => return self.plan(m, n, KernelStrategy::Blocked),
                 },
-                None => self.plan(m, n, KernelStrategy::General),
             },
-            KernelStrategy::Precomputed => KernelPlan {
-                kernels: self.tables(m, n),
-                effective: KernelStrategy::Precomputed,
-            },
-            KernelStrategy::Unrolled => match UnrolledKernels::for_shape(m, n) {
-                Some(k) => KernelPlan {
-                    kernels: Arc::new(k),
-                    effective: KernelStrategy::Unrolled,
-                },
-                None => self.plan(m, n, KernelStrategy::Blocked),
-            },
-            KernelStrategy::Batched => KernelPlan {
-                kernels: self.batched(m, n),
-                effective: KernelStrategy::Batched,
-            },
-            KernelStrategy::Tape => match self.tape::<S>(m, n) {
-                Ok(k) => KernelPlan {
-                    kernels: k,
-                    effective: KernelStrategy::Tape,
-                },
-                Err(_) => self.plan(m, n, KernelStrategy::Blocked),
-            },
-        }
-    }
-
-    /// Shared precomputed index/coefficient tables for `(m, n)` (Section
-    /// V-C), built at most once per registry.
-    pub fn tables(&self, m: usize, n: usize) -> Arc<PrecomputedTables> {
-        let mut map = self.tables.lock();
-        if let Some(t) = map.get(&(m, n)) {
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-        self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(PrecomputedTables::new(m, n));
-        map.insert((m, n), t.clone());
-        t
+        };
+        KernelPlan { kernels }
     }
 
     /// Shared lane-vectorized kernels (and their lane tables) for `(m, n)`,
@@ -331,36 +295,38 @@ mod tests {
     #[test]
     fn plan_honors_available_strategies() {
         let r = KernelRegistry::new();
+        // (5, 4) has no compiled kernels, so every strategy runs its own.
         for strategy in KernelStrategy::ALL {
-            let plan = r.plan::<f64>(4, 3, strategy);
-            assert_eq!(plan.effective, strategy, "(4,3) supports every strategy");
+            let plan = r.plan::<f64>(5, 4, strategy);
+            assert_eq!(plan.kernels.name(), strategy.name(), "{strategy} at (5,4)");
         }
+        // On a compiled shape `Tape` runs the compiled straight-line code.
+        let plan = r.plan::<f64>(4, 3, KernelStrategy::Tape);
+        assert_eq!(plan.kernels.name(), "unrolled");
     }
 
     #[test]
     fn fallback_chains_are_preserved() {
         let r = KernelRegistry::new();
-        // (7, 7) has no generated kernel but is within the blocked range.
-        let plan = r.plan::<f64>(7, 7, KernelStrategy::Unrolled);
-        assert_eq!(plan.effective, KernelStrategy::Blocked);
-        assert_eq!(plan.kernels.name(), "blocked");
-        // Order 9 is beyond the blocked range too: all the way to general.
-        let plan = r.plan::<f64>(9, 3, KernelStrategy::Unrolled);
-        assert_eq!(plan.effective, KernelStrategy::General);
-        assert_eq!(plan.kernels.name(), "general");
-        // Tape covers (7, 7) directly; an oversized shape falls back.
+        // Tape: compiled code on a generated shape, else a runtime tape ...
+        let plan = r.plan::<f64>(4, 3, KernelStrategy::Tape);
+        assert_eq!(plan.kernels.name(), "unrolled");
         let plan = r.plan::<f64>(7, 7, KernelStrategy::Tape);
-        assert_eq!(plan.effective, KernelStrategy::Tape);
+        assert_eq!(plan.kernels.name(), "tape");
+        // ... else blocked (order 1 has no tape) ...
+        let plan = r.plan::<f64>(1, 3, KernelStrategy::Tape);
+        assert_eq!(plan.kernels.name(), "blocked");
+        // ... else general: (14, 20) is beyond the tape and blocked ranges.
         let plan = r.plan::<f64>(14, 20, KernelStrategy::Tape);
-        assert_ne!(plan.effective, KernelStrategy::Tape);
+        assert_eq!(plan.kernels.name(), "general");
+        // Blocked beyond order 8 is general.
+        let plan = r.plan::<f64>(9, 3, KernelStrategy::Blocked);
+        assert_eq!(plan.kernels.name(), "general");
     }
 
     #[test]
     fn memoized_kinds_return_the_same_object() {
         let r = KernelRegistry::new();
-        let a = r.tables(4, 3);
-        let b = r.tables(4, 3);
-        assert!(Arc::ptr_eq(&a, &b));
         let a = r.batched(4, 3);
         let b = r.batched(4, 3);
         assert!(Arc::ptr_eq(&a, &b));
@@ -368,8 +334,8 @@ mod tests {
         let b = r.tape::<f64>(5, 4).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = r.stats();
-        assert_eq!(s.memo_hits, 3);
-        assert_eq!(s.memo_misses, 3);
+        assert_eq!(s.memo_hits, 2);
+        assert_eq!(s.memo_misses, 2);
         assert_eq!(s.generated, 1);
         // No cache dir configured: disk counters never move.
         assert_eq!(s.disk_hits + s.disk_misses, 0);
@@ -386,9 +352,9 @@ mod tests {
     #[test]
     fn clear_memory_forgets_memoized_objects() {
         let r = KernelRegistry::new();
-        let a = r.tables(4, 3);
+        let a = r.batched(4, 3);
         r.clear_memory();
-        let b = r.tables(4, 3);
+        let b = r.batched(4, 3);
         assert!(!Arc::ptr_eq(&a, &b));
     }
 

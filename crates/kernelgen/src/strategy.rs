@@ -2,8 +2,8 @@
 //! independently of *where* the batch runs.
 //!
 //! The enum lives here (rather than in `backend`, where it started) because
-//! the [`KernelRegistry`](crate::KernelRegistry) is now the single place
-//! strategy fallback policy is applied; `backend` re-exports it unchanged.
+//! the [`KernelRegistry`](crate::KernelRegistry) is the single place a
+//! strategy is resolved for a shape; `backend` re-exports it unchanged.
 
 use std::fmt;
 
@@ -21,41 +21,34 @@ impl std::error::Error for KernelError {}
 
 /// Which `A·xᵐ` / `A·xᵐ⁻¹` implementation a backend should use.
 ///
-/// Strategies that are unavailable for a given shape fall back
-/// automatically: `Unrolled → Blocked → General` and
-/// `Tape → Blocked → General` on the CPU, and `Unrolled → General` /
-/// `Tape → General` on the simulated GPU (which has no blocked or
-/// precomputed variant). [`KernelRegistry::plan`](crate::KernelRegistry::plan)
-/// and `backend::gpu_variant` report the strategy actually chosen.
+/// Two numeric families: `General`, `Blocked` and `Batched` walk the
+/// index classes in one order with the same exact coefficients, so their
+/// results are bit-identical; `Tape` runs the Section V-D straight-line
+/// kernels, resolved per shape by
+/// [`KernelRegistry::plan`](crate::KernelRegistry::plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelStrategy {
     /// On-the-fly index/coefficient computation (works for every shape).
     General,
     /// Const-generic blocked kernels (orders 1–8, any dimension).
     Blocked,
-    /// Section V-C precomputed index/coefficient tables.
-    Precomputed,
-    /// Straight-line generated kernels (build.rs `GENERATED_SHAPES` only).
-    Unrolled,
     /// Lane-vectorized kernels over the packed `TensorBatch` arena
-    /// ([`symtensor::BatchedKernels`]). Per-tensor calls share the lane
-    /// tables; fixed-shift SS-HOPM batches additionally run the lockstep
-    /// panel driver that updates [`symtensor::LANE_WIDTH`] tensors per
-    /// table walk.
+    /// ([`symtensor::BatchedKernels`]), built on the Section V-C
+    /// precomputed tables. Per-tensor calls share the lane tables;
+    /// fixed-shift SS-HOPM batches additionally run the lockstep panel
+    /// driver that updates [`symtensor::LANE_WIDTH`] tensors per table walk.
     Batched,
-    /// Runtime-generated kernel tape ([`crate::TapeKernels`]): the unrolled
-    /// straight-line structure emitted as data for *any* small shape, loaded
-    /// through the content-addressed artifact cache.
+    /// Straight-line kernels: the build-time unrolled code on
+    /// `unrolled::GENERATED_SHAPES`, a runtime-generated
+    /// [`crate::TapeKernels`] tape on other small shapes.
     Tape,
 }
 
 impl KernelStrategy {
     /// All strategies, for sweeps and tests.
-    pub const ALL: [KernelStrategy; 6] = [
+    pub const ALL: [KernelStrategy; 4] = [
         KernelStrategy::General,
         KernelStrategy::Blocked,
-        KernelStrategy::Precomputed,
-        KernelStrategy::Unrolled,
         KernelStrategy::Batched,
         KernelStrategy::Tape,
     ];
@@ -65,26 +58,23 @@ impl KernelStrategy {
         match self {
             KernelStrategy::General => "general",
             KernelStrategy::Blocked => "blocked",
-            KernelStrategy::Precomputed => "precomputed",
-            KernelStrategy::Unrolled => "unrolled",
             KernelStrategy::Batched => "batched",
             KernelStrategy::Tape => "tape",
         }
     }
 
-    /// Parse a CLI token (`general`, `blocked`, `precomputed`, `unrolled`,
-    /// `batched`, `tape`).
+    /// Parse a CLI token: one of the four names, or the paper's labels
+    /// `precomputed` (a spelling of `batched`) and `unrolled` (a spelling
+    /// of `tape`).
     pub fn parse(s: &str) -> Result<Self, KernelError> {
         match s {
             "general" => Ok(KernelStrategy::General),
             "blocked" => Ok(KernelStrategy::Blocked),
-            "precomputed" => Ok(KernelStrategy::Precomputed),
-            "unrolled" => Ok(KernelStrategy::Unrolled),
-            "batched" => Ok(KernelStrategy::Batched),
-            "tape" => Ok(KernelStrategy::Tape),
+            "batched" | "precomputed" => Ok(KernelStrategy::Batched),
+            "tape" | "unrolled" => Ok(KernelStrategy::Tape),
             other => Err(KernelError(format!(
                 "unknown kernel strategy {other:?}: expected one of general, blocked, \
-                 precomputed, unrolled, batched, tape"
+                 batched, tape (or precomputed = batched, unrolled = tape)"
             ))),
         }
     }
@@ -93,14 +83,6 @@ impl KernelStrategy {
 impl fmt::Display for KernelStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for KernelStrategy {
-    type Err = KernelError;
-
-    fn from_str(s: &str) -> Result<Self, KernelError> {
-        KernelStrategy::parse(s)
     }
 }
 
@@ -113,8 +95,15 @@ mod tests {
         for s in KernelStrategy::ALL {
             assert_eq!(KernelStrategy::parse(s.name()).unwrap(), s);
             assert_eq!(s.to_string(), s.name());
-            assert_eq!(s.name().parse::<KernelStrategy>().unwrap(), s);
         }
+        assert_eq!(
+            KernelStrategy::parse("precomputed").unwrap(),
+            KernelStrategy::Batched
+        );
+        assert_eq!(
+            KernelStrategy::parse("unrolled").unwrap(),
+            KernelStrategy::Tape
+        );
         assert!(KernelStrategy::parse("fused").is_err());
     }
 
@@ -122,5 +111,7 @@ mod tests {
     fn parse_error_lists_tape() {
         let err = KernelStrategy::parse("nope").unwrap_err();
         assert!(err.0.contains("tape"), "{err}");
+        assert!(err.0.contains("precomputed = batched"), "{err}");
+        assert!(err.0.contains("unrolled = tape"), "{err}");
     }
 }

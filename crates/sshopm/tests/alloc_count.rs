@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kernelgen::{KernelRegistry, KernelStrategy};
+use kernelgen::KernelRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sshopm::{IterationPolicy, Shift, SsHopm};
@@ -64,11 +64,10 @@ fn solve_allocs(
 fn tensor_constant_shifts_allocate_per_solve_not_per_iteration() {
     let a = SymTensor::<f64>::random(4, 3, &mut StdRng::seed_from_u64(12));
     let registry = KernelRegistry::new();
-    let tape = registry.plan::<f64>(4, 3, KernelStrategy::Tape);
-    assert_eq!(tape.effective, KernelStrategy::Tape);
+    let tape = registry.tape::<f64>(4, 3).unwrap();
     let tables = PrecomputedTables::new(4, 3);
     let kernels: [(&str, &dyn TensorKernels<f64>); 2] =
-        [("tape", &*tape.kernels), ("precomputed", &tables)];
+        [("tape", &*tape), ("precomputed", &tables)];
 
     for (name, k) in kernels {
         for shift in [Shift::Convex, Shift::Concave] {

@@ -18,7 +18,7 @@
 
 use crate::batch::{TensorBatch, TensorBatchRef};
 use crate::error::Error;
-use crate::multinomial::num_unique_entries;
+use crate::multinomial::try_num_unique_entries;
 use crate::scalar::Scalar;
 use crate::storage::SymTensor;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -46,6 +46,10 @@ pub enum IoError {
     TrailingValues,
     /// Shape failed tensor validation.
     Shape(Error),
+    /// The shape line declares more values than can be counted or held.
+    TooLarge(String),
+    /// A value token is NaN or infinite in the scalar type being read.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -59,6 +63,8 @@ impl std::fmt::Display for IoError {
             }
             IoError::TrailingValues => write!(f, "trailing values after last tensor"),
             IoError::Shape(e) => write!(f, "invalid shape: {e}"),
+            IoError::TooLarge(line) => write!(f, "header declares too many values: {line:?}"),
+            IoError::NonFinite(token) => write!(f, "non-finite value: {token:?}"),
         }
     }
 }
@@ -142,7 +148,8 @@ pub fn write_tensor<S: Scalar, W: Write>(w: &mut W, tensor: &SymTensor<S>) -> st
 
 /// Read a batch written by [`write_tensor_batch`] (or [`write_tensors`])
 /// directly into one contiguous [`TensorBatch`] arena — no intermediate
-/// `Vec<SymTensor>` and no per-tensor allocation.
+/// `Vec<SymTensor>` and no per-tensor allocation. Malformed input, a
+/// header declaring more values than memory holds included, is an `Err`.
 pub fn read_tensor_batch<S: Scalar, R: Read>(r: R) -> std::result::Result<TensorBatch<S>, IoError> {
     let mut reader = BufReader::new(r);
     let mut line = String::new();
@@ -162,11 +169,14 @@ pub fn read_tensor_batch<S: Scalar, R: Read>(r: R) -> std::result::Result<Tensor
     let m: usize = parse(fields[1])?;
     let n: usize = parse(fields[3])?;
     let count: usize = parse(fields[5])?;
-    let per_tensor = num_unique_entries_checked(m, n)?;
+    let too_large = || IoError::TooLarge(line.trim().to_string());
+    let needed = num_unique_entries_checked(m, n)?
+        .and_then(|u| u.checked_mul(count))
+        .ok_or_else(too_large)?;
 
-    // Value stream.
-    let mut values: Vec<S> = Vec::with_capacity(per_tensor * count);
-    let needed = per_tensor * count;
+    // Value stream, into one allocation of exactly the declared size.
+    let mut values: Vec<S> = Vec::new();
+    values.try_reserve_exact(needed).map_err(|_| too_large())?;
     loop {
         line.clear();
         let read = reader.read_line(&mut line)?;
@@ -181,10 +191,14 @@ pub fn read_tensor_batch<S: Scalar, R: Read>(r: R) -> std::result::Result<Tensor
             let v: f64 = tok.parse().map_err(|_| IoError::BadNumber {
                 token: tok.to_string(),
             })?;
-            values.push(S::from_f64(v));
-            if values.len() > needed {
+            let v = S::from_f64(v);
+            if !v.is_finite() {
+                return Err(IoError::NonFinite(tok.to_string()));
+            }
+            if values.len() == needed {
                 return Err(IoError::TrailingValues);
             }
+            values.push(v);
         }
     }
     if values.len() < needed {
@@ -215,14 +229,17 @@ pub fn read_tensor<S: Scalar, R: Read>(r: R) -> std::result::Result<SymTensor<S>
     Ok(batch.get(0).to_owned())
 }
 
-fn num_unique_entries_checked(m: usize, n: usize) -> std::result::Result<usize, IoError> {
+/// Values per tensor of shape `(m, n)`; `None` if they overflow a `usize`.
+fn num_unique_entries_checked(m: usize, n: usize) -> std::result::Result<Option<usize>, IoError> {
     if !(1..=crate::multinomial::MAX_ORDER).contains(&m) {
         return Err(IoError::Shape(Error::OrderOutOfRange(m)));
     }
     if n < 1 {
         return Err(IoError::Shape(Error::DimensionOutOfRange(n)));
     }
-    Ok(num_unique_entries(m, n) as usize)
+    Ok(try_num_unique_entries(m, n)
+        .ok()
+        .and_then(|u| usize::try_from(u).ok()))
 }
 
 fn parse<T: std::str::FromStr>(tok: &str) -> std::result::Result<T, IoError> {
@@ -399,6 +416,63 @@ mod tests {
         ));
         let text = "symtensor 1\norder 25 dim 2 count 1\n";
         assert!(read_tensors::<f64, _>(text.as_bytes()).is_err());
+    }
+
+    fn read_header(header: &str) -> std::result::Result<TensorBatch<f64>, IoError> {
+        read_tensor_batch::<f64, _>(format!("symtensor 1\n{header}\n0.5 0.25\n").as_bytes())
+    }
+
+    #[test]
+    fn unallocatable_count_is_a_typed_error() {
+        // 1.5e15 values: 12 PB of f64, which no address space holds.
+        let err = read_header("order 4 dim 3 count 100000000000000").unwrap_err();
+        assert!(matches!(err, IoError::TooLarge(_)), "{err}");
+        assert!(err.to_string().contains("count 100000000000000"), "{err}");
+    }
+
+    #[test]
+    fn count_overflowing_the_byte_size_is_a_typed_error() {
+        // 1.5e18 values fit a usize, their byte size does not.
+        assert!(matches!(
+            read_header("order 4 dim 3 count 100000000000000000"),
+            Err(IoError::TooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn count_overflowing_the_value_count_is_a_typed_error() {
+        // 15 · 2e18 overflows usize itself.
+        assert!(matches!(
+            read_header("order 4 dim 3 count 2000000000000000000"),
+            Err(IoError::TooLarge(_))
+        ));
+    }
+
+    #[test]
+    fn shape_overflowing_the_binomial_is_a_typed_error() {
+        // C(100019, 20) overflows u64.
+        let err = read_header("order 20 dim 100000 count 1").unwrap_err();
+        assert!(matches!(err, IoError::TooLarge(_)), "{err}");
+        assert!(err.to_string().contains("too many values"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_by_token() {
+        for (token, body) in [("NaN", "1 NaN 3"), ("inf", "1 2 inf"), ("-inf", "-inf 2 3")] {
+            let text = format!("symtensor 1\norder 2 dim 2 count 1\n{body}\n");
+            match read_tensor_batch::<f64, _>(text.as_bytes()) {
+                Err(IoError::NonFinite(t)) => assert_eq!(t, token),
+                other => panic!("{body:?}: {other:?}"),
+            }
+        }
+        // Finite in f64 but not in f32.
+        let text = "symtensor 1\norder 2 dim 2 count 1\n1 1e39 3\n";
+        let err = read_tensor_batch::<f32, _>(text.as_bytes()).unwrap_err();
+        assert!(
+            err.to_string().contains("non-finite value: \"1e39\""),
+            "{err}"
+        );
+        assert!(read_tensor_batch::<f64, _>(text.as_bytes()).is_ok());
     }
 
     #[test]

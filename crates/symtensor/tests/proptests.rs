@@ -230,6 +230,32 @@ proptest! {
     }
 
     #[test]
+    fn truncated_files_are_errors_never_panics(
+        (m, n) in shape(),
+        count in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Cut a valid file at every byte offset: the reader must return,
+        // and it must return `Err` whenever the cut drops the last value
+        // entirely (a cut inside it may still parse as a shorter number).
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let batch = TensorBatch::<f64>::random(m, n, count, &mut rng).unwrap();
+        let mut file = Vec::new();
+        symtensor::io::write_tensor_batch(&mut file, &batch).unwrap();
+        let body = std::str::from_utf8(&file).unwrap().trim_end();
+        let last_value = body.rfind(char::is_whitespace).unwrap() + 1;
+        for cut in 0..=file.len() {
+            let read = symtensor::io::read_tensor_batch::<f64, _>(&file[..cut]);
+            if cut <= last_value {
+                prop_assert!(read.is_err(), "cut at byte {} of {} parsed", cut, file.len());
+            }
+        }
+        let whole = symtensor::io::read_tensor_batch::<f64, _>(&file[..]).unwrap();
+        prop_assert_eq!(whole.values(), batch.values());
+    }
+
+    #[test]
     fn tensor_batch_vec_round_trip((m, n) in shape(), count in 0usize..8, seed in 0u64..1000) {
         // Vec<SymTensor> -> TensorBatch -> Vec<SymTensor> is the identity,
         // and the arena holds the concatenation of the packed buffers.

@@ -42,7 +42,7 @@
 //! let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(10));
 //!
 //! let spec: BackendSpec = "gpusim".parse().unwrap();
-//! let gpu = spec.build::<f64>(KernelStrategy::Unrolled).unwrap();
+//! let gpu = spec.build::<f64>(KernelStrategy::Tape).unwrap();
 //! let report = gpu
 //!     .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
 //!     .unwrap();

@@ -38,7 +38,7 @@ fn main() {
     println!("Mapping: 1 block per tensor, 1 thread per start (Section V-B)\n");
 
     let mut reports = Vec::new();
-    for strategy in [KernelStrategy::General, KernelStrategy::Unrolled] {
+    for strategy in [KernelStrategy::General, KernelStrategy::Tape] {
         let gpu = GpuSimBackend::new(device.clone(), strategy);
         let report = gpu
             .solve_batch(&tensors, &starts, &solver, &telemetry)
@@ -75,7 +75,7 @@ fn main() {
 
     // Cross-check: the simulated GPU computes the same eigenpairs as the
     // CPU backend using the same (unrolled) kernels.
-    let cpu = CpuParallel::new(0, KernelStrategy::Unrolled)
+    let cpu = CpuParallel::new(0, KernelStrategy::Tape)
         .solve_batch(&tensors, &starts, &solver, &telemetry)
         .expect("gpu_batch example workload is well-formed");
     let gpu = &reports[1];
@@ -99,7 +99,7 @@ fn main() {
     // double-buffer behind kernels (one copy engine + one compute engine,
     // like the real C2050).
     let piped = BackendSpec::parse("pipelined")
-        .and_then(|spec| spec.build_gpusim(KernelStrategy::Unrolled))
+        .and_then(|spec| spec.build_gpusim(KernelStrategy::Tape))
         .expect("one device is valid")
         .with_streams(2)
         .expect("two streams is a valid stream count")

@@ -42,7 +42,7 @@ fn facade_covers_the_paper_workflow() {
     assert_eq!(cpu.num_tensors(), 4);
     let spec: BackendSpec = "gpusim".parse().unwrap();
     let gpu = spec
-        .build::<f32>(KernelStrategy::Unrolled)
+        .build::<f32>(KernelStrategy::Tape)
         .unwrap()
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();

@@ -1,7 +1,7 @@
 //! Cross-crate consistency: every kernel implementation (general loops,
-//! precomputed tables, generated unrolled code, GPU functional simulation)
-//! must produce identical SS-HOPM trajectories, and the flop-accounting
-//! formulas must agree with the simulator's counters.
+//! blocked code, lane-vectorized tables, generated unrolled code, GPU
+//! functional simulation) must produce the same SS-HOPM trajectories, and
+//! the flop-accounting formulas must agree with the simulator's counters.
 
 use rand::SeedableRng;
 use tensor_eig::prelude::*;
@@ -30,34 +30,37 @@ fn all_kernel_implementations_agree_bitwise_on_f32() {
             .unwrap()
     };
     let r_general = run(KernelStrategy::General);
-    let r_tables = run(KernelStrategy::Precomputed);
-    let r_unrolled = run(KernelStrategy::Unrolled);
     let r_blocked = run(KernelStrategy::Blocked);
-    assert_eq!(r_tables.kernel, "precomputed");
-    assert_eq!(r_unrolled.kernel, "unrolled");
+    let r_batched = run(KernelStrategy::Batched);
+    let r_unrolled = run(KernelStrategy::Tape);
     assert_eq!(r_blocked.kernel, "blocked");
+    assert_eq!(r_batched.kernel, "batched");
+    assert_eq!(r_unrolled.kernel, "unrolled");
 
     for t in 0..tensors.len() {
         for v in 0..starts.len() {
             let a = &r_general.results[t][v];
-            let b = &r_tables.results[t][v];
+            // Blocked and batched walk the index classes in general's
+            // order with the same exact coefficients: bitwise equality.
+            for (name, r) in [("blocked", &r_blocked), ("batched", &r_batched)] {
+                let b = &r.results[t][v];
+                assert_eq!(
+                    a.lambda.to_bits(),
+                    b.lambda.to_bits(),
+                    "{name} diverged at ({t},{v})"
+                );
+                assert_eq!(a.iterations, b.iterations, "{name} at ({t},{v})");
+                for (g, w) in a.x.iter().zip(&b.x) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{name} x at ({t},{v})");
+                }
+            }
+            // The straight-line code reorders sums: allow f32 slack.
             let c = &r_unrolled.results[t][v];
-            let d = &r_blocked.results[t][v];
-            // General and precomputed execute the same arithmetic order:
-            // exact equality. Unrolled/blocked reorder sums, so allow f32
-            // slack.
-            assert_eq!(a.lambda, b.lambda, "tables diverged at ({t},{v})");
             assert!(
                 (a.lambda - c.lambda).abs() < 1e-4,
                 "unrolled diverged at ({t},{v}): {} vs {}",
                 a.lambda,
                 c.lambda
-            );
-            assert!(
-                (a.lambda - d.lambda).abs() < 1e-4,
-                "blocked diverged at ({t},{v}): {} vs {}",
-                a.lambda,
-                d.lambda
             );
         }
     }
@@ -68,7 +71,7 @@ fn gpu_simulator_flop_counters_match_analytic_formulas() {
     let (tensors, starts) = random_workload(4, 32, 11);
     let iters = 10usize;
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
-    let report = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Unrolled)
+    let report = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Tape)
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();
     // Per iteration per thread: the kernel executes the A x^{m-1} and
@@ -145,7 +148,7 @@ fn relative_to_peak_performance_is_similar_across_devices() {
         DeviceSpec::tesla_c2050(),
         DeviceSpec::gtx_580(),
     ] {
-        let report = GpuSimBackend::new(device.clone(), KernelStrategy::Unrolled)
+        let report = GpuSimBackend::new(device.clone(), KernelStrategy::Tape)
             .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
             .unwrap();
         fractions.push(report.gflops() / device.peak_sp_gflops());

@@ -114,10 +114,10 @@ fn batch_cpu_and_gpu_sim_agree_on_phantom_tensors() {
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(25));
     let telemetry = Telemetry::disabled();
 
-    let cpu = CpuParallel::new(0, KernelStrategy::Unrolled)
+    let cpu = CpuParallel::new(0, KernelStrategy::Tape)
         .solve_batch(&tensors, &starts, &solver, &telemetry)
         .unwrap();
-    let gpu = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Unrolled)
+    let gpu = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::Tape)
         .solve_batch(&tensors, &starts, &solver, &telemetry)
         .unwrap();
     for t in 0..tensors.len() {
