@@ -12,7 +12,9 @@
 //! * **blocked** — the scalar per-tensor kernels, one arena view at a
 //!   time (the fastest pre-lane per-tensor path);
 //! * **batched** — [`LanePanel::gather`] per [`LANE_WIDTH`] tensors
-//!   (inside the timed region), then the lockstep panel kernels.
+//!   (inside the timed region), then the lockstep panel kernels: at
+//!   `(4, 3)`, the compiled straight-line panels of
+//!   [`COMPILED_SHAPES`](symtensor::lanes::COMPILED_SHAPES).
 //!
 //! Correctness is pinned inside the bench itself: the batched path must
 //! be *bitwise* identical to the scalar precomputed tables on a prefix of
@@ -22,7 +24,8 @@
 //!
 //! Writes `BENCH_simd_kernels.json`; exits nonzero if the batched path is
 //! not at least [`MIN_SPEEDUP`]× the blocked path on `axm1` throughput at
-//! the 1M-tensor size.
+//! the 1M-tensor size. `ci` runs it, so the gate fails if the compiled
+//! panels stop being used.
 //!
 //! Run with: `cargo run --release -p bench --bin simd_kernels [-- --full]`
 
@@ -46,7 +49,9 @@ const SEED: u64 = 2026;
 const REPS: usize = 8;
 
 /// Acceptance floor: batched `axm1` throughput over blocked at 1M tensors.
-const MIN_SPEEDUP: f64 = 1.2;
+/// On a 2-vCPU Xeon VM the compiled panels measured 18–41× and the table
+/// walk they replace 3.9–6.4×, so a silent fallback to the walk fails.
+const MIN_SPEEDUP: f64 = 10.0;
 
 /// Best-of-N trials per measurement to shed scheduler noise.
 const TRIALS: usize = 3;

@@ -132,7 +132,9 @@ fn assert_bitwise<S: Scalar>(got: &BatchReport<S>, want: &BatchReport<S>, at: &s
 }
 
 fn check_class_order_family<S: Scalar>(seed: u64) {
-    for (m, n) in [(4, 3), (5, 4), (7, 3)] {
+    // Two compiled lane-panel shapes, (4, 3) and (6, 3), and two on the
+    // table walk.
+    for (m, n) in [(4, 3), (6, 3), (5, 4), (7, 3)] {
         let mut rng = StdRng::seed_from_u64(seed + (10 * m + n) as u64);
         // Ten tensors: one full lockstep panel of eight plus a ragged one.
         let tensors = TensorBatch::<S>::random(m, n, 10, &mut rng).unwrap();

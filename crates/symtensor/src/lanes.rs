@@ -8,15 +8,24 @@
 //! the way Schatz et al. block symmetric contractions: gather each
 //! unique-entry stride across a panel of `W` tensors into a
 //! structure-of-arrays lane buffer (one transpose per panel, amortized over
-//! every subsequent kernel call), walk the shared per-shape tables once per
-//! *class*, and update all `W` accumulators per step. The inner `W`-wide
-//! loops carry no cross-lane dependencies, so they autovectorize — and the
+//! every subsequent kernel call), and evaluate all `W` lanes per step. The
+//! lanes carry no cross-lane dependencies, so they autovectorize — and the
 //! dependent-accumulation chain of the scalar kernel is broken `W` ways.
 //!
-//! Per-lane arithmetic is ordered exactly as in
-//! [`PrecomputedTables::axm`]/[`PrecomputedTables::axm1`], so each lane's
-//! result is bitwise identical to the scalar table-driven kernel — the
-//! lockstep SS-HOPM driver in `sshopm` relies on this for its parity suite.
+//! Two implementations sit behind [`LanePanel::axm`]/[`LanePanel::axm1`]:
+//!
+//! * on the shapes of [`COMPILED_SHAPES`], straight-line panels generated
+//!   by this crate's build script (the paper's Section V-D unrolling, as
+//!   Shi et al. generate code for symmetric kernels): a loop over the lanes
+//!   around code with every index and coefficient resolved at build time;
+//! * on every other shape, a walk of the shared per-shape tables once per
+//!   *class*, updating all `W` accumulators in each step.
+//!
+//! Both order each lane's arithmetic exactly as
+//! [`PrecomputedTables::axm`]/[`PrecomputedTables::axm1`] do, so each
+//! lane's result is bitwise identical to the scalar table-driven kernel —
+//! the lockstep SS-HOPM driver in `sshopm` relies on this for its parity
+//! suite.
 
 use crate::batch::TensorBatchRef;
 use crate::error::{Error, Result};
@@ -24,6 +33,8 @@ use crate::kernels::{check_shape, check_vec, PrecomputedTables, TensorKernels};
 use crate::multinomial::multinomial1_from_stored;
 use crate::scalar::Scalar;
 use crate::storage::SymTensorRef;
+
+include!(concat!(env!("OUT_DIR"), "/lane_kernels.rs"));
 
 /// Number of tensors evaluated in lockstep by one [`LanePanel`].
 ///
@@ -179,6 +190,9 @@ impl<S: Scalar> LanePanel<S> {
         let t = &kernels.tables;
         check_vec(xs, t.dim() * LANE_WIDTH)?;
         check_vec(out, LANE_WIDTH)?;
+        if compiled_axm(t.order(), t.dim(), &self.soa, xs, out) {
+            return Ok(());
+        }
         for o in out.iter_mut() {
             *o = S::ZERO;
         }
@@ -210,6 +224,9 @@ impl<S: Scalar> LanePanel<S> {
         let m = t.order();
         check_vec(xs, n * LANE_WIDTH)?;
         check_vec(ys, n * LANE_WIDTH)?;
+        if compiled_axm1(m, n, &self.soa, xs, ys) {
+            return Ok(());
+        }
         for e in ys.iter_mut() {
             *e = S::ZERO;
         }
@@ -326,6 +343,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `width` tensors of shape `(m, n)` with entries in [-1, 1], every
+    /// fifth one zero, and lane vectors with negative and zero components.
+    fn mixed_sign_panel<S: Scalar>(
+        m: usize,
+        n: usize,
+        width: usize,
+        seed: u64,
+    ) -> (TensorBatch<S>, Vec<S>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch = TensorBatch::<S>::random(m, n, width, &mut rng).unwrap();
+        for v in batch.values_mut().iter_mut().step_by(5) {
+            *v = S::ZERO;
+        }
+        let xs = (0..n * LANE_WIDTH)
+            .map(|k| match k % 7 {
+                3 => S::ZERO,
+                _ => S::from_f64(rng.gen_range(-1.0..=1.0)),
+            })
+            .collect();
+        (batch, xs)
+    }
+
+    fn check_compiled_panels<S: Scalar>(seed: u64) {
+        let bits = |v: S| v.to_f64().to_bits();
+        for &(m, n) in COMPILED_SHAPES {
+            let kernels = BatchedKernels::new(m, n);
+            for width in [LANE_WIDTH, 3] {
+                let at = format!("{} ({m},{n}) width {width}", S::NAME);
+                let (batch, xs) = mixed_sign_panel::<S>(m, n, width, seed + (10 * m + n) as u64);
+                let panel = LanePanel::gather(&kernels, batch.view(), 0, width).unwrap();
+                let mut out = [S::ZERO; LANE_WIDTH];
+                let mut ys = vec![S::ZERO; n * LANE_WIDTH];
+                panel.axm(&kernels, &xs, &mut out).unwrap();
+                panel.axm1(&kernels, &xs, &mut ys).unwrap();
+                for w in 0..width {
+                    let a = batch.view().try_get(w).unwrap();
+                    let x: Vec<S> = (0..n).map(|i| xs[i * LANE_WIDTH + w]).collect();
+                    let want = kernels.tables().axm(a, &x).unwrap();
+                    assert_eq!(bits(out[w]), bits(want), "{at}: axm lane {w}");
+                    let mut want_y = vec![S::ZERO; n];
+                    kernels.tables().axm1(a, &x, &mut want_y).unwrap();
+                    for i in 0..n {
+                        assert_eq!(
+                            bits(ys[i * LANE_WIDTH + w]),
+                            bits(want_y[i]),
+                            "{at}: axm1 lane {w} component {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_panels_are_bitwise_identical_to_scalar_tables() {
+        check_compiled_panels::<f32>(31);
+        check_compiled_panels::<f64>(32);
+    }
+
+    #[test]
+    fn dispatch_hits_every_compiled_shape_and_misses_others() {
+        for &(m, n) in COMPILED_SHAPES.iter().chain(&[(5, 4)]) {
+            let compiled = COMPILED_SHAPES.contains(&(m, n));
+            let kernels = BatchedKernels::new(m, n);
+            let (batch, xs) = mixed_sign_panel::<f64>(m, n, 2, 40);
+            let panel = LanePanel::gather(&kernels, batch.view(), 0, 2).unwrap();
+            let mut out = [0.0; LANE_WIDTH];
+            let mut ys = vec![0.0; n * LANE_WIDTH];
+            assert_eq!(compiled_axm(m, n, &panel.soa, &xs, &mut out), compiled);
+            assert_eq!(compiled_axm1(m, n, &panel.soa, &xs, &mut ys), compiled);
+            // A buffer of the wrong length misses and leaves the output alone.
+            let mut short = vec![7.0; n * LANE_WIDTH - 1];
+            assert!(!compiled_axm1(m, n, &panel.soa, &xs, &mut short));
+            assert!(short.iter().all(|&v| v == 7.0));
+        }
+        assert!(COMPILED_SHAPES.contains(&(4, 3)));
     }
 
     #[test]

@@ -120,9 +120,39 @@ impl_scalar!(f32, "f32");
 impl_scalar!(f64, "f64");
 
 /// Euclidean norm of a slice.
+///
+/// This is the plain `sqrt(Σ vᵢ²)` whenever that sum of squares is positive
+/// and finite, so every in-range norm is bit-for-bit the naive one. When
+/// the sum underflows to zero or overflows, the norm is recomputed on `v`
+/// scaled by its largest magnitude: a nonzero vector never has norm zero,
+/// and a finite one whose norm is representable never has norm infinity.
 #[inline]
 pub fn norm2<S: Scalar>(v: &[S]) -> S {
-    v.iter().map(|&e| e * e).sum::<S>().sqrt()
+    let sum_sq: S = v.iter().map(|&e| e * e).sum();
+    if sum_sq > S::ZERO && sum_sq.is_finite() {
+        sum_sq.sqrt()
+    } else {
+        rescaled_norm2(v, sum_sq)
+    }
+}
+
+/// [`norm2`] when the plain sum of squares `sum_sq` is out of range:
+/// `m · sqrt(Σ (vᵢ/m)²)` with `m = maxᵢ |vᵢ|`. If `m` is zero (the zero
+/// vector) or not finite, `sqrt(sum_sq)` stands; NaN components give NaN.
+#[cold]
+fn rescaled_norm2<S: Scalar>(v: &[S], sum_sq: S) -> S {
+    let scale = v.iter().fold(S::ZERO, |m, &e| m.max(e.abs()));
+    if !(scale > S::ZERO && scale.is_finite()) {
+        return sum_sq.sqrt();
+    }
+    let scaled: S = v
+        .iter()
+        .map(|&e| {
+            let r = e / scale;
+            r * r
+        })
+        .sum();
+    scale * scaled.sqrt()
 }
 
 /// Dot product of two equal-length slices.
@@ -177,6 +207,36 @@ mod tests {
         let a = [1.0f64, 2.0, 3.0];
         let b = [4.0f64, -5.0, 6.0];
         assert!((dot(&a, &b) - 12.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn norm_survives_overflow_and_underflow_of_the_sum_of_squares() {
+        // Squares of 2^600 overflow and of 2^-600 underflow in f64; the
+        // rescaled norm is exact for these powers of two.
+        let big = [3.0 * 2f64.powi(600), 4.0 * 2f64.powi(600)];
+        assert_eq!(norm2(&big), 5.0 * 2f64.powi(600));
+        let tiny = [3.0 * 2f64.powi(-600), 4.0 * 2f64.powi(-600)];
+        assert_eq!(norm2(&tiny), 5.0 * 2f64.powi(-600));
+        let tiny32 = [3.0 * 2f32.powi(-100), 4.0 * 2f32.powi(-100)];
+        assert_eq!(norm2(&tiny32), 5.0 * 2f32.powi(-100));
+        let mut v = big;
+        normalize(&mut v);
+        assert_eq!(v, [0.6, 0.8]);
+        // The zero vector stays zero; non-finite components stay non-finite.
+        assert_eq!(norm2(&[0.0f64, -0.0]), 0.0);
+        assert_eq!(norm2(&[f64::INFINITY, 1.0]), f64::INFINITY);
+        assert!(norm2(&[f64::NAN, 1e300]).is_nan());
+        assert!(norm2(&[f64::NAN, f64::NAN]).is_nan());
+    }
+
+    #[test]
+    fn in_range_norms_are_the_plain_sum_of_squares() {
+        let v = [0.1f64, -0.7, 0.3];
+        let plain = v.iter().map(|e| e * e).sum::<f64>().sqrt();
+        assert_eq!(norm2(&v).to_bits(), plain.to_bits());
+        let w = [1e-160f64, 3e-170];
+        let plain = w.iter().map(|e| e * e).sum::<f64>().sqrt();
+        assert_eq!(norm2(&w).to_bits(), plain.to_bits());
     }
 
     #[test]

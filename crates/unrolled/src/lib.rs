@@ -204,6 +204,13 @@ mod tests {
     }
 
     #[test]
+    fn generated_shapes_are_symtensors_compiled_shapes() {
+        // One shape list behind both compiled families: these scalar
+        // kernels and symtensor's lane panels.
+        assert_eq!(GENERATED_SHAPES, symtensor::lanes::COMPILED_SHAPES);
+    }
+
+    #[test]
     fn ungenerated_shape_is_none() {
         assert!(UnrolledKernels::for_shape(7, 7).is_none());
         assert!(UnrolledKernels::for_shape(2, 2).is_none());
