@@ -113,10 +113,6 @@ fn kernel_cache_delta(before: &kernelgen::CacheStats) -> Option<telemetry::Kerne
     Some(telemetry::KernelCacheStats {
         memo_hits: d.memo_hits,
         memo_misses: d.memo_misses,
-        disk_hits: d.disk_hits,
-        disk_misses: d.disk_misses,
-        generated: d.generated,
-        generate_seconds: d.generate_seconds,
     })
 }
 
@@ -435,7 +431,7 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
             return Ok(empty_report(label, self.strategy, solver));
         }
         let alpha = fixed_alpha(solver, "GpuSimBackend")?;
-        let (variant, _) = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
+        let variant = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
         let cache_before = KernelRegistry::global().stats();
         let _batch_span = telemetry.span("batch.solve");
         let (result, launch) = self.cluster.launch(

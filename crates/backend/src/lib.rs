@@ -15,7 +15,8 @@
 //!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
 //!   `A·xᵐ⁻¹` are computed. The kernel registry resolves it per shape
-//!   (e.g. `tape` runs the generated unrolled code where a shape has it).
+//!   (e.g. `tape` runs the generated unrolled code where a shape has it);
+//!   every strategy returns the same bits.
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
 //!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined`, `cluster:2:2`) so
 //!   CLIs and benchmark drivers select backends without hand-rolled

@@ -97,7 +97,7 @@ pub struct BatchReport<S> {
     /// Human-readable backend label (e.g. `cpu:4`, `gpusim:tesla-c2050`).
     pub backend: String,
     /// The kernels that ran: the resolved CPU kernels' name (`general`,
-    /// `blocked`, `batched`, `unrolled`, `tape`) or the GPU variant's.
+    /// `blocked`, `batched`, `unrolled`) or the GPU variant's.
     pub kernel: String,
     /// Solver that produced the eigenpairs (e.g. `sshopm`, `geap`,
     /// `qrst`).
@@ -121,8 +121,7 @@ pub struct BatchReport<S> {
     /// Fault-injection ledger; all-zero unless a resilient backend ran
     /// with an active fault plan.
     pub fault_log: FaultLog,
-    /// Kernel-registry cache activity attributable to this solve (memo
-    /// hits/misses, artifact-cache hits/misses, tapes generated). `None`
+    /// Kernel-registry memo activity attributable to this solve. `None`
     /// when the solve touched no registry-managed kernels.
     pub kernel_cache: Option<KernelCacheStats>,
     /// The resolved stream/event timeline behind `seconds`, when the

@@ -199,15 +199,14 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         }
         let (m, n) = (batch.order(), batch.dim());
         let alpha = fixed_alpha(solver, "ResilientBackend")?;
-        let (variant, cpu_strategy) = crate::strategy::gpu_variant(strategy, m, n);
+        let variant = crate::strategy::gpu_variant(strategy, m, n);
         let cache_before = crate::strategy::KernelRegistry::global().stats();
-        // The CPU kernels used for failover and NaN recovery:
-        // `cpu_strategy` resolves to exactly what the GPU variant executes,
-        // so CPU re-solves are bit-identical to what the device would have
-        // produced. The plan comes from the process-wide registry, so
-        // repeated re-solves (and the GPU tape launches) share one memoized
-        // kernel object.
-        let cpu_plan = crate::strategy::KernelRegistry::global().plan::<S>(m, n, cpu_strategy);
+        // The CPU kernels used for failover and NaN recovery: every plan
+        // returns the bits every GPU variant computes, so CPU re-solves are
+        // bit-identical to what the device would have produced. The plan
+        // comes from the process-wide registry, so repeated re-solves share
+        // one memoized kernel object.
+        let cpu_plan = crate::strategy::KernelRegistry::global().plan::<S>(m, n, strategy);
         let cpu_kernels = cpu_plan.kernels;
         let num_entries = batch.stride();
         let _span = telemetry.span("resilient.solve");

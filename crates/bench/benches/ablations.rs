@@ -109,46 +109,10 @@ fn ablation_occupancy_cliff(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_cse(c: &mut Criterion) {
-    // The paper's Section V-D: CSE "would reduce the flop count but also
-    // introduce dependencies in the unrolled instructions" — measure which
-    // effect wins on this target, per shape.
-    use symtensor::TensorKernels;
-    use unrolled::{CseUnrolledKernels, UnrolledKernels};
-    let mut group = c.benchmark_group("ablation_cse_axm1");
-    for (m, n) in [(4usize, 3usize), (4, 5), (6, 3)] {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = SymTensor::<f32>::random(m, n, &mut rng);
-        let plain = UnrolledKernels::for_shape(m, n).unwrap();
-        let cse = CseUnrolledKernels::for_shape(m, n).unwrap();
-        let x: Vec<f32> = (0..n).map(|i| 0.2 + 0.1 * i as f32).collect();
-        let mut y = vec![0.0f32; n];
-        group.bench_with_input(
-            BenchmarkId::new("plain", format!("{m}x{n}")),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    TensorKernels::axm1(&plain, black_box(a.view()), black_box(&x), &mut y)
-                        .unwrap();
-                    black_box(y[0])
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("cse", format!("{m}x{n}")), &(), |b, _| {
-            b.iter(|| {
-                TensorKernels::axm1(&cse, black_box(a.view()), black_box(&x), &mut y).unwrap();
-                black_box(y[0])
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablation_precomputed_tables,
     ablation_start_schemes,
-    ablation_occupancy_cliff,
-    ablation_cse
+    ablation_occupancy_cliff
 );
 criterion_main!(benches);

@@ -8,8 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use symtensor::kernels::{axm, axm1, PrecomputedTables};
-use symtensor::{BlockedKernels, DenseTensor, SymTensor, TensorKernels};
-use unrolled::UnrolledKernels;
+use symtensor::{BlockedKernels, DenseTensor, SymTensor, TensorKernels, UnrolledKernels};
 
 fn bench_axm(c: &mut Criterion) {
     let mut group = c.benchmark_group("axm");

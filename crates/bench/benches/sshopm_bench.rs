@@ -9,8 +9,7 @@ use rand::SeedableRng;
 use sshopm::{IterationPolicy, Shift, SsHopm};
 use std::hint::black_box;
 use symtensor::kernels::GeneralKernels;
-use symtensor::SymTensor;
-use unrolled::UnrolledKernels;
+use symtensor::{SymTensor, UnrolledKernels};
 
 fn bench_single_solve(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);

@@ -1,5 +1,5 @@
 //! Multi-tensor kernel throughput: lane-vectorized batched kernels vs the
-//! per-tensor blocked kernels, on millions of `(4, 3)` tensors.
+//! per-tensor blocked kernels, on up to millions of small tensors.
 //!
 //! This is the regime the lockstep refactor targets (Section VI of the
 //! paper: millions of independent small tensors of one shape). Both paths
@@ -12,20 +12,24 @@
 //! * **blocked** — the scalar per-tensor kernels, one arena view at a
 //!   time (the fastest pre-lane per-tensor path);
 //! * **batched** — [`LanePanel::gather`] per [`LANE_WIDTH`] tensors
-//!   (inside the timed region), then the lockstep panel kernels: at
-//!   `(4, 3)`, the compiled straight-line panels of
-//!   [`COMPILED_SHAPES`](symtensor::lanes::COMPILED_SHAPES).
+//!   (inside the timed region), then the lockstep panel kernels.
+//!
+//! Two gated shapes cover both panel implementations:
+//!
+//! * `(4, 3)`, the paper's shape, runs the compiled straight-line panels
+//!   of [`COMPILED_SHAPES`](symtensor::lanes::COMPILED_SHAPES);
+//! * `(5, 4)`, off that list, runs the per-class table walk — the lane path
+//!   every shape without compiled code takes.
 //!
 //! Correctness is pinned inside the bench itself: the batched path must
 //! be *bitwise* identical to the scalar precomputed tables on a prefix of
 //! the batch, and the two throughput paths must agree on an absolute-value
-//! checksum (blocked reorders sums, so bitwise equality is not expected
-//! there).
+//! checksum over the whole batch.
 //!
 //! Writes `BENCH_simd_kernels.json`; exits nonzero if the batched path is
-//! not at least [`MIN_SPEEDUP`]× the blocked path on `axm1` throughput at
-//! the 1M-tensor size. `ci` runs it, so the gate fails if the compiled
-//! panels stop being used.
+//! not at least each gate's `floor` × the blocked path on `axm1`
+//! throughput. `ci` runs it, so the gate fails if the compiled panels stop
+//! being used at `(4, 3)`, or if the lane walk regresses off the list.
 //!
 //! Run with: `cargo run --release -p bench --bin simd_kernels [-- --full]`
 
@@ -38,8 +42,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 use symtensor::{BatchedKernels, LanePanel, TensorBatch, TensorKernels, LANE_WIDTH};
 
-const M: usize = 4;
-const N: usize = 3;
 const SEED: u64 = 2026;
 
 /// Kernel calls per tensor per pass — the iteration loop the panel gather
@@ -48,10 +50,35 @@ const SEED: u64 = 2026;
 /// the amortized regime).
 const REPS: usize = 8;
 
-/// Acceptance floor: batched `axm1` throughput over blocked at 1M tensors.
-/// On a 2-vCPU Xeon VM the compiled panels measured 18–41× and the table
-/// walk they replace 3.9–6.4×, so a silent fallback to the walk fails.
-const MIN_SPEEDUP: f64 = 10.0;
+/// One gated measurement: batched over blocked `axm1` throughput on
+/// `tensors` f32 tensors of shape `(m, n)` must reach `floor`.
+struct Gate {
+    m: usize,
+    n: usize,
+    tensors: usize,
+    floor: f64,
+}
+
+const GATES: [Gate; 2] = [
+    // On a 2-vCPU Xeon VM the compiled panels measured 18–41× and the
+    // table walk they replace 3.9–6.4×, so a silent fallback to the walk
+    // fails.
+    Gate {
+        m: 4,
+        n: 3,
+        tensors: 1_000_000,
+        floor: 10.0,
+    },
+    // The table walk off the compiled list; 56 entries per tensor, so a
+    // quarter of the tensors keeps the arena near the (4, 3) one's size.
+    // Eight runs on a 2-vCPU Xeon VM measured 3.5–6.8× (median 5.0×).
+    Gate {
+        m: 5,
+        n: 4,
+        tensors: 262_144,
+        floor: 2.5,
+    },
+];
 
 /// Best-of-N trials per measurement to shed scheduler noise.
 const TRIALS: usize = 3;
@@ -73,7 +100,7 @@ impl Measured {
 
 /// `A·xᵐ⁻¹` over the whole arena, one tensor at a time, `REPS` passes.
 fn blocked_axm1(kernels: &dyn TensorKernels<f32>, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
-    let mut y = vec![0.0f32; N];
+    let mut y = vec![0.0f32; batch.dim()];
     let mut checksum = 0.0f64;
     let started = Instant::now();
     for _ in 0..REPS {
@@ -116,8 +143,9 @@ fn broadcast_lanes(x: &[f32]) -> Vec<f32> {
 /// Lockstep `A·xᵐ⁻¹`: gather each panel once (timed — it is part of the
 /// real pipeline), then run `REPS` panel kernels against it.
 fn batched_axm1(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -> Measured {
+    let n = batch.dim();
     let xs = broadcast_lanes(x);
-    let mut ys = vec![0.0f32; N * LANE_WIDTH];
+    let mut ys = vec![0.0f32; n * LANE_WIDTH];
     let mut checksum = 0.0f64;
     let started = Instant::now();
     let mut start = 0usize;
@@ -129,7 +157,7 @@ fn batched_axm1(kernels: &BatchedKernels, batch: &TensorBatch<f32>, x: &[f32]) -
             panel
                 .axm1(kernels, &xs, &mut ys)
                 .expect("lane buffers sized");
-            for i in 0..N {
+            for i in 0..n {
                 for w in 0..width {
                     checksum += f64::from(ys[i * LANE_WIDTH + w].abs());
                 }
@@ -186,10 +214,11 @@ fn check_bitwise_prefix(
     x: &[f32],
     prefix: usize,
 ) {
+    let n = batch.dim();
     let xs = broadcast_lanes(x);
-    let mut ys = vec![0.0f32; N * LANE_WIDTH];
+    let mut ys = vec![0.0f32; n * LANE_WIDTH];
     let mut out = [0.0f32; LANE_WIDTH];
-    let mut want_y = vec![0.0f32; N];
+    let mut want_y = vec![0.0f32; n];
     let mut start = 0usize;
     while start < prefix.min(batch.len()) {
         let width = LANE_WIDTH.min(batch.len() - start);
@@ -207,7 +236,7 @@ fn check_bitwise_prefix(
                 .tables()
                 .axm1(a, x, &mut want_y)
                 .expect("shapes match");
-            for i in 0..N {
+            for i in 0..n {
                 assert_eq!(
                     ys[i * LANE_WIDTH + w].to_bits(),
                     want_y[i].to_bits(),
@@ -235,87 +264,98 @@ fn measured_value(m: &Measured, t: usize) -> Value {
     ])
 }
 
+/// Measure one shape at one size; returns the `axm1` speedup and the
+/// JSON row, which carries the gate's floor when there is one.
+fn measure(m: usize, n: usize, t: usize, floor: Option<f64>) -> (f64, Value) {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let batch = TensorBatch::<f32>::random(m, n, t, &mut rng).expect("bench shapes are valid");
+    let x: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..=1.0)).collect();
+    let plan = backend::KernelRegistry::global().plan::<f32>(m, n, KernelStrategy::Blocked);
+    let blocked = plan.kernels;
+    assert_eq!(blocked.name(), "blocked", "({m},{n}) is a blocked shape");
+    let batched = BatchedKernels::new(m, n);
+
+    check_bitwise_prefix(&batched, &batch, &x, 4096);
+
+    // Warm up on a prefix (page in the arena, settle the clocks).
+    let warm = batch.slice(0..t.min(65_536)).to_owned();
+    let _ = blocked_axm1(&*blocked, &warm, &x);
+    let _ = batched_axm1(&batched, &warm, &x);
+
+    let b1 = best_of(|| blocked_axm1(&*blocked, &batch, &x));
+    let l1 = best_of(|| batched_axm1(&batched, &batch, &x));
+    let b0 = best_of(|| blocked_axm(&*blocked, &batch, &x));
+    let l0 = best_of(|| batched_axm(&batched, &batch, &x));
+
+    for (name, a, b) in [("axm1", &b1, &l1), ("axm", &b0, &l0)] {
+        let scale = 1.0 + a.checksum.abs();
+        assert!(
+            (a.checksum - b.checksum).abs() < 1e-4 * scale,
+            "{name} checksums diverged at ({m},{n}) x {t}: {} vs {}",
+            a.checksum,
+            b.checksum
+        );
+    }
+
+    let speedup_axm1 = b1.seconds / l1.seconds;
+    let speedup_axm = b0.seconds / l0.seconds;
+    for (op, b, l, speedup) in [
+        ("axm1", &b1, &l1, speedup_axm1),
+        ("axm", &b0, &l0, speedup_axm),
+    ] {
+        println!(
+            "{:>7} {:>10} {:>6} {:>16.2} {:>16.2} {:>8.2}x",
+            format!("({m},{n})"),
+            t,
+            op,
+            b.throughput(t) / 1e6,
+            l.throughput(t) / 1e6,
+            speedup
+        );
+    }
+    let mut fields = vec![
+        ("m", Value::UInt(m as u64)),
+        ("n", Value::UInt(n as u64)),
+        ("tensors", Value::UInt(t as u64)),
+        ("blocked_axm1", measured_value(&b1, t)),
+        ("batched_axm1", measured_value(&l1, t)),
+        ("blocked_axm", measured_value(&b0, t)),
+        ("batched_axm", measured_value(&l0, t)),
+        ("speedup_axm1", Value::Float(speedup_axm1)),
+        ("speedup_axm", Value::Float(speedup_axm)),
+    ];
+    if let Some(floor) = floor {
+        fields.push(("min_speedup_axm1", Value::Float(floor)));
+    }
+    (speedup_axm1, Value::object(fields))
+}
+
 fn main() -> ExitCode {
     let full = std::env::args().any(|a| a == "--full");
-    let sizes: &[usize] = if full {
-        &[1_000_000, 10_000_000]
-    } else {
-        &[1_000_000]
-    };
 
     println!(
         "SIMD kernel throughput: lane-vectorized batched vs per-tensor blocked\n\
-         (m={M}, n={N}, f32, {REPS} kernel calls per tensor per pass, best of {TRIALS})\n"
+         (f32, {REPS} kernel calls per tensor per pass, best of {TRIALS})\n"
     );
     println!(
-        "{:>10} {:>6} {:>16} {:>16} {:>9}",
-        "tensors", "op", "blocked Mt/s", "batched Mt/s", "speedup"
+        "{:>7} {:>10} {:>6} {:>16} {:>16} {:>9}",
+        "shape", "tensors", "op", "blocked Mt/s", "batched Mt/s", "speedup"
     );
 
-    let mut size_values = Vec::new();
-    let mut accept = true;
-    for &t in sizes {
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let batch = TensorBatch::<f32>::random(M, N, t, &mut rng).expect("paper shape is valid");
-        let x: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..=1.0)).collect();
-        let plan = backend::KernelRegistry::global().plan::<f32>(M, N, KernelStrategy::Blocked);
-        let blocked = plan.kernels;
-        assert_eq!(blocked.name(), "blocked", "(4,3) is a blocked shape");
-        let batched = BatchedKernels::new(M, N);
-
-        check_bitwise_prefix(&batched, &batch, &x, 4096);
-
-        // Warm up on a prefix (page in the arena, settle the clocks).
-        let warm = batch.slice(0..t.min(65_536)).to_owned();
-        let _ = blocked_axm1(&*blocked, &warm, &x);
-        let _ = batched_axm1(&batched, &warm, &x);
-
-        let b1 = best_of(|| blocked_axm1(&*blocked, &batch, &x));
-        let l1 = best_of(|| batched_axm1(&batched, &batch, &x));
-        let b0 = best_of(|| blocked_axm(&*blocked, &batch, &x));
-        let l0 = best_of(|| batched_axm(&batched, &batch, &x));
-
-        for (name, a, b) in [("axm1", &b1, &l1), ("axm", &b0, &l0)] {
-            let scale = 1.0 + a.checksum.abs();
-            assert!(
-                (a.checksum - b.checksum).abs() < 1e-4 * scale,
-                "{name} checksums diverged at {t} tensors: {} vs {}",
-                a.checksum,
-                b.checksum
-            );
-        }
-
-        let speedup_axm1 = b1.seconds / l1.seconds;
-        let speedup_axm = b0.seconds / l0.seconds;
-        println!(
-            "{:>10} {:>6} {:>16.2} {:>16.2} {:>8.2}x",
-            t,
-            "axm1",
-            b1.throughput(t) / 1e6,
-            l1.throughput(t) / 1e6,
-            speedup_axm1
-        );
-        println!(
-            "{:>10} {:>6} {:>16.2} {:>16.2} {:>8.2}x",
-            t,
-            "axm",
-            b0.throughput(t) / 1e6,
-            l0.throughput(t) / 1e6,
-            speedup_axm
-        );
-
-        if t == 1_000_000 && speedup_axm1 < MIN_SPEEDUP {
-            accept = false;
-        }
-        size_values.push(Value::object(vec![
-            ("tensors", Value::UInt(t as u64)),
-            ("blocked_axm1", measured_value(&b1, t)),
-            ("batched_axm1", measured_value(&l1, t)),
-            ("blocked_axm", measured_value(&b0, t)),
-            ("batched_axm", measured_value(&l0, t)),
-            ("speedup_axm1", Value::Float(speedup_axm1)),
-            ("speedup_axm", Value::Float(speedup_axm)),
-        ]));
+    let mut rows = Vec::new();
+    let mut verdicts = Vec::new();
+    for gate in &GATES {
+        let (m, n, t, floor) = (gate.m, gate.n, gate.tensors, gate.floor);
+        let (speedup, row) = measure(m, n, t, Some(floor));
+        rows.push(row);
+        verdicts.push((
+            speedup >= floor,
+            format!("({m},{n}) x {t}: batched {speedup:.2}x blocked on axm1 (floor {floor}x)"),
+        ));
+    }
+    if full {
+        // The paper-scale size: ungated, for the throughput table.
+        rows.push(measure(4, 3, 10_000_000, None).1);
     }
 
     write_bench_json(
@@ -325,24 +365,27 @@ fn main() -> ExitCode {
             (
                 "config",
                 Value::object(vec![
-                    ("m", Value::UInt(M as u64)),
-                    ("n", Value::UInt(N as u64)),
                     ("seed", Value::UInt(SEED)),
                     ("reps", Value::UInt(REPS as u64)),
                     ("trials", Value::UInt(TRIALS as u64)),
                     ("lane_width", Value::UInt(LANE_WIDTH as u64)),
-                    ("min_speedup_axm1_1m", Value::Float(MIN_SPEEDUP)),
                 ]),
             ),
-            ("sizes", Value::Seq(size_values)),
+            ("sizes", Value::Seq(rows)),
         ]),
     );
 
-    if accept {
-        println!("\nACCEPT: batched >= {MIN_SPEEDUP}x blocked on axm1 throughput at 1M tensors");
+    println!();
+    for (pass, line) in &verdicts {
+        if *pass {
+            println!("ACCEPT: {line}");
+        } else {
+            eprintln!("FAIL: {line}");
+        }
+    }
+    if verdicts.iter().all(|(pass, _)| *pass) {
         ExitCode::SUCCESS
     } else {
-        eprintln!("\nFAIL: batched < {MIN_SPEEDUP}x blocked on axm1 throughput at 1M tensors");
         ExitCode::FAILURE
     }
 }

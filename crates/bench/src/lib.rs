@@ -292,7 +292,7 @@ pub fn write_bench_json(name: &str, value: &serde::Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unrolled::UnrolledKernels;
+    use symtensor::UnrolledKernels;
 
     #[test]
     fn workload_shapes() {

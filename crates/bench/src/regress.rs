@@ -75,8 +75,9 @@ pub struct ScenarioResult {
 }
 
 /// The stable scenario keys of the matrix, one per backend family: CPU
-/// reference, the lane-vectorized lockstep CPU path, the runtime-generated
-/// tape kernels, both simulated-GPU kernels, multi-GPU split, stream
+/// reference, the lane-vectorized lockstep CPU path, the `tape` strategy
+/// (compiled unrolled code at the paper's shape), both simulated-GPU
+/// kernels, multi-GPU split, stream
 /// pipeline, fault-injected resilient execution, and the sharded
 /// multi-host cluster.
 pub const SCENARIO_KEYS: [&str; 9] = [

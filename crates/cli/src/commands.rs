@@ -69,7 +69,7 @@ fn gpu_solver(solver: SolverSpec) -> Result<(), CmdError> {
 /// `--streams`: classic double buffering.
 const DEFAULT_STREAMS: usize = 2;
 
-/// Parse `--backend` (default `cpu`) and `--kernel` (default `general`)
+/// Parse `--backend` (default `cpu`) and `--kernel` (default `batched`)
 /// into a built [`SolveBackend`] plus its parsed spec; the spec alone
 /// fixes the topology, schedule and label ([`BackendSpec::build_gpusim`]).
 /// When any of `--faults SPEC`, `--retry N` or `--failover` is present
@@ -78,18 +78,13 @@ const DEFAULT_STREAMS: usize = 2;
 /// one-stream `cluster` spec to [`DEFAULT_STREAMS`]. An explicit
 /// `--streams N` overrides the streams per device everywhere;
 /// `--chunk-tensors N` resizes the chunks of pipelined and cluster
-/// schedules. `--kernel-cache-dir DIR` points the process-wide kernel
-/// registry at an on-disk artifact cache, so `--kernel tape` runs load
-/// previously generated tapes instead of regenerating them.
+/// schedules.
 fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>), CmdError> {
     let mut spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
     let strategy = match args.get("kernel") {
-        None => KernelStrategy::General,
+        None => KernelStrategy::Batched,
         Some(k) => KernelStrategy::parse(k)?,
     };
-    if let Some(dir) = args.get("kernel-cache-dir") {
-        backend::KernelRegistry::global().set_cache_dir(Some(std::path::PathBuf::from(dir)));
-    }
     let streams: Option<usize> = match args.get("streams") {
         Some(_) => Some(args.get_parsed("streams", DEFAULT_STREAMS)?),
         None => None,
@@ -299,7 +294,6 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
             "seed",
             "backend",
             "kernel",
-            "kernel-cache-dir",
             "faults",
             "retry",
             "streams",
@@ -460,7 +454,6 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
             "solver",
             "backend",
             "kernel",
-            "kernel-cache-dir",
             "faults",
             "retry",
             "streams",
@@ -824,7 +817,6 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
             "solver",
             "backend",
             "kernel",
-            "kernel-cache-dir",
             "faults",
             "retry",
             "streams",
@@ -877,102 +869,6 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
         None => write!(out, "{rendered}")?,
     }
     Ok(())
-}
-
-/// `cache <stats|clear> [--kernel-cache-dir DIR]`
-///
-/// Inspects or empties the kernel-registry artifact cache. `stats` prints
-/// the process-wide registry counters plus a validated listing of the
-/// on-disk `.tape` entries; `clear` drops the in-process memo maps and
-/// deletes every `.tape` file in the cache directory. The directory comes
-/// from `--kernel-cache-dir`, falling back to whatever the registry was
-/// already pointed at.
-pub fn cache(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
-    inner_cache(argv, out).map_err(|e| e.0)
-}
-
-fn inner_cache(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
-    let args = Args::parse(argv, &["kernel-cache-dir"], &[])?;
-    let action = args.positional(0, "stats|clear")?.to_string();
-    let registry = backend::KernelRegistry::global();
-    let dir = args
-        .get("kernel-cache-dir")
-        .map(std::path::PathBuf::from)
-        .or_else(|| registry.cache_dir());
-    match action.as_str() {
-        "stats" => {
-            let s = registry.stats();
-            writeln!(out, "kernel registry (this process):")?;
-            writeln!(out, "  memo hits      {}", s.memo_hits)?;
-            writeln!(out, "  memo misses    {}", s.memo_misses)?;
-            writeln!(out, "  disk hits      {}", s.disk_hits)?;
-            writeln!(out, "  disk misses    {}", s.disk_misses)?;
-            writeln!(out, "  generated      {}", s.generated)?;
-            writeln!(out, "  generate time  {:.3} ms", s.generate_seconds * 1e3)?;
-            if let Some(rate) = s.artifact_hit_rate() {
-                writeln!(out, "  artifact hit rate {:.1}%", rate * 100.0)?;
-            }
-            match &dir {
-                None => writeln!(
-                    out,
-                    "no artifact cache directory configured (--kernel-cache-dir DIR)"
-                )?,
-                Some(dir) => {
-                    let entries = kernelgen::inspect_dir(dir)
-                        .map_err(|e| CmdError(format!("cannot read {}: {e}", dir.display())))?;
-                    writeln!(
-                        out,
-                        "artifact cache {} ({} entries):",
-                        dir.display(),
-                        entries.len()
-                    )?;
-                    let mut total = 0u64;
-                    for e in &entries {
-                        total += e.bytes;
-                        let shape = match e.shape {
-                            Some((m, n)) => format!("({m},{n})"),
-                            None => "(?)".to_string(),
-                        };
-                        let scalar = e.scalar.as_deref().unwrap_or("?");
-                        let status = if e.valid { "ok" } else { "INVALID" };
-                        writeln!(
-                            out,
-                            "  {} {shape} {scalar} {} bytes [{status}]",
-                            e.file_name, e.bytes
-                        )?;
-                    }
-                    writeln!(out, "  total {total} bytes")?;
-                }
-            }
-            Ok(())
-        }
-        "clear" => {
-            registry.clear_memory();
-            match &dir {
-                None => {
-                    writeln!(
-                        out,
-                        "cleared in-memory kernel cache; no artifact cache directory \
-                         configured (--kernel-cache-dir DIR)"
-                    )?;
-                }
-                Some(dir) => {
-                    let removed = backend::KernelRegistry::clear_disk_at(dir)
-                        .map_err(|e| CmdError(format!("cannot clear {}: {e}", dir.display())))?;
-                    writeln!(
-                        out,
-                        "cleared in-memory kernel cache and removed {removed} artifact(s) \
-                         from {}",
-                        dir.display()
-                    )?;
-                }
-            }
-            Ok(())
-        }
-        other => Err(CmdError(format!(
-            "unknown cache action {other:?}: expected stats or clear"
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -1070,19 +966,22 @@ mod tests {
 
     #[test]
     fn gpu_falls_back_for_ungenerated_unrolled_shape() {
-        // (5, 9) has no generated kernel but a tape: the default
-        // (unrolled) runs the tape variant, with no note.
+        // (5, 9) has no compiled kernel: the default (unrolled) falls back
+        // to the general variant with a note.
         let path = tmp("gpu59.txt");
         let mut out = Vec::new();
         random(sv(&["5", "9", "2", "--out", &path]), &mut out).unwrap();
         let mut out = Vec::new();
         gpu(sv(&[&path, "--iters", "2", "--starts", "8"]), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("(tape kernel)"), "{text}");
-        assert!(!text.contains("falling back"), "{text}");
+        assert!(
+            text.contains("note: no unrolled kernel for shape (5,9); falling back to general"),
+            "{text}"
+        );
+        assert!(text.contains("(general kernel)"), "{text}");
         std::fs::remove_file(&path).ok();
 
-        // Order 1 has neither: the default falls back with a note.
+        // Order 1 has no compiled kernel either.
         let path = tmp("gpu13.txt");
         let mut out = Vec::new();
         random(sv(&["1", "3", "2", "--out", &path]), &mut out).unwrap();
@@ -1269,7 +1168,7 @@ mod tests {
             .and_then(serde::Value::as_str)
             .unwrap()
             .contains("GTX 580"));
-        // Unrolled on an ungenerated shape resolves to its tape.
+        // Unrolled on a shape without compiled kernels runs as general.
         let mut out = Vec::new();
         profile(
             sv(&[&path, "--starts", "4", "--iters", "2"]),
@@ -1281,7 +1180,7 @@ mod tests {
         let v = serde::Value::parse_json(&text).unwrap();
         assert_eq!(
             v.get("variant").and_then(serde::Value::as_str),
-            Some("tape")
+            Some("general")
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1355,7 +1254,7 @@ mod tests {
         .unwrap();
         let cpu_text = String::from_utf8(out).unwrap();
         assert!(
-            cpu_text.contains("backend cpu:4 (general kernel)"),
+            cpu_text.contains("backend cpu:4 (batched kernel)"),
             "{cpu_text}"
         );
         assert!(cpu_text.contains("3 tensors x 8 starts"), "{cpu_text}");
@@ -1445,6 +1344,46 @@ mod tests {
         let adaptive = String::from_utf8(out).unwrap();
         assert!(adaptive.contains("(batched kernel)"), "{adaptive}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn solve_default_kernel_matches_general_eigenpairs() {
+        // The default kernel is `batched`: lockstep panels under a fixed
+        // shift, compiled or table kernels per tensor under the convex
+        // one. Its eigenpair lines are general's, byte for byte.
+        for shape in [["4", "3"], ["5", "4"]] {
+            let path = tmp(&format!("default{}{}.txt", shape[0], shape[1]));
+            let mut out = Vec::new();
+            random(
+                sv(&[shape[0], shape[1], "4", "--out", &path, "--seed", "6"]),
+                &mut out,
+            )
+            .unwrap();
+            for shift in [&["--shift", "2"][..], &[]] {
+                let run = |kernel: &[&str]| {
+                    let mut argv = vec![path.as_str(), "--starts", "8"];
+                    argv.extend_from_slice(shift);
+                    argv.extend_from_slice(kernel);
+                    let mut out = Vec::new();
+                    solve(sv(&argv), &mut out).unwrap();
+                    let text = String::from_utf8(out).unwrap();
+                    let label = text.lines().last().unwrap_or_default().to_string();
+                    let pairs: Vec<String> = text
+                        .lines()
+                        .filter(|l| l.starts_with("tensor ") || l.contains("lambda"))
+                        .map(str::to_string)
+                        .collect();
+                    (pairs, label)
+                };
+                let (default_pairs, label) = run(&[]);
+                let (general_pairs, _) = run(&["--kernel", "general"]);
+                let at = format!("{shape:?} {shift:?}");
+                assert!(label.contains("(batched kernel)"), "{at}: {label}");
+                assert!(!default_pairs.is_empty(), "{at}");
+                assert_eq!(default_pairs, general_pairs, "{at}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -1935,7 +1874,7 @@ mod tests {
         // (a regression here means the results were drained before the
         // report was rendered).
         assert!(
-            text.contains("backend cpu (general kernel): 4 tensors x 16 starts"),
+            text.contains("backend cpu (batched kernel): 4 tensors x 16 starts"),
             "{text}"
         );
         std::fs::remove_file(&path).ok();
@@ -1953,85 +1892,22 @@ mod tests {
 
     #[test]
     fn solve_accepts_tape_kernel() {
-        // (3, 4) is not a generated shape, so a tape runs. (5, 4) is left
-        // to the artifact-cache test, which must be the one to generate it.
-        let path = tmp("tape.txt");
-        let mut out = Vec::new();
-        random(sv(&["3", "4", "2", "--out", &path]), &mut out).unwrap();
-        let mut out = Vec::new();
-        solve(
-            sv(&[&path, "--kernel", "tape", "--starts", "4", "--shift", "2.0"]),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("tensor 0:"), "{text}");
-        assert!(text.contains("(tape kernel)"), "{text}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn cache_stats_and_clear_round_trip() {
-        // A dedicated cache dir keeps this test independent of any other
-        // test that touches the process-wide registry.
-        let dir = tmp("cache-dir");
-        std::fs::create_dir_all(&dir).unwrap();
-        let solve_tape = |shape: [&str; 2], file: &str| {
-            let tensors = tmp(file);
+        // (4, 3) has compiled kernels, so `tape` runs them; (3, 4) has
+        // none, so `tape` runs the blocked kernels.
+        for (shape, ran) in [(["4", "3"], "unrolled"), (["3", "4"], "blocked")] {
+            let path = tmp(&format!("tape{}{}.txt", shape[0], shape[1]));
             let mut out = Vec::new();
-            random(sv(&[shape[0], shape[1], "2", "--out", &tensors]), &mut out).unwrap();
+            random(sv(&[shape[0], shape[1], "2", "--out", &path]), &mut out).unwrap();
             let mut out = Vec::new();
             solve(
-                sv(&[
-                    &tensors,
-                    "--kernel",
-                    "tape",
-                    "--kernel-cache-dir",
-                    &dir,
-                    "--starts",
-                    "4",
-                    "--shift",
-                    "2.0",
-                ]),
+                sv(&[&path, "--kernel", "tape", "--starts", "4", "--shift", "2.0"]),
                 &mut out,
             )
             .unwrap();
-            std::fs::remove_file(&tensors).ok();
-            String::from_utf8(out).unwrap()
-        };
-        let stats = || {
-            let mut out = Vec::new();
-            cache(sv(&["stats", "--kernel-cache-dir", &dir]), &mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        };
-
-        // (4,3) runs the generated unrolled code: no tape, no artifact.
-        let text = solve_tape(["4", "3"], "cache-tensors43.txt");
-        assert!(text.contains("(unrolled kernel)"), "{text}");
-        assert!(!stats().contains("(4,3)"));
-
-        // stats sees the persisted artifact for (5,4) f64.
-        let text = solve_tape(["5", "4"], "cache-tensors54.txt");
-        assert!(text.contains("(tape kernel)"), "{text}");
-        let text = stats();
-        assert!(text.contains("kernel registry (this process):"), "{text}");
-        assert!(text.contains("(5,4) f64"), "{text}");
-        assert!(text.contains("[ok]"), "{text}");
-
-        // clear removes it; a second stats shows an empty directory.
-        let mut out = Vec::new();
-        cache(sv(&["clear", "--kernel-cache-dir", &dir]), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("removed"), "{text}");
-        let mut out = Vec::new();
-        cache(sv(&["stats", "--kernel-cache-dir", &dir]), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("(0 entries)"), "{text}");
-
-        let mut out = Vec::new();
-        let err = cache(sv(&["frobnicate"]), &mut out).unwrap_err();
-        assert!(err.contains("expected stats or clear"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
+            let text = String::from_utf8(out).unwrap();
+            assert!(text.contains("tensor 0:"), "{text}");
+            assert!(text.contains(&format!("({ran} kernel)")), "{text}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

@@ -21,9 +21,7 @@
 //!   fault/retry/failover rates, and per-chunk/per-stream/per-device
 //!   latency quantiles. `solve` and `fibers` accept `--report-out PATH`
 //!   and `--report-format F` to emit the same report alongside their
-//!   normal output;
-//! * `cache <stats|clear> [--kernel-cache-dir DIR]` — inspect or empty
-//!   the kernel registry's on-disk artifact cache of generated tapes.
+//!   normal output.
 //!
 //! `--backend` takes a [`backend::BackendSpec`] string — `cpu` (default,
 //! sequential), `cpu:8` / `cpu:all` (rayon pool), `gpusim` (one simulated
@@ -33,12 +31,14 @@
 //! streams per device and `--chunk-tensors N` tensors per chunk), or
 //! `cluster[:device][:hosts[:devices[:streams]]]` (hosts sharded over
 //! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
-//! (`general|blocked|batched|tape`, with the paper's labels `precomputed`
-//! and `unrolled` as spellings of `batched` and `tape`; `batched` runs
-//! fixed-shift SS-HOPM batches in lockstep panels over the tensor arena;
-//! `tape` runs the generated unrolled code where a shape has it and a
-//! runtime-generated kernel tape elsewhere, persisted via
-//! `--kernel-cache-dir DIR`). Every batched solve runs through the same
+//! (`batched` (default), `general`, `blocked` or `tape`, with the paper's
+//! labels `precomputed` and `unrolled` as spellings of `batched` and
+//! `tape`). `batched` runs fixed-shift SS-HOPM batches in lockstep panels
+//! over the tensor arena and every other solve on the compiled kernels
+//! where a shape has them; `tape` runs the compiled unrolled code where a
+//! shape has it and `blocked` elsewhere. Every strategy returns the same
+//! eigenpairs bit for bit; only the speed and the printed kernel label
+//! differ. Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
 //! directly comparable summaries. The simulated GPU supports only fixed
 //! numeric shifts. `--solver` takes a [`sshopm::SolverSpec`] string —
@@ -157,7 +157,6 @@ pub fn run(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
         "gpu" => commands::gpu_instrumented(rest, cmd_out, &telemetry),
         "profile" => commands::profile(rest, cmd_out, &telemetry),
         "report" => commands::report_instrumented(rest, cmd_out, &telemetry),
-        "cache" => commands::cache(rest, cmd_out),
         "help" | "--help" | "-h" => {
             let _ = writeln!(cmd_out, "{}", usage());
             Ok(())
@@ -200,7 +199,6 @@ pub fn usage() -> String {
      \x20 gpu <file> [--starts N] [--variant general|unrolled] [--devices K] [--iters I] [--seed S]\n\
      \x20 profile [file] [--tensors T] [--m M] [--n N] [--starts N] [--variant general|unrolled] [--iters I] [--device c1060|c2050|gtx580] [--seed S] [--pipeline] [--streams K]\n\
      \x20 report [file] [--tensors T] [--m M] [--n N] [--starts N] [--iters I] [--backend B] [--kernel K] [--solver V] [--format text|json|prom] [--out PATH] [--seed S]\n\
-     \x20 cache <stats|clear> [--kernel-cache-dir DIR]\n\
      \x20 help\n\
      global options:\n\
      \x20 --verbose            print a telemetry summary after the command\n\
@@ -222,14 +220,13 @@ pub fn usage() -> String {
      \x20 --streams K overrides the streams per device (default 2);\n\
      \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
      \x20 cluster backends (default 256).\n\
-     \x20 --kernel K picks how contractions are computed: general, blocked,\n\
-     \x20 batched (lane-vectorized over the tensor arena; fixed-shift sshopm\n\
-     \x20 batches additionally run in lockstep panels), or tape (runtime-\n\
-     \x20 generated kernel tapes, or the generated unrolled code where the\n\
-     \x20 shape has it). precomputed and unrolled, the paper's labels, are\n\
-     \x20 spellings of batched and tape.\n\
-     \x20 --kernel-cache-dir DIR persists generated tapes in a content-\n\
-     \x20 addressed artifact cache; cache stats|clear inspects or empties it.\n\
+     \x20 --kernel K picks how contractions are computed: batched (default;\n\
+     \x20 fixed-shift sshopm batches run in lockstep panels over the tensor\n\
+     \x20 arena, other solves on the compiled kernels where the shape has\n\
+     \x20 them), general, blocked, or tape (the compiled unrolled code where\n\
+     \x20 the shape has it, blocked elsewhere). precomputed and unrolled, the\n\
+     \x20 paper's labels, are spellings of batched and tape. Every kernel\n\
+     \x20 returns the same eigenpairs bit for bit.\n\
      \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\
      \x20 sshopm:ALPHA (pinned fixed shift), geap (adaptive projected-Hessian\n\
      \x20 shift), qrst (orthogonal-similarity QR iteration). geap and qrst\n\
@@ -405,9 +402,8 @@ mod tests {
             "--format text|json|prom",
             "--report-out PATH",
             "--report-format text|json|prom",
-            "cache <stats|clear>",
-            "--kernel-cache-dir DIR",
-            "tape (runtime-",
+            "batched (default;",
+            "tape (the compiled unrolled code",
         ] {
             assert!(u.contains(needle), "usage missing {needle}");
         }

@@ -25,16 +25,8 @@ pub enum GpuError {
         found: (usize, usize),
     },
     /// The unrolled kernel variant was requested for a shape that has no
-    /// generated kernel.
+    /// compiled kernel.
     NoUnrolledKernel {
-        /// Tensor order.
-        m: usize,
-        /// Tensor dimension.
-        n: usize,
-    },
-    /// The tape kernel variant was requested for a shape the runtime
-    /// generator does not support (table sizes exceed the tape slot cap).
-    NoTapeKernel {
         /// Tensor order.
         m: usize,
         /// Tensor dimension.
@@ -65,9 +57,6 @@ impl std::fmt::Display for GpuError {
             ),
             GpuError::NoUnrolledKernel { m, n } => {
                 write!(f, "no unrolled kernel generated for shape ({m}, {n})")
-            }
-            GpuError::NoTapeKernel { m, n } => {
-                write!(f, "no tape kernel can be generated for shape ({m}, {n})")
             }
             GpuError::ShapeTooLarge { m, n } => write!(
                 f,

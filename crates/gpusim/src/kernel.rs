@@ -3,9 +3,9 @@
 //! starting vector, the packed tensor staged into block-shared memory, the
 //! iteration vectors in per-thread registers.
 //!
-//! Two kernel variants mirror the paper's, plus a generated middle ground:
+//! Two kernel variants mirror the paper's:
 //!
-//! * **Unrolled** — straight-line kernels (from the `unrolled` crate);
+//! * **Unrolled** — straight-line kernels ([`symtensor::UnrolledKernels`]);
 //!   `x`/`y` live in registers, coefficients are compile-time constants.
 //! * **General** — the Figure 2/3 loops with shared index/coefficient
 //!   tables. Crucially, the dynamically-indexed iteration vectors cannot
@@ -14,19 +14,11 @@
 //!   charges those accesses as global traffic with an issue-slot penalty.
 //!   This is the indirection the paper's Section V-D unrolling removes and
 //!   is the main source of its 18.7× GPU unrolled speedup.
-//! * **Tape** — runtime-generated kernel tapes (from the `kernelgen`
-//!   crate): the UPDATEINDEX/MULTINOMIAL integer bookkeeping is resolved
-//!   at generation time into flat offset/coefficient tables, so the
-//!   per-iteration integer work disappears, but the dynamically-indexed
-//!   vectors still spill. The modeled *instruction* cost sits strictly
-//!   between General and Unrolled; memory-bound launches stay close to
-//!   General because the spilled-vector traffic is unchanged — consistent
-//!   with the paper, where the big unrolled win comes from eliminating the
-//!   spill, not the integer bookkeeping.
 //!
-//! The numerics are computed by the *real* library kernels, so the
-//! functional results agree bit-for-bit with the CPU implementations built
-//! on the same scalar type.
+//! The variants differ only in their modeled cost. The numerics are
+//! computed by the *real* library kernels, which all sum the index classes
+//! in one order, so both variants return the bits of every CPU kernel
+//! strategy on the same scalar type.
 
 use crate::counters::OpCounters;
 use crate::device::DeviceSpec;
@@ -40,18 +32,15 @@ use sshopm::{Eigenpair, IterationPolicy, SsHopm};
 use symtensor::flops;
 use symtensor::kernels::GeneralKernels;
 use symtensor::multinomial::{num_unique_entries, try_num_unique_entries};
-use symtensor::{Scalar, TensorBatchRef};
-use unrolled::UnrolledKernels;
+use symtensor::{Scalar, TensorBatchRef, UnrolledKernels};
 
 /// Which kernel variant to launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuVariant {
     /// Figure 2/3 loop kernels with shared tables (works for any shape).
     General,
-    /// Straight-line generated kernels (only for generated shapes).
+    /// Straight-line generated kernels (only for compiled shapes).
     Unrolled,
-    /// Runtime-generated kernel tapes (any shape the generator supports).
-    Tape,
 }
 
 impl GpuVariant {
@@ -60,7 +49,6 @@ impl GpuVariant {
         match self {
             GpuVariant::General => "general",
             GpuVariant::Unrolled => "unrolled",
-            GpuVariant::Tape => "tape",
         }
     }
 }
@@ -106,17 +94,6 @@ fn per_iteration_counters(m: usize, n: usize, variant: GpuVariant) -> OpCounters
             // (= device) memory traffic. Per class, A·x^m reads x m times;
             // per incidence, A·x^{m-1} reads x (m-1) times and
             // reads+writes y once each.
-            c.global_loads += u * m64 + inc * (m64 - 1) + inc;
-            c.global_stores += inc;
-        }
-        GpuVariant::Tape => {
-            // Pre-resolved tape entries: the UPDATEINDEX/MULTINOMIAL
-            // integer passes are gone (no `int_ops`), but the factor
-            // offsets and folded coefficients are read from shared tables
-            // and the dynamically-indexed x/y still spill to local memory
-            // exactly like the general kernel.
-            c.shared_loads += u * m64 + inc * (m64 - 1) + inc; // factor offsets + output ranks
-            c.shared_loads += u + inc; // folded coefficients
             c.global_loads += u * m64 + inc * (m64 - 1) + inc;
             c.global_stores += inc;
         }
@@ -222,10 +199,9 @@ impl LaunchReport {
 ///
 /// # Errors
 /// Returns a [`GpuError`] if the batch or `starts` is empty, the shape is
-/// too large to model, the unrolled variant is requested for a shape with
-/// no generated kernel, or the tape variant is requested for a shape the
-/// runtime generator does not support. (Mixed shapes can no longer reach
-/// the launch: [`symtensor::TensorBatch`] rejects them at construction.)
+/// too large to model, or the unrolled variant is requested for a shape
+/// with no compiled kernel. (Mixed shapes cannot reach the launch:
+/// [`symtensor::TensorBatch`] rejects them at construction.)
 pub fn launch_sshopm<'a, S: Scalar>(
     device: &DeviceSpec,
     batch: impl Into<TensorBatchRef<'a, S>>,
@@ -303,21 +279,10 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     if variant == GpuVariant::Unrolled && unrolled_kernels.is_none() {
         return Err(GpuError::NoUnrolledKernel { m, n });
     }
-    // Tape kernels come from the process-wide registry, so repeated
-    // launches (and chunked backends) reuse one generated tape per shape.
-    let tape_kernels = match variant {
-        GpuVariant::Tape => Some(
-            kernelgen::KernelRegistry::global()
-                .tape::<S>(m, n)
-                .map_err(|_| GpuError::NoTapeKernel { m, n })?,
-        ),
-        _ => None,
-    };
 
     let iter_counters = per_iteration_counters(m, n, variant);
     let iter_weight = per_iteration_weight(&iter_counters);
     let u = num_unique_entries(m, n);
-    let inc = flops::distinct_incidences(m, n);
 
     let (results, stats) = run_grid(grid, |block| {
         let tensor = batch.get(block);
@@ -329,9 +294,6 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
         let table_words = match variant {
             GpuVariant::General => u * m as u64 + u, // index reps + coeffs
             GpuVariant::Unrolled => 0,
-            // Tape tables: axm factor offsets + coeffs, axm1 factor
-            // offsets + output ranks + tensor ranks + coeffs.
-            GpuVariant::Tape => u * m as u64 + u + inc * (m as u64 + 2),
         };
         // Consecutive threads load consecutive words: fully coalesced, so
         // the word count is the traffic (transactions only round up).
@@ -344,9 +306,8 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
         let records: Vec<ThreadRecord<Eigenpair<S>>> = starts
             .iter()
             .map(|x0| {
-                let pair = match (variant, unrolled_kernels.as_ref(), tape_kernels.as_ref()) {
-                    (GpuVariant::Unrolled, Some(k), _) => solver.solve_with(k, tensor, x0),
-                    (GpuVariant::Tape, _, Some(k)) => solver.solve_with(&**k, tensor, x0),
+                let pair = match (variant, unrolled_kernels.as_ref()) {
+                    (GpuVariant::Unrolled, Some(k)) => solver.solve_with(k, tensor, x0),
                     _ => solver.solve_with(&GeneralKernels, tensor, x0),
                 };
                 // Scale the per-iteration counts by this thread's actual
@@ -630,100 +591,6 @@ mod tests {
         )
         .unwrap();
         assert!(g.stats.counters.global_words() > 10 * u.stats.counters.global_words());
-    }
-
-    #[test]
-    fn tape_variant_matches_cpu_tape_kernels_on_nongenerated_shape() {
-        // (5, 4) has no build-time unrolled kernel; the tape variant still
-        // runs it and agrees bit-for-bit with the CPU tape kernels.
-        let mut rng = StdRng::seed_from_u64(21);
-        let tensors = TensorBatch::<f32>::random(5, 4, 6, &mut rng).unwrap();
-        let starts = random_uniform_starts(4, 32, &mut rng);
-        let policy = IterationPolicy::Fixed(15);
-        let device = DeviceSpec::tesla_c2050();
-        let (gpu, report) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::Tape).unwrap();
-        assert_eq!(report.variant.name(), "tape");
-        let k = kernelgen::TapeKernels::<f32>::generate(5, 4).unwrap();
-        let cpu = BatchSolver::new(SsHopm::new(sshopm::Shift::Fixed(0.0)).with_policy(policy))
-            .solve_sequential(&k, &tensors, &starts);
-        for t in 0..6 {
-            for v in 0..32 {
-                assert_eq!(gpu.results[t][v].lambda, cpu.results[t][v].lambda);
-                assert_eq!(gpu.results[t][v].x, cpu.results[t][v].x);
-            }
-        }
-    }
-
-    #[test]
-    fn tape_cost_sits_between_general_and_unrolled() {
-        let (tensors, starts) = workload(64, 128, 13);
-        let policy = IterationPolicy::Fixed(20);
-        let device = DeviceSpec::tesla_c2050();
-        let (_, general) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
-        let (_, tape) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::Tape).unwrap();
-        let (_, unrolled) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            0.0,
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
-        // The tape removes the integer index bookkeeping but keeps the
-        // spilled-vector traffic, so its *instruction* cost sits strictly
-        // between the two paper variants...
-        assert!(
-            general.timing.compute_seconds > tape.timing.compute_seconds,
-            "general compute {:.3e}s vs tape {:.3e}s",
-            general.timing.compute_seconds,
-            tape.timing.compute_seconds
-        );
-        assert!(
-            tape.timing.compute_seconds > unrolled.timing.compute_seconds,
-            "tape compute {:.3e}s vs unrolled {:.3e}s",
-            tape.timing.compute_seconds,
-            unrolled.timing.compute_seconds
-        );
-        // ...while a memory-bound launch stays general-like (the spill is
-        // unchanged; only slightly larger tables are staged) and both stay
-        // well above unrolled, which removes the spill entirely.
-        assert!(
-            tape.timing.seconds <= general.timing.seconds * 1.01,
-            "tape {:.3e}s vs general {:.3e}s",
-            tape.timing.seconds,
-            general.timing.seconds
-        );
-        assert!(
-            tape.timing.seconds > unrolled.timing.seconds * 2.0,
-            "tape {:.3e}s vs unrolled {:.3e}s",
-            tape.timing.seconds,
-            unrolled.timing.seconds
-        );
-    }
-
-    #[test]
-    fn tape_errors_for_unsupported_shape() {
-        // (5, 40) overflows the tape generator's slot cap: the shape is a
-        // valid tensor but no tape can be generated for it.
-        assert!(!kernelgen::tape_supported(5, 40));
-        let mut rng = StdRng::seed_from_u64(22);
-        let tensors = TensorBatch::<f32>::random(5, 40, 1, &mut rng).unwrap();
-        let starts = random_uniform_starts(40, 8, &mut rng);
-        let device = DeviceSpec::tesla_c2050();
-        let err = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(5),
-            0.0,
-            GpuVariant::Tape,
-        )
-        .unwrap_err();
-        assert_eq!(err, GpuError::NoTapeKernel { m: 5, n: 40 });
     }
 
     #[test]

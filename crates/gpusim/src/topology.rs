@@ -388,7 +388,7 @@ impl Cluster {
     ///
     /// # Errors
     /// Returns a [`GpuError`] for an empty batch or any per-device launch
-    /// failure (empty starts, missing unrolled or tape kernel).
+    /// failure (empty starts, missing unrolled kernel).
     pub fn launch<'a, S: Scalar>(
         &self,
         batch: impl Into<TensorBatchRef<'a, S>>,

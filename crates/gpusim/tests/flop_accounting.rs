@@ -43,7 +43,7 @@ fn launch_useful_flops_match_closed_form_exactly() {
         };
         for variant in [GpuVariant::General, GpuVariant::Unrolled] {
             if variant == GpuVariant::Unrolled
-                && unrolled::UnrolledKernels::for_shape(m, n).is_none()
+                && symtensor::UnrolledKernels::for_shape(m, n).is_none()
             {
                 continue;
             }

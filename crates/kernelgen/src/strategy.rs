@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-/// Error type for kernel-strategy parsing and tape materialization.
+/// Error type for kernel-strategy parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelError(pub String);
 
@@ -21,11 +21,10 @@ impl std::error::Error for KernelError {}
 
 /// Which `A·xᵐ` / `A·xᵐ⁻¹` implementation a backend should use.
 ///
-/// Two numeric families: `General`, `Blocked` and `Batched` walk the
-/// index classes in one order with the same exact coefficients, so their
-/// results are bit-identical; `Tape` runs the Section V-D straight-line
-/// kernels, resolved per shape by
-/// [`KernelRegistry::plan`](crate::KernelRegistry::plan).
+/// One numeric family: every strategy walks the index classes in one
+/// order with the same exact coefficients and the same association, so
+/// all of them return `General`'s bits and differ only in speed. Each is
+/// resolved per shape by [`KernelRegistry::plan`](crate::KernelRegistry::plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelStrategy {
     /// On-the-fly index/coefficient computation (works for every shape).
@@ -34,13 +33,14 @@ pub enum KernelStrategy {
     Blocked,
     /// Lane-vectorized kernels over the packed `TensorBatch` arena
     /// ([`symtensor::BatchedKernels`]), built on the Section V-C
-    /// precomputed tables. Per-tensor calls share the lane tables;
-    /// fixed-shift SS-HOPM batches additionally run the lockstep panel
-    /// driver that updates [`symtensor::LANE_WIDTH`] tensors per table walk.
+    /// precomputed tables. Fixed-shift SS-HOPM batches run the lockstep
+    /// panel driver that updates [`symtensor::LANE_WIDTH`] tensors per
+    /// kernel call; per-tensor calls run the compiled scalar kernels where
+    /// a shape has them and the tables elsewhere.
     Batched,
-    /// Straight-line kernels: the build-time unrolled code on
-    /// `unrolled::GENERATED_SHAPES`, a runtime-generated
-    /// [`crate::TapeKernels`] tape on other small shapes.
+    /// The Section V-D straight-line kernels
+    /// ([`symtensor::UnrolledKernels`]) on
+    /// `symtensor::lanes::COMPILED_SHAPES`, `Blocked` elsewhere.
     Tape,
 }
 

@@ -1,6 +1,6 @@
 //! Pins the registry's memoization with an allocation counter: the first
-//! request for a shape's batched kernels or tape pays the construction
-//! cost, and every later request is an `Arc` clone out of the memo map —
+//! request for a shape's batched kernels pays the construction cost, and
+//! every later request is an `Arc` clone out of the memo map —
 //! zero heap allocations. This is the whole point of routing kernel
 //! materialization through [`KernelRegistry`] instead of the old
 //! build-a-fresh-box-per-call `resolve`, so a regression here means a
@@ -45,28 +45,25 @@ fn allocs() -> u64 {
 fn memoized_requests_do_not_allocate() {
     let registry = KernelRegistry::new();
 
-    // Cold: builds the batched kernels (with their tables), a tape, and
-    // the plan's kernel objects.
+    // Cold: builds the batched kernels (with their tables) and the plan's
+    // kernel objects.
     let batched = registry.batched(4, 3);
-    let tape = registry.tape::<f64>(5, 4).unwrap();
     let plan = registry.plan::<f64>(4, 3, KernelStrategy::Batched);
     assert!(allocs() > 0, "cold construction must have allocated");
 
     // Warm: every request is a map lookup plus an Arc clone.
     let before = allocs();
     let batched2 = registry.batched(4, 3);
-    let tape2 = registry.tape::<f64>(5, 4).unwrap();
     let plan2 = registry.plan::<f64>(4, 3, KernelStrategy::Batched);
     let after = allocs();
     assert_eq!(
         after - before,
         0,
-        "memoized batched/tape/plan requests must not allocate"
+        "memoized batched/plan requests must not allocate"
     );
 
     // The memo really is sharing one object, not rebuilding equal ones.
     assert!(std::sync::Arc::ptr_eq(&batched, &batched2));
-    assert!(std::sync::Arc::ptr_eq(&tape, &tape2));
     assert!(std::sync::Arc::ptr_eq(&plan.kernels, &plan2.kernels));
     assert_eq!(plan.kernels.name(), "batched");
 }

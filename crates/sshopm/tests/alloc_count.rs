@@ -8,11 +8,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kernelgen::KernelRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sshopm::{IterationPolicy, Shift, SsHopm};
-use symtensor::{PrecomputedTables, SymTensor, TensorKernels};
+use symtensor::{PrecomputedTables, SymTensor, TensorKernels, UnrolledKernels};
 
 struct CountingAlloc;
 
@@ -63,11 +62,10 @@ fn solve_allocs(
 #[test]
 fn tensor_constant_shifts_allocate_per_solve_not_per_iteration() {
     let a = SymTensor::<f64>::random(4, 3, &mut StdRng::seed_from_u64(12));
-    let registry = KernelRegistry::new();
-    let tape = registry.tape::<f64>(4, 3).unwrap();
+    let unrolled = UnrolledKernels::for_shape(4, 3).unwrap();
     let tables = PrecomputedTables::new(4, 3);
     let kernels: [(&str, &dyn TensorKernels<f64>); 2] =
-        [("tape", &*tape), ("precomputed", &tables)];
+        [("unrolled", &unrolled), ("precomputed", &tables)];
 
     for (name, k) in kernels {
         for shift in [Shift::Convex, Shift::Concave] {

@@ -33,6 +33,7 @@ use crate::kernels::{check_shape, check_vec, PrecomputedTables, TensorKernels};
 use crate::multinomial::multinomial1_from_stored;
 use crate::scalar::Scalar;
 use crate::storage::SymTensorRef;
+use crate::unrolled::UnrolledKernels;
 
 include!(concat!(env!("OUT_DIR"), "/lane_kernels.rs"));
 
@@ -45,12 +46,15 @@ pub const LANE_WIDTH: usize = 8;
 /// The lockstep kernel family: shared per-shape tables plus the panel
 /// evaluation routines.
 ///
-/// As a [`TensorKernels`] implementation it falls back to the scalar
-/// table-driven kernels (name `"batched"`), so adaptive solvers that cannot
-/// run in lockstep still work with `--kernel batched`.
+/// As a [`TensorKernels`] implementation (name `"batched"`) it evaluates
+/// one tensor at a time, so adaptive solvers that cannot run in lockstep
+/// still work with `--kernel batched`: the compiled [`UnrolledKernels`] on
+/// [`COMPILED_SHAPES`], the scalar tables elsewhere. Both return the
+/// tables' bits.
 #[derive(Debug, Clone)]
 pub struct BatchedKernels {
     tables: PrecomputedTables,
+    compiled: Option<UnrolledKernels>,
 }
 
 impl BatchedKernels {
@@ -58,6 +62,7 @@ impl BatchedKernels {
     pub fn new(m: usize, n: usize) -> Self {
         Self {
             tables: PrecomputedTables::new(m, n),
+            compiled: UnrolledKernels::for_shape(m, n),
         }
     }
 
@@ -82,11 +87,17 @@ impl BatchedKernels {
 
 impl<S: Scalar> TensorKernels<S> for BatchedKernels {
     fn axm(&self, a: SymTensorRef<'_, S>, x: &[S]) -> Result<S> {
-        self.tables.axm(a, x)
+        match &self.compiled {
+            Some(k) => k.axm(a, x),
+            None => self.tables.axm(a, x),
+        }
     }
 
     fn axm1(&self, a: SymTensorRef<'_, S>, x: &[S], y: &mut [S]) -> Result<()> {
-        self.tables.axm1(a, x, y)
+        match &self.compiled {
+            Some(k) => k.axm1(a, x, y),
+            None => self.tables.axm1(a, x, y),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -452,16 +463,26 @@ mod tests {
 
     #[test]
     fn scalar_fallback_matches_precomputed_and_reports_name() {
-        let kernels = BatchedKernels::new(4, 3);
+        // (4, 3) runs the compiled scalar kernels, (5, 4) the tables.
         let mut rng = StdRng::seed_from_u64(11);
-        let a = SymTensor::<f64>::random(4, 3, &mut rng);
-        let x = [0.3, -0.6, 0.74];
-        let via_batched = TensorKernels::axm(&kernels, a.view(), &x).unwrap();
-        let via_tables = kernels.tables().axm(&a, &x).unwrap();
-        assert_eq!(via_batched.to_bits(), via_tables.to_bits());
-        assert_eq!(TensorKernels::<f64>::name(&kernels), "batched");
-        let wrong = SymTensor::<f64>::random(3, 3, &mut rng);
-        assert!(TensorKernels::axm(&kernels, wrong.view(), &x).is_err());
+        for (m, n) in [(4, 3), (5, 4)] {
+            let kernels = BatchedKernels::new(m, n);
+            let a = SymTensor::<f64>::random(m, n, &mut rng);
+            let x: Vec<f64> = (0..n).map(|i| 0.3 - 0.45 * i as f64).collect();
+            let via_batched = TensorKernels::axm(&kernels, a.view(), &x).unwrap();
+            let via_tables = kernels.tables().axm(&a, &x).unwrap();
+            assert_eq!(via_batched.to_bits(), via_tables.to_bits(), "({m},{n})");
+            let mut y_batched = vec![0.0; n];
+            let mut y_tables = vec![0.0; n];
+            TensorKernels::axm1(&kernels, a.view(), &x, &mut y_batched).unwrap();
+            kernels.tables().axm1(&a, &x, &mut y_tables).unwrap();
+            for (g, w) in y_batched.iter().zip(&y_tables) {
+                assert_eq!(g.to_bits(), w.to_bits(), "({m},{n})");
+            }
+            assert_eq!(TensorKernels::<f64>::name(&kernels), "batched");
+            let wrong = SymTensor::<f64>::random(3, 3, &mut rng);
+            assert!(TensorKernels::axm(&kernels, wrong.view(), &x).is_err());
+        }
     }
 
     #[test]

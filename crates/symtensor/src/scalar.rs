@@ -32,8 +32,8 @@ pub trait Scalar:
     + Sum
     + 'static
 {
-    /// Canonical lowercase type name ("f32" / "f64"), used to key
-    /// scalar-specific artifacts such as cached kernel tapes.
+    /// Canonical lowercase type name ("f32" / "f64"), used in diagnostic
+    /// and test messages.
     const NAME: &'static str;
     /// Additive identity.
     const ZERO: Self;

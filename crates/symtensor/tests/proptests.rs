@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use symtensor::kernels::{axm, axm1, axmp, PrecomputedTables};
 use symtensor::multinomial::{multinomial0, multinomial1, num_unique_entries};
-use symtensor::{DenseTensor, IndexClass, IndexClassIter, SymTensor, TensorBatch};
+use symtensor::{
+    DenseTensor, IndexClass, IndexClassIter, SymTensor, TensorBatch, TensorKernels, UnrolledKernels,
+};
 
 /// Strategy: a small tensor shape (m, n) that keeps n^m manageable.
 fn shape() -> impl Strategy<Value = (usize, usize)> {
@@ -342,5 +344,70 @@ proptest! {
             found: (m2, n2),
         });
         prop_assert!(batch.is_empty());
+    }
+}
+
+/// Index into the shapes with compiled scalar kernels.
+fn compiled_shape_index() -> impl Strategy<Value = usize> {
+    0..symtensor::lanes::COMPILED_SHAPES.len()
+}
+
+// The generated straight-line kernels agree with the general loop kernels
+// bit for bit on arbitrary tensors and vectors, for every compiled shape.
+proptest! {
+    #[test]
+    fn unrolled_axm_equals_general(
+        idx in compiled_shape_index(),
+        seed_vals in proptest::collection::vec(-1.0f64..1.0, 128),
+        seed_x in proptest::collection::vec(-2.0f64..2.0, 8),
+    ) {
+        let (m, n) = symtensor::lanes::COMPILED_SHAPES[idx];
+        let u = num_unique_entries(m, n) as usize;
+        prop_assume!(seed_vals.len() >= u && seed_x.len() >= n);
+        let a = SymTensor::from_values(m, n, seed_vals[..u].to_vec()).unwrap();
+        let x = &seed_x[..n];
+        let k = UnrolledKernels::for_shape(m, n).unwrap();
+        let want = axm(&a, x).unwrap();
+        let got = TensorKernels::axm(&k, a.view(), x).unwrap();
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "[{},{}]", m, n);
+    }
+
+    #[test]
+    fn unrolled_axm1_equals_general(
+        idx in compiled_shape_index(),
+        seed_vals in proptest::collection::vec(-1.0f64..1.0, 128),
+        seed_x in proptest::collection::vec(-2.0f64..2.0, 8),
+    ) {
+        let (m, n) = symtensor::lanes::COMPILED_SHAPES[idx];
+        let u = num_unique_entries(m, n) as usize;
+        prop_assume!(seed_vals.len() >= u && seed_x.len() >= n);
+        let a = SymTensor::from_values(m, n, seed_vals[..u].to_vec()).unwrap();
+        let x = &seed_x[..n];
+        let k = UnrolledKernels::for_shape(m, n).unwrap();
+        let mut want = vec![0.0; n];
+        let mut got = vec![0.0; n];
+        axm1(&a, x, &mut want).unwrap();
+        TensorKernels::axm1(&k, a.view(), x, &mut got).unwrap();
+        for j in 0..n {
+            prop_assert_eq!(got[j].to_bits(), want[j].to_bits(), "[{},{}] j={}", m, n, j);
+        }
+    }
+
+    #[test]
+    fn unrolled_respects_zero_components(idx in compiled_shape_index(), zero_at in 0usize..8) {
+        // Zeros in x exercise the "divide one factor out" structure.
+        let (m, n) = symtensor::lanes::COMPILED_SHAPES[idx];
+        let u = num_unique_entries(m, n) as usize;
+        let a = SymTensor::from_values(m, n, (0..u).map(|i| i as f64 * 0.1 - 0.5).collect()).unwrap();
+        let mut x = vec![0.7f64; n];
+        x[zero_at % n] = 0.0;
+        let k = UnrolledKernels::for_shape(m, n).unwrap();
+        let mut want = vec![0.0; n];
+        let mut got = vec![0.0; n];
+        axm1(&a, &x, &mut want).unwrap();
+        TensorKernels::axm1(&k, a.view(), &x, &mut got).unwrap();
+        for j in 0..n {
+            prop_assert_eq!(got[j].to_bits(), want[j].to_bits(), "[{},{}] j={}", m, n, j);
+        }
     }
 }

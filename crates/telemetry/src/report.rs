@@ -158,9 +158,8 @@ impl CommStats {
     }
 }
 
-/// Kernel-registry cache activity attributable to one run: how the kernels
-/// that executed the batch were materialized (memoized in-process, loaded
-/// from the on-disk artifact cache, or generated).
+/// Kernel-registry activity attributable to one run: how often the
+/// memoized kernels that executed the batch were reused or built.
 ///
 /// Plain data by design — the producing registry lives in the `kernelgen`
 /// crate, which this crate must not depend on.
@@ -168,49 +167,21 @@ impl CommStats {
 pub struct KernelCacheStats {
     /// Kernel objects served from the in-process memo map.
     pub memo_hits: u64,
-    /// Requests that missed the memo map.
+    /// Requests that missed the memo map and built the kernels.
     pub memo_misses: u64,
-    /// Tapes loaded and validated from the on-disk artifact cache.
-    pub disk_hits: u64,
-    /// Artifact-cache lookups that missed (absent or rejected entries).
-    pub disk_misses: u64,
-    /// Tapes generated at runtime during the run.
-    pub generated: u64,
-    /// Wall-clock seconds spent generating tapes.
-    pub generate_seconds: f64,
 }
 
 impl KernelCacheStats {
-    /// True when the run touched no memoized or cached kernels at all.
+    /// True when the run touched no memoized kernels at all.
     pub fn is_empty(&self) -> bool {
-        self.memo_hits == 0
-            && self.memo_misses == 0
-            && self.disk_hits == 0
-            && self.disk_misses == 0
-            && self.generated == 0
-    }
-
-    /// Fraction of artifact-cache lookups that hit, if any were made.
-    pub fn artifact_hit_rate(&self) -> Option<f64> {
-        let total = self.disk_hits + self.disk_misses;
-        (total > 0).then(|| self.disk_hits as f64 / total as f64)
+        self.memo_hits == 0 && self.memo_misses == 0
     }
 
     /// The one-line rendering used by `render_text`.
     pub fn summary_line(&self) -> String {
-        let rate = match self.artifact_hit_rate() {
-            Some(r) => format!("{:.0}% artifact hit rate", r * 100.0),
-            None => "no artifact lookups".to_string(),
-        };
         format!(
-            "kernel cache: {} memo hits / {} misses, {} disk hits / {} misses, \
-             {} generated in {:.3} ms ({rate})",
-            self.memo_hits,
-            self.memo_misses,
-            self.disk_hits,
-            self.disk_misses,
-            self.generated,
-            self.generate_seconds * 1e3,
+            "kernel cache: {} memo hits / {} misses",
+            self.memo_hits, self.memo_misses,
         )
     }
 }
@@ -528,25 +499,8 @@ impl RunReport {
             for (name, value) in [
                 ("kernel_cache_memo_hits_total", kc.memo_hits),
                 ("kernel_cache_memo_misses_total", kc.memo_misses),
-                ("kernel_cache_disk_hits_total", kc.disk_hits),
-                ("kernel_cache_disk_misses_total", kc.disk_misses),
-                ("kernel_cache_generated_total", kc.generated),
             ] {
                 counter(&mut out, name, "Kernel-registry cache ledger", value);
-            }
-            gauge(
-                &mut out,
-                "kernel_cache_generate_seconds",
-                "Wall-clock seconds spent generating kernel tapes",
-                kc.generate_seconds,
-            );
-            if let Some(rate) = kc.artifact_hit_rate() {
-                gauge(
-                    &mut out,
-                    "kernel_cache_artifact_hit_rate",
-                    "Fraction of artifact-cache lookups that hit",
-                    rate,
-                );
             }
         }
         for h in &self.hosts {
@@ -743,10 +697,6 @@ impl Serialize for KernelCacheStats {
         Value::object(vec![
             ("memo_hits", Value::UInt(self.memo_hits)),
             ("memo_misses", Value::UInt(self.memo_misses)),
-            ("disk_hits", Value::UInt(self.disk_hits)),
-            ("disk_misses", Value::UInt(self.disk_misses)),
-            ("generated", Value::UInt(self.generated)),
-            ("generate_seconds", Value::Float(self.generate_seconds)),
         ])
     }
 }
@@ -756,10 +706,6 @@ impl<'de> Deserialize<'de> for KernelCacheStats {
         Ok(KernelCacheStats {
             memo_hits: get_u64(value, "memo_hits"),
             memo_misses: get_u64(value, "memo_misses"),
-            disk_hits: get_u64(value, "disk_hits"),
-            disk_misses: get_u64(value, "disk_misses"),
-            generated: get_u64(value, "generated"),
-            generate_seconds: get_f64(value, "generate_seconds"),
         })
     }
 }
@@ -1057,10 +1003,6 @@ mod tests {
         r.kernel_cache = Some(KernelCacheStats {
             memo_hits: 3,
             memo_misses: 1,
-            disk_hits: 1,
-            disk_misses: 0,
-            generated: 0,
-            generate_seconds: 0.0,
         });
         r.counters.push(("batch.solves".into(), 128));
         r.gauges.push(("gpu.occupancy".into(), 0.67));
@@ -1169,21 +1111,18 @@ mod tests {
         let r = sample();
         let text = r.render_text();
         assert!(
-            text.contains("kernel cache: 3 memo hits / 1 misses, 1 disk hits / 0 misses"),
+            text.contains("kernel cache: 3 memo hits / 1 misses"),
             "{text}"
         );
-        assert!(text.contains("100% artifact hit rate"), "{text}");
         let back = RunReport::parse_json(&r.to_json()).expect("parse");
         assert_eq!(back.kernel_cache, r.kernel_cache);
         let prom = r.to_prometheus();
-        assert!(
-            prom.contains("tensor_eig_kernel_cache_disk_hits_total"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("tensor_eig_kernel_cache_artifact_hit_rate"),
-            "{prom}"
-        );
+        for name in [
+            "tensor_eig_kernel_cache_memo_hits_total",
+            "tensor_eig_kernel_cache_memo_misses_total",
+        ] {
+            assert!(prom.contains(name), "{prom}");
+        }
     }
 
     #[test]

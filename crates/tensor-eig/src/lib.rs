@@ -6,8 +6,7 @@
 //!
 //! | Layer | Crate | What it provides |
 //! |---|---|---|
-//! | storage & kernels | [`symtensor`] | packed symmetric tensors, `A·xᵐ`, `A·xᵐ⁻¹`, dense baseline |
-//! | unrolling | [`unrolled`] | compile-time straight-line kernels per shape |
+//! | storage & kernels | [`symtensor`] | packed symmetric tensors, `A·xᵐ`, `A·xᵐ⁻¹`, dense baseline, compile-time straight-line kernels per shape |
 //! | algorithm | [`sshopm`] | SS-HOPM, shifts, classification, multistart, batching |
 //! | GPU substrate | [`gpusim`] | functional + analytic Fermi-class simulator |
 //! | execution backends | [`backend`] | one `SolveBackend` trait behind every batched solve |
@@ -59,7 +58,6 @@ pub use linalg;
 pub use sshopm;
 pub use symtensor;
 pub use telemetry;
-pub use unrolled;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
@@ -77,10 +75,9 @@ pub mod prelude {
     };
     pub use symtensor::{
         BlockedKernels, DenseTensor, GeneralKernels, IndexClass, IndexClassIter, PrecomputedTables,
-        SymTensor, SymTensorRef, TensorBatch, TensorBatchRef, TensorKernels,
+        SymTensor, SymTensorRef, TensorBatch, TensorBatchRef, TensorKernels, UnrolledKernels,
     };
     pub use telemetry::Telemetry;
-    pub use unrolled::UnrolledKernels;
 }
 
 #[cfg(test)]
