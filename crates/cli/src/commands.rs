@@ -10,7 +10,7 @@ use backend::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sshopm::{spectrum_from_pairs, DedupConfig, IterationPolicy, Shift, SolverSpec, SsHopm};
+use sshopm::{spectra_from_rows, DedupConfig, IterationPolicy, Shift, SolverSpec, SsHopm};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use symtensor::io::{read_tensor_batch, write_tensor_batch};
@@ -349,16 +349,16 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
             summaries.push(timeline.summary());
         }
     }
-    let mut spectra: Vec<Option<sshopm::Spectrum<f64>>> = Vec::with_capacity(tensors.len());
-    for (pairs, a) in report.results.into_iter().zip(tensors.iter()) {
-        let spectrum = spectrum_from_pairs(a, pairs, &DedupConfig::default(), 1e-5);
-        telemetry.counter("solve.eigenpairs", spectrum.entries.len() as u64);
-        telemetry.counter("solve.failures", spectrum.failures as u64);
-        spectra.push(Some(spectrum));
-    }
+    let spectra = spectra_from_rows(
+        &tensors,
+        &report.results,
+        &DedupConfig::default(),
+        1e-5,
+        telemetry,
+        |spectrum| spectrum,
+    );
 
-    for (i, a) in tensors.iter().enumerate() {
-        let spectrum = spectra[i].take().expect("every tensor was solved");
+    for (i, (a, spectrum)) in tensors.iter().zip(&spectra).enumerate() {
         writeln!(
             out,
             "tensor {i}: {} distinct eigenpairs from {} starts ({} failures)",
@@ -1226,12 +1226,48 @@ mod tests {
         solve_instrumented(sv(&[&path, "--starts", "8"]), &mut out, &tel).unwrap();
         let snap = tel.snapshot();
         assert_eq!(snap.counter("solve.tensors"), Some(2));
-        assert!(snap.counter("solve.eigenpairs").unwrap_or(0) >= 2);
+        // The post-solve pass reports its own span and counters.
+        assert!(snap.counter("spectra.entries").unwrap_or(0) >= 2);
+        assert_eq!(snap.counter("spectra.failures"), Some(0));
+        assert_eq!(snap.span("sshopm.spectra").map(|s| s.count), Some(1));
         // The batch goes through the backend layer: one batched solve of
         // both tensors, with per-tensor/per-solve progress counters.
         assert_eq!(snap.span("batch.solve").map(|s| s.count), Some(1));
         assert_eq!(snap.counter("batch.tensors_done"), Some(2));
         assert_eq!(snap.counter("batch.solves"), Some(16));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn solve_output_does_not_depend_on_the_thread_count() {
+        let path = tmp("solvethreads.txt");
+        let mut out = Vec::new();
+        random(
+            sv(&["4", "3", "7", "--out", &path, "--seed", "11"]),
+            &mut out,
+        )
+        .unwrap();
+        let run = |backend: &str| {
+            let mut out = Vec::new();
+            solve(
+                sv(&[&path, "--starts", "24", "--backend", backend, "--all"]),
+                &mut out,
+            )
+            .unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let (one, two) = (run("cpu"), run("cpu:2"));
+        // Every line but the backend summary (its label and measured
+        // time) is the same, byte for byte.
+        let body = |s: &str| {
+            s.lines()
+                .filter(|l| !l.starts_with("backend "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert!(one.contains("tensor 6:"), "{one}");
+        assert_eq!(one.lines().count(), body(&one).lines().count() + 1);
+        assert_eq!(body(&one), body(&two));
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,7 +10,7 @@ use crate::fiber::Dir3;
 use backend::SolveBackend;
 use sshopm::solver::IterationPolicy;
 use sshopm::{
-    multistart, spectrum_from_pairs, DedupConfig, Shift, Solver, SolverSpec, Spectrum, Stability,
+    multistart, spectra_from_rows, DedupConfig, Shift, Solver, SolverSpec, Spectrum, Stability,
 };
 use symtensor::{SymTensorRef, TensorBatch};
 use telemetry::Telemetry;
@@ -82,17 +82,18 @@ pub fn canonicalize_axis(mut d: Dir3) -> Dir3 {
 /// Runs SS-HOPM from `cfg.num_starts` deterministic Fibonacci-sphere
 /// starts, keeps negative-stable (local-max) eigenpairs, applies the
 /// relative eigenvalue threshold and returns at most `cfg.max_fibers`
-/// estimates, strongest first.
+/// estimates, strongest first. A tensor that is not 3-dimensional is a
+/// [`backend::BackendError`], as in the batch form.
 pub fn extract_fibers<'a>(
     tensor: impl Into<SymTensorRef<'a, f64>>,
     cfg: &ExtractConfig,
-) -> Vec<FiberEstimate> {
+) -> Result<Vec<FiberEstimate>, backend::BackendError> {
     let tensor = tensor.into();
-    assert_eq!(tensor.dim(), 3, "fiber extraction is for 3D tensors");
+    check_dim3(tensor.dim())?;
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
     let spectrum = multistart(&*solver, tensor, &starts, &DedupConfig::default(), 1e-5);
-    spectrum_to_fibers(&spectrum, cfg)
+    Ok(spectrum_to_fibers(&spectrum, cfg))
 }
 
 /// Extract fiber directions from a whole batch of fitted tensors (one per
@@ -105,7 +106,8 @@ pub fn extract_fibers<'a>(
 /// uniform shape by construction and hands the backend one contiguous
 /// buffer (a single coalesced host→device transfer on the GPU backends).
 /// The result is one `Vec<FiberEstimate>` per input tensor, in order, each
-/// identical to what [`extract_fibers`] returns for that tensor.
+/// identical to what [`extract_fibers`] returns for that tensor whatever
+/// the backend's thread count.
 ///
 /// Note the GPU-simulated backends support only [`Shift::Fixed`]; pass a
 /// CPU backend for the convex/adaptive shifts recommended for noisy data.
@@ -131,29 +133,32 @@ pub fn extract_fibers_reported(
     backend: &dyn SolveBackend<f64>,
     telemetry: &Telemetry,
 ) -> Result<(Vec<Vec<FiberEstimate>>, backend::BatchReport<f64>), backend::BackendError> {
-    if !tensors.is_empty() && tensors.dim() != 3 {
-        return Err(backend::BackendError(format!(
-            "fiber extraction needs dimension-3 tensors, file has n={}",
-            tensors.dim()
-        )));
+    if !tensors.is_empty() {
+        check_dim3(tensors.dim())?;
     }
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
     let report = backend.solve_batch(tensors, &starts, &*solver, telemetry)?;
     // The per-start pairs stay inside the report (its workload/throughput
-    // accounting is derived from `results`); each voxel's pairs are cloned
-    // once into the dedup pass.
-    let fibers = report
-        .results
-        .iter()
-        .zip(tensors.iter())
-        .map(|(pairs, tensor)| {
-            let spectrum =
-                spectrum_from_pairs(tensor, pairs.iter().cloned(), &DedupConfig::default(), 1e-5);
-            spectrum_to_fibers(&spectrum, cfg)
-        })
-        .collect();
+    // accounting is derived from `results`); the pass borrows them.
+    let fibers = spectra_from_rows(
+        tensors,
+        &report.results,
+        &DedupConfig::default(),
+        1e-5,
+        telemetry,
+        |spectrum| spectrum_to_fibers(&spectrum, cfg),
+    );
     Ok((fibers, report))
+}
+
+fn check_dim3(n: usize) -> Result<(), backend::BackendError> {
+    if n == 3 {
+        return Ok(());
+    }
+    Err(backend::BackendError(format!(
+        "fiber extraction needs dimension-3 tensors, file has n={n}"
+    )))
 }
 
 fn extraction_solver(cfg: &ExtractConfig) -> Box<dyn Solver<f64>> {
@@ -175,15 +180,19 @@ fn spectrum_to_fibers(spectrum: &Spectrum<f64>, cfg: &ExtractConfig) -> Vec<Fibe
         .filter(|e| {
             e.stability == Stability::NegativeStable || e.stability == Stability::Degenerate
         })
-        .map(|e| FiberEstimate {
-            direction: canonicalize_axis([e.pair.x[0], e.pair.x[1], e.pair.x[2]]),
-            lambda: e.pair.lambda,
-            basin_fraction: e.basin_count as f64 / cfg.num_starts as f64,
+        .filter_map(|e| match e.pair.x[..] {
+            [x0, x1, x2] => Some(FiberEstimate {
+                direction: canonicalize_axis([x0, x1, x2]),
+                lambda: e.pair.lambda,
+                basin_fraction: e.basin_count as f64 / cfg.num_starts as f64,
+            }),
+            // A wrong-length vector from a backend is no direction.
+            _ => None,
         })
         .collect();
 
     // Strongest first; threshold relative to the strongest.
-    maxima.sort_by(|a, b| b.lambda.partial_cmp(&a.lambda).unwrap());
+    maxima.sort_by(|a, b| b.lambda.total_cmp(&a.lambda));
     if let Some(strongest) = maxima.first().map(|f| f.lambda) {
         maxima.retain(|f| f.lambda >= cfg.relative_threshold * strongest);
     }
@@ -212,7 +221,7 @@ mod tests {
     fn single_fiber_is_recovered() {
         let truth = FiberConfig::single([0.0, 0.6, 0.8]);
         let tensor = fit_config(&truth);
-        let fibers = extract_fibers(&tensor, &ExtractConfig::default());
+        let fibers = extract_fibers(&tensor, &ExtractConfig::default()).unwrap();
         assert!(!fibers.is_empty());
         let err = angular_error_deg(&fibers[0].direction, &truth.directions[0]);
         assert!(err < 1.0, "angular error {err} deg");
@@ -222,7 +231,7 @@ mod tests {
     fn orthogonal_crossing_yields_two_fibers() {
         let truth = FiberConfig::crossing([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]);
         let tensor = fit_config(&truth);
-        let fibers = extract_fibers(&tensor, &ExtractConfig::default());
+        let fibers = extract_fibers(&tensor, &ExtractConfig::default()).unwrap();
         assert_eq!(fibers.len(), 2, "{fibers:?}");
         // Each truth direction matched by some estimate within 2 degrees.
         for t in &truth.directions {
@@ -242,7 +251,7 @@ mod tests {
             relative_threshold: 0.7,
             ..Default::default()
         };
-        let fibers = extract_fibers(&tensor, &cfg);
+        let fibers = extract_fibers(&tensor, &cfg).unwrap();
         assert!(
             fibers.len() >= 2,
             "60-degree crossing should give two maxima: {fibers:?}"
@@ -255,7 +264,7 @@ mod tests {
         // maximum along the bisector.
         let truth = FiberConfig::crossing_at_angle(20.0f64.to_radians());
         let tensor = fit_config(&truth);
-        let fibers = extract_fibers(&tensor, &ExtractConfig::default());
+        let fibers = extract_fibers(&tensor, &ExtractConfig::default()).unwrap();
         assert_eq!(fibers.len(), 1, "{fibers:?}");
         // The merged peak is along the bisector (+x).
         let err = angular_error_deg(&fibers[0].direction, &[1.0, 0.0, 0.0]);
@@ -270,7 +279,7 @@ mod tests {
             relative_threshold: 0.1,
             ..Default::default()
         };
-        let fibers = extract_fibers(&tensor, &cfg);
+        let fibers = extract_fibers(&tensor, &cfg).unwrap();
         for w in fibers.windows(2) {
             assert!(w[0].lambda >= w[1].lambda);
         }
@@ -287,7 +296,7 @@ mod tests {
     fn basin_fractions_are_sane() {
         let truth = FiberConfig::single([1.0, 0.0, 0.0]);
         let tensor = fit_config(&truth);
-        let fibers = extract_fibers(&tensor, &ExtractConfig::default());
+        let fibers = extract_fibers(&tensor, &ExtractConfig::default()).unwrap();
         let total: f64 = fibers.iter().map(|f| f.basin_fraction).sum();
         assert!(total <= 1.0 + 1e-12);
         assert!(fibers[0].basin_fraction > 0.3);
@@ -303,34 +312,121 @@ mod tests {
 
     #[test]
     fn batched_extraction_matches_per_tensor_path() {
+        // One, two and three solve threads all return the per-tensor
+        // path's fibers bit for bit.
         use backend::{CpuParallel, KernelStrategy};
 
         let configs = [
             FiberConfig::single([0.0, 0.6, 0.8]),
             FiberConfig::crossing([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
             FiberConfig::crossing_at_angle(60.0f64.to_radians()),
+            FiberConfig::single([1.0, 0.0, 0.0]),
+            FiberConfig::crossing_at_angle(75.0f64.to_radians()),
         ];
         let fitted: Vec<_> = configs.iter().map(fit_config).collect();
         let tensors = TensorBatch::from_tensors(&fitted).unwrap();
         let cfg = ExtractConfig::default();
+        let want: Vec<_> = tensors
+            .iter()
+            .map(|tensor| extract_fibers(tensor, &cfg).unwrap())
+            .collect();
 
-        let batched = extract_fibers_with(
-            &tensors,
-            &cfg,
-            &CpuParallel::new(2, KernelStrategy::General),
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        assert_eq!(batched.len(), tensors.len());
-        for (tensor, got) in tensors.iter().zip(&batched) {
-            let want = extract_fibers(tensor, &cfg);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.lambda.to_bits(), w.lambda.to_bits());
-                assert_eq!(g.direction, w.direction);
-                assert!((g.basin_fraction - w.basin_fraction).abs() < 1e-15);
+        for threads in [1, 2, 3] {
+            let batched = extract_fibers_with(
+                &tensors,
+                &cfg,
+                &CpuParallel::new(threads, KernelStrategy::General),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
+            assert_eq!(batched.len(), tensors.len());
+            for (got, want) in batched.iter().zip(&want) {
+                assert_eq!(got.len(), want.len(), "cpu:{threads}");
+                for (g, w) in got.iter().zip(want) {
+                    assert_eq!(g.lambda.to_bits(), w.lambda.to_bits(), "cpu:{threads}");
+                    assert_eq!(g.direction.map(f64::to_bits), w.direction.map(f64::to_bits));
+                    assert_eq!(g.basin_fraction.to_bits(), w.basin_fraction.to_bits());
+                }
             }
         }
+    }
+
+    /// A backend that hands back fixed rows instead of solving.
+    struct Stub(Vec<Vec<sshopm::Eigenpair<f64>>>);
+
+    impl SolveBackend<f64> for Stub {
+        fn label(&self) -> String {
+            "stub".to_string()
+        }
+
+        fn solve_batch(
+            &self,
+            _batch: &TensorBatch<f64>,
+            _starts: &[Vec<f64>],
+            solver: &dyn Solver<f64>,
+            _telemetry: &Telemetry,
+        ) -> Result<backend::BatchReport<f64>, backend::BackendError> {
+            Ok(backend::BatchReport {
+                backend: "stub".to_string(),
+                kernel: "general".to_string(),
+                solver: solver.name().to_string(),
+                results: self.0.clone(),
+                total_iterations: 0,
+                seconds: 0.0,
+                useful_flops: 0,
+                profiles: Vec::new(),
+                hosts: Vec::new(),
+                comm: Default::default(),
+                fault_log: Default::default(),
+                kernel_cache: None,
+                timeline: None,
+            })
+        }
+    }
+
+    #[test]
+    fn malformed_converged_pairs_do_not_panic() {
+        let pair = |lambda: f64, x: Vec<f64>| sshopm::Eigenpair {
+            lambda,
+            x,
+            iterations: 3,
+            converged: true,
+            alpha: 0.0,
+        };
+        let mut row = vec![pair(1.0, vec![1.0, 0.0, 0.0]); 5];
+        row.push(pair(f64::NAN, vec![0.0, 1.0, 0.0]));
+        row.push(pair(f64::NAN, vec![0.0, 0.0, 1.0]));
+        // A wrong-length vector is an unclassifiable entry, not a fiber.
+        row.push(pair(1.0, vec![0.0, 1.0]));
+        let tensors = TensorBatch::from_tensors(&[SymTensor::<f64>::diagonal_ones(4, 3)]).unwrap();
+        let cfg = ExtractConfig {
+            num_starts: 8,
+            ..Default::default()
+        };
+        let telemetry = Telemetry::enabled();
+        let (fibers, _) =
+            extract_fibers_reported(&tensors, &cfg, &Stub(vec![row]), &telemetry).unwrap();
+        assert_eq!(fibers.len(), 1);
+        assert_eq!(fibers[0].len(), 1, "{fibers:?}");
+        assert_eq!(fibers[0][0].direction, [1.0, 0.0, 0.0]);
+        assert_eq!(fibers[0][0].basin_fraction, 5.0 / 8.0);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("spectra.entries"), Some(2));
+        assert_eq!(snap.counter("spectra.failures"), Some(2));
+    }
+
+    #[test]
+    fn non_3d_tensor_is_a_typed_error() {
+        let Err(err) = extract_fibers(
+            &SymTensor::<f64>::diagonal_ones(4, 4),
+            &ExtractConfig::default(),
+        ) else {
+            panic!("a dimension-4 tensor must not extract fibers");
+        };
+        assert_eq!(
+            err.to_string(),
+            "fiber extraction needs dimension-3 tensors, file has n=4"
+        );
     }
 
     #[test]
@@ -527,7 +623,7 @@ mod tests {
             max_fibers: 1,
             ..Default::default()
         };
-        let fibers = extract_fibers(&tensor, &cfg);
+        let fibers = extract_fibers(&tensor, &cfg).unwrap();
         assert_eq!(fibers.len(), 1);
     }
 }

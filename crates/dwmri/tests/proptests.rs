@@ -76,7 +76,7 @@ proptest! {
             num_starts: 48,
             ..Default::default()
         };
-        let fibers = extract_fibers(&tensor, &cfg);
+        let fibers = extract_fibers(&tensor, &cfg).unwrap();
         prop_assert!(!fibers.is_empty());
         let err = angular_error_deg(&fibers[0].direction, &u);
         prop_assert!(err < 1.0, "angular error {err} deg");

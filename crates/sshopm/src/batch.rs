@@ -141,19 +141,7 @@ impl<V> BatchSolver<V> {
             }
         };
 
-        if self.threads == 0 {
-            solve_all()
-        } else {
-            match rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-            {
-                Ok(pool) => pool.install(solve_all),
-                // Pool creation only fails on resource exhaustion;
-                // degrade to the global pool rather than aborting.
-                Err(_) => solve_all(),
-            }
-        }
+        on_workers(self.threads, solve_all)
     }
 
     /// Solve every tensor from every starting vector, sequentially
@@ -199,6 +187,21 @@ impl<V> BatchSolver<V> {
         V: Solver<S>,
     {
         self.run(&GeneralKernels, batch, starts, &Telemetry::disabled())
+    }
+}
+
+/// Run `op` on `threads` workers: the one place a thread count becomes a
+/// pool. `0` is the ambient pool and `k` a dedicated pool of `k` workers;
+/// a pool that fails to build (only on resource exhaustion) degrades to
+/// the ambient pool rather than aborting. Callers keep their own
+/// `threads == 1` path, which stays on the calling thread.
+pub(crate) fn on_workers<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    if threads == 0 {
+        return op();
+    }
+    match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
+        Ok(pool) => pool.install(op),
+        Err(_) => op(),
     }
 }
 

@@ -59,7 +59,9 @@ pub use decompose::{best_rank_one, decompose, SymCp};
 pub use geap::Geap;
 pub use heig::{nqz, HEigenpair};
 pub use lockstep::{lockstep_alpha, solve_batch_lockstep};
-pub use multistart::{multistart, spectrum_from_pairs, DedupConfig, Spectrum, SpectrumEntry};
+pub use multistart::{
+    multistart, spectra_from_rows, spectrum_from_pairs, DedupConfig, Spectrum, SpectrumEntry,
+};
 pub use qrst::Qrst;
 pub use refine::{refine, Refined};
 pub use shift::Shift;

@@ -21,7 +21,7 @@
 //! adaptive solvers fall back to the scalar path, with the batched
 //! kernels still serving per-tensor products.
 
-use crate::batch::BatchResult;
+use crate::batch::{on_workers, BatchResult};
 use crate::solver::{Eigenpair, IterationPolicy};
 use crate::traits::Solver;
 use rayon::prelude::*;
@@ -127,16 +127,7 @@ pub fn solve_batch_lockstep<S: Scalar>(
                 .collect(),
         )
     };
-    if threads == 0 {
-        solve_all()
-    } else {
-        match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-            Ok(pool) => pool.install(solve_all),
-            // Pool creation only fails on resource exhaustion; degrade to
-            // the global pool rather than aborting.
-            Err(_) => solve_all(),
-        }
-    }
+    on_workers(threads, solve_all)
 }
 
 fn poisoned_pair<S: Scalar>(n: usize, alpha: f64) -> Eigenpair<S> {

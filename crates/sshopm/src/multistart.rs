@@ -11,7 +11,9 @@
 use crate::classify::{classify, Stability};
 use crate::solver::Eigenpair;
 use crate::traits::Solver;
-use symtensor::{Scalar, SymTensorRef};
+use std::borrow::Borrow;
+use symtensor::{Scalar, SymTensorRef, TensorBatchRef};
+use telemetry::Telemetry;
 
 /// Tolerances used to decide two converged eigenpairs are the same.
 #[derive(Debug, Clone, Copy)]
@@ -137,8 +139,11 @@ pub fn multistart<'a, S: Scalar, V: Solver<S> + ?Sized>(
 /// solving half so the pairs can come from any execution backend (the
 /// batched CPU driver, the simulated GPU, a multi-device split, ...).
 ///
-/// Unconverged pairs are counted as failures and excluded, exactly as in
-/// [`multistart`]; `total_starts` is the number of pairs consumed.
+/// The pairs may be owned or borrowed (`&rows[t]` from a batch report); a
+/// pair is cloned only when it becomes a new entry's representative.
+/// Unconverged pairs, and pairs with a non-finite λ or `x`, are counted as
+/// failures and excluded, exactly as in [`multistart`]; `total_starts` is
+/// the number of pairs consumed.
 pub fn spectrum_from_pairs<'a, S: Scalar, I>(
     a: impl Into<SymTensorRef<'a, S>>,
     pairs: I,
@@ -146,7 +151,8 @@ pub fn spectrum_from_pairs<'a, S: Scalar, I>(
     classify_tol: f64,
 ) -> Spectrum<S>
 where
-    I: IntoIterator<Item = Eigenpair<S>>,
+    I: IntoIterator,
+    I::Item: Borrow<Eigenpair<S>>,
 {
     let a = a.into();
     let m = a.order();
@@ -154,34 +160,30 @@ where
     let mut failures = 0usize;
     let mut total_starts = 0usize;
 
-    for pair in pairs {
+    for item in pairs {
+        let pair = item.borrow();
         total_starts += 1;
-        if !pair.converged {
+        if !pair.converged || !pair.lambda.is_finite() || pair.x.iter().any(|v| !v.is_finite()) {
             failures += 1;
             continue;
         }
-        let mut merged = false;
-        for entry in &mut entries {
-            if same_pair(
+        let seen = entries.iter_mut().find(|entry| {
+            same_pair(
                 m,
                 entry.pair.lambda,
                 &entry.pair.x,
                 pair.lambda,
                 &pair.x,
                 cfg,
-            ) {
-                entry.basin_count += 1;
-                merged = true;
-                break;
-            }
-        }
-        if !merged {
-            let stability = classify(a, pair.lambda, &pair.x, classify_tol);
-            entries.push(SpectrumEntry {
-                pair,
-                stability,
+            )
+        });
+        match seen {
+            Some(entry) => entry.basin_count += 1,
+            None => entries.push(SpectrumEntry {
+                pair: pair.clone(),
+                stability: classify(a, pair.lambda, &pair.x, classify_tol),
                 basin_count: 1,
-            });
+            }),
         }
     }
 
@@ -196,6 +198,40 @@ where
         failures,
         total_starts,
     }
+}
+
+/// The post-solve pass over a whole batch: [`spectrum_from_pairs`] on
+/// every tensor's row of borrowed pairs (`rows[t]`, as in a batch
+/// report), with `finish` turning each spectrum into the caller's result
+/// as soon as it is built.
+///
+/// With telemetry enabled the pass records one `sshopm.spectra` span and
+/// the `spectra.entries` / `spectra.failures` counters; disabled, it
+/// records nothing.
+pub fn spectra_from_rows<'a, S: Scalar, T>(
+    batch: impl Into<TensorBatchRef<'a, S>>,
+    rows: &[Vec<Eigenpair<S>>],
+    cfg: &DedupConfig,
+    classify_tol: f64,
+    telemetry: &Telemetry,
+    mut finish: impl FnMut(Spectrum<S>) -> T,
+) -> Vec<T> {
+    let _span = telemetry.span("sshopm.spectra");
+    let (mut entries, mut failures) = (0u64, 0u64);
+    let out = batch
+        .into()
+        .iter()
+        .zip(rows)
+        .map(|(a, row)| {
+            let spectrum = spectrum_from_pairs(a, row, cfg, classify_tol);
+            entries += spectrum.entries.len() as u64;
+            failures += spectrum.failures as u64;
+            finish(spectrum)
+        })
+        .collect();
+    telemetry.counter("spectra.entries", entries);
+    telemetry.counter("spectra.failures", failures);
+    out
 }
 
 #[cfg(test)]

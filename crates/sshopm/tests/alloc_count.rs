@@ -4,14 +4,22 @@
 //! and the one index class of the `‖A‖_F` walk, however many iterations it
 //! runs. A regression here means the shift went back to being re-derived
 //! inside the iteration loop.
+//!
+//! It also pins the post-solve pass: the n = 3 stability class allocates
+//! nothing, dedup clones a pair only for a new spectrum entry, and the
+//! batch pass adds nothing per tensor with telemetry disabled.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sshopm::{IterationPolicy, Shift, SsHopm};
-use symtensor::{PrecomputedTables, SymTensor, TensorKernels, UnrolledKernels};
+use sshopm::{
+    classify, spectra_from_rows, spectrum_from_pairs, DedupConfig, Eigenpair, IterationPolicy,
+    Shift, SsHopm,
+};
+use symtensor::{PrecomputedTables, SymTensor, TensorBatch, TensorKernels, UnrolledKernels};
+use telemetry::Telemetry;
 
 struct CountingAlloc;
 
@@ -88,4 +96,78 @@ fn tensor_constant_shifts_allocate_per_solve_not_per_iteration() {
         "frobenius_norm made {} allocations",
         after - before
     );
+}
+
+/// Converged eigenpairs of one (4, 3) tensor from 16 starts.
+fn sixteen_pairs(a: &SymTensor<f64>) -> Vec<Eigenpair<f64>> {
+    let starts = sshopm::starts::fibonacci_sphere::<f64>(16);
+    let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
+    starts.iter().map(|x0| solver.solve(a, x0)).collect()
+}
+
+#[test]
+fn dim3_classify_allocates_nothing() {
+    for m in 2..=6 {
+        let a = SymTensor::<f64>::random(m, 3, &mut StdRng::seed_from_u64(m as u64));
+        let a32 = a.to_f32();
+        let x = [0.48, -0.62, 0.62];
+        let norm = x.iter().map(|v: &f64| v * v).sum::<f64>().sqrt();
+        let x = x.map(|v| v / norm);
+        let x32 = x.map(|v| v as f32);
+        let lambda = symtensor::kernels::axm(&a, &x).unwrap();
+
+        let before = allocs();
+        let s64 = classify(&a, lambda, &x, 1e-5);
+        let s32 = classify(&a32, lambda as f32, &x32, 1e-5);
+        let after = allocs();
+        assert_eq!(after - before, 0, "m={m}: {s64:?}/{s32:?}");
+    }
+}
+
+#[test]
+fn borrowed_dedup_allocates_per_entry_not_per_pair() {
+    let a = SymTensor::<f64>::random(4, 3, &mut StdRng::seed_from_u64(5));
+    let pairs = sixteen_pairs(&a);
+    // 128 pairs over the same distinct eigenpairs as the 16.
+    let many: Vec<_> = pairs.iter().cycle().take(128).cloned().collect();
+    let dedup = |rows: &[Eigenpair<f64>]| {
+        let before = allocs();
+        let spectrum = spectrum_from_pairs(&a, rows, &DedupConfig::default(), 1e-5);
+        (allocs() - before, spectrum)
+    };
+    let (few_allocs, few) = dedup(&pairs);
+    let (many_allocs, spectrum) = dedup(&many);
+    assert_eq!(spectrum.entries.len(), few.entries.len());
+    assert_eq!(spectrum.total_starts, 128);
+    assert_eq!(
+        few_allocs, many_allocs,
+        "dedup allocations grow with the pairs"
+    );
+    // The entry list plus one vector clone per entry.
+    assert!(
+        few_allocs <= 1 + few.entries.len() as u64 + 1,
+        "{few_allocs} allocations for {} entries",
+        few.entries.len()
+    );
+}
+
+#[test]
+fn disabled_telemetry_adds_nothing_to_the_batch_pass() {
+    let a = SymTensor::<f64>::random(4, 3, &mut StdRng::seed_from_u64(5));
+    let rows = vec![sixteen_pairs(&a)];
+    let batch = TensorBatch::from_tensors(std::slice::from_ref(&a)).unwrap();
+    let cfg = DedupConfig::default();
+
+    let before = allocs();
+    let alone = spectrum_from_pairs(&a, &rows[0], &cfg, 1e-5);
+    let per_tensor = allocs() - before;
+
+    let before = allocs();
+    let out = spectra_from_rows(&batch, &rows, &cfg, 1e-5, &Telemetry::disabled(), |s| {
+        s.entries.len()
+    });
+    let pass = allocs() - before;
+    assert_eq!(out, vec![alone.entries.len()]);
+    // The tensor's own dedup plus the output vector, nothing else.
+    assert_eq!(pass, per_tensor + 1);
 }

@@ -1,9 +1,13 @@
 //! Property-based tests for SS-HOPM: convergence invariants, shift
-//! monotonicity, eigen-equation residuals, refinement, and dedup sanity on
-//! random tensors.
+//! monotonicity, eigen-equation residuals, refinement, dedup sanity and
+//! the n = 3 stability closed form on random tensors.
 
+use linalg::{Matrix, SymmetricEigen};
 use proptest::prelude::*;
-use sshopm::{multistart, refine, DedupConfig, IterationPolicy, Shift, SsHopm};
+use sshopm::{
+    classify, multistart, refine, DedupConfig, IterationPolicy, Shift, SsHopm, Stability,
+};
+use symtensor::kernels::{axm, axm2_matrix};
 use symtensor::multinomial::num_unique_entries;
 use symtensor::SymTensor;
 
@@ -134,5 +138,89 @@ proptest! {
         // version of the same pair (the iteration map is identical).
         prop_assert!((p2.lambda - c * p1.lambda).abs() < 1e-5 * (1.0 + p1.lambda.abs()),
             "{} vs {}", p2.lambda, c * p1.lambda);
+    }
+}
+
+/// A random order-`m ∈ 2..=6`, dimension-3 tensor, a start, and a second
+/// unit point.
+fn dim3_tensor_start_point() -> impl Strategy<Value = (SymTensor<f64>, Vec<f64>, Vec<f64>)> {
+    (2usize..=6).prop_flat_map(|m| {
+        let len = num_unique_entries(m, 3) as usize;
+        let point = || {
+            proptest::collection::vec(-1.0f64..1.0, 3).prop_filter("nonzero point", |x| {
+                x.iter().map(|v| v * v).sum::<f64>() > 1e-4
+            })
+        };
+        (
+            proptest::collection::vec(-1.0f64..1.0, len)
+                .prop_map(move |v| SymTensor::from_values(m, 3, v).unwrap()),
+            point(),
+            point().prop_map(|x| {
+                let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
+                x.iter().map(|v| v / norm).collect()
+            }),
+        )
+    })
+}
+
+/// The dense Jacobi classification, as `classify` runs it for n ≠ 3:
+/// `C = P·((m−1)·A·x^{m−2} − λI)·P` with `P = I − x·xᵀ`, the eigenvalue
+/// whose eigenvector is most parallel to `x` dropped.
+fn jacobi_reference(a: &SymTensor<f64>, lambda: f64, x: &[f64], tol: f64) -> Stability {
+    let n = x.len();
+    let m = a.order() as f64;
+    let h = axm2_matrix(a, x).unwrap();
+    let b = |i: usize, j: usize| (m - 1.0) * h[i * n + j] - if i == j { lambda } else { 0.0 };
+    let p = |i: usize, j: usize| f64::from(u8::from(i == j)) - x[i] * x[j];
+    let c = Matrix::from_fn(n, n, |i, j| {
+        (0..n)
+            .flat_map(|k| (0..n).map(move |l| (k, l)))
+            .map(|(k, l)| p(i, k) * b(k, l) * p(l, j))
+            .sum()
+    });
+    let eig = SymmetricEigen::new(&c).unwrap();
+    let parallel = |col: usize| {
+        (0..n)
+            .map(|r| eig.eigenvectors[(r, col)] * x[r])
+            .sum::<f64>()
+            .abs()
+    };
+    let radial = (0..n)
+        .max_by(|&i, &j| parallel(i).total_cmp(&parallel(j)))
+        .unwrap();
+    let tangent: Vec<f64> = (0..n)
+        .filter(|&col| col != radial)
+        .map(|col| eig.eigenvalues[col])
+        .collect();
+    let thresh = tol * eig.spectral_radius().max(lambda.abs()).max(1e-30);
+    if tangent.iter().any(|v| v.abs() <= thresh) {
+        Stability::Degenerate
+    } else if tangent.iter().all(|&v| v < 0.0) {
+        Stability::NegativeStable
+    } else if tangent.iter().all(|&v| v > 0.0) {
+        Stability::PositiveStable
+    } else {
+        Stability::Saddle
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dim3_closed_form_matches_jacobi_reference(
+        (a, x0, u) in dim3_tensor_start_point()
+    ) {
+        let policy = IterationPolicy::Converge { tol: 1e-12, max_iters: 5000 };
+        for shift in [Shift::Convex, Shift::Concave] {
+            let pair = SsHopm::new(shift).with_policy(policy).solve(&a, &x0);
+            if pair.converged {
+                let want = jacobi_reference(&a, pair.lambda, &pair.x, 1e-5);
+                prop_assert_eq!(classify(&a, pair.lambda, &pair.x, 1e-5), want, "{:?}", shift);
+            }
+        }
+        // An arbitrary unit point at its Rayleigh value: usually a saddle.
+        let lambda = axm(&a, &u).unwrap();
+        prop_assert_eq!(classify(&a, lambda, &u, 1e-5), jacobi_reference(&a, lambda, &u, 1e-5));
     }
 }

@@ -52,7 +52,8 @@ fn main() {
         .voxels
         .par_iter()
         .map(|v| {
-            let fibers = extract_fibers(&v.tensor, &extract_cfg);
+            let fibers =
+                extract_fibers(&v.tensor, &extract_cfg).expect("phantom tensors are 3-dimensional");
             dwmri::score_voxel(&v.truth, &fibers, 10.0)
         })
         .collect();
@@ -96,7 +97,9 @@ fn main() {
     let fibers: Vec<Vec<dwmri::FiberEstimate>> = phantom
         .voxels
         .par_iter()
-        .map(|v| extract_fibers(&v.tensor, &extract_cfg))
+        .map(|v| {
+            extract_fibers(&v.tensor, &extract_cfg).expect("phantom tensors are 3-dimensional")
+        })
         .collect();
     let field = FiberField::new(32, 32, fibers);
     // Seeds in the single-fiber region: tracking follows the primary tract

@@ -34,7 +34,7 @@ fn noiseless_phantom_is_fully_recovered() {
     let scores: Vec<dwmri::VoxelScore> = phantom
         .voxels
         .iter()
-        .map(|v| dwmri::score_voxel(&v.truth, &extract_fibers(&v.tensor, &cfg), 5.0))
+        .map(|v| dwmri::score_voxel(&v.truth, &extract_fibers(&v.tensor, &cfg).unwrap(), 5.0))
         .collect();
     let agg = DatasetScore::aggregate(&scores);
     assert_eq!(
@@ -54,7 +54,7 @@ fn noisy_phantom_degrades_gracefully() {
     let scores: Vec<dwmri::VoxelScore> = phantom
         .voxels
         .iter()
-        .map(|v| dwmri::score_voxel(&v.truth, &extract_fibers(&v.tensor, &cfg), 15.0))
+        .map(|v| dwmri::score_voxel(&v.truth, &extract_fibers(&v.tensor, &cfg).unwrap(), 15.0))
         .collect();
     let agg = DatasetScore::aggregate(&scores);
     assert!(
@@ -81,7 +81,7 @@ fn crossing_voxels_need_more_than_order_2() {
     let cfg = ExtractConfig::default();
 
     let t4 = fit_tensor(4, &dirs, &vals).unwrap();
-    let fibers4 = extract_fibers(&t4, &cfg);
+    let fibers4 = extract_fibers(&t4, &cfg).unwrap();
     assert_eq!(fibers4.len(), 2, "order 4 resolves the crossing");
 
     // The order-2 fit collapses the crossing into an oblate profile whose
@@ -89,7 +89,7 @@ fn crossing_voxels_need_more_than_order_2() {
     // near-identical points on the ring, so count axes separated by > 5
     // degrees instead of raw estimates.
     let t2 = fit_tensor(2, &dirs, &vals).unwrap();
-    let fibers2 = extract_fibers(&t2, &cfg);
+    let fibers2 = extract_fibers(&t2, &cfg).unwrap();
     let mut distinct: Vec<[f64; 3]> = Vec::new();
     for f in &fibers2 {
         if distinct
@@ -145,7 +145,7 @@ fn tractography_runs_straight_through_the_crossing_band() {
     let fibers: Vec<Vec<dwmri::FiberEstimate>> = phantom
         .voxels
         .iter()
-        .map(|v| extract_fibers(&v.tensor, &cfg))
+        .map(|v| extract_fibers(&v.tensor, &cfg).unwrap())
         .collect();
     let field = FiberField::new(8, 8, fibers);
 
