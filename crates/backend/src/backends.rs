@@ -160,23 +160,24 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         let (m, n) = (batch.order(), batch.dim());
         let registry = KernelRegistry::global();
         let cache_before = registry.stats();
-        // The batched strategy upgrades fixed-shift SS-HOPM to the lockstep
-        // panel driver (LANE_WIDTH tensors per table walk). Adaptive solvers
-        // keep the scalar per-tensor loop with the same lane-table kernels.
+        // The batched strategy runs SS-HOPM under a fixed, convex or
+        // concave shift in lockstep lanes (one tensor per lane, each with
+        // its own shift, LANE_WIDTH lanes per kernel call). Adaptive solvers
+        // keep the scalar per-tensor loop with the same batched kernels.
         let lockstep = match self.strategy {
             KernelStrategy::Batched => sshopm::lockstep_alpha(solver),
             _ => None,
         };
         let started;
         let (kernel, result) = match lockstep {
-            Some(alpha) => {
+            Some(shift) => {
                 let kernels = registry.batched(m, n);
                 started = Instant::now();
                 let result = sshopm::solve_batch_lockstep(
                     &kernels,
                     batch.view(),
                     starts,
-                    alpha,
+                    shift,
                     solver.policy(),
                     self.threads,
                     telemetry,

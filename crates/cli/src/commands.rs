@@ -34,15 +34,21 @@ fn save_batch(path: &str, batch: &TensorBatch<f64>) -> CmdResult {
     w.flush().map_err(|e| CmdError(e.to_string()))
 }
 
+/// Parse `--shift`: a policy name or a finite number. A NaN or infinite
+/// shift would poison every solve and burn its whole iteration budget, so
+/// it is rejected here.
 fn parse_shift(s: Option<&str>) -> Result<Shift, CmdError> {
     match s {
         None | Some("convex") => Ok(Shift::Convex),
         Some("concave") => Ok(Shift::Concave),
         Some("adaptive") => Ok(Shift::Adaptive),
-        Some(v) => v
-            .parse::<f64>()
-            .map(Shift::Fixed)
-            .map_err(|_| CmdError(format!("invalid --shift {v:?}"))),
+        Some(v) => match v.parse::<f64>() {
+            Ok(alpha) if alpha.is_finite() => Ok(Shift::Fixed(alpha)),
+            Ok(_) => Err(CmdError(format!(
+                "invalid --shift {v:?}: a fixed shift must be a finite number"
+            ))),
+            Err(_) => Err(CmdError(format!("invalid --shift {v:?}"))),
+        },
     }
 }
 
@@ -1104,6 +1110,26 @@ mod tests {
         let mut out = Vec::new();
         let err = solve(sv(&[&path, "--shift", "sideways"]), &mut out).unwrap_err();
         assert!(err.contains("invalid --shift"));
+        // A non-finite shift is an error naming the flag and the value, on
+        // every backend and through `--solver sshopm:ALPHA`, not a report
+        // of failed solves.
+        for v in ["nan", "inf", "-inf", "1e400"] {
+            for extra in [&[][..], &["--backend", "gpusim"]] {
+                let mut argv = vec![path.as_str(), "--shift", v, "--starts", "4"];
+                argv.extend_from_slice(extra);
+                let mut out = Vec::new();
+                let err = solve(sv(&argv), &mut out).unwrap_err();
+                assert!(err.contains("--shift") && err.contains(v), "{v}: {err}");
+                assert!(out.is_empty(), "{v}");
+                let mut out = Vec::new();
+                let err = fibers(sv(&argv), &mut out).unwrap_err();
+                assert!(err.contains("--shift") && err.contains(v), "{v}: {err}");
+            }
+            let spec = format!("sshopm:{v}");
+            let mut out = Vec::new();
+            let err = solve(sv(&[&path, "--solver", &spec]), &mut out).unwrap_err();
+            assert!(err.contains(&spec), "{spec}: {err}");
+        }
         // Numeric shifts are accepted.
         let mut out = Vec::new();
         solve(sv(&[&path, "--shift", "2.5", "--starts", "4"]), &mut out).unwrap();
@@ -1340,7 +1366,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        // Fixed shift → the batched strategy takes the lockstep panel
+        // Fixed shift → the batched strategy takes the lockstep lane
         // driver; output must be identical to the scalar general kernels,
         // which walk the index classes in the same order with the same
         // coefficients. `precomputed` is a spelling of `batched`.
@@ -1373,7 +1399,9 @@ mod tests {
         // scalar per-tensor fallback path.
         let mut out = Vec::new();
         solve(
-            sv(&[&path, "--starts", "4", "--kernel", "batched"]),
+            sv(&[
+                &path, "--starts", "4", "--shift", "adaptive", "--kernel", "batched",
+            ]),
             &mut out,
         )
         .unwrap();
@@ -1384,9 +1412,9 @@ mod tests {
 
     #[test]
     fn solve_default_kernel_matches_general_eigenpairs() {
-        // The default kernel is `batched`: lockstep panels under a fixed
-        // shift, compiled or table kernels per tensor under the convex
-        // one. Its eigenpair lines are general's, byte for byte.
+        // The default kernel is `batched`: lockstep lanes under a fixed,
+        // convex (the default) or concave shift. Its eigenpair lines are
+        // general's, byte for byte.
         for shape in [["4", "3"], ["5", "4"]] {
             let path = tmp(&format!("default{}{}.txt", shape[0], shape[1]));
             let mut out = Vec::new();
@@ -1395,7 +1423,7 @@ mod tests {
                 &mut out,
             )
             .unwrap();
-            for shift in [&["--shift", "2"][..], &[]] {
+            for shift in [&["--shift", "2"][..], &[], &["--shift", "concave"]] {
                 let run = |kernel: &[&str]| {
                     let mut argv = vec![path.as_str(), "--starts", "8"];
                     argv.extend_from_slice(shift);

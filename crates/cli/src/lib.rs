@@ -33,9 +33,10 @@
 //! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
 //! (`batched` (default), `general`, `blocked` or `tape`, with the paper's
 //! labels `precomputed` and `unrolled` as spellings of `batched` and
-//! `tape`). `batched` runs fixed-shift SS-HOPM batches in lockstep panels
-//! over the tensor arena and every other solve on the compiled kernels
-//! where a shape has them; `tape` runs the compiled unrolled code where a
+//! `tape`). `batched` runs SS-HOPM under a fixed, convex or concave shift
+//! in lockstep lanes over the tensor arena, one tensor and one shift per
+//! lane, and every other solve on the compiled kernels where a shape has
+//! them; `tape` runs the compiled unrolled code where a
 //! shape has it and `blocked` elsewhere. Every strategy returns the same
 //! eigenpairs bit for bit; only the speed and the printed kernel label
 //! differ. Every batched solve runs through the same
@@ -221,9 +222,9 @@ pub fn usage() -> String {
      \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
      \x20 cluster backends (default 256).\n\
      \x20 --kernel K picks how contractions are computed: batched (default;\n\
-     \x20 fixed-shift sshopm batches run in lockstep panels over the tensor\n\
-     \x20 arena, other solves on the compiled kernels where the shape has\n\
-     \x20 them), general, blocked, or tape (the compiled unrolled code where\n\
+     \x20 sshopm under a fixed, convex or concave shift runs in lockstep\n\
+     \x20 lanes over the tensor arena, other solves on the compiled kernels\n\
+     \x20 where the shape has them), general, blocked, or tape (the compiled unrolled code where\n\
      \x20 the shape has it, blocked elsewhere). precomputed and unrolled, the\n\
      \x20 paper's labels, are spellings of batched and tape. Every kernel\n\
      \x20 returns the same eigenpairs bit for bit.\n\

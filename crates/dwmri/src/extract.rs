@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn lockstep_batched_solves_match_sequential_on_crossing_fixtures() {
-        // The lockstep panel driver (kernel strategy `batched` + fixed
+        // The lockstep lane driver (kernel strategy `batched` + fixed
         // shift) must be bitwise-indistinguishable from the scalar
         // per-tensor general kernels on real fitted DW-MRI tensors — here
         // a sweep of two-fiber crossing voxels across the hard low-angle

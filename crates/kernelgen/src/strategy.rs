@@ -33,10 +33,11 @@ pub enum KernelStrategy {
     Blocked,
     /// Lane-vectorized kernels over the packed `TensorBatch` arena
     /// ([`symtensor::BatchedKernels`]), built on the Section V-C
-    /// precomputed tables. Fixed-shift SS-HOPM batches run the lockstep
-    /// panel driver that updates [`symtensor::LANE_WIDTH`] tensors per
-    /// kernel call; per-tensor calls run the compiled scalar kernels where
-    /// a shape has them and the tables elsewhere.
+    /// precomputed tables. SS-HOPM batches under a fixed, convex or
+    /// concave shift run the lockstep lane driver, which updates
+    /// [`symtensor::LANE_WIDTH`] tensors per kernel call, each lane with
+    /// its own shift; per-tensor calls run the compiled scalar kernels
+    /// where a shape has them and the tables elsewhere.
     Batched,
     /// The Section V-D straight-line kernels
     /// ([`symtensor::UnrolledKernels`]) on

@@ -222,13 +222,13 @@ fn check_one_family<S: Scalar>(seed: u64) {
     // Two compiled shapes, (4, 3) and (6, 3), and two on the table walk.
     for (m, n) in [(4, 3), (6, 3), (5, 4), (7, 3)] {
         let mut rng = StdRng::seed_from_u64(seed + (10 * m + n) as u64);
-        // Ten tensors: one full lockstep panel of eight plus a ragged one.
+        // Ten tensors: more than the eight lockstep lanes, so two refill.
         let tensors = TensorBatch::<S>::random(m, n, 10, &mut rng).unwrap();
         let starts = sshopm::starts::random_uniform_starts::<S, _>(n, 4, &mut rng);
         let general = KernelStrategy::General;
-        // A fixed shift (batched runs the lockstep driver) and the convex
-        // adaptive shift (batched runs its per-tensor kernels).
-        for shift in [Shift::Fixed(2.0), Shift::Convex] {
+        // A fixed and the convex shift (batched runs the lockstep lanes)
+        // and the adaptive shift (batched runs its per-tensor kernels).
+        for shift in [Shift::Fixed(2.0), Shift::Convex, Shift::Adaptive] {
             let want = solve(&CpuParallel::new(1, general), &tensors, &starts, shift);
             assert!(want.num_converged() > 0);
             for spelling in SPELLINGS {

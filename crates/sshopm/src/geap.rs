@@ -176,10 +176,6 @@ impl<S: Scalar> Solver<S> for Geap {
         self.policy
     }
 
-    fn fixed_shift(&self) -> Option<f64> {
-        None
-    }
-
     fn solve_one(
         &self,
         kernels: &dyn TensorKernels<S>,

@@ -184,10 +184,6 @@ impl<S: Scalar> Solver<S> for Qrst {
         self.policy
     }
 
-    fn fixed_shift(&self) -> Option<f64> {
-        None
-    }
-
     fn solve_one(
         &self,
         kernels: &dyn TensorKernels<S>,

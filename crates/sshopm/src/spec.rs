@@ -69,7 +69,11 @@ impl SolverSpec {
             "sshopm" => match param {
                 None => Ok(SolverSpec::SsHopm { alpha: None }),
                 Some(v) => match v.parse::<f64>() {
-                    Ok(alpha) => Ok(SolverSpec::SsHopm { alpha: Some(alpha) }),
+                    Ok(alpha) if alpha.is_finite() => Ok(SolverSpec::SsHopm { alpha: Some(alpha) }),
+                    Ok(_) => Err(SolverSpecError(format!(
+                        "invalid sshopm shift {v:?} in {s:?}: alpha must be a finite \
+                         number, as in \"sshopm:2.5\"; {VALID_FORMS}"
+                    ))),
                     Err(_) => Err(SolverSpecError(format!(
                         "invalid sshopm shift {v:?} in {s:?}: the parameter must be a \
                          float alpha, as in \"sshopm:2.5\"; {VALID_FORMS}"
@@ -175,6 +179,10 @@ mod tests {
             "sshopm:",
             "sshopm:abc",
             "sshopm:1:2",
+            "sshopm:inf",
+            "sshopm:-inf",
+            "sshopm:nan",
+            "sshopm:1e400",
             "geap:1",
             "qrst:x",
             "newton",

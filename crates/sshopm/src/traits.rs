@@ -42,12 +42,27 @@ pub trait Solver<S: Scalar>: Sync {
     /// The iteration policy (convergence tolerance / iteration cap).
     fn policy(&self) -> IterationPolicy;
 
-    /// The shift `α` this solver applies identically on every iteration,
-    /// if its shift is state-independent. GPU backends replicate the
-    /// fixed-shift update in device code (the paper's setting), so they
-    /// accept exactly the solvers that return `Some` here and reject the
-    /// rest with a descriptive error.
-    fn fixed_shift(&self) -> Option<f64>;
+    /// The shift policy this solver resolves once per tensor and then
+    /// holds for every iteration ([`Shift::fixed_value`]), if it has one:
+    /// SS-HOPM under a fixed, convex or concave shift. Every solve of one
+    /// tensor then runs the same update rule, which is what the lockstep
+    /// lane driver needs. `None` (the default) for shifts re-derived per
+    /// iterate and for other iterations.
+    fn tensor_shift(&self) -> Option<Shift> {
+        None
+    }
+
+    /// The shift `α` this solver applies identically to every tensor on
+    /// every iteration: a [`Shift::Fixed`] [`tensor_shift`](Self::tensor_shift).
+    /// GPU backends replicate the fixed-shift update in device code (the
+    /// paper's setting), so they accept exactly the solvers that return
+    /// `Some` here and reject the rest with a descriptive error.
+    fn fixed_shift(&self) -> Option<f64> {
+        match self.tensor_shift() {
+            Some(Shift::Fixed(alpha)) => Some(alpha),
+            _ => None,
+        }
+    }
 
     /// Solve one tensor from one starting vector, reporting every
     /// iterate (including the initial one, `k = 0`) to `observer` and
@@ -119,8 +134,8 @@ impl<S: Scalar, T: Solver<S> + ?Sized> Solver<S> for &T {
         (**self).policy()
     }
 
-    fn fixed_shift(&self) -> Option<f64> {
-        (**self).fixed_shift()
+    fn tensor_shift(&self) -> Option<Shift> {
+        (**self).tensor_shift()
     }
 
     fn solve_one(
@@ -146,8 +161,8 @@ impl<S: Scalar, T: Solver<S> + ?Sized> Solver<S> for Box<T> {
         (**self).policy()
     }
 
-    fn fixed_shift(&self) -> Option<f64> {
-        (**self).fixed_shift()
+    fn tensor_shift(&self) -> Option<Shift> {
+        (**self).tensor_shift()
     }
 
     fn solve_one(
@@ -174,10 +189,10 @@ impl<S: Scalar> Solver<S> for SsHopm {
         SsHopm::policy(self)
     }
 
-    fn fixed_shift(&self) -> Option<f64> {
+    fn tensor_shift(&self) -> Option<Shift> {
         match self.shift() {
-            Shift::Fixed(alpha) => Some(alpha),
-            _ => None,
+            Shift::Adaptive => None,
+            shift => Some(shift),
         }
     }
 
@@ -238,9 +253,14 @@ mod tests {
         let by_ref = &solver;
         assert_eq!(Solver::<f64>::name(&by_ref), "sshopm");
         assert_eq!(Solver::<f64>::fixed_shift(&by_ref), Some(0.5));
-        let boxed: Box<dyn Solver<f64>> = Box::new(solver);
+        assert_eq!(
+            Solver::<f64>::tensor_shift(&by_ref),
+            Some(Shift::Fixed(0.5))
+        );
+        let boxed: Box<dyn Solver<f64>> = Box::new(SsHopm::new(Shift::Convex));
         assert_eq!(boxed.name(), "sshopm");
         assert_eq!(boxed.policy(), solver.policy());
+        assert_eq!(boxed.tensor_shift(), Some(Shift::Convex));
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! runs. A regression here means the shift went back to being re-derived
 //! inside the iteration loop.
 //!
+//! The lockstep lane driver allocates each result pair's eigenvector, each
+//! tensor row once at its final size, and a few buffers per stream; its
+//! refills and iterations allocate nothing.
+//!
 //! It also pins the post-solve pass: the n = 3 stability class allocates
 //! nothing, dedup clones a pair only for a new spectrum entry, and the
 //! batch pass adds nothing per tensor with telemetry disabled.
@@ -14,11 +18,14 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sshopm::lockstep::STREAM_TENSORS;
 use sshopm::{
-    classify, spectra_from_rows, spectrum_from_pairs, DedupConfig, Eigenpair, IterationPolicy,
-    Shift, SsHopm,
+    classify, solve_batch_lockstep, spectra_from_rows, spectrum_from_pairs, DedupConfig, Eigenpair,
+    IterationPolicy, Shift, SsHopm,
 };
-use symtensor::{PrecomputedTables, SymTensor, TensorBatch, TensorKernels, UnrolledKernels};
+use symtensor::{
+    BatchedKernels, PrecomputedTables, SymTensor, TensorBatch, TensorKernels, UnrolledKernels,
+};
 use telemetry::Telemetry;
 
 struct CountingAlloc;
@@ -95,6 +102,45 @@ fn tensor_constant_shifts_allocate_per_solve_not_per_iteration() {
         after - before <= 1,
         "frobenius_norm made {} allocations",
         after - before
+    );
+}
+
+#[test]
+fn lockstep_allocates_per_pair_row_and_stream_not_per_iteration() {
+    // Two streams: one full and one of three tensors.
+    let count = STREAM_TENSORS + 3;
+    let streams = 2;
+    let mut rng = StdRng::seed_from_u64(19);
+    let tensors = TensorBatch::<f64>::random(4, 3, count, &mut rng).unwrap();
+    let starts = sshopm::starts::random_uniform_starts::<f64, _>(3, 16, &mut rng);
+    let kernels = BatchedKernels::new(4, 3);
+    let solve = |iters| {
+        let before = allocs();
+        let res = solve_batch_lockstep(
+            &kernels,
+            tensors.view(),
+            &starts,
+            Shift::Fixed(0.0),
+            IterationPolicy::Fixed(iters),
+            1,
+            &Telemetry::disabled(),
+        );
+        let made = allocs() - before;
+        assert_eq!(res.total_iterations, (count * starts.len() * iters) as u64);
+        made
+    };
+    let short = solve(5);
+    let long = solve(50);
+    assert_eq!(short, long, "allocations grow with the iteration count");
+    // One eigenvector per pair and one row per tensor. Per batch: the
+    // normalized starts, their list and their lane form, the result list
+    // and the list of stream results. Per stream: the rows list, the two
+    // panels, the λ₀ block and the two iterate buffers.
+    let pairs = count * starts.len();
+    let bound = pairs + count + (starts.len() + 2) + 2 + 6 * streams;
+    assert!(
+        short <= bound as u64,
+        "{short} allocations for {pairs} pairs of {count} tensors, bound {bound}"
     );
 }
 

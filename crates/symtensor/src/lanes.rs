@@ -109,15 +109,22 @@ impl<S: Scalar> TensorKernels<S> for BatchedKernels {
 /// entry `e` of lane `w` lives at `soa[e * LANE_WIDTH + w]`, so the panel
 /// kernels stream `W` contiguous values per table step.
 ///
-/// Unused tail lanes are zero tensors — they compute harmless zeros and
-/// their outputs are simply never read.
+/// Lanes that were never loaded are zero tensors — they compute harmless
+/// zeros and their outputs are simply never read.
 #[derive(Debug, Clone)]
 pub struct LanePanel<S> {
-    width: usize,
     soa: Vec<S>,
 }
 
 impl<S: Scalar> LanePanel<S> {
+    /// A panel of zero tensors for `kernels`' shape, with no lane loaded
+    /// yet: fill it with [`load`](Self::load).
+    pub fn zeros(kernels: &BatchedKernels) -> Self {
+        Self {
+            soa: vec![S::ZERO; kernels.tables.num_unique() * LANE_WIDTH],
+        }
+    }
+
     /// Gather `width` tensors of a batch, starting at `start`, into lane
     /// form (the one transpose per panel that every later kernel call
     /// amortizes).
@@ -138,22 +145,11 @@ impl<S: Scalar> LanePanel<S> {
                 actual: width,
             });
         }
-        let (m, n) = batch.shape();
-        if (m, n) != (kernels.order(), kernels.dim()) {
-            return Err(Error::ShapeMismatch {
-                expected: (kernels.order(), kernels.dim()),
-                found: (m, n),
-            });
-        }
-        let u = kernels.tables.num_unique();
-        let mut soa = vec![S::ZERO; u * LANE_WIDTH];
+        let mut panel = Self::zeros(kernels);
         for w in 0..width {
-            let t = batch.try_get(start + w)?;
-            for (e, &v) in t.values().iter().enumerate() {
-                soa[e * LANE_WIDTH + w] = v;
-            }
+            panel.load(kernels, w, batch.try_get(start + w)?)?;
         }
-        Ok(Self { width, soa })
+        Ok(panel)
     }
 
     /// Gather from a slice of same-shape tensor views (the non-arena entry
@@ -168,24 +164,39 @@ impl<S: Scalar> LanePanel<S> {
                 actual: tensors.len(),
             });
         }
-        let u = kernels.tables.num_unique();
-        let mut soa = vec![S::ZERO; u * LANE_WIDTH];
-        for (w, t) in tensors.iter().enumerate() {
-            check_shape(t, kernels.order(), kernels.dim())?;
-            for (e, &v) in t.values().iter().enumerate() {
-                soa[e * LANE_WIDTH + w] = v;
-            }
+        let mut panel = Self::zeros(kernels);
+        for (w, &t) in tensors.iter().enumerate() {
+            panel.load(kernels, w, t)?;
         }
-        Ok(Self {
-            width: tensors.len(),
-            soa,
-        })
+        Ok(panel)
     }
 
-    /// Number of live lanes (gathered tensors).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
+    /// Load `tensor` into lane `lane`, replacing whatever the lane held:
+    /// one store per unique entry into the lane's column, so a lockstep
+    /// driver can hand a lane its next tensor while the other lanes keep
+    /// theirs.
+    ///
+    /// # Errors
+    /// Returns [`Error::ShapeMismatch`] if the tensor's shape differs from
+    /// the kernels' shape, and [`Error::IndexOutOfBounds`] if `lane` is not
+    /// below [`LANE_WIDTH`]; the panel is unchanged on error.
+    pub fn load(
+        &mut self,
+        kernels: &BatchedKernels,
+        lane: usize,
+        tensor: SymTensorRef<'_, S>,
+    ) -> Result<()> {
+        check_shape(&tensor, kernels.order(), kernels.dim())?;
+        if lane >= LANE_WIDTH {
+            return Err(Error::IndexOutOfBounds {
+                index: lane,
+                n: LANE_WIDTH,
+            });
+        }
+        for (e, &v) in tensor.values().iter().enumerate() {
+            self.soa[e * LANE_WIDTH + lane] = v;
+        }
+        Ok(())
     }
 
     /// `A·xᵐ` for every lane at once.
@@ -193,7 +204,7 @@ impl<S: Scalar> LanePanel<S> {
     /// `xs` holds the per-lane vectors component-major
     /// (`xs[i * LANE_WIDTH + w]` is component `i` of lane `w`, length
     /// `n · LANE_WIDTH`); `out` receives one scalar per lane (length
-    /// [`LANE_WIDTH`]; entries past [`width`](Self::width) are meaningless).
+    /// [`LANE_WIDTH`]; entries of lanes never loaded are meaningless).
     ///
     /// # Errors
     /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`out`.
@@ -338,7 +349,6 @@ mod tests {
             let kernels = BatchedKernels::new(m, n);
             let batch = random_batch(m, n, 3, 100 + m as u64);
             let panel = LanePanel::gather(&kernels, batch.view(), 1, 2).unwrap();
-            assert_eq!(panel.width(), 2);
             let xs = random_lane_vectors(n, 200 + n as u64);
             let mut ys = vec![0.0; n * LANE_WIDTH];
             panel.axm1(&kernels, &xs, &mut ys).unwrap();
@@ -446,6 +456,29 @@ mod tests {
             LanePanel::gather(&kernels, wrong.view(), 0, 2),
             Err(Error::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn load_replaces_one_lane_and_rejects_bad_lanes_and_shapes() {
+        let kernels = BatchedKernels::new(4, 3);
+        let batch = random_batch(4, 3, 4, 17);
+        let mut panel = LanePanel::gather(&kernels, batch.view(), 0, 3).unwrap();
+        panel.load(&kernels, 1, batch.get(3)).unwrap();
+        let want =
+            LanePanel::gather_views(&kernels, &[batch.get(0), batch.get(3), batch.get(2)]).unwrap();
+        assert_eq!(panel.soa, want.soa);
+
+        let before = panel.soa.clone();
+        assert!(matches!(
+            panel.load(&kernels, LANE_WIDTH, batch.get(0)),
+            Err(Error::IndexOutOfBounds { .. })
+        ));
+        let wrong = random_batch(3, 3, 1, 18);
+        assert!(matches!(
+            panel.load(&kernels, 0, wrong.get(0)),
+            Err(Error::ShapeMismatch { .. })
+        ));
+        assert_eq!(panel.soa, before);
     }
 
     #[test]
