@@ -125,7 +125,8 @@ pub struct CpuParallel {
     /// global rayon pool, `k` = a dedicated pool of exactly `k` workers
     /// (the 4-core / 8-core benchmark rows).
     pub threads: usize,
-    /// Kernel implementation to use.
+    /// Kernel strategy, resolved to a plan per shape by the registry; the
+    /// plan, not the strategy, picks the engine.
     pub strategy: KernelStrategy,
 }
 
@@ -160,45 +161,34 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         let (m, n) = (batch.order(), batch.dim());
         let registry = KernelRegistry::global();
         let cache_before = registry.stats();
-        // The batched strategy runs SS-HOPM under a fixed, convex or
-        // concave shift in lockstep lanes (one tensor per lane, each with
-        // its own shift, LANE_WIDTH lanes per kernel call). Adaptive solvers
-        // keep the scalar per-tensor loop with the same batched kernels.
-        let lockstep = match self.strategy {
-            KernelStrategy::Batched => sshopm::lockstep_alpha(solver),
-            _ => None,
-        };
-        let started;
-        let (kernel, result) = match lockstep {
-            Some(shift) => {
-                let kernels = registry.batched(m, n);
-                started = Instant::now();
-                let result = sshopm::solve_batch_lockstep(
-                    &kernels,
-                    batch.view(),
-                    starts,
-                    shift,
-                    solver.policy(),
-                    self.threads,
-                    telemetry,
-                );
-                (self.strategy.name(), result)
-            }
-            None => {
-                let plan = registry.plan::<S>(m, n, self.strategy);
-                started = Instant::now();
-                let result = BatchSolver::new(solver).with_threads(self.threads).run(
-                    &*plan.kernels,
-                    batch,
-                    starts,
-                    telemetry,
-                );
-                (plan.kernels.name(), result)
-            }
+        // The plan picks the engine: a plan that is the batched kernels
+        // runs SS-HOPM under a fixed, convex or concave shift in lockstep
+        // lanes (one tensor per lane, each with its own shift, LANE_WIDTH
+        // lanes per kernel call); every other plan, and every other solver
+        // or shift, runs the per-tensor loop over the plan's kernels.
+        let plan = registry.plan::<S>(m, n, self.strategy);
+        let lockstep = plan.lanes.as_ref().zip(sshopm::lockstep_alpha(solver));
+        let started = Instant::now();
+        let result = match lockstep {
+            Some((lanes, shift)) => sshopm::solve_batch_lockstep(
+                lanes,
+                batch.view(),
+                starts,
+                shift,
+                solver.policy(),
+                self.threads,
+                telemetry,
+            ),
+            None => BatchSolver::new(solver).with_threads(self.threads).run(
+                &*plan.kernels,
+                batch,
+                starts,
+                telemetry,
+            ),
         };
         let report = BatchReport::new(
             label,
-            kernel,
+            plan.kernels.name(),
             solver.name(),
             result.results,
             result.total_iterations,

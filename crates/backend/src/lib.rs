@@ -15,8 +15,12 @@
 //!   [`gpusim::FaultPlan`], ledgered in [`FaultLog`]).
 //! * [`KernelStrategy`] — the kernel implementation: *how* `A·xᵐ` /
 //!   `A·xᵐ⁻¹` are computed. The kernel registry resolves it per shape
-//!   (e.g. `tape` runs the generated unrolled code where a shape has it);
-//!   every strategy returns the same bits.
+//!   (e.g. `tape` plans the batched kernels where a shape has generated
+//!   unrolled code, and the simulated GPU runs its unrolled variant);
+//!   every strategy returns the same bits. [`CpuParallel`] picks its
+//!   engine from the resolved plan: lockstep lanes for batched kernels
+//!   under a tensor-constant SS-HOPM shift, the per-tensor driver
+//!   otherwise.
 //! * [`BackendSpec`] — a declarative string form (`cpu`, `cpu:8`,
 //!   `gpusim`, `gpusim:tesla-c2050:4`, `pipelined`, `cluster:2:2`) so
 //!   CLIs and benchmark drivers select backends without hand-rolled

@@ -108,13 +108,18 @@ fn all_four_backends_agree_on_a_fixed_workload() {
 
 #[test]
 fn backends_agree_bitwise_with_identical_kernels() {
-    // With the same kernel strategy the arithmetic is literally the same
-    // code on every substrate, so results match to the bit, not just to a
-    // tolerance.
+    // With the same kernel strategy every substrate computes the same
+    // arithmetic, so results match to the bit, not just to a tolerance.
+    // The label is each backend's own: at (4, 3) `tape` plans the batched
+    // kernels on the CPU (whose lanes run the compiled code) and the
+    // unrolled variant on the simulated GPU.
     let (tensors, starts, solver) = workload(4, 3);
-    for (strategy, kernel) in [
-        (KernelStrategy::General, "general"),
-        (KernelStrategy::Tape, "unrolled"),
+    for (strategy, labels) in [
+        (KernelStrategy::General, ["general"; 4]),
+        (
+            KernelStrategy::Tape,
+            ["batched", "batched", "unrolled", "unrolled"],
+        ),
     ] {
         let reports: Vec<BatchReport<f32>> = backends(strategy)
             .iter()
@@ -123,10 +128,11 @@ fn backends_agree_bitwise_with_identical_kernels() {
                     .unwrap()
             })
             .collect();
+        for (report, label) in reports.iter().zip(labels) {
+            assert_eq!(report.kernel, label, "{strategy} on {}", report.backend);
+        }
         let reference = &reports[0];
-        assert_eq!(reference.kernel, kernel);
         for report in &reports[1..] {
-            assert_eq!(report.kernel, reference.kernel);
             for ((t, v, got), (_, _, want)) in report.iter_flat().zip(reference.iter_flat()) {
                 assert_eq!(
                     got.lambda.to_bits(),

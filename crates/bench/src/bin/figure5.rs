@@ -1,6 +1,8 @@
 //! Reproduce **Figure 5** of the paper: GFLOP/s versus the number of
 //! tensors (subsets of the 1024-tensor set) for the four unrolled
-//! implementations — CPU with 1/4/8 threads and the (simulated) GPU.
+//! implementations — CPU with 1/4/8 threads and the (simulated) GPU. The
+//! CPU series time the scalar compiled code one tensor at a time
+//! ([`bench::run_cpu_unrolled`]), the paper's CPU implementation.
 //! The paper plots this with a log-scale y axis; we print the series and a
 //! crude log-scale ASCII chart.
 //!
@@ -11,7 +13,7 @@
 //! Run with: `cargo run --release -p bench --bin figure5`
 
 use backend::KernelStrategy;
-use bench::{batch_flops, bench_metadata, gpu_row, run_cpu, write_bench_json, Workload};
+use bench::{batch_flops, bench_metadata, gpu_row, run_cpu_unrolled, write_bench_json, Workload};
 use serde::Value;
 
 fn main() {
@@ -34,13 +36,7 @@ fn main() {
         let sub = workload.subset(t);
         let mut row = Vec::new();
         for threads in [1usize, 4, 8] {
-            let (secs, iters) = run_cpu(
-                &sub,
-                KernelStrategy::Tape,
-                threads,
-                bench::bench_policy(),
-                0.0,
-            );
+            let (secs, iters) = run_cpu_unrolled(&sub, threads, bench::bench_policy(), 0.0);
             row.push(batch_flops(4, 3, iters) as f64 / secs / 1e9);
         }
         let (gpu, report) = gpu_row(&sub, KernelStrategy::Tape);

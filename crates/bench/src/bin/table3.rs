@@ -1,10 +1,14 @@
 //! Reproduce **Table III** of the paper: flop rates (a), run times (b) and
 //! relative performance (c) for eight implementations — CPU with 1/4/8
 //! threads and the (simulated) GPU, each in the general and the unrolled
-//! kernel variant — on the full 1024-tensor, 128-start workload.
+//! kernel variant — on the full 1024-tensor, 128-start workload, plus a
+//! third CPU column the paper does not have: the lockstep lanes
+//! (`--kernel batched`, which `tape` also runs on this shape).
 //!
 //! CPU rows are *measured* wall-clock (rayon thread pools standing in for
-//! the paper's OpenMP); GPU rows come from the gpusim analytic model. A
+//! the paper's OpenMP); GPU rows come from the gpusim analytic model. The
+//! paper's "unrolled" CPU column is the scalar compiled code, driven one
+//! tensor at a time ([`bench::run_cpu_unrolled`]). A
 //! thread count above the host's available parallelism is skipped (with a
 //! note), since it would time-slice rather than scale. The binary also
 //! prints the paper's own 2011 numbers next to ours so the shape
@@ -14,8 +18,8 @@
 
 use backend::KernelStrategy;
 use bench::{
-    bench_metadata, cpu_label, cpu_rows, gpu_row, print_rows, rows_to_value, runnable_threads,
-    write_bench_json, MeasuredRow, Workload,
+    bench_metadata, bench_policy, cpu_label, cpu_rows, gpu_row, paper, print_rows, rows_to_value,
+    run_cpu, run_cpu_unrolled, runnable_threads, write_bench_json, MeasuredRow, Workload,
 };
 use serde::Value;
 
@@ -51,9 +55,19 @@ fn main() {
 
     let workload = Workload::paper_workload(2026);
 
-    // Measured CPU rows (`tape` runs the generated unrolled code here).
-    let general_rows = cpu_rows(&workload, KernelStrategy::General, "general", &threads);
-    let unrolled_rows = cpu_rows(&workload, KernelStrategy::Tape, "unrolled", &threads);
+    // Measured CPU rows: the general backend, the scalar compiled code one
+    // tensor at a time (the paper's unrolled column), and the lanes.
+    let (policy, alpha) = (bench_policy(), paper::ALPHA);
+    let backend_rows = |strategy: KernelStrategy| {
+        cpu_rows(&workload, strategy.name(), &threads, |t| {
+            run_cpu(&workload, strategy, t, policy, alpha)
+        })
+    };
+    let general_rows = backend_rows(KernelStrategy::General);
+    let unrolled_rows = cpu_rows(&workload, "unrolled", &threads, |t| {
+        run_cpu_unrolled(&workload, t, policy, alpha)
+    });
+    let lane_rows = backend_rows(KernelStrategy::Batched);
 
     // Modeled GPU rows.
     let (gpu_general, rep_g) = gpu_row(&workload, KernelStrategy::General);
@@ -64,49 +78,66 @@ fn main() {
     all.push(gpu_general.clone());
     all.extend(unrolled_rows.iter().cloned());
     all.push(gpu_unrolled.clone());
+    all.extend(lane_rows.iter().cloned());
     print_rows("(a)+(b) measured/modeled flop rates and run times:", &all);
 
-    // (a) unrolled speedup column.
-    println!("(a) unrolled speedup over general:");
-    println!("{:<16} {:>10} {:>12}", "platform", "ours", "paper 2011");
+    // (a) speedup columns over general.
+    println!("(a) speedup over general:");
+    println!(
+        "{:<16} {:>10} {:>10} {:>20}",
+        "platform", "unrolled", "batched", "paper 2011 (unr)"
+    );
     let mut speedups = Vec::new();
+    let mut lane_speedups = Vec::new();
     for (i, &t) in threads.iter().enumerate() {
         let ours = general_rows[i].seconds / unrolled_rows[i].seconds;
+        let lanes = general_rows[i].seconds / lane_rows[i].seconds;
         println!(
-            "{:<16} {:>9.2}x {:>11.2}x",
+            "{:<16} {:>9.2}x {:>9.2}x {:>19.2}x",
             cpu_label(t),
             ours,
+            lanes,
             paper_cpu(t).0
         );
         speedups.push((format!("cpu_{t}"), Value::Float(ours)));
+        lane_speedups.push((format!("cpu_{t}"), Value::Float(lanes)));
     }
     let gpu_speedup = gpu_general.seconds / gpu_unrolled.seconds;
-    println!("{:<16} {:>9.2}x {:>11.2}x", "GPU", gpu_speedup, 18.70);
+    println!(
+        "{:<16} {:>9.2}x {:>10} {:>19.2}x",
+        "GPU", gpu_speedup, "-", 18.70
+    );
     speedups.push(("gpu".to_string(), Value::Float(gpu_speedup)));
 
     // (c) relative performance normalized to the sequential implementation.
     println!("\n(c) relative performance (normalized to CPU - 1 core):");
     println!(
-        "{:<16} {:>10} {:>10} {:>22}",
-        "platform", "general", "unrolled", "paper (gen / unr)"
+        "{:<16} {:>10} {:>10} {:>10} {:>22}",
+        "platform", "general", "unrolled", "batched", "paper (gen / unr)"
     );
-    let (base_g, base_u) = (general_rows[0].seconds, unrolled_rows[0].seconds);
+    let (base_g, base_u, base_b) = (
+        general_rows[0].seconds,
+        unrolled_rows[0].seconds,
+        lane_rows[0].seconds,
+    );
     for (i, &t) in threads.iter().enumerate() {
         let (_, pg, pu) = paper_cpu(t);
         println!(
-            "{:<16} {:>9.2}x {:>9.2}x {:>12.2} / {:<8.2}",
+            "{:<16} {:>9.2}x {:>9.2}x {:>9.2}x {:>12.2} / {:<8.2}",
             cpu_label(t),
             base_g / general_rows[i].seconds,
             base_u / unrolled_rows[i].seconds,
+            base_b / lane_rows[i].seconds,
             pg,
             pu
         );
     }
     println!(
-        "{:<16} {:>9.2}x {:>9.2}x {:>12.2} / {:<8.2}",
+        "{:<16} {:>9.2}x {:>9.2}x {:>10} {:>12.2} / {:<8.2}",
         "GPU",
         base_g / gpu_general.seconds,
         base_u / gpu_unrolled.seconds,
+        "-",
         70.23,
         155.07
     );
@@ -141,6 +172,7 @@ fn main() {
             ]),
         ),
         ("unrolled_speedup", Value::Map(speedups)),
+        ("batched_speedup", Value::Map(lane_speedups)),
         (
             "skipped_cpu_threads",
             Value::Seq(skipped.iter().map(|&t| Value::UInt(t as u64)).collect()),

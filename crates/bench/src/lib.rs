@@ -5,10 +5,11 @@
 use backend::{BackendSpec, BatchReport, GpuSimBackend, KernelStrategy, SolveBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sshopm::{IterationPolicy, Shift, Solver, SsHopm};
+use sshopm::{BatchSolver, IterationPolicy, Shift, Solver, SsHopm};
+use std::time::Instant;
 use telemetry::Telemetry;
 
-use symtensor::{flops, TensorBatch};
+use symtensor::{flops, TensorBatch, UnrolledKernels};
 
 pub mod regress;
 
@@ -130,6 +131,31 @@ pub fn run_cpu(
     (report.seconds, report.total_iterations)
 }
 
+/// The paper's "unrolled" CPU implementation, as Table III and Figure 5
+/// time it: whole solves through the per-tensor driver over the scalar
+/// compiled [`UnrolledKernels`] on `threads` workers. No backend plans
+/// these kernels (on a compiled shape `tape` runs the lockstep lanes), so
+/// they are driven directly. Returns the wall time and total iterations,
+/// like [`run_cpu`].
+pub fn run_cpu_unrolled(
+    workload: &Workload,
+    threads: usize,
+    policy: IterationPolicy,
+    alpha: f64,
+) -> (f64, u64) {
+    let kernels = UnrolledKernels::for_shape(workload.m, workload.n)
+        .expect("the paper's shape has compiled kernels");
+    let solver = SsHopm::new(Shift::Fixed(alpha)).with_policy(policy);
+    let started = Instant::now();
+    let result = BatchSolver::new(solver).with_threads(threads).run(
+        &kernels,
+        &workload.tensors,
+        &workload.starts,
+        &Telemetry::disabled(),
+    );
+    (started.elapsed().as_secs_f64(), result.total_iterations)
+}
+
 /// Run the workload through any [`SolveBackend`] and return the full
 /// unified report.
 pub fn run_on(
@@ -183,16 +209,17 @@ pub fn cpu_label(threads: usize) -> String {
     format!("CPU - {threads} core{}", if threads > 1 { "s" } else { "" })
 }
 
-/// Measure the CPU rows, one per thread count, for one kernel
-/// implementation.
+/// Measure the CPU rows, one per thread count, for one implementation:
+/// `run(threads)` returns its wall time and total iterations
+/// ([`run_cpu`], [`run_cpu_unrolled`]).
 pub fn cpu_rows(
     workload: &Workload,
-    strategy: KernelStrategy,
     label: &str,
     threads: &[usize],
+    run: impl Fn(usize) -> (f64, u64),
 ) -> Vec<MeasuredRow> {
     let row = |&t: &usize| {
-        let (secs, iters) = run_cpu(workload, strategy, t, bench_policy(), paper::ALPHA);
+        let (secs, iters) = run(t);
         MeasuredRow {
             label: format!("{} ({label})", cpu_label(t)),
             seconds: secs,
@@ -292,7 +319,6 @@ pub fn write_bench_json(name: &str, value: &serde::Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symtensor::UnrolledKernels;
 
     #[test]
     fn workload_shapes() {
@@ -323,6 +349,16 @@ mod tests {
             batch_flops(4, 3, iters),
             iters * flops::sshopm_iter_flops(4, 3)
         );
+        // The paper's unrolled column does the same work on the scalar
+        // compiled kernels.
+        let rows = cpu_rows(&w, "unrolled", &[1, 2], |t| {
+            run_cpu_unrolled(&w, t, bench_policy(), 0.0)
+        });
+        assert_eq!(rows[1].label, "CPU - 2 cores (unrolled)");
+        for row in &rows {
+            assert!(row.seconds > 0.0);
+            assert_eq!(row.useful_flops, batch_flops(4, 3, iters));
+        }
     }
 
     #[test]

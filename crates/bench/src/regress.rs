@@ -76,10 +76,10 @@ pub struct ScenarioResult {
 
 /// The stable scenario keys of the matrix, one per backend family: CPU
 /// reference, the lane-vectorized lockstep CPU path, the `tape` strategy
-/// (compiled unrolled code at the paper's shape), both simulated-GPU
-/// kernels, multi-GPU split, stream
-/// pipeline, fault-injected resilient execution, and the sharded
-/// multi-host cluster.
+/// (at the paper's shape it plans the batched kernels, so it times the
+/// same lanes over the compiled code), both simulated-GPU kernels,
+/// multi-GPU split, stream pipeline, fault-injected resilient execution,
+/// and the sharded multi-host cluster.
 pub const SCENARIO_KEYS: [&str; 9] = [
     "cpu-seq-general",
     "cpu-seq-batched",

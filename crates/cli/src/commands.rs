@@ -52,6 +52,17 @@ fn parse_shift(s: Option<&str>) -> Result<Shift, CmdError> {
     }
 }
 
+/// Parse `--starts` with the command's default. Every solve needs at
+/// least one starting vector, so 0 is rejected here, naming the flag.
+fn parse_starts(args: &Args, default: usize) -> Result<usize, CmdError> {
+    match args.get_parsed("starts", default)? {
+        0 => Err(CmdError(
+            "invalid --starts 0: need at least one starting vector".into(),
+        )),
+        n => Ok(n),
+    }
+}
+
 /// Parse `--solver` (default `sshopm`) into a [`SolverSpec`]; the parse
 /// error already names the valid alternatives.
 fn parse_solver(args: &Args) -> Result<SolverSpec, CmdError> {
@@ -310,7 +321,7 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
         &["refine", "all", "failover", "pipeline"],
     )?;
     let path = args.positional(0, "file")?;
-    let starts_count: usize = args.get_parsed("starts", 32)?;
+    let starts_count = parse_starts(&args, 32)?;
     let tol: f64 = args.get_parsed("tol", 1e-12)?;
     let mut shift = parse_shift(args.get("shift"))?;
     let solver_spec = parse_solver(&args)?;
@@ -482,7 +493,7 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         gpu_solver(solver)?;
     }
     let cfg = dwmri::ExtractConfig {
-        num_starts: args.get_parsed("starts", 64)?,
+        num_starts: parse_starts(&args, 64)?,
         max_fibers: args.get_parsed("max-fibers", 3)?,
         shift,
         solver,
@@ -525,7 +536,7 @@ fn inner_decompose(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     let args = Args::parse(argv, &["terms", "starts", "tol"], &[])?;
     let path = args.positional(0, "file")?;
     let terms: usize = args.get_parsed("terms", 3)?;
-    let starts: usize = args.get_parsed("starts", 48)?;
+    let starts = parse_starts(&args, 48)?;
     let tol: f64 = args.get_parsed("tol", 1e-8)?;
     let tensors = load_batch(path)?;
     for (i, a) in tensors.iter().enumerate() {
@@ -580,14 +591,15 @@ fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
             tensors.len()
         )));
     }
-    let starts: usize = args.get_parsed("starts", 64)?;
+    let starts = parse_starts(&args, 64)?;
     let num_seeds: usize = args.get_parsed("seeds", 5)?;
 
     let cfg = dwmri::ExtractConfig {
         num_starts: starts,
         ..Default::default()
     };
-    let backend = CpuParallel::new(0, KernelStrategy::General);
+    // The CLI's default kernel: the convex-shift extraction runs in lanes.
+    let backend = CpuParallel::new(0, KernelStrategy::Batched);
     let fibers = dwmri::extract_fibers_with(&tensors, &cfg, &backend, &Telemetry::disabled())?;
     let field = dwmri::FiberField::new(width, height, fibers);
 
@@ -646,7 +658,7 @@ fn inner_gpu(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> C
         &[],
     )?;
     let path = args.positional(0, "file")?;
-    let starts_count: usize = args.get_parsed("starts", 128)?;
+    let starts_count = parse_starts(&args, 128)?;
     let devices: usize = args.get_parsed("devices", 1)?;
     let iters: usize = args.get_parsed("iters", 20)?;
     let strategy = parse_variant(args.get("variant"))?;
@@ -760,7 +772,7 @@ fn inner_profile(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) 
         Some("gtx580") => DeviceKind::Gtx580,
         Some(v) => return Err(CmdError(format!("invalid --device {v:?}"))),
     };
-    let starts_count: usize = args.get_parsed("starts", 128)?;
+    let starts_count = parse_starts(&args, 128)?;
     let iters: usize = args.get_parsed("iters", 20)?;
     let starts = sshopm::starts::random_uniform_starts::<f32, _>(n, starts_count, &mut rng);
 
@@ -851,7 +863,7 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
         shift = gpu_shift(args.get("shift"), shift)?;
         gpu_solver(solver_spec)?;
     }
-    let starts_count: usize = args.get_parsed("starts", 32)?;
+    let starts_count = parse_starts(&args, 32)?;
     let iters: usize = args.get_parsed("iters", 20)?;
     let n = tensors.dim();
     let starts = if n == 3 {
@@ -1956,9 +1968,10 @@ mod tests {
 
     #[test]
     fn solve_accepts_tape_kernel() {
-        // (4, 3) has compiled kernels, so `tape` runs them; (3, 4) has
-        // none, so `tape` runs the blocked kernels.
-        for (shape, ran) in [(["4", "3"], "unrolled"), (["3", "4"], "blocked")] {
+        // (4, 3) has compiled kernels, so `tape` plans the batched kernels
+        // (lane panels of that compiled code); (3, 4) has none, so `tape`
+        // runs the blocked kernels.
+        for (shape, ran) in [(["4", "3"], "batched"), (["3", "4"], "blocked")] {
             let path = tmp(&format!("tape{}{}.txt", shape[0], shape[1]));
             let mut out = Vec::new();
             random(sv(&[shape[0], shape[1], "2", "--out", &path]), &mut out).unwrap();
@@ -1973,5 +1986,36 @@ mod tests {
             assert!(text.contains(&format!("({ran} kernel)")), "{text}");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn zero_starts_is_rejected_by_every_command() {
+        let path = tmp("zero-starts.txt");
+        let mut out = Vec::new();
+        random(
+            sv(&["4", "3", "3", "--out", &path, "--seed", "1"]),
+            &mut out,
+        )
+        .unwrap();
+        type Cmd = fn(Vec<String>, &mut dyn Write) -> Result<(), String>;
+        let profile_cmd: Cmd = |argv, out| profile(argv, out, &Telemetry::disabled());
+        let cases: [(&str, Cmd, &[&str]); 7] = [
+            ("solve", solve, &[]),
+            ("fibers", fibers, &[]),
+            ("report", report, &[]),
+            ("tract", tract, &["--width", "3"]),
+            ("decompose", decompose, &[]),
+            ("gpu", gpu, &[]),
+            ("profile", profile_cmd, &[]),
+        ];
+        for (name, cmd, extra) in cases {
+            let mut argv = sv(&[&path, "--starts", "0"]);
+            argv.extend(sv(extra));
+            let mut out = Vec::new();
+            let err = cmd(argv, &mut out).unwrap_err();
+            assert!(err.contains("--starts 0"), "{name}: {err}");
+            assert!(out.is_empty(), "{name} printed before failing");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

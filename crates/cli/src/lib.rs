@@ -33,13 +33,14 @@
 //! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
 //! (`batched` (default), `general`, `blocked` or `tape`, with the paper's
 //! labels `precomputed` and `unrolled` as spellings of `batched` and
-//! `tape`). `batched` runs SS-HOPM under a fixed, convex or concave shift
-//! in lockstep lanes over the tensor arena, one tensor and one shift per
-//! lane, and every other solve on the compiled kernels where a shape has
-//! them; `tape` runs the compiled unrolled code where a
-//! shape has it and `blocked` elsewhere. Every strategy returns the same
-//! eigenpairs bit for bit; only the speed and the printed kernel label
-//! differ. Every batched solve runs through the same
+//! `tape`). On a CPU backend `batched` runs SS-HOPM under a fixed, convex
+//! or concave shift in lockstep lanes over the tensor arena, one tensor
+//! and one shift per lane, and every other solve on the compiled kernels
+//! where a shape has them; `tape` is `batched` where a shape has compiled
+//! unrolled code (the lane panels are that code) and `blocked` elsewhere,
+//! and on the simulated GPU it picks the unrolled variant. Every strategy
+//! returns the same eigenpairs bit for bit; only the speed and the printed
+//! kernel label differ. Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
 //! directly comparable summaries. The simulated GPU supports only fixed
 //! numeric shifts. `--solver` takes a [`sshopm::SolverSpec`] string —
@@ -222,12 +223,14 @@ pub fn usage() -> String {
      \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
      \x20 cluster backends (default 256).\n\
      \x20 --kernel K picks how contractions are computed: batched (default;\n\
-     \x20 sshopm under a fixed, convex or concave shift runs in lockstep\n\
-     \x20 lanes over the tensor arena, other solves on the compiled kernels\n\
-     \x20 where the shape has them), general, blocked, or tape (the compiled unrolled code where\n\
-     \x20 the shape has it, blocked elsewhere). precomputed and unrolled, the\n\
-     \x20 paper's labels, are spellings of batched and tape. Every kernel\n\
-     \x20 returns the same eigenpairs bit for bit.\n\
+     \x20 on the CPU, sshopm under a fixed, convex or concave shift runs in\n\
+     \x20 lockstep lanes over the tensor arena, other solves on the compiled\n\
+     \x20 kernels where the shape has them), general, blocked, or tape\n\
+     \x20 (batched where the shape has compiled unrolled code, blocked\n\
+     \x20 elsewhere; the simulated GPU runs its unrolled variant there).\n\
+     \x20 precomputed and unrolled, the paper's labels, are spellings of\n\
+     \x20 batched and tape. Every kernel returns the same eigenpairs bit for\n\
+     \x20 bit.\n\
      \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\
      \x20 sshopm:ALPHA (pinned fixed shift), geap (adaptive projected-Hessian\n\
      \x20 shift), qrst (orthogonal-similarity QR iteration). geap and qrst\n\
@@ -404,7 +407,7 @@ mod tests {
             "--report-out PATH",
             "--report-format text|json|prom",
             "batched (default;",
-            "tape (the compiled unrolled code",
+            "tape\n  (batched where the shape has compiled unrolled code",
         ] {
             assert!(u.contains(needle), "usage missing {needle}");
         }

@@ -82,14 +82,16 @@ pub fn canonicalize_axis(mut d: Dir3) -> Dir3 {
 /// Runs SS-HOPM from `cfg.num_starts` deterministic Fibonacci-sphere
 /// starts, keeps negative-stable (local-max) eigenpairs, applies the
 /// relative eigenvalue threshold and returns at most `cfg.max_fibers`
-/// estimates, strongest first. A tensor that is not 3-dimensional is a
-/// [`backend::BackendError`], as in the batch form.
+/// estimates, strongest first. A tensor that is not 3-dimensional, or
+/// `cfg.num_starts == 0`, is a [`backend::BackendError`], as in the batch
+/// form.
 pub fn extract_fibers<'a>(
     tensor: impl Into<SymTensorRef<'a, f64>>,
     cfg: &ExtractConfig,
 ) -> Result<Vec<FiberEstimate>, backend::BackendError> {
     let tensor = tensor.into();
     check_dim3(tensor.dim())?;
+    check_starts(cfg)?;
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
     let spectrum = multistart(&*solver, tensor, &starts, &DedupConfig::default(), 1e-5);
@@ -111,9 +113,9 @@ pub fn extract_fibers<'a>(
 ///
 /// Note the GPU-simulated backends support only [`Shift::Fixed`]; pass a
 /// CPU backend for the convex/adaptive shifts recommended for noisy data.
-/// A batch of non-3-dimensional tensors and backend failures (unsupported
-/// shift, an exhausted resilient run) surface as [`backend::BackendError`],
-/// never panics.
+/// A batch of non-3-dimensional tensors, `cfg.num_starts == 0` and
+/// backend failures (unsupported shift, an exhausted resilient run)
+/// surface as [`backend::BackendError`], never panics.
 pub fn extract_fibers_with(
     tensors: &TensorBatch<f64>,
     cfg: &ExtractConfig,
@@ -136,6 +138,7 @@ pub fn extract_fibers_reported(
     if !tensors.is_empty() {
         check_dim3(tensors.dim())?;
     }
+    check_starts(cfg)?;
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
     let report = backend.solve_batch(tensors, &starts, &*solver, telemetry)?;
@@ -159,6 +162,17 @@ fn check_dim3(n: usize) -> Result<(), backend::BackendError> {
     Err(backend::BackendError(format!(
         "fiber extraction needs dimension-3 tensors, file has n={n}"
     )))
+}
+
+/// No start finds no fiber, and `spectrum_to_fibers` divides each basin
+/// count by the number of starts.
+fn check_starts(cfg: &ExtractConfig) -> Result<(), backend::BackendError> {
+    if cfg.num_starts > 0 {
+        return Ok(());
+    }
+    Err(backend::BackendError(
+        "fiber extraction needs at least one start (num_starts = 0)".into(),
+    ))
 }
 
 fn extraction_solver(cfg: &ExtractConfig) -> Box<dyn Solver<f64>> {
@@ -488,6 +502,34 @@ mod tests {
             err.to_string(),
             "fiber extraction needs dimension-3 tensors, file has n=4"
         );
+    }
+
+    #[test]
+    fn zero_starts_is_a_typed_error() {
+        use backend::{CpuParallel, KernelStrategy};
+
+        let tensor = fit_config(&FiberConfig::single([1.0, 0.0, 0.0]));
+        let tensors = TensorBatch::from_tensors(std::slice::from_ref(&tensor)).unwrap();
+        let cfg = ExtractConfig {
+            num_starts: 0,
+            ..Default::default()
+        };
+        let want = "fiber extraction needs at least one start (num_starts = 0)";
+        let Err(err) = extract_fibers(&tensor, &cfg) else {
+            panic!("no start must not extract fibers");
+        };
+        assert_eq!(err.to_string(), want);
+        for strategy in [KernelStrategy::General, KernelStrategy::Batched] {
+            let Err(err) = extract_fibers_reported(
+                &tensors,
+                &cfg,
+                &CpuParallel::new(1, strategy),
+                &Telemetry::disabled(),
+            ) else {
+                panic!("no start must not extract fibers ({strategy})");
+            };
+            assert_eq!(err.to_string(), want, "{strategy}");
+        }
     }
 
     #[test]

@@ -17,20 +17,26 @@
 //! * [`KernelRegistry`] — the single place a strategy is resolved for a
 //!   shape. Callers ask for a [`KernelPlan`] for `(m, n, scalar, strategy)`
 //!   and get back a shareable kernel object; the `batched` kernels, which
-//!   own their tables, are memoized per shape.
+//!   own their tables, are memoized per shape. `batched` everywhere and
+//!   `tape` on the compiled shapes plan those kernels, and such a plan
+//!   also carries them in lane form ([`KernelPlan::lanes`]), which is how
+//!   a CPU backend knows it may run the batch in lockstep lanes.
 //!
 //! ```
 //! use kernelgen::{KernelRegistry, KernelStrategy};
 //! use symtensor::{SymTensor, TensorKernels};
 //!
 //! let registry = KernelRegistry::new();
-//! // (4, 3) has compiled kernels: `tape` runs them.
+//! // (4, 3) has compiled kernels: `tape` plans the batched kernels, whose
+//! // lane panels and per-tensor path both run them.
 //! let plan = registry.plan::<f64>(4, 3, KernelStrategy::Tape);
-//! assert_eq!(plan.kernels.name(), "unrolled");
+//! assert_eq!(plan.kernels.name(), "batched");
+//! assert!(plan.lanes.is_some());
 //!
 //! // (5, 4) has none: `tape` runs the blocked kernels, with the same bits.
 //! let plan = registry.plan::<f64>(5, 4, KernelStrategy::Tape);
 //! assert_eq!(plan.kernels.name(), "blocked");
+//! assert!(plan.lanes.is_none());
 //!
 //! let a = SymTensor::<f64>::from_fn(5, 4, |c| c.rank() as f64);
 //! let x = [0.1, 0.2, 0.3, 0.4];

@@ -8,9 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use symtensor::{
-    BatchedKernels, BlockedKernels, GeneralKernels, Scalar, TensorKernels, UnrolledKernels,
-};
+use symtensor::lanes::COMPILED_SHAPES;
+use symtensor::{BatchedKernels, BlockedKernels, GeneralKernels, Scalar, TensorKernels};
 
 use crate::strategy::KernelStrategy;
 
@@ -52,17 +51,32 @@ struct Counters {
 
 /// A materialized kernel selection. `kernels.name()` says which
 /// implementation the strategy resolved to for the shape (`general`,
-/// `blocked`, `batched` or `unrolled`).
+/// `blocked` or `batched`).
 #[derive(Clone)]
 pub struct KernelPlan<S> {
     /// The kernels; cloning the plan clones an `Arc`, not the tables.
     pub kernels: Arc<dyn TensorKernels<S> + Send + Sync>,
+    /// The same object as `kernels` in its lane form: set exactly when
+    /// the plan is the batched kernels, so an engine that can run the
+    /// batch in lockstep lanes (`sshopm::solve_batch_lockstep`) finds
+    /// their panels here and needs no strategy of its own.
+    pub lanes: Option<Arc<BatchedKernels>>,
+}
+
+impl<S: Scalar> KernelPlan<S> {
+    fn per_tensor(kernels: Arc<dyn TensorKernels<S> + Send + Sync>) -> Self {
+        KernelPlan {
+            kernels,
+            lanes: None,
+        }
+    }
 }
 
 impl<S: Scalar> std::fmt::Debug for KernelPlan<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelPlan")
             .field("kernels", &self.kernels.name())
+            .field("lanes", &self.lanes.is_some())
             .finish()
     }
 }
@@ -116,23 +130,29 @@ impl KernelRegistry {
 
     /// Materialize kernels for `(m, n, S, strategy)`.
     ///
-    /// `Tape` resolves along one chain: the compiled [`UnrolledKernels`]
-    /// on `symtensor::lanes::COMPILED_SHAPES`, else `Blocked`. `Blocked`
+    /// `Tape` resolves along one chain: the batched kernels on
+    /// [`COMPILED_SHAPES`], whose lane panels and per-tensor path are both
+    /// the compiled straight-line code there, else `Blocked`. `Blocked`
     /// beyond order 8 is `General`. Every plan returns `General`'s bits.
     pub fn plan<S: Scalar>(&self, m: usize, n: usize, strategy: KernelStrategy) -> KernelPlan<S> {
-        let kernels: Arc<dyn TensorKernels<S> + Send + Sync> = match strategy {
-            KernelStrategy::General => Arc::new(GeneralKernels),
+        match strategy {
+            KernelStrategy::General => KernelPlan::per_tensor(Arc::new(GeneralKernels)),
             KernelStrategy::Blocked => match BlockedKernels::for_shape(m, n) {
-                Some(k) => Arc::new(k),
-                None => Arc::new(GeneralKernels),
+                Some(k) => KernelPlan::per_tensor(Arc::new(k)),
+                None => KernelPlan::per_tensor(Arc::new(GeneralKernels)),
             },
-            KernelStrategy::Batched => self.batched(m, n),
-            KernelStrategy::Tape => match UnrolledKernels::for_shape(m, n) {
-                Some(k) => Arc::new(k),
-                None => return self.plan(m, n, KernelStrategy::Blocked),
-            },
-        };
-        KernelPlan { kernels }
+            KernelStrategy::Batched => {
+                let lanes = self.batched(m, n);
+                KernelPlan {
+                    kernels: lanes.clone(),
+                    lanes: Some(lanes),
+                }
+            }
+            KernelStrategy::Tape if COMPILED_SHAPES.contains(&(m, n)) => {
+                self.plan(m, n, KernelStrategy::Batched)
+            }
+            KernelStrategy::Tape => self.plan(m, n, KernelStrategy::Blocked),
+        }
     }
 
     /// Shared lane-vectorized kernels (and their lane tables) for `(m, n)`,
@@ -167,30 +187,36 @@ mod tests {
             };
             assert_eq!(plan.kernels.name(), want, "{strategy} at (5,4)");
         }
-        // On a compiled shape `Tape` runs the compiled straight-line code.
+        // On a compiled shape `Tape` runs the batched kernels, whose
+        // panels and per-tensor path are the compiled straight-line code.
         let plan = r.plan::<f64>(4, 3, KernelStrategy::Tape);
-        assert_eq!(plan.kernels.name(), "unrolled");
+        assert_eq!(plan.kernels.name(), "batched");
     }
 
     #[test]
     fn fallback_chains_are_preserved() {
         let r = KernelRegistry::new();
-        // Tape: compiled code on a compiled shape ...
+        // Tape: the memoized batched kernels on a compiled shape ...
         let plan = r.plan::<f64>(4, 3, KernelStrategy::Tape);
-        assert_eq!(plan.kernels.name(), "unrolled");
+        assert_eq!(plan.kernels.name(), "batched");
+        let lanes = plan.lanes.expect("a batched plan carries its lanes");
+        assert!(Arc::ptr_eq(&lanes, &r.batched(4, 3)));
+        let before = r.stats();
         // ... else blocked (orders 1-8) ...
         let plan = r.plan::<f64>(7, 7, KernelStrategy::Tape);
         assert_eq!(plan.kernels.name(), "blocked");
+        assert!(plan.lanes.is_none());
         let plan = r.plan::<f64>(1, 3, KernelStrategy::Tape);
         assert_eq!(plan.kernels.name(), "blocked");
         // ... else general: (14, 20) is beyond the blocked orders.
         let plan = r.plan::<f64>(14, 20, KernelStrategy::Tape);
         assert_eq!(plan.kernels.name(), "general");
+        assert!(plan.lanes.is_none());
         // Blocked beyond order 8 is general.
         let plan = r.plan::<f64>(9, 3, KernelStrategy::Blocked);
         assert_eq!(plan.kernels.name(), "general");
-        // Only `batched` touches the memo.
-        assert_eq!(r.stats(), CacheStats::default());
+        // Only a batched plan touches the memo.
+        assert_eq!(r.stats(), before);
     }
 
     #[test]

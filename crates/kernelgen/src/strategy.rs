@@ -33,15 +33,17 @@ pub enum KernelStrategy {
     Blocked,
     /// Lane-vectorized kernels over the packed `TensorBatch` arena
     /// ([`symtensor::BatchedKernels`]), built on the Section V-C
-    /// precomputed tables. SS-HOPM batches under a fixed, convex or
-    /// concave shift run the lockstep lane driver, which updates
-    /// [`symtensor::LANE_WIDTH`] tensors per kernel call, each lane with
-    /// its own shift; per-tensor calls run the compiled scalar kernels
-    /// where a shape has them and the tables elsewhere.
+    /// precomputed tables. On a CPU backend, SS-HOPM batches under a
+    /// fixed, convex or concave shift run the lockstep lane driver, which
+    /// updates [`symtensor::LANE_WIDTH`] tensors per kernel call, each
+    /// lane with its own shift; per-tensor calls run the compiled scalar
+    /// kernels where a shape has them and the tables elsewhere.
     Batched,
-    /// The Section V-D straight-line kernels
-    /// ([`symtensor::UnrolledKernels`]) on
-    /// `symtensor::lanes::COMPILED_SHAPES`, `Blocked` elsewhere.
+    /// The Section V-D straight-line kernels. On
+    /// `symtensor::lanes::COMPILED_SHAPES` the CPU plan is `Batched`,
+    /// whose lane panels and per-tensor path are both that compiled code,
+    /// and the simulated GPU runs its unrolled variant; elsewhere the CPU
+    /// runs `Blocked` and the GPU its general variant.
     Tape,
 }
 

@@ -14,6 +14,7 @@ use gpusim::{DeviceSpec, GpuVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sshopm::{IterationPolicy, Shift, SsHopm};
+use std::sync::Arc;
 use symtensor::kernels::GeneralKernels;
 use symtensor::lanes::COMPILED_SHAPES;
 use symtensor::{Error, Scalar, SymTensor, TensorBatch, TensorKernels};
@@ -52,11 +53,11 @@ fn every_spelling_resolves_along_one_chain() {
         ("batched",     (4, 3),   "batched",  G),
         ("batched",     (5, 4),   "batched",  G),
         ("batched",     (1, 3),   "batched",  G),
-        ("unrolled",    (4, 3),   "unrolled", U),
+        ("unrolled",    (4, 3),   "batched",  U),
         ("unrolled",    (5, 4),   "blocked",  G),
         ("unrolled",    (1, 3),   "blocked",  G),
         ("unrolled",    (12, 24), "general",  G),
-        ("tape",        (4, 3),   "unrolled", U),
+        ("tape",        (4, 3),   "batched",  U),
         ("tape",        (5, 4),   "blocked",  G),
         ("tape",        (1, 3),   "blocked",  G),
         ("tape",        (12, 24), "general",  G),
@@ -67,23 +68,26 @@ fn every_spelling_resolves_along_one_chain() {
         let plan = registry.plan::<f64>(m, n, strategy);
         let at = format!("{spelling} at ({m},{n})");
         assert_eq!(plan.kernels.name(), kernels, "{at}");
+        // The lane form rides along exactly when the plan is batched.
+        assert_eq!(plan.lanes.is_some(), kernels == "batched", "{at}");
         assert_eq!(gpu_variant(strategy, m, n), variant, "{at}");
         assert_eq!(registry.stats().generated, 0, "{at}");
     }
 
-    // Every compiled shape runs its compiled code in both precisions,
-    // without touching the registry's memo.
+    // On every compiled shape `tape` plans the memoized batched kernels
+    // in both precisions (one build, then one hit), and the simulated GPU
+    // runs its unrolled variant.
     for &(m, n) in COMPILED_SHAPES {
         let registry = KernelRegistry::new();
         let f32_plan = registry.plan::<f32>(m, n, KernelStrategy::Tape);
         let f64_plan = registry.plan::<f64>(m, n, KernelStrategy::Tape);
-        assert_eq!(f32_plan.kernels.name(), "unrolled", "({m},{n})");
-        assert_eq!(f64_plan.kernels.name(), "unrolled", "({m},{n})");
+        assert_eq!(f32_plan.kernels.name(), "batched", "({m},{n})");
+        assert_eq!(f64_plan.kernels.name(), "batched", "({m},{n})");
+        let (f32_lanes, f64_lanes) = (f32_plan.lanes.unwrap(), f64_plan.lanes.unwrap());
+        assert!(Arc::ptr_eq(&f32_lanes, &f64_lanes), "({m},{n})");
         assert_eq!(gpu_variant(KernelStrategy::Tape, m, n), U, "({m},{n})");
-        assert!(
-            registry.stats().is_empty(),
-            "({m},{n}) touched the registry"
-        );
+        let stats = registry.stats();
+        assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1), "({m},{n})");
     }
 }
 
@@ -261,4 +265,45 @@ fn check_one_family<S: Scalar>(seed: u64) {
 fn class_order_spellings_are_bitwise_identical_to_general() {
     check_one_family::<f32>(1);
     check_one_family::<f64>(2);
+}
+
+fn check_tape_engine<S: Scalar>(seed: u64) {
+    for &(m, n) in COMPILED_SHAPES {
+        let mut rng = StdRng::seed_from_u64(seed + (10 * m + n) as u64);
+        // Ten tensors: more than the eight lockstep lanes, so two refill.
+        let tensors = TensorBatch::<S>::random(m, n, 10, &mut rng).unwrap();
+        let starts = sshopm::starts::random_uniform_starts::<S, _>(n, 4, &mut rng);
+        for (shift, lanes) in [
+            (Shift::Fixed(2.0), true),
+            (Shift::Convex, true),
+            (Shift::Concave, true),
+            (Shift::Adaptive, false),
+        ] {
+            let at = format!("tape {} ({m},{n}) {shift:?}", S::NAME);
+            let general = KernelStrategy::General;
+            let want = solve(&CpuParallel::new(1, general), &tensors, &starts, shift);
+            let solver = SsHopm::new(shift).with_policy(IterationPolicy::Converge {
+                tol: 1e-9,
+                max_iters: 300,
+            });
+            let telemetry = Telemetry::enabled();
+            let got = CpuParallel::new(1, KernelStrategy::Tape)
+                .solve_batch(&tensors, &starts, &solver, &telemetry)
+                .unwrap();
+            assert_eq!(got.kernel, "batched", "{at}");
+            let slots = telemetry.snapshot().counter("batch.lane_slots");
+            assert_eq!(slots.is_some(), lanes, "{at}: lane slots {slots:?}");
+            assert_bitwise(&got, &want, &at);
+        }
+    }
+}
+
+/// `tape` on a compiled shape is an engine choice, not only a label: the
+/// tensor-constant shifts run in lockstep lanes (the driver counts its
+/// lane slots), the adaptive shift runs per tensor, and every result is
+/// general's to the bit, in both precisions.
+#[test]
+fn tape_runs_lanes_on_every_compiled_shape() {
+    check_tape_engine::<f32>(3);
+    check_tape_engine::<f64>(4);
 }

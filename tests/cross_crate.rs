@@ -23,7 +23,8 @@ fn all_kernel_implementations_agree_bitwise_on_f32() {
     let telemetry = Telemetry::disabled();
 
     // One sequential CPU backend per kernel strategy — the same solve
-    // through every contraction implementation.
+    // through every contraction implementation. At (4, 3) `tape` plans the
+    // batched kernels, so it runs the lanes like `batched` does.
     let run = |strategy: KernelStrategy| {
         CpuParallel::new(1, strategy)
             .solve_batch(&tensors, &starts, &solver, &telemetry)
@@ -32,22 +33,39 @@ fn all_kernel_implementations_agree_bitwise_on_f32() {
     let r_general = run(KernelStrategy::General);
     let r_blocked = run(KernelStrategy::Blocked);
     let r_batched = run(KernelStrategy::Batched);
-    let r_unrolled = run(KernelStrategy::Tape);
+    let r_tape = run(KernelStrategy::Tape);
+    assert_eq!(r_general.kernel, "general");
     assert_eq!(r_blocked.kernel, "blocked");
     assert_eq!(r_batched.kernel, "batched");
-    assert_eq!(r_unrolled.kernel, "unrolled");
+    assert_eq!(r_tape.kernel, "batched");
+
+    // The scalar compiled and blocked kernels, whole solves through the
+    // per-tensor driver, run directly so the check holds whatever the
+    // registry plans for a spelling (no plan returns the compiled scalar
+    // kernels any more).
+    let per_tensor = |kernels: &dyn TensorKernels<f32>| {
+        BatchSolver::new(&solver)
+            .with_threads(1)
+            .run(kernels, &tensors, &starts, &telemetry)
+            .results
+    };
+    let unrolled = UnrolledKernels::for_shape(4, 3).expect("(4, 3) is compiled");
+    let blocked = BlockedKernels::for_shape(4, 3).expect("order 4 is blocked");
+    let r_unrolled = per_tensor(&unrolled);
+    let r_blocked_direct = per_tensor(&blocked);
 
     for t in 0..tensors.len() {
         for v in 0..starts.len() {
             let a = &r_general.results[t][v];
             // Every kernel walks the index classes in general's order
             // with the same exact coefficients: bitwise equality.
-            for (name, r) in [
-                ("blocked", &r_blocked),
-                ("batched", &r_batched),
-                ("unrolled", &r_unrolled),
+            for (name, b) in [
+                ("blocked", &r_blocked.results[t][v]),
+                ("batched", &r_batched.results[t][v]),
+                ("tape", &r_tape.results[t][v]),
+                ("unrolled (direct)", &r_unrolled[t][v]),
+                ("blocked (direct)", &r_blocked_direct[t][v]),
             ] {
-                let b = &r.results[t][v];
                 assert_eq!(
                     a.lambda.to_bits(),
                     b.lambda.to_bits(),
