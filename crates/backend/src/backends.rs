@@ -7,7 +7,7 @@ use crate::spec::{device_slug, BackendError};
 use crate::strategy::{KernelRegistry, KernelStrategy};
 use gpusim::{Cluster, DeviceSlice, DeviceSpec, Host, ProfileSnapshot, Schedule, TransferModel};
 use sshopm::batch::BatchSolver;
-use sshopm::Solver;
+use sshopm::{Shift, Solver};
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::{CommStats, HostStats, Telemetry};
@@ -39,13 +39,14 @@ pub trait SolveBackend<S: Scalar>: Sync {
     /// around by zero-copy slicing and GPU-style substrates can model the
     /// host→device staging as a single coalesced transfer. Uniform shape
     /// is guaranteed by construction. CPU substrates run any
-    /// [`Solver`]; GPU-simulated backends support only solvers that
-    /// report a fixed shift via [`Solver::fixed_shift`] (SS-HOPM with
-    /// `Shift::Fixed`, the paper's `α = 0` setting) and return a
-    /// descriptive [`BackendError`] otherwise — adaptive shifts and the
-    /// QR-based iteration need per-iterate spectral information the
-    /// kernel model does not stage on-device. Overflowing shapes are
-    /// reported as errors, never panics.
+    /// [`Solver`]; GPU-simulated backends support only solvers whose
+    /// [`Solver::tensor_shift`] is `Shift::Fixed` (SS-HOPM under one `α`
+    /// for every tensor, the paper's `α = 0` setting) and return a
+    /// descriptive [`BackendError`] pointing at the CPU backends otherwise:
+    /// the device kernel stages one `α` per launch, so per-tensor convex
+    /// and concave shifts, adaptive shifts and the GEAP and QRST
+    /// iterations stay on the CPU. Overflowing shapes are reported as
+    /// errors, never panics.
     fn solve_batch(
         &self,
         batch: &TensorBatch<S>,
@@ -199,17 +200,18 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
     }
 }
 
-/// Extract the fixed shift the GPU kernels support, or return an error
+/// The one shift `α` the GPU kernels stage for a whole launch: the
+/// solver's [`Solver::tensor_shift`] when it is `Shift::Fixed`, or an error
 /// pointing at the CPU backends.
 pub(crate) fn fixed_alpha<S: Scalar>(
     solver: &dyn Solver<S>,
     what: &str,
 ) -> Result<f64, BackendError> {
-    match solver.fixed_shift() {
-        Some(alpha) => Ok(alpha),
-        None => Err(BackendError(format!(
-            "{what} supports only Shift::Fixed (the paper's GPU setting); solver `{}` \
-             needs per-iterate host work — run it on a cpu backend",
+    match solver.tensor_shift() {
+        Some(Shift::Fixed(alpha)) => Ok(alpha),
+        _ => Err(BackendError(format!(
+            "{what} supports only Shift::Fixed (the paper's GPU setting: one α for the \
+             whole launch); solver `{}` has no such shift — run it on a cpu backend",
             solver.name()
         ))),
     }
@@ -433,18 +435,12 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
             variant,
             self.schedule(),
         )?;
-        let total_iterations = result
-            .results
-            .iter()
-            .flatten()
-            .map(|p| p.iterations as u64)
-            .sum();
         let mut report = BatchReport::new(
             label,
             variant.name(),
             solver.name(),
             result.results,
-            total_iterations,
+            result.total_iterations,
             launch.seconds,
             launch.useful_flops,
         );

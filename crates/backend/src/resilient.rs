@@ -208,6 +208,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         // one memoized kernel object.
         let cpu_plan = crate::strategy::KernelRegistry::global().plan::<S>(m, n, strategy);
         let cpu_kernels = cpu_plan.kernels;
+        let cpu_solver = BatchSolver::new(solver).with_threads(1);
         let num_entries = batch.stride();
         let _span = telemetry.span("resilient.solve");
 
@@ -362,12 +363,8 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             }
                             None => ran[dev] = Some((chunk.len(), report)),
                         }
+                        total_iterations += res.total_iterations;
                         let mut chunk_rows = res.results;
-                        total_iterations += chunk_rows
-                            .iter()
-                            .flatten()
-                            .map(|p| p.iterations as u64)
-                            .sum::<u64>();
                         if let Some(f) = ecc {
                             // ECC corruption hits one tensor: copy just its
                             // packed entries (15 scalars at the paper
@@ -399,9 +396,8 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             if let Some((_, merged)) = &mut ran[dev] {
                                 merged.merge(&preport);
                             }
+                            total_iterations += pres.total_iterations;
                             let prow = pres.results.into_iter().next().unwrap_or_default();
-                            total_iterations +=
-                                prow.iter().map(|p| p.iterations as u64).sum::<u64>();
                             let detected = prow.iter().any(|p| !p.is_finite());
                             chunk_rows[j] = prow;
                             if detected {
@@ -412,10 +408,11 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                                 // CPU from the pristine arena slice — same
                                 // kernels, bit-identical eigenpairs.
                                 let started = std::time::Instant::now();
-                                let cpu = BatchSolver::new(solver).solve_sequential(
+                                let cpu = cpu_solver.run(
                                     &*cpu_kernels,
                                     chunk.slice(j..j + 1),
                                     starts,
+                                    &Telemetry::disabled(),
                                 );
                                 cpu_seconds += started.elapsed().as_secs_f64();
                                 total_iterations += cpu.total_iterations;
@@ -466,7 +463,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                 log.failovers += 1;
                 log.degraded = true;
                 let started = std::time::Instant::now();
-                let cpu = BatchSolver::new(solver).solve_sequential(&*cpu_kernels, chunk, starts);
+                let cpu = cpu_solver.run(&*cpu_kernels, chunk, starts, &Telemetry::disabled());
                 cpu_seconds += started.elapsed().as_secs_f64();
                 total_iterations += cpu.total_iterations;
                 useful_flops += cpu.total_iterations * iter_flops;

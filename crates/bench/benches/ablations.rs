@@ -3,8 +3,6 @@
 //! * **storage-compute trade-off** (paper Section III-B5): computing index
 //!   representations and multinomials on the fly vs precomputed tables,
 //!   across tensor shapes (the tables cost `(m+2)x` storage);
-//! * **occupancy cliff** (paper Section V-E): modeled GPU throughput as
-//!   the tensor shape grows past (4, 5);
 //! * **starting-vector scheme**: random uniform (the paper's) vs
 //!   deterministic Fibonacci starts — convergence iteration counts.
 
@@ -83,36 +81,5 @@ fn ablation_start_schemes(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_occupancy_cliff(c: &mut Criterion) {
-    // Not a wall-clock ablation: evaluates the modeled GFLOP/s across
-    // shapes once per iteration so the cliff shows up in bench reports.
-    let gpu = backend::GpuSimBackend::new(
-        gpusim::DeviceSpec::tesla_c2050(),
-        backend::KernelStrategy::General,
-    );
-    let mut group = c.benchmark_group("ablation_occupancy_model");
-    group.sample_size(10);
-    for (m, n) in [(4usize, 3usize), (4, 5), (6, 3), (4, 4)] {
-        let workload = bench::Workload::random(32, 64, m, n, 9);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{m}x{n}")),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    let report =
-                        bench::run_on(&gpu, &workload, sshopm::IterationPolicy::Fixed(5), 0.0);
-                    black_box(report.gflops())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    ablation_precomputed_tables,
-    ablation_start_schemes,
-    ablation_occupancy_cliff
-);
+criterion_group!(benches, ablation_precomputed_tables, ablation_start_schemes);
 criterion_main!(benches);

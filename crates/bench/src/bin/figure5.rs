@@ -2,7 +2,9 @@
 //! tensors (subsets of the 1024-tensor set) for the four unrolled
 //! implementations — CPU with 1/4/8 threads and the (simulated) GPU. The
 //! CPU series time the scalar compiled code one tensor at a time
-//! ([`bench::run_cpu_unrolled`]), the paper's CPU implementation.
+//! ([`bench::run_cpu_unrolled`]), the paper's CPU implementation. A
+//! thread count above the host's available parallelism is skipped (with a
+//! note), since it would time-slice rather than scale.
 //! The paper plots this with a log-scale y axis; we print the series and a
 //! crude log-scale ASCII chart.
 //!
@@ -13,7 +15,10 @@
 //! Run with: `cargo run --release -p bench --bin figure5`
 
 use backend::KernelStrategy;
-use bench::{batch_flops, bench_metadata, gpu_row, run_cpu_unrolled, write_bench_json, Workload};
+use bench::{
+    batch_flops, bench_metadata, cpu_label, gpu_row, run_cpu_unrolled, runnable_threads,
+    write_bench_json, Workload,
+};
 use serde::Value;
 
 fn main() {
@@ -21,43 +26,61 @@ fn main() {
     let workload = Workload::paper_workload(2026);
 
     println!(
-        "Figure 5 reproduction: GFLOP/s vs number of tensors (unrolled kernels, V=128, {} iters)\n",
+        "Figure 5 reproduction: GFLOP/s vs number of tensors (unrolled kernels, V=128, {} iters)",
         bench::BENCH_ITERS
     );
-    println!(
-        "{:>6} {:>12} {:>12} {:>12} {:>12}",
-        "T", "CPU-1", "CPU-4", "CPU-8", "GPU(model)"
-    );
+    let (threads, skipped) = runnable_threads();
+    if !skipped.is_empty() {
+        let physical = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let names: Vec<String> = skipped.iter().map(|&t| cpu_label(t)).collect();
+        println!(
+            "skipped rows {}: this host runs {physical} thread(s) at once, so more threads \
+             would time-slice, not scale",
+            names.join(", ")
+        );
+    }
+    println!();
+    print!("{:>6}", "T");
+    for &t in &threads {
+        print!(" {:>12}", format!("CPU-{t}"));
+    }
+    println!(" {:>12}", "GPU(model)");
 
     let mut gpu_series = Vec::new();
     let mut cpu1_series = Vec::new();
     let mut json_points = Vec::new();
     for &t in &sizes {
         let sub = workload.subset(t);
-        let mut row = Vec::new();
-        for threads in [1usize, 4, 8] {
-            let (secs, iters) = run_cpu_unrolled(&sub, threads, bench::bench_policy(), 0.0);
-            row.push(batch_flops(4, 3, iters) as f64 / secs / 1e9);
-        }
+        let row: Vec<f64> = threads
+            .iter()
+            .map(|&k| {
+                let (secs, iters) = run_cpu_unrolled(&sub, k, bench::bench_policy(), 0.0);
+                batch_flops(4, 3, iters) as f64 / secs / 1e9
+            })
+            .collect();
         let (gpu, report) = gpu_row(&sub, KernelStrategy::Tape);
         let snap = &report.profiles[0].snapshot;
         let g = gpu.gflops();
-        println!(
-            "{:>6} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
-            t, row[0], row[1], row[2], g
-        );
-        json_points.push(Value::object(vec![
-            ("num_tensors", Value::UInt(t as u64)),
-            ("cpu_1_gflops", Value::Float(row[0])),
-            ("cpu_4_gflops", Value::Float(row[1])),
-            ("cpu_8_gflops", Value::Float(row[2])),
+        print!("{t:>6}");
+        for gflops in &row {
+            print!(" {gflops:>12.2}");
+        }
+        println!(" {g:>12.2}");
+        let cpu_keys: Vec<String> = threads.iter().map(|k| format!("cpu_{k}_gflops")).collect();
+        let mut point = vec![("num_tensors", Value::UInt(t as u64))];
+        for (key, &gflops) in cpu_keys.iter().zip(&row) {
+            point.push((key.as_str(), Value::Float(gflops)));
+        }
+        point.extend([
             ("gpu_gflops", Value::Float(g)),
             ("gpu_seconds", Value::Float(report.seconds)),
             ("gpu_compute_seconds", Value::Float(snap.compute_seconds)),
             ("gpu_memory_seconds", Value::Float(snap.memory_seconds)),
             ("gpu_useful_flops", Value::UInt(report.useful_flops)),
             ("gpu_active_sms", Value::UInt(snap.active_sms as u64)),
-        ]));
+        ]);
+        json_points.push(Value::object(point));
+        // One thread always runs: `runnable_threads` keeps it first.
         cpu1_series.push(row[0]);
         gpu_series.push(g);
     }
@@ -66,6 +89,10 @@ fn main() {
         &Value::object(vec![
             ("meta", bench_metadata("figure5")),
             ("points", Value::Seq(json_points)),
+            (
+                "skipped_cpu_threads",
+                Value::Seq(skipped.iter().map(|&t| Value::UInt(t as u64)).collect()),
+            ),
         ]),
     );
 

@@ -585,7 +585,7 @@ fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         )));
     }
     let height: usize = args.get_parsed("height", tensors.len() / width)?;
-    if width * height != tensors.len() {
+    if width.checked_mul(height) != Some(tensors.len()) {
         return Err(CmdError(format!(
             "grid {width}x{height} != {} tensors",
             tensors.len()
@@ -601,7 +601,7 @@ fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     // The CLI's default kernel: the convex-shift extraction runs in lanes.
     let backend = CpuParallel::new(0, KernelStrategy::Batched);
     let fibers = dwmri::extract_fibers_with(&tensors, &cfg, &backend, &Telemetry::disabled())?;
-    let field = dwmri::FiberField::new(width, height, fibers);
+    let field = dwmri::FiberField::new(width, height, fibers)?;
 
     // Evenly spaced seeds along the left edge.
     let tcfg = dwmri::TractConfig::default();
@@ -1057,6 +1057,12 @@ mod tests {
         let mut out = Vec::new();
         let err = tract(sv(&[&path, "--width", "5"]), &mut out).unwrap_err();
         assert!(err.contains("do not tile"));
+        // A height whose product with the width wraps to the tensor count
+        // (6 · (2^63 + 4) = 24 mod 2^64) is rejected, not traced.
+        let height = (1u64 << 63) + 4;
+        let argv = sv(&[&path, "--width", "6", "--height", &height.to_string()]);
+        let err = tract(argv, &mut out).unwrap_err();
+        assert!(err.contains("!= 24 tensors"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,6 +15,7 @@
 
 use crate::extract::FiberEstimate;
 use crate::fiber::Dir3;
+use backend::BackendError;
 
 /// Tracking parameters.
 #[derive(Debug, Clone)]
@@ -89,15 +90,25 @@ impl FiberField {
     /// Build a field from per-voxel estimates (row-major,
     /// `len == width*height`).
     ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    pub fn new(width: usize, height: usize, fibers: Vec<Vec<FiberEstimate>>) -> Self {
-        assert_eq!(fibers.len(), width * height, "one entry per voxel");
-        Self {
+    /// # Errors
+    /// A [`BackendError`] naming both counts when `fibers` does not hold
+    /// one entry per voxel.
+    pub fn new(
+        width: usize,
+        height: usize,
+        fibers: Vec<Vec<FiberEstimate>>,
+    ) -> Result<Self, BackendError> {
+        if width.checked_mul(height) != Some(fibers.len()) {
+            return Err(BackendError(format!(
+                "a {width}x{height} fiber field needs one entry per voxel, got {}",
+                fibers.len()
+            )));
+        }
+        Ok(Self {
             width,
             height,
             fibers,
-        }
+        })
     }
 
     /// Grid width.
@@ -218,7 +229,7 @@ mod tests {
 
     /// A uniform horizontal field.
     fn horizontal_field(w: usize, h: usize) -> FiberField {
-        FiberField::new(w, h, vec![vec![est([1.0, 0.0, 0.0])]; w * h])
+        FiberField::new(w, h, vec![vec![est([1.0, 0.0, 0.0])]; w * h]).unwrap()
     }
 
     #[test]
@@ -245,7 +256,7 @@ mod tests {
         for y in 0..3 {
             fibers[y * w + 5] = vec![est([0.0, 1.0, 0.0]), est([1.0, 0.0, 0.0])];
         }
-        let field = FiberField::new(w, 3, fibers);
+        let field = FiberField::new(w, 3, fibers).unwrap();
         let s = trace(&field, (1.2, 1.5), &TractConfig::default()).unwrap();
         assert_eq!(s.stop_forward, StopReason::LeftGrid);
         assert!(
@@ -272,7 +283,7 @@ mod tests {
                 }
             })
             .collect();
-        let field = FiberField::new(w, 3, fibers);
+        let field = FiberField::new(w, 3, fibers).unwrap();
         let s = trace(&field, (1.0, 1.0), &TractConfig::default()).unwrap();
         assert_eq!(s.stop_forward, StopReason::SharpTurn);
     }
@@ -289,9 +300,16 @@ mod tests {
                 }
             })
             .collect();
-        let field = FiberField::new(w, 1, fibers);
+        let field = FiberField::new(w, 1, fibers).unwrap();
         let s = trace(&field, (0.5, 0.5), &TractConfig::default()).unwrap();
         assert_eq!(s.stop_forward, StopReason::NoFibers);
+    }
+
+    #[test]
+    fn length_mismatch_is_a_typed_error() {
+        let err = FiberField::new(3, 2, vec![vec![est([1.0, 0.0, 0.0])]; 5]).unwrap_err();
+        assert!(err.0.contains("3x2") && err.0.contains("got 5"), "{err}");
+        assert!(FiberField::new(usize::MAX, 2, Vec::new()).is_err());
     }
 
     #[test]
@@ -303,7 +321,7 @@ mod tests {
 
     #[test]
     fn seed_in_empty_voxel_is_none() {
-        let field = FiberField::new(1, 1, vec![vec![]]);
+        let field = FiberField::new(1, 1, vec![vec![]]).unwrap();
         assert!(trace(&field, (0.5, 0.5), &TractConfig::default()).is_none());
     }
 

@@ -28,7 +28,7 @@ use crate::multi::HostTransfer;
 use crate::occupancy::{KernelResources, Occupancy};
 use crate::stream::{Op, StreamId, StreamQueue};
 use crate::timing::{estimate, weights, TimingEstimate};
-use sshopm::{Eigenpair, IterationPolicy, SsHopm};
+use sshopm::{BatchResult, Eigenpair, IterationPolicy, SsHopm};
 use symtensor::flops;
 use symtensor::kernels::GeneralKernels;
 use symtensor::multinomial::{num_unique_entries, try_num_unique_entries};
@@ -113,14 +113,6 @@ fn per_iteration_weight(c: &OpCounters) -> u64 {
         + 4 * c.global_words()
 }
 
-/// Functional results of a GPU launch: `results[t][v]` is the eigenpair for
-/// tensor `t` from start `v` (identical layout to `sshopm::BatchResult`).
-#[derive(Debug, Clone)]
-pub struct GpuBatchResult<S> {
-    /// Per-tensor, per-start eigenpairs.
-    pub results: Vec<Vec<Eigenpair<S>>>,
-}
-
 /// Everything the launch reports besides the numerics.
 #[derive(Debug, Clone)]
 pub struct LaunchReport {
@@ -194,8 +186,8 @@ impl LaunchReport {
 /// converts into one, e.g. `&TensorBatch`): same-shape is guaranteed by
 /// construction, and the packed arena is exactly the buffer a real driver
 /// would ship to the device in one `cudaMemcpy`. Starting vectors are
-/// shared by all blocks (Section V-C). Returns the functional results plus
-/// the performance report.
+/// shared by all blocks (Section V-C). Returns the functional results,
+/// laid out and counted like a CPU batch, plus the performance report.
 ///
 /// # Errors
 /// Returns a [`GpuError`] if the batch or `starts` is empty, the shape is
@@ -209,7 +201,7 @@ pub fn launch_sshopm<'a, S: Scalar>(
     policy: IterationPolicy,
     alpha: f64,
     variant: GpuVariant,
-) -> Result<(GpuBatchResult<S>, LaunchReport), GpuError> {
+) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
     let mut queue = StreamQueue::new(1, crate::multi::TransferModel::pcie2());
     let stream = queue.stream(0);
     let out = enqueue_sshopm(
@@ -246,7 +238,7 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     policy: IterationPolicy,
     alpha: f64,
     variant: GpuVariant,
-) -> Result<(GpuBatchResult<S>, LaunchReport), GpuError> {
+) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
     let batch = batch.into();
     if batch.is_empty() {
         return Err(GpuError::EmptyBatch);
@@ -337,6 +329,7 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
         (records, staging)
     });
 
+    let total_iterations = results.iter().flatten().map(|p| p.iterations as u64).sum();
     let useful_flops = stats.counters.useful_flops();
     let timing = estimate(device, grid.num_blocks, &stats, &occupancy);
     let gflops = timing.gflops(useful_flops);
@@ -376,7 +369,10 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     );
 
     Ok((
-        GpuBatchResult { results },
+        BatchResult {
+            results,
+            total_iterations,
+        },
         LaunchReport {
             variant,
             grid,
@@ -399,6 +395,7 @@ mod tests {
     use sshopm::starts::random_uniform_starts;
     use sshopm::BatchSolver;
     use symtensor::{SymTensor, TensorBatch};
+    use telemetry::Telemetry;
 
     fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -415,7 +412,9 @@ mod tests {
         let (gpu, _) =
             launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
         let cpu = BatchSolver::new(SsHopm::new(sshopm::Shift::Fixed(0.0)).with_policy(policy))
-            .solve_sequential(&GeneralKernels, &tensors, &starts);
+            .with_threads(1)
+            .run(&GeneralKernels, &tensors, &starts, &Telemetry::disabled());
+        assert_eq!(gpu.total_iterations, cpu.total_iterations);
         for t in 0..8 {
             for v in 0..32 {
                 assert_eq!(gpu.results[t][v].lambda, cpu.results[t][v].lambda);
@@ -440,7 +439,8 @@ mod tests {
         .unwrap();
         let k = UnrolledKernels::for_shape(4, 3).unwrap();
         let cpu = BatchSolver::new(SsHopm::new(sshopm::Shift::Fixed(0.0)).with_policy(policy))
-            .solve_sequential(&k, &tensors, &starts);
+            .with_threads(1)
+            .run(&k, &tensors, &starts, &Telemetry::disabled());
         for t in 0..4 {
             for v in 0..32 {
                 assert_eq!(gpu.results[t][v].lambda, cpu.results[t][v].lambda);

@@ -63,7 +63,7 @@ pub use fault::{
     corrupt_tensor, FaultKind, FaultPlan, FaultSite, InjectedFault, BACKOFF_BASE_SECONDS,
     WATCHDOG_TIMEOUT_SECONDS,
 };
-pub use kernel::{enqueue_sshopm, launch_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
+pub use kernel::{enqueue_sshopm, launch_sshopm, GpuVariant, LaunchReport};
 pub use multi::{problem_traffic_bytes, HostTransfer, TransferModel};
 pub use occupancy::{KernelResources, Occupancy};
 pub use profile::{CounterBreakdown, ProfileSnapshot};

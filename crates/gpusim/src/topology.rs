@@ -24,10 +24,10 @@
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::kernel::{enqueue_sshopm, GpuBatchResult, GpuVariant, LaunchReport};
+use crate::kernel::{enqueue_sshopm, GpuVariant, LaunchReport};
 use crate::multi::{problem_traffic_bytes, TransferModel};
 use crate::stream::{DeviceStreams, StreamQueue, Timeline};
-use sshopm::{Eigenpair, IterationPolicy};
+use sshopm::{BatchResult, IterationPolicy};
 use symtensor::multinomial::num_unique_entries;
 use symtensor::{Scalar, TensorBatchRef};
 
@@ -155,7 +155,8 @@ impl Host {
     /// Run one shard on this host's devices, on the host's own stream
     /// queue: each device's slice is a contiguous, zero-copy sub-range of
     /// the arena, launched whole or in chunks as `schedule` says. Results
-    /// are appended to `results` in tensor order.
+    /// are appended to `results` in tensor order, and their iterations
+    /// added to its count.
     #[allow(clippy::too_many_arguments)]
     fn run_shard<S: Scalar>(
         &self,
@@ -165,7 +166,7 @@ impl Host {
         alpha: f64,
         variant: GpuVariant,
         schedule: Schedule,
-        results: &mut Vec<Vec<Eigenpair<S>>>,
+        results: &mut BatchResult<S>,
     ) -> Result<(Vec<DeviceSlice>, Timeline), GpuError> {
         let mut queue = StreamQueue::for_host(self);
         // (device_index, tensors, merged report) per device with work;
@@ -200,7 +201,8 @@ impl Host {
                     alpha,
                     variant,
                 )?;
-                results.extend(res.results);
+                results.results.extend(res.results);
+                results.total_iterations += res.total_iterations;
                 match &mut device_report {
                     None => device_report = Some(report),
                     Some(acc) => acc.merge(&report),
@@ -397,7 +399,7 @@ impl Cluster {
         alpha: f64,
         variant: GpuVariant,
         schedule: Schedule,
-    ) -> Result<(GpuBatchResult<S>, ClusterReport), GpuError> {
+    ) -> Result<(BatchResult<S>, ClusterReport), GpuError> {
         let batch = batch.into();
         if batch.is_empty() {
             return Err(GpuError::EmptyBatch);
@@ -406,7 +408,10 @@ impl Cluster {
         let elem = std::mem::size_of::<S>();
         let counts = self.shard(batch.len());
 
-        let mut results = Vec::with_capacity(batch.len());
+        let mut results = BatchResult {
+            results: Vec::with_capacity(batch.len()),
+            total_iterations: 0,
+        };
         let mut shards = Vec::new();
         let mut offset = 0usize;
         let mut nic_bytes = 0u64;
@@ -470,7 +475,7 @@ impl Cluster {
         let comm_lower_bound_bytes =
             self.comm_lower_bound_bytes(batch.len(), starts.len(), m, n, elem);
         Ok((
-            GpuBatchResult { results },
+            results,
             ClusterReport {
                 shards,
                 seconds: wall,

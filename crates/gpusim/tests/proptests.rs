@@ -8,6 +8,7 @@ use sshopm::starts::random_uniform_starts;
 use sshopm::{BatchSolver, IterationPolicy, Shift, SsHopm};
 use symtensor::kernels::GeneralKernels;
 use symtensor::TensorBatch;
+use telemetry::Telemetry;
 
 fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
     use rand::rngs::StdRng;
@@ -28,7 +29,8 @@ proptest! {
         let device = DeviceSpec::tesla_c2050();
         let (gpu, report) = launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
         let cpu = BatchSolver::new(SsHopm::new(Shift::Fixed(0.0)).with_policy(policy))
-            .solve_sequential(&GeneralKernels, &tensors, &starts);
+            .with_threads(1)
+            .run(&GeneralKernels, &tensors, &starts, &Telemetry::disabled());
         for ti in 0..t {
             for vi in 0..v {
                 prop_assert_eq!(gpu.results[ti][vi].lambda, cpu.results[ti][vi].lambda);

@@ -144,39 +144,6 @@ impl<V> BatchSolver<V> {
         on_workers(self.threads, solve_all)
     }
 
-    /// Solve every tensor from every starting vector, sequentially
-    /// (the paper's "CPU – 1 core" row). Thin shim over
-    /// [`run`](Self::run) with `with_threads(1)` semantics.
-    pub fn solve_sequential<'a, S: Scalar, K: TensorKernels<S> + ?Sized>(
-        &self,
-        kernels: &K,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-    ) -> BatchResult<S>
-    where
-        V: Solver<S>,
-    {
-        BatchSolver {
-            solver: &self.solver,
-            threads: 1,
-        }
-        .run(kernels, batch, starts, &Telemetry::disabled())
-    }
-
-    /// Solve in parallel over tensors (the paper's OpenMP scheme). Thin
-    /// shim over [`run`](Self::run) honoring the configured thread count.
-    pub fn solve_parallel<'a, S: Scalar, K: TensorKernels<S> + Sync + ?Sized>(
-        &self,
-        kernels: &K,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-    ) -> BatchResult<S>
-    where
-        V: Solver<S>,
-    {
-        self.run(kernels, batch, starts, &Telemetry::disabled())
-    }
-
     /// Convenience: solve with the default on-the-fly kernels, parallel.
     pub fn solve<'a, S: Scalar>(
         &self,
@@ -254,14 +221,27 @@ mod tests {
         (tensors, starts)
     }
 
+    /// `run` on `threads` workers with telemetry off.
+    fn run_on<V: Solver<f64>, K: TensorKernels<f64> + ?Sized>(
+        solver: BatchSolver<V>,
+        threads: usize,
+        kernels: &K,
+        tensors: &TensorBatch<f64>,
+        starts: &[Vec<f64>],
+    ) -> BatchResult<f64> {
+        solver
+            .with_threads(threads)
+            .run(kernels, tensors, starts, &Telemetry::disabled())
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
         let (tensors, starts) = workload(8, 6, 1);
         let solver = BatchSolver::new(
             SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(25)),
         );
-        let seq = solver.solve_sequential(&GeneralKernels, &tensors, &starts);
-        let par = solver.solve_parallel(&GeneralKernels, &tensors, &starts);
+        let seq = run_on(solver, 1, &GeneralKernels, &tensors, &starts);
+        let par = run_on(solver, 0, &GeneralKernels, &tensors, &starts);
         assert_eq!(seq.total_iterations, par.total_iterations);
         for (t, v, p) in seq.iter_flat() {
             let q = &par.results[t][v];
@@ -274,12 +254,8 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let (tensors, starts) = workload(6, 4, 2);
         let base = BatchSolver::new(SsHopm::new(Shift::Convex).with_tolerance(1e-12));
-        let r1 = base
-            .with_threads(1)
-            .solve_parallel(&GeneralKernels, &tensors, &starts);
-        let r4 = base
-            .with_threads(4)
-            .solve_parallel(&GeneralKernels, &tensors, &starts);
+        let r1 = run_on(base, 1, &GeneralKernels, &tensors, &starts);
+        let r4 = run_on(base, 4, &GeneralKernels, &tensors, &starts);
         for (t, v, p) in r1.iter_flat() {
             let q = &r4.results[t][v];
             assert_eq!(p.lambda, q.lambda);
@@ -305,8 +281,8 @@ mod tests {
         let (tensors, starts) = workload(5, 5, 4);
         let tables = PrecomputedTables::new(4, 3);
         let solver = BatchSolver::new(SsHopm::new(Shift::Convex).with_tolerance(1e-13));
-        let g = solver.solve_parallel(&GeneralKernels, &tensors, &starts);
-        let p = solver.solve_parallel(&tables, &tensors, &starts);
+        let g = run_on(solver, 0, &GeneralKernels, &tensors, &starts);
+        let p = run_on(solver, 0, &tables, &tensors, &starts);
         for (t, v, pair) in g.iter_flat() {
             let q = &p.results[t][v];
             assert!((pair.lambda - q.lambda).abs() < 1e-10);
@@ -342,8 +318,8 @@ mod tests {
         let span = snap.span("batch.solve").unwrap();
         assert_eq!(span.count, 1);
 
-        // The uninstrumented entry points agree bit-for-bit.
-        let plain = solver.solve_parallel(&GeneralKernels, &tensors, &starts);
+        // The uninstrumented run agrees bit-for-bit.
+        let plain = run_on(solver, 0, &GeneralKernels, &tensors, &starts);
         for (t, v, p) in res.iter_flat() {
             assert_eq!(p.lambda, plain.results[t][v].lambda);
         }
@@ -385,15 +361,14 @@ mod tests {
 
     #[test]
     fn convenience_entry_points_agree_with_run() {
-        // Migrated from the removed `*_instrumented` shims: the remaining
-        // convenience wrappers must stay bit-identical to `run`.
+        // The one convenience wrapper, `solve`, must stay bit-identical to
+        // `run` with the general kernels, sequential or parallel.
         let (tensors, starts) = workload(3, 4, 7);
         let solver =
             BatchSolver::new(SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(8)));
-        let tel = Telemetry::disabled();
-        let base = solver.run(&GeneralKernels, &tensors, &starts, &tel);
-        let seq = solver.solve_sequential(&GeneralKernels, &tensors, &starts);
-        let par = solver.solve_parallel(&GeneralKernels, &tensors, &starts);
+        let base = solver.solve(&tensors, &starts);
+        let seq = run_on(solver, 1, &GeneralKernels, &tensors, &starts);
+        let par = run_on(solver, 2, &GeneralKernels, &tensors, &starts);
         for (t, v, p) in base.iter_flat() {
             assert_eq!(p.lambda, seq.results[t][v].lambda);
             assert_eq!(p.lambda, par.results[t][v].lambda);

@@ -20,11 +20,11 @@
 //! DW-MRI voxels where the unshifted S-HOPM oscillates.
 
 use crate::shift::{sufficient_shift, SHIFT_MARGIN};
-use crate::solver::{Eigenpair, IterationObserver, IterationPolicy, IterationUpdate, NoopObserver};
+use crate::solver::{unit_start, Eigenpair, IterationObserver, IterationPolicy, IterationUpdate};
 use crate::traits::Solver;
 use linalg::{Matrix, SymmetricEigen};
-use symtensor::kernels::{axm2_matrix, GeneralKernels, TensorKernels};
-use symtensor::scalar::{norm2, normalize};
+use symtensor::kernels::{axm2_matrix, TensorKernels};
+use symtensor::scalar::norm2;
 use symtensor::{Scalar, SymTensorRef};
 
 /// The adaptive-shift GEAP solver (maximization variant): a convexity
@@ -86,20 +86,15 @@ impl Geap {
 
     /// Run GEAP from `x0` with the default on-the-fly kernels.
     ///
-    /// # Panics
-    /// Panics if `x0.len() != a.dim()` or `x0` is the zero vector.
+    /// A mismatched or zero `x0` yields a *poisoned* eigenpair
+    /// (`lambda = NaN`, `converged = false`, `iterations = 0`), as every
+    /// [`Solver`] does, never a panic.
     pub fn solve<'a, S: Scalar>(
         &self,
         a: impl Into<SymTensorRef<'a, S>>,
         x0: &[S],
     ) -> Eigenpair<S> {
-        self.solve_one(
-            &GeneralKernels,
-            a.into(),
-            x0,
-            &mut NoopObserver,
-            &mut Vec::new(),
-        )
+        self.solve_pair(a.into(), x0)
     }
 
     /// The GEAP shift at the unit iterate `x`: `max(0, (τ − λ_min)/m)`
@@ -185,30 +180,14 @@ impl<S: Scalar> Solver<S> for Geap {
         scratch: &mut Vec<S>,
     ) -> Eigenpair<S> {
         let n = a.dim();
-        let poisoned = |x: Vec<S>, alpha: f64| Eigenpair {
-            lambda: S::from_f64(f64::NAN),
-            x,
-            iterations: 0,
-            converged: false,
-            alpha,
+        let Some(mut x) = unit_start(x0, n) else {
+            return Eigenpair::poisoned(vec![S::ZERO; n], 0.0);
         };
-        if x0.len() != n {
-            return poisoned(vec![S::ZERO; n], 0.0);
-        }
-        let mut x = x0.to_vec();
-        if normalize(&mut x) == S::ZERO {
-            return poisoned(x, 0.0);
-        }
-
-        let (tol, max_iters) = match self.policy {
-            IterationPolicy::Converge { tol, max_iters } => (tol, max_iters),
-            IterationPolicy::Fixed(k) => (0.0, k),
-        };
-        let converge_mode = matches!(self.policy, IterationPolicy::Converge { .. });
+        let (tol, max_iters, converge_mode) = self.policy.limits();
 
         let mut lambda = match kernels.axm(a, &x) {
             Ok(v) => v,
-            Err(_) => return poisoned(x, 0.0),
+            Err(_) => return Eigenpair::poisoned(x, 0.0),
         };
         let mut alpha = self.shift_at(a, &x);
         observer.observe(&IterationUpdate {
@@ -235,7 +214,7 @@ impl<S: Scalar> Solver<S> for Geap {
             let mut attempt = 0usize;
             let new_lambda = loop {
                 if kernels.axm1(a, &x, y).is_err() {
-                    return poisoned(x, alpha);
+                    return Eigenpair::poisoned(x, alpha);
                 }
                 let alpha_s = S::from_f64(alpha);
                 for (yi, &xi) in y.iter_mut().zip(x.iter()) {
@@ -253,7 +232,7 @@ impl<S: Scalar> Solver<S> for Geap {
                 }
                 let nl = match kernels.axm(a, &cand) {
                     Ok(v) => v,
-                    Err(_) => return poisoned(x, alpha),
+                    Err(_) => return Eigenpair::poisoned(x, alpha),
                 };
                 let slack = 1e-12 * lambda.to_f64().abs().max(1.0);
                 if attempt >= 2 || nl.to_f64() >= lambda.to_f64() - slack {
@@ -301,6 +280,7 @@ mod tests {
     use crate::solver::SsHopm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use symtensor::kernels::GeneralKernels;
     use symtensor::SymTensor;
 
     fn random_tensor(m: usize, n: usize, seed: u64) -> SymTensor<f64> {
@@ -408,7 +388,7 @@ mod tests {
         let solver = Geap::new();
         let d: &dyn Solver<f64> = &solver;
         assert_eq!(d.name(), "geap");
-        assert_eq!(d.fixed_shift(), None);
+        assert_eq!(d.tensor_shift(), None);
         assert_eq!(d.policy(), IterationPolicy::default());
         assert_eq!(Geap::new().with_margin(0.5).margin(), 0.5);
     }

@@ -4,8 +4,7 @@
 //! Figure 1 of Ballard, Kolda & Plantenga (IPPS 2011), plus everything a
 //! real application needs around the bare iteration:
 //!
-//! * [`solver`] — the core fixed-shift iteration with convergence detection
-//!   and iteration tracing;
+//! * [`solver`] — the core shifted iteration with convergence detection;
 //! * [`shift`] — shift selection: fixed values, the sufficient convexity
 //!   bound `α > (m−1)·‖A‖_F`, and an adaptive per-iteration shift;
 //! * [`mod@classify`] — eigenpair classification (local max / local min /
@@ -17,7 +16,8 @@
 //! * [`batch`] — the paper's workload shape: many independent small tensors
 //!   solved in parallel (rayon stands in for the paper's OpenMP loop);
 //! * [`traits`] — the [`Solver`] abstraction every iteration implements,
-//!   with [`mod@geap`] (adaptive projected-Hessian shifts) and [`mod@qrst`]
+//!   the one per-start entry (observed, traced or plain), with
+//!   [`mod@geap`] (adaptive projected-Hessian shifts) and [`mod@qrst`]
 //!   (orthogonal-similarity QR iteration) as alternatives to SS-HOPM,
 //!   selected by a [`SolverSpec`] string (`sshopm[:alpha]`, `geap`,
 //!   `qrst`).

@@ -30,12 +30,12 @@
 
 use crate::batch::{on_workers, BatchResult};
 use crate::shift::Shift;
-use crate::solver::{Eigenpair, IterationPolicy};
+use crate::solver::{unit_start, Eigenpair, IterationPolicy};
 use crate::traits::Solver;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
-use symtensor::scalar::{norm2, normalize};
+use symtensor::scalar::norm2;
 use symtensor::{BatchedKernels, LanePanel, Scalar, TensorBatchRef, LANE_WIDTH};
 use telemetry::Telemetry;
 
@@ -70,7 +70,8 @@ pub fn lockstep_alpha<S: Scalar>(solver: &dyn Solver<S>) -> Option<Shift> {
 /// Arithmetic is ordered identically to the scalar
 /// [`SsHopm`](crate::SsHopm) iteration over
 /// [`PrecomputedTables`](symtensor::PrecomputedTables), so results are
-/// bitwise equal to `BatchSolver::solve_sequential` with those kernels.
+/// bitwise equal to [`BatchSolver::run`](crate::BatchSolver::run) with those
+/// kernels.
 /// Mismatched or zero starting vectors yield per-lane poisoned eigenpairs
 /// (`lambda = NaN`), never a panic; so does [`Shift::Adaptive`], which is
 /// not a constant of the tensor.
@@ -96,17 +97,8 @@ pub fn solve_batch_lockstep<S: Scalar>(
     // The scalar solver normalizes each start once; every lane shares the
     // starts, so one normalization serves the batch.
     let n = kernels.dim();
-    let unit_starts: Vec<Option<Vec<S>>> = starts
-        .iter()
-        .map(|x0| {
-            let mut x = x0.clone();
-            (x0.len() == n && normalize(&mut x) != S::ZERO).then_some(x)
-        })
-        .collect();
-    let (tol, max_iters) = match policy {
-        IterationPolicy::Converge { tol, max_iters } => (tol, max_iters),
-        IterationPolicy::Fixed(k) => (0.0, k),
-    };
+    let unit_starts: Vec<Option<Vec<S>>> = starts.iter().map(|x0| unit_start(x0, n)).collect();
+    let (tol, max_iters, converge_mode) = policy.limits();
     // The same starts in lane form, `LANE_WIDTH` per block, for the λ₀
     // panels; a poisoned start's lanes stay zero and are never read.
     let mut start_lanes = vec![S::ZERO; starts.len().div_ceil(LANE_WIDTH) * n * LANE_WIDTH];
@@ -124,7 +116,7 @@ pub fn solve_batch_lockstep<S: Scalar>(
         shift,
         tol,
         max_iters,
-        converge_mode: matches!(policy, IterationPolicy::Converge { .. }),
+        converge_mode,
         telemetry,
     };
 
@@ -150,16 +142,6 @@ pub fn solve_batch_lockstep<S: Scalar>(
     on_workers(threads, || {
         collect((0..num_streams).into_par_iter().map(stream).collect())
     })
-}
-
-fn poisoned_pair<S: Scalar>(n: usize, alpha: f64) -> Eigenpair<S> {
-    Eigenpair {
-        lambda: S::from_f64(f64::NAN),
-        x: vec![S::ZERO; n],
-        iterations: 0,
-        converged: false,
-        alpha,
-    }
 }
 
 /// What every stream of one batched solve shares.
@@ -319,7 +301,10 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             };
             self.next_start[w] = v + 1;
             let Some(x0) = x0 else {
-                self.push(t, poisoned_pair(run.kernels.dim(), 0.0));
+                self.push(
+                    t,
+                    Eigenpair::poisoned(vec![S::ZERO; run.kernels.dim()], 0.0),
+                );
                 continue;
             };
             let lambda0 = self.lambda0[w * run.starts.len() + v];
@@ -371,7 +356,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             });
             let mut row = Vec::with_capacity(starts);
             let Some(alpha) = alpha else {
-                row.resize_with(starts, || poisoned_pair(n, 0.0));
+                row.resize_with(starts, || Eigenpair::poisoned(vec![S::ZERO; n], 0.0));
                 self.rows.push(row);
                 continue;
             };
@@ -521,7 +506,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             if self.live[w] {
                 self.live[w] = false;
                 if let Some(t) = self.tensor[w] {
-                    self.push(t, poisoned_pair(n, self.alpha[w]));
+                    self.push(t, Eigenpair::poisoned(vec![S::ZERO; n], self.alpha[w]));
                 }
                 self.refill(w);
             }
@@ -658,8 +643,10 @@ mod tests {
         at: &str,
     ) -> BatchResult<S> {
         let tables = PrecomputedTables::new(tensors.order(), tensors.dim());
-        let reference = BatchSolver::new(solver).solve_sequential(&tables, tensors, starts);
         let tel = Telemetry::disabled();
+        let reference = BatchSolver::new(solver)
+            .with_threads(1)
+            .run(&tables, tensors, starts, &tel);
         let got = lockstep(tensors, starts, solver, 1, &tel);
         assert_same(&reference, &got, at);
         for threads in [2, 3] {

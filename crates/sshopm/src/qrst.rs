@@ -27,10 +27,10 @@
 //! iteration, so the cost stays comparable to a power step.
 
 use crate::shift::{sufficient_shift, SHIFT_MARGIN};
-use crate::solver::{Eigenpair, IterationObserver, IterationPolicy, IterationUpdate, NoopObserver};
+use crate::solver::{unit_start, Eigenpair, IterationObserver, IterationPolicy, IterationUpdate};
 use crate::traits::Solver;
 use linalg::{Matrix, Qr};
-use symtensor::kernels::{GeneralKernels, TensorKernels};
+use symtensor::kernels::TensorKernels;
 use symtensor::scalar::normalize;
 use symtensor::{Scalar, SymTensorRef};
 
@@ -82,20 +82,15 @@ impl Qrst {
 
     /// Run QRST from `x0` with the default on-the-fly kernels.
     ///
-    /// # Panics
-    /// Panics if `x0.len() != a.dim()` or `x0` is the zero vector.
+    /// A mismatched or zero `x0` yields a *poisoned* eigenpair
+    /// (`lambda = NaN`, `converged = false`, `iterations = 0`), as every
+    /// [`Solver`] does, never a panic.
     pub fn solve<'a, S: Scalar>(
         &self,
         a: impl Into<SymTensorRef<'a, S>>,
         x0: &[S],
     ) -> Eigenpair<S> {
-        self.solve_one(
-            &GeneralKernels,
-            a.into(),
-            x0,
-            &mut NoopObserver,
-            &mut Vec::new(),
-        )
+        self.solve_pair(a.into(), x0)
     }
 }
 
@@ -193,26 +188,10 @@ impl<S: Scalar> Solver<S> for Qrst {
         _scratch: &mut Vec<S>,
     ) -> Eigenpair<S> {
         let (m, n) = (a.order(), a.dim());
-        let poisoned = |x: Vec<S>, alpha: f64| Eigenpair {
-            lambda: S::from_f64(f64::NAN),
-            x,
-            iterations: 0,
-            converged: false,
-            alpha,
+        let Some(mut x_s) = unit_start(x0, n) else {
+            return Eigenpair::poisoned(vec![S::ZERO; n], 0.0);
         };
-        if x0.len() != n {
-            return poisoned(vec![S::ZERO; n], 0.0);
-        }
-        let mut x_s = x0.to_vec();
-        if normalize(&mut x_s) == S::ZERO {
-            return poisoned(x_s, 0.0);
-        }
-
-        let (tol, max_iters) = match self.policy {
-            IterationPolicy::Converge { tol, max_iters } => (tol, max_iters),
-            IterationPolicy::Fixed(k) => (0.0, k),
-        };
-        let converge_mode = matches!(self.policy, IterationPolicy::Converge { .. });
+        let (tol, max_iters, converge_mode) = self.policy.limits();
         let beta = sufficient_shift(a) + self.tau;
 
         // Rotate the dense copy so the starting vector becomes e1; from
@@ -291,7 +270,7 @@ impl<S: Scalar> Solver<S> for Qrst {
             }
             let lambda = match kernels.axm(a, &x) {
                 Ok(v) => v,
-                Err(_) => return poisoned(x, beta),
+                Err(_) => return Eigenpair::poisoned(x, beta),
             };
             let pair = Eigenpair {
                 lambda,
@@ -333,6 +312,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use symtensor::kernels::GeneralKernels;
     use symtensor::SymTensor;
 
     fn random_tensor(m: usize, n: usize, seed: u64) -> SymTensor<f64> {
@@ -404,7 +384,7 @@ mod tests {
         let solver = Qrst::new();
         let d: &dyn Solver<f64> = &solver;
         assert_eq!(d.name(), "qrst");
-        assert_eq!(d.fixed_shift(), None);
+        assert_eq!(d.tensor_shift(), None);
         assert_eq!(d.policy(), IterationPolicy::default());
     }
 

@@ -66,15 +66,6 @@ impl Shift {
         }
     }
 
-    /// True if this policy searches for local maxima (nonnegative shift).
-    pub fn is_convex<'a, S: Scalar>(&self, _a: impl Into<SymTensorRef<'a, S>>) -> bool {
-        match self {
-            Shift::Fixed(v) => *v >= 0.0,
-            Shift::Convex | Shift::Adaptive => true,
-            Shift::Concave => false,
-        }
-    }
-
     /// Evaluate the adaptive shift at the current unit iterate `x`:
     /// `max(0, (τ − λ_min(m(m−1)·A·x^{m−2}))/m)`.
     ///
@@ -134,16 +125,6 @@ mod tests {
         assert!(alpha > 3.0 * a.frobenius_norm() - 1e-12);
         let beta = Shift::Concave.fixed_value(&a).unwrap();
         assert!((alpha + beta).abs() < 1e-12, "concave mirrors convex");
-    }
-
-    #[test]
-    fn convexity_flags() {
-        let a = random_tensor(3);
-        assert!(Shift::Fixed(0.0).is_convex(&a));
-        assert!(Shift::Convex.is_convex(&a));
-        assert!(Shift::Adaptive.is_convex(&a));
-        assert!(!Shift::Concave.is_convex(&a));
-        assert!(!Shift::Fixed(-0.1).is_convex(&a));
     }
 
     #[test]

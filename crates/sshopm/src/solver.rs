@@ -13,7 +13,6 @@ use crate::shift::Shift;
 use symtensor::kernels::{GeneralKernels, TensorKernels};
 use symtensor::scalar::{norm2, normalize};
 use symtensor::{Scalar, SymTensorRef};
-use telemetry::{ConvergenceTrace, IterationRecord};
 
 /// Per-iteration observables handed to an [`IterationObserver`].
 ///
@@ -32,7 +31,7 @@ pub struct IterationUpdate<'a, S> {
     pub x: &'a [S],
 }
 
-/// Observes each solver iteration; see [`SsHopm::solve_observed_with`].
+/// Observes each solver iteration; see [`Solver::solve_one`](crate::Solver::solve_one).
 ///
 /// Implemented for any `FnMut(&IterationUpdate<S>)` closure. Observation
 /// happens at iteration granularity, outside the `axm`/`axm1` kernels, so
@@ -75,6 +74,18 @@ pub enum IterationPolicy {
     Fixed(usize),
 }
 
+impl IterationPolicy {
+    /// The stopping rule unpacked: the `|Δλ|` tolerance, the iteration
+    /// cap, and whether `|Δλ|` is tested at all (not under
+    /// [`Fixed`](Self::Fixed), whose solves always report converged).
+    pub(crate) fn limits(self) -> (f64, usize, bool) {
+        match self {
+            IterationPolicy::Converge { tol, max_iters } => (tol, max_iters, true),
+            IterationPolicy::Fixed(k) => (0.0, k, false),
+        }
+    }
+}
+
 impl Default for IterationPolicy {
     fn default() -> Self {
         IterationPolicy::Converge {
@@ -101,6 +112,20 @@ pub struct Eigenpair<S> {
 }
 
 impl<S: Scalar> Eigenpair<S> {
+    /// The pair a solve returns when it cannot run or its kernels fail:
+    /// `lambda = NaN`, `converged = false`, `iterations = 0`, with the
+    /// iterate `x` it stopped at and the shift then in effect. Batch
+    /// drivers thus fail per tensor instead of aborting the process.
+    pub(crate) fn poisoned(x: Vec<S>, alpha: f64) -> Self {
+        Self {
+            lambda: S::from_f64(f64::NAN),
+            x,
+            iterations: 0,
+            converged: false,
+            alpha,
+        }
+    }
+
     /// Eigenpair residual `‖A·xᵐ⁻¹ − λ·x‖₂`, the definitional measure of
     /// eigenpair quality (Definition 3 of the paper).
     ///
@@ -222,75 +247,31 @@ impl SsHopm {
     }
 
     /// Run SS-HOPM from `x0` using a caller-chosen kernel implementation
-    /// (general / precomputed / unrolled).
+    /// (general / precomputed / unrolled). Observed, traced and
+    /// scratch-reusing solves go through the [`Solver`](crate::Solver)
+    /// trait.
     pub fn solve_with<'a, S: Scalar, K: TensorKernels<S> + ?Sized>(
         &self,
         kernels: &K,
         a: impl Into<SymTensorRef<'a, S>>,
         x0: &[S],
     ) -> Eigenpair<S> {
-        self.solve_observed_with(kernels, a, x0, &mut NoopObserver)
+        self.iterate(kernels, a.into(), x0, &mut NoopObserver, &mut Vec::new())
     }
 
-    /// Run SS-HOPM from `x0` with the default kernels, reporting every
-    /// iteration to `observer`.
-    pub fn solve_observed<'a, S: Scalar, O: IterationObserver<S>>(
-        &self,
-        a: impl Into<SymTensorRef<'a, S>>,
-        x0: &[S],
-        observer: &mut O,
-    ) -> Eigenpair<S> {
-        self.solve_observed_with(&GeneralKernels, a, x0, observer)
-    }
-
-    /// The fully general entry point: caller-chosen kernels plus an
-    /// iteration observer. The observer sees the initial iterate (`k = 0`)
-    /// and each subsequent iterate; observation sits outside the kernel
-    /// inner loops, and with [`NoopObserver`] this monomorphizes to
-    /// exactly the unobserved iteration.
-    pub fn solve_observed_with<'a, S, K, O>(
+    /// The iteration behind [`solve_with`](Self::solve_with) and
+    /// [`Solver::solve_one`](crate::Solver::solve_one), monomorphized for
+    /// each: the observer sees the initial iterate (`k = 0`) and each
+    /// later one, outside the kernel inner loops, and with
+    /// [`NoopObserver`] compiles away. `scratch` is the one length-`n` work
+    /// vector, cleared and resized before use, so a driver that passes the
+    /// same buffer to every solve allocates only the returned eigenvector
+    /// and, under a convex or concave shift, the one index class its
+    /// `‖A‖_F` walk uses, however many iterations it runs.
+    pub(crate) fn iterate<S, K, O>(
         &self,
         kernels: &K,
-        a: impl Into<SymTensorRef<'a, S>>,
-        x0: &[S],
-        observer: &mut O,
-    ) -> Eigenpair<S>
-    where
-        S: Scalar,
-        K: TensorKernels<S> + ?Sized,
-        O: IterationObserver<S>,
-    {
-        self.solve_observed_with_scratch(kernels, a, x0, observer, &mut Vec::new())
-    }
-
-    /// [`solve_with`](Self::solve_with) reusing a caller-held iteration
-    /// buffer. One SS-HOPM solve needs a single length-`n` work vector;
-    /// batched drivers that solve hundreds of thousands of voxels pass
-    /// the same `scratch` to every call. The solve then allocates only the
-    /// returned eigenvector and, under a convex or concave shift, the one
-    /// index class its `‖A‖_F` walk uses, however many iterations it runs.
-    pub fn solve_with_scratch<'a, S, K>(
-        &self,
-        kernels: &K,
-        a: impl Into<SymTensorRef<'a, S>>,
-        x0: &[S],
-        scratch: &mut Vec<S>,
-    ) -> Eigenpair<S>
-    where
-        S: Scalar,
-        K: TensorKernels<S> + ?Sized,
-    {
-        self.solve_observed_with_scratch(kernels, a, x0, &mut NoopObserver, scratch)
-    }
-
-    /// [`solve_observed_with`](Self::solve_observed_with) reusing a
-    /// caller-held iteration buffer (see
-    /// [`solve_with_scratch`](Self::solve_with_scratch)); `scratch` is
-    /// cleared and resized to `a.dim()` before use.
-    pub fn solve_observed_with_scratch<'a, S, K, O>(
-        &self,
-        kernels: &K,
-        a: impl Into<SymTensorRef<'a, S>>,
+        a: SymTensorRef<'_, S>,
         x0: &[S],
         observer: &mut O,
         scratch: &mut Vec<S>,
@@ -300,33 +281,15 @@ impl SsHopm {
         K: TensorKernels<S> + ?Sized,
         O: IterationObserver<S> + ?Sized,
     {
-        let a = a.into();
         let n = a.dim();
-        let poisoned = |x: Vec<S>, alpha: f64| Eigenpair {
-            lambda: S::from_f64(f64::NAN),
-            x,
-            iterations: 0,
-            converged: false,
-            alpha,
+        let Some(mut x) = unit_start(x0, n) else {
+            return Eigenpair::poisoned(vec![S::ZERO; n], 0.0);
         };
-        if x0.len() != n {
-            return poisoned(vec![S::ZERO; n], 0.0);
-        }
-        let mut x = x0.to_vec();
-        let nrm = normalize(&mut x);
-        if nrm == S::ZERO {
-            return poisoned(x, 0.0);
-        }
-
-        let (tol, max_iters) = match self.policy {
-            IterationPolicy::Converge { tol, max_iters } => (tol, max_iters),
-            IterationPolicy::Fixed(k) => (0.0, k),
-        };
-        let converge_mode = matches!(self.policy, IterationPolicy::Converge { .. });
+        let (tol, max_iters, converge_mode) = self.policy.limits();
 
         let mut lambda = match kernels.axm(a, &x) {
             Ok(v) => v,
-            Err(_) => return poisoned(x, 0.0),
+            Err(_) => return Eigenpair::poisoned(x, 0.0),
         };
         // Fixed, convex and concave shifts are constants of the tensor:
         // resolve them once per solve. Only the adaptive shift is
@@ -348,7 +311,7 @@ impl SsHopm {
         for _ in 0..max_iters {
             // x̂ ← A x^{m-1} + α x   (negated when α < 0).
             if kernels.axm1(a, &x, y).is_err() {
-                return poisoned(x, alpha);
+                return Eigenpair::poisoned(x, alpha);
             }
             let alpha_s = S::from_f64(alpha);
             if alpha >= 0.0 {
@@ -373,7 +336,7 @@ impl SsHopm {
             }
             let new_lambda = match kernels.axm(a, &x) {
                 Ok(v) => v,
-                Err(_) => return poisoned(x, alpha),
+                Err(_) => return Eigenpair::poisoned(x, alpha),
             };
             iterations += 1;
             observer.observe(&IterationUpdate {
@@ -401,60 +364,32 @@ impl SsHopm {
             alpha,
         }
     }
+}
 
-    /// Solve and also record the eigenvalue estimate at every iteration
-    /// (for convergence plots and the shift ablation bench).
-    pub fn solve_traced<'a, S: Scalar>(
-        &self,
-        a: impl Into<SymTensorRef<'a, S>>,
-        x0: &[S],
-    ) -> (Eigenpair<S>, Vec<f64>) {
-        let mut trace = Vec::new();
-        let pair = self.solve_observed(a, x0, &mut |u: &IterationUpdate<'_, S>| {
-            trace.push(u.lambda);
-        });
-        (pair, trace)
+/// The unit vector a solve on an `n`-dimensional tensor starts from:
+/// `x0` normalized, or `None` when `x0` has the wrong length or is zero.
+/// Every solver, the lane driver included, answers `None` with a
+/// [poisoned](Eigenpair::poisoned) pair whose `x` is the zero vector.
+pub(crate) fn unit_start<S: Scalar>(x0: &[S], n: usize) -> Option<Vec<S>> {
+    if x0.len() != n {
+        return None;
     }
-
-    /// Solve and record a full per-iteration [`ConvergenceTrace`]
-    /// (λ, shift, and — when `with_residuals` — the eigenpair residual,
-    /// which costs one extra `axm1` per iteration).
-    pub fn solve_convergence_trace<'a, S: Scalar>(
-        &self,
-        a: impl Into<SymTensorRef<'a, S>>,
-        x0: &[S],
-        with_residuals: bool,
-    ) -> (Eigenpair<S>, ConvergenceTrace) {
-        let a = a.into();
-        let mut trace = ConvergenceTrace::new();
-        let pair = self.solve_observed(a, x0, &mut |u: &IterationUpdate<'_, S>| {
-            let residual = with_residuals.then(|| {
-                let probe = Eigenpair {
-                    lambda: S::from_f64(u.lambda),
-                    x: u.x.to_vec(),
-                    iterations: u.k,
-                    converged: false,
-                    alpha: u.alpha,
-                };
-                probe.residual(a)
-            });
-            trace.push(IterationRecord {
-                k: u.k,
-                lambda: u.lambda,
-                alpha: u.alpha,
-                residual,
-            });
-        });
-        (pair, trace)
-    }
+    let mut x = x0.to_vec();
+    (normalize(&mut x) != S::ZERO).then_some(x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::Solver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symtensor::{PrecomputedTables, SymTensor};
+
+    /// The λ of every iterate, the initial one included.
+    fn lambda_trace(solver: &SsHopm, a: &SymTensor<f64>, x0: &[f64]) -> Vec<f64> {
+        Solver::solve_trace(solver, a.view(), x0, false).1.lambdas()
+    }
 
     fn random_tensor(m: usize, n: usize, seed: u64) -> SymTensor<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -497,7 +432,7 @@ mod tests {
     fn convex_shift_converges_monotonically() {
         let a = random_tensor(4, 3, 10);
         let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-13);
-        let (_, trace) = solver.solve_traced(&a, &[1.0, 1.0, 1.0]);
+        let trace = lambda_trace(&solver, &a, &[1.0, 1.0, 1.0]);
         // Kolda-Mayo: with alpha above the convexity bound, lambda_k is
         // nondecreasing.
         for w in trace.windows(2) {
@@ -511,7 +446,7 @@ mod tests {
         let up = SsHopm::new(Shift::Convex).solve(&a, &[0.2, 0.3, 0.9]);
         let down = SsHopm::new(Shift::Concave).solve(&a, &[0.2, 0.3, 0.9]);
         assert!(down.lambda <= up.lambda);
-        let (_, trace) = SsHopm::new(Shift::Concave).solve_traced(&a, &[0.2, 0.3, 0.9]);
+        let trace = lambda_trace(&SsHopm::new(Shift::Concave), &a, &[0.2, 0.3, 0.9]);
         for w in trace.windows(2) {
             assert!(w[1] <= w[0] + 1e-10);
         }
@@ -673,8 +608,8 @@ mod tests {
         let a = random_tensor(4, 3, 39);
         let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
         let plain = solver.solve(&a, &[0.9, 0.1, 0.4]);
-        let (traced, trace) = solver.solve_traced(&a, &[0.9, 0.1, 0.4]);
-        assert!((plain.lambda - traced.lambda).abs() < 1e-12);
+        let (traced, trace) = Solver::solve_trace(&solver, a.view(), &[0.9, 0.1, 0.4], false);
+        assert_eq!(plain.lambda.to_bits(), traced.lambda.to_bits());
         assert_eq!(plain.iterations, traced.iterations);
         assert_eq!(trace.len(), traced.iterations + 1);
     }

@@ -220,14 +220,14 @@ mod tests {
     fn build_honors_explicit_alpha_and_default_shift() {
         let policy = IterationPolicy::Fixed(7);
         let fixed = SolverSpec::SsHopm { alpha: Some(1.5) }.build::<f64>(Shift::Convex, policy);
-        assert_eq!(fixed.fixed_shift(), Some(1.5));
+        assert_eq!(fixed.tensor_shift(), Some(Shift::Fixed(1.5)));
         assert_eq!(fixed.policy(), policy);
         let deferred = SolverSpec::SsHopm { alpha: None }.build::<f64>(Shift::Fixed(0.25), policy);
-        assert_eq!(deferred.fixed_shift(), Some(0.25));
+        assert_eq!(deferred.tensor_shift(), Some(Shift::Fixed(0.25)));
         for (spec, name) in [(SolverSpec::Geap, "geap"), (SolverSpec::Qrst, "qrst")] {
             let solver = spec.build::<f64>(Shift::Convex, policy);
             assert_eq!(solver.name(), name);
-            assert_eq!(solver.fixed_shift(), None);
+            assert_eq!(solver.tensor_shift(), None);
             assert_eq!(solver.policy(), policy);
         }
     }

@@ -10,8 +10,9 @@
 //! builds a [`ConvergenceTrace`]). Implementations differ only in *how*
 //! they step:
 //!
-//! * [`SsHopm`] — the paper's shifted power iteration (fixed or
-//!   tensor-level adaptive shift);
+//! * [`SsHopm`] — the paper's shifted power iteration (a fixed, convex or
+//!   concave shift resolved once per tensor, or an adaptive shift
+//!   re-derived at every iterate);
 //! * [`crate::Geap`] — per-iteration shift from the projected Hessian
 //!   spectrum (Kolda & Mayo's adaptive method);
 //! * [`crate::Qrst`] — orthogonal-similarity QR iteration on a dense
@@ -46,22 +47,11 @@ pub trait Solver<S: Scalar>: Sync {
     /// holds for every iteration ([`Shift::fixed_value`]), if it has one:
     /// SS-HOPM under a fixed, convex or concave shift. Every solve of one
     /// tensor then runs the same update rule, which is what the lockstep
-    /// lane driver needs. `None` (the default) for shifts re-derived per
-    /// iterate and for other iterations.
+    /// lane driver needs; the simulated GPU, which stages one `α` for a
+    /// whole launch, takes only [`Shift::Fixed`]. `None` (the default) for
+    /// shifts re-derived per iterate and for other iterations.
     fn tensor_shift(&self) -> Option<Shift> {
         None
-    }
-
-    /// The shift `α` this solver applies identically to every tensor on
-    /// every iteration: a [`Shift::Fixed`] [`tensor_shift`](Self::tensor_shift).
-    /// GPU backends replicate the fixed-shift update in device code (the
-    /// paper's setting), so they accept exactly the solvers that return
-    /// `Some` here and reject the rest with a descriptive error.
-    fn fixed_shift(&self) -> Option<f64> {
-        match self.tensor_shift() {
-            Some(Shift::Fixed(alpha)) => Some(alpha),
-            _ => None,
-        }
     }
 
     /// Solve one tensor from one starting vector, reporting every
@@ -177,9 +167,9 @@ impl<S: Scalar, T: Solver<S> + ?Sized> Solver<S> for Box<T> {
     }
 }
 
-/// SS-HOPM as a [`Solver`]: a plain delegation to the inherent
-/// iteration, so the trait path runs bit-for-bit the same arithmetic as
-/// the pre-trait code (pinned by the solver-parity suite).
+/// SS-HOPM as a [`Solver`]: the same iteration [`SsHopm::solve_with`]
+/// runs, so both paths return the same bits (pinned by the
+/// solver-parity suite).
 impl<S: Scalar> Solver<S> for SsHopm {
     fn name(&self) -> &'static str {
         "sshopm"
@@ -204,7 +194,7 @@ impl<S: Scalar> Solver<S> for SsHopm {
         observer: &mut dyn IterationObserver<S>,
         scratch: &mut Vec<S>,
     ) -> Eigenpair<S> {
-        self.solve_observed_with_scratch(kernels, a, x0, observer, scratch)
+        self.iterate(kernels, a, x0, observer, scratch)
     }
 }
 
@@ -236,15 +226,20 @@ mod tests {
         }
     }
 
+    /// The simulated GPU's rule reads `tensor_shift`: only a fixed shift
+    /// is one `α` for every tensor, and the adaptive one is not even a
+    /// constant of the tensor.
     #[test]
     fn fixed_shift_exposed_only_for_fixed_policies() {
         let fixed: &dyn Solver<f64> = &SsHopm::new(Shift::Fixed(1.5));
-        assert_eq!(fixed.fixed_shift(), Some(1.5));
-        for shift in [Shift::Convex, Shift::Concave, Shift::Adaptive] {
+        assert_eq!(fixed.tensor_shift(), Some(Shift::Fixed(1.5)));
+        for shift in [Shift::Convex, Shift::Concave] {
             let s = SsHopm::new(shift);
             let d: &dyn Solver<f64> = &s;
-            assert_eq!(d.fixed_shift(), None, "{shift:?}");
+            assert_eq!(d.tensor_shift(), Some(shift));
         }
+        let adaptive: &dyn Solver<f64> = &SsHopm::new(Shift::Adaptive);
+        assert_eq!(adaptive.tensor_shift(), None);
     }
 
     #[test]
@@ -252,7 +247,6 @@ mod tests {
         let solver = SsHopm::new(Shift::Fixed(0.5));
         let by_ref = &solver;
         assert_eq!(Solver::<f64>::name(&by_ref), "sshopm");
-        assert_eq!(Solver::<f64>::fixed_shift(&by_ref), Some(0.5));
         assert_eq!(
             Solver::<f64>::tensor_shift(&by_ref),
             Some(Shift::Fixed(0.5))
@@ -261,25 +255,5 @@ mod tests {
         assert_eq!(boxed.name(), "sshopm");
         assert_eq!(boxed.policy(), solver.policy());
         assert_eq!(boxed.tensor_shift(), Some(Shift::Convex));
-    }
-
-    #[test]
-    fn solve_trace_matches_inherent_convergence_trace() {
-        let a = random_tensor(9);
-        let x0 = [0.9, 0.1, 0.4];
-        let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
-        let (pair_inherent, trace_inherent) = solver.solve_convergence_trace(&a, &x0, true);
-        let dynamic: &dyn Solver<f64> = &solver;
-        let (pair_trait, trace_trait) = dynamic.solve_trace(a.view(), &x0, true);
-        assert_eq!(pair_inherent.lambda.to_bits(), pair_trait.lambda.to_bits());
-        assert_eq!(trace_inherent.len(), trace_trait.len());
-        for (a_rec, b_rec) in trace_inherent
-            .records
-            .iter()
-            .zip(trace_trait.records.iter())
-        {
-            assert_eq!(a_rec.k, b_rec.k);
-            assert_eq!(a_rec.lambda.to_bits(), b_rec.lambda.to_bits());
-        }
     }
 }

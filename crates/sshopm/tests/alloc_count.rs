@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use sshopm::lockstep::STREAM_TENSORS;
 use sshopm::{
     classify, solve_batch_lockstep, spectra_from_rows, spectrum_from_pairs, DedupConfig, Eigenpair,
-    IterationPolicy, Shift, SsHopm,
+    IterationPolicy, NoopObserver, Shift, Solver, SsHopm,
 };
 use symtensor::{
     BatchedKernels, PrecomputedTables, SymTensor, TensorBatch, TensorKernels, UnrolledKernels,
@@ -57,7 +57,7 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Allocations made by one `solve_with_scratch` of exactly `iters`
+/// Allocations made by one `Solver::solve_one` of exactly `iters`
 /// iterations, with the scratch buffer already sized.
 fn solve_allocs(
     shift: Shift,
@@ -68,7 +68,8 @@ fn solve_allocs(
     let solver = SsHopm::new(shift).with_policy(IterationPolicy::Fixed(iters));
     let mut scratch = vec![0.0; a.dim()];
     let before = allocs();
-    let pair = solver.solve_with_scratch(kernels, a, &[0.3, -0.5, 0.8], &mut scratch);
+    let x0 = [0.3, -0.5, 0.8];
+    let pair = solver.solve_one(kernels, a.view(), &x0, &mut NoopObserver, &mut scratch);
     let after = allocs();
     assert_eq!(pair.iterations, iters);
     after - before

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sshopm::{IterationPolicy, Shift, SsHopm};
+use sshopm::{IterationPolicy, Shift, Solver, SsHopm};
 use symtensor::SymTensor;
 use telemetry::ConvergenceTrace;
 
@@ -31,7 +31,7 @@ fn convex_shift_gives_monotone_nondecreasing_lambda_trace() {
         let a = random_tensor(4, 3, seed);
         let x0 = first_start(3, 1000 + seed);
         let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
-        let (pair, trace) = solver.solve_convergence_trace(&a, &x0, false);
+        let (pair, trace) = solver.solve_trace(a.view(), &x0, false);
         assert!(pair.converged, "seed {seed} did not converge");
         assert_eq!(trace.len(), pair.iterations + 1);
         assert!(
@@ -56,7 +56,7 @@ fn zero_shift_oscillates_on_some_tensor_and_trace_captures_it() {
     for seed in 0..300u64 {
         let a = random_tensor(4, 3, seed);
         let x0 = first_start(3, 5000 + seed);
-        let (_, trace) = solver.solve_convergence_trace(&a, &x0, false);
+        let (_, trace) = solver.solve_trace(a.view(), &x0, false);
         assert_eq!(trace.len(), 61);
         if trace.has_decrease(1e-9) {
             oscillating = Some((seed, trace));
@@ -73,7 +73,7 @@ fn zero_shift_oscillates_on_some_tensor_and_trace_captures_it() {
     let a = random_tensor(4, 3, seed);
     let x0 = first_start(3, 5000 + seed);
     let convex = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
-    let (pair, fixed_trace) = convex.solve_convergence_trace(&a, &x0, false);
+    let (pair, fixed_trace) = convex.solve_trace(a.view(), &x0, false);
     assert!(pair.converged);
     assert!(fixed_trace.is_monotone_nondecreasing(MONOTONE_TOL));
 }
@@ -84,10 +84,10 @@ fn residual_recording_is_optional_and_consistent() {
     let x0 = first_start(4, 11);
     let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-12);
 
-    let (pair, without) = solver.solve_convergence_trace(&a, &x0, false);
+    let (pair, without) = solver.solve_trace(a.view(), &x0, false);
     assert!(without.records.iter().all(|r| r.residual.is_none()));
 
-    let (pair_r, with) = solver.solve_convergence_trace(&a, &x0, true);
+    let (pair_r, with) = solver.solve_trace(a.view(), &x0, true);
     assert_eq!(
         pair.lambda, pair_r.lambda,
         "residual probes must not perturb the solve"
@@ -118,7 +118,7 @@ fn trace_serializes_for_export() {
     let a = random_tensor(4, 3, 3);
     let x0 = first_start(3, 3);
     let solver = SsHopm::new(Shift::Convex).with_tolerance(1e-10);
-    let (_, trace) = solver.solve_convergence_trace(&a, &x0, true);
+    let (_, trace) = solver.solve_trace(a.view(), &x0, true);
     let json = trace.to_value().to_json();
     let parsed = serde::Value::parse_json(&json).unwrap();
     let records = parsed.as_seq().unwrap();

@@ -5,7 +5,7 @@
 use linalg::{Matrix, SymmetricEigen};
 use proptest::prelude::*;
 use sshopm::{
-    classify, multistart, refine, DedupConfig, IterationPolicy, Shift, SsHopm, Stability,
+    classify, multistart, refine, DedupConfig, IterationPolicy, Shift, Solver, SsHopm, Stability,
 };
 use symtensor::kernels::{axm, axm2_matrix};
 use symtensor::multinomial::num_unique_entries;
@@ -59,9 +59,11 @@ proptest! {
 
     #[test]
     fn convex_trace_is_monotone_nondecreasing((a, x0) in tensor_and_start()) {
-        let (_, trace) = SsHopm::new(Shift::Convex)
+        let trace = SsHopm::new(Shift::Convex)
             .with_tolerance(1e-12)
-            .solve_traced(&a, &x0);
+            .solve_trace(a.view(), &x0, false)
+            .1
+            .lambdas();
         for w in trace.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-9 * (1.0 + w[0].abs()), "{} -> {}", w[0], w[1]);
         }
@@ -69,9 +71,11 @@ proptest! {
 
     #[test]
     fn concave_trace_is_monotone_nonincreasing((a, x0) in tensor_and_start()) {
-        let (_, trace) = SsHopm::new(Shift::Concave)
+        let trace = SsHopm::new(Shift::Concave)
             .with_tolerance(1e-12)
-            .solve_traced(&a, &x0);
+            .solve_trace(a.view(), &x0, false)
+            .1
+            .lambdas();
         for w in trace.windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-9 * (1.0 + w[0].abs()));
         }

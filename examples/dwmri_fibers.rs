@@ -101,7 +101,7 @@ fn main() {
             extract_fibers(&v.tensor, &extract_cfg).expect("phantom tensors are 3-dimensional")
         })
         .collect();
-    let field = FiberField::new(32, 32, fibers);
+    let field = FiberField::new(32, 32, fibers).expect("one fiber list per voxel");
     // Seeds in the single-fiber region: tracking follows the primary tract
     // and passes straight *through* the crossing band by heading
     // continuity. (A seed inside the band would start along the band's

@@ -147,7 +147,7 @@ fn tractography_runs_straight_through_the_crossing_band() {
         .iter()
         .map(|v| extract_fibers(&v.tensor, &cfg).unwrap())
         .collect();
-    let field = FiberField::new(8, 8, fibers);
+    let field = FiberField::new(8, 8, fibers).unwrap();
 
     // Seed in the single-fiber region left of center, heading along the
     // primary (mostly +x) tract; it must traverse most of the grid width,
