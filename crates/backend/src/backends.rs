@@ -93,13 +93,14 @@ pub(crate) fn finish<S: Scalar>(
     report
 }
 
-/// A report with no results, for an empty batch.
+/// A report with no results, for an empty batch; `kernel` is the name the
+/// backend reports for a non-empty batch of the same shape.
 pub(crate) fn empty_report<S: Scalar>(
     label: String,
-    kernel: KernelStrategy,
+    kernel: &str,
     solver: &dyn Solver<S>,
 ) -> BatchReport<S> {
-    BatchReport::new(label, kernel.name(), solver.name(), Vec::new(), 0, 0.0, 0)
+    BatchReport::new(label, kernel, solver.name(), Vec::new(), 0, 0.0, 0)
 }
 
 /// What the process-wide kernel registry did since `before`, in the
@@ -156,9 +157,6 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
         let label = SolveBackend::<S>::label(self);
-        if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
-        }
         let (m, n) = (batch.order(), batch.dim());
         let registry = KernelRegistry::global();
         let cache_before = registry.stats();
@@ -168,6 +166,9 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
         // lanes per kernel call); every other plan, and every other solver
         // or shift, runs the per-tensor loop over the plan's kernels.
         let plan = registry.plan::<S>(m, n, self.strategy);
+        if batch.is_empty() {
+            return Ok(empty_report(label, plan.kernels.name(), solver));
+        }
         let lockstep = plan.lanes.as_ref().zip(sshopm::lockstep_alpha(solver));
         let started = Instant::now();
         let result = match lockstep {
@@ -420,11 +421,11 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
         let label = SolveBackend::<S>::label(self);
+        let variant = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
         if batch.is_empty() {
-            return Ok(empty_report(label, self.strategy, solver));
+            return Ok(empty_report(label, variant.name(), solver));
         }
         let alpha = fixed_alpha(solver, "GpuSimBackend")?;
-        let variant = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
         let cache_before = KernelRegistry::global().stats();
         let _batch_span = telemetry.span("batch.solve");
         let (result, launch) = self.cluster.launch(

@@ -191,15 +191,15 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
     ) -> Result<BatchReport<S>, BackendError> {
         let label = SolveBackend::<S>::label(self);
         let strategy = self.inner.strategy();
+        let (m, n) = (batch.order(), batch.dim());
+        let variant = crate::strategy::gpu_variant(strategy, m, n);
         if batch.is_empty() {
-            return Ok(empty_report(label, strategy, solver));
+            return Ok(empty_report(label, variant.name(), solver));
         }
         if starts.is_empty() {
             return Err(gpusim::GpuError::EmptyStarts.into());
         }
-        let (m, n) = (batch.order(), batch.dim());
         let alpha = fixed_alpha(solver, "ResilientBackend")?;
-        let variant = crate::strategy::gpu_variant(strategy, m, n);
         let cache_before = crate::strategy::KernelRegistry::global().stats();
         // The CPU kernels used for failover and NaN recovery: every plan
         // returns the bits every GPU variant computes, so CPU re-solves are

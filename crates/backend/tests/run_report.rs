@@ -228,3 +228,39 @@ fn resilient_reports_carry_device_rows_and_batch_counters() {
     );
     assert_eq!(counters, plain_counters);
 }
+
+/// An empty batch's report names the kernels a one-tensor batch of the
+/// same shape reports, not the strategy that chose them: under `tape` at
+/// (4, 3) the cpu backend runs the batched kernels, and the simulated GPU,
+/// plain or resilient, the unrolled variant.
+#[test]
+fn an_empty_batch_reports_the_kernels_a_full_one_does() {
+    let strategy = KernelStrategy::Tape;
+    let device = DeviceSpec::tesla_c2050();
+    let resilient = ResilientBackend::new(
+        vec![device.clone()],
+        TransferModel::pcie2(),
+        strategy,
+        FaultPlan::new(0),
+    )
+    .unwrap();
+    let backends: [(&dyn SolveBackend<f32>, &str); 3] = [
+        (&CpuParallel::new(1, strategy), "batched"),
+        (&GpuSimBackend::new(device, strategy), "unrolled"),
+        (&resilient, "unrolled"),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xe3);
+    let one = TensorBatch::<f32>::random(4, 3, 1, &mut rng).unwrap();
+    let none = TensorBatch::<f32>::new(4, 3).unwrap();
+    let starts = starts::random_uniform_starts::<f32, _>(3, NUM_STARTS, &mut rng);
+    let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(3));
+    let tel = Telemetry::disabled();
+    for (backend, kernel) in backends {
+        let full = backend.solve_batch(&one, &starts, &solver, &tel).unwrap();
+        let empty = backend.solve_batch(&none, &starts, &solver, &tel).unwrap();
+        let label = backend.label();
+        assert_eq!(full.kernel, kernel, "{label}: one tensor");
+        assert_eq!(empty.kernel, kernel, "{label}: no tensors");
+        assert_eq!(empty.num_tensors(), 0, "{label}");
+    }
+}

@@ -63,6 +63,21 @@ fn parse_starts(args: &Args, default: usize) -> Result<usize, CmdError> {
     }
 }
 
+/// Parse `--noise` (default 0), the phantom's noise amplitude. A NaN or
+/// infinite amplitude would write a file of non-finite entries, which
+/// `info` and `fibers` refuse, and a negative one has no meaning, so both
+/// are rejected here, before any file is written.
+fn parse_noise(args: &Args) -> Result<f64, CmdError> {
+    let amplitude: f64 = args.get_parsed("noise", 0.0)?;
+    if amplitude.is_finite() && amplitude >= 0.0 {
+        return Ok(amplitude);
+    }
+    Err(CmdError(format!(
+        "invalid --noise {:?}: the noise amplitude must be a finite number >= 0",
+        args.get("noise").unwrap_or_default()
+    )))
+}
+
 /// Parse `--solver` (default `sshopm`) into a [`SolverSpec`]; the parse
 /// error already names the valid alternatives.
 fn parse_solver(args: &Args) -> Result<SolverSpec, CmdError> {
@@ -431,7 +446,7 @@ fn inner_phantom(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     let path = args
         .get("out")
         .ok_or_else(|| CmdError("--out FILE is required".into()))?;
-    let amplitude: f64 = args.get_parsed("noise", 0.0)?;
+    let amplitude = parse_noise(&args)?;
     let config = dwmri::PhantomConfig {
         width: args.get_parsed("width", 32)?,
         height: args.get_parsed("height", 32)?,
@@ -961,6 +976,42 @@ mod tests {
         // A 3x3 default phantom has single- and two-fiber voxels.
         assert!(!text.contains("0 fibers: 9"));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A NaN, infinite or negative `--noise` is an error naming the flag
+    /// and the value, and writes no file; 0 and 0.02 write a phantom
+    /// file as before: 0 the noise-free default, 0.02 a noisy one that
+    /// parses.
+    #[test]
+    fn phantom_rejects_non_finite_and_negative_noise() {
+        let grid = ["--width", "2", "--height", "2"];
+        let write = |name: &str, noise: Option<&str>| {
+            let path = tmp(name);
+            std::fs::remove_file(&path).ok();
+            let mut argv = sv(&["--out", &path]);
+            argv.extend(sv(&grid));
+            argv.extend(noise.map(|v| sv(&["--noise", v])).unwrap_or_default());
+            (path.clone(), phantom(argv, &mut Vec::new()))
+        };
+        for bad in ["nan", "inf", "-1"] {
+            let (path, res) = write(&format!("noise{bad}.txt"), Some(bad));
+            let err = res.unwrap_err();
+            assert!(err.contains(&format!("--noise \"{bad}\"")), "{err}");
+            assert!(!std::path::Path::new(&path).exists(), "--noise {bad}");
+        }
+        let read = |path: &str| std::fs::read_to_string(path).unwrap();
+        let (default, res) = write("noise-default.txt", None);
+        res.unwrap();
+        let (zero, res) = write("noise0.txt", Some("0"));
+        res.unwrap();
+        let (noisy, res) = write("noise002.txt", Some("0.02"));
+        res.unwrap();
+        assert_eq!(read(&zero), read(&default));
+        assert_ne!(read(&noisy), read(&default));
+        assert_eq!(load_batch(&noisy).unwrap().len(), 4);
+        for path in [default, zero, noisy] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod batch;
 pub mod classify;
 pub mod decompose;
 pub mod geap;
-pub mod heig;
 pub mod lockstep;
 pub mod multistart;
 pub mod qrst;
@@ -57,7 +56,6 @@ pub use batch::{BatchResult, BatchSolver};
 pub use classify::{classify, Stability};
 pub use decompose::{best_rank_one, decompose, SymCp};
 pub use geap::Geap;
-pub use heig::{nqz, HEigenpair};
 pub use lockstep::{lockstep_alpha, solve_batch_lockstep};
 pub use multistart::{
     multistart, spectra_from_rows, spectrum_from_pairs, DedupConfig, Spectrum, SpectrumEntry,

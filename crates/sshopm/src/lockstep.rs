@@ -22,6 +22,13 @@
 //! Results are indexed by tensor, so they do not depend on which lane or
 //! worker ran them.
 //!
+//! The stream loop is one body compiled twice: for the baseline target,
+//! and for AVX2, which a stream runs when the CPU has it. Everything
+//! between the loop and the arithmetic is `#[inline(always)]`, so the AVX2
+//! compilation runs the panels, the shift, the normalization and the
+//! convergence test in 256-bit registers. It enables no FMA, so both
+//! compilations return the same bits.
+//!
 //! Lockstep execution needs an update rule that does not depend on the
 //! iterate, so the driver accepts exactly the solvers whose
 //! [`Solver::tensor_shift`] reports `Some` (SS-HOPM under a fixed, convex
@@ -36,7 +43,7 @@ use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
 use symtensor::scalar::norm2;
-use symtensor::{BatchedKernels, LanePanel, Scalar, TensorBatchRef, LANE_WIDTH};
+use symtensor::{BatchedKernels, LanePanel, Scalar, SymTensorRef, TensorBatchRef, LANE_WIDTH};
 use telemetry::Telemetry;
 
 /// Tensors per stream: 64 panels' worth. The lanes a stream's last
@@ -83,7 +90,9 @@ pub fn lockstep_alpha<S: Scalar>(solver: &dyn Solver<S>) -> Option<Shift> {
 /// `batch.solves`, `batch.converged`, `batch.iterations`), plus
 /// `batch.lane_slots`: panel iterations × [`LANE_WIDTH`], so
 /// `batch.iterations / batch.lane_slots` is the measured share of lane
-/// slots that advanced a solve.
+/// slots that advanced a solve; and `batch.avx2_streams`, the streams the
+/// AVX2 compilation of the stream loop ran (absent where the CPU has no
+/// AVX2).
 pub fn solve_batch_lockstep<S: Scalar>(
     kernels: &BatchedKernels,
     batch: TensorBatchRef<'_, S>,
@@ -94,54 +103,7 @@ pub fn solve_batch_lockstep<S: Scalar>(
     telemetry: &Telemetry,
 ) -> BatchResult<S> {
     let _batch_span = telemetry.span("batch.solve");
-    // The scalar solver normalizes each start once; every lane shares the
-    // starts, so one normalization serves the batch.
-    let n = kernels.dim();
-    let unit_starts: Vec<Option<Vec<S>>> = starts.iter().map(|x0| unit_start(x0, n)).collect();
-    let (tol, max_iters, converge_mode) = policy.limits();
-    // The same starts in lane form, `LANE_WIDTH` per block, for the λ₀
-    // panels; a poisoned start's lanes stay zero and are never read.
-    let mut start_lanes = vec![S::ZERO; starts.len().div_ceil(LANE_WIDTH) * n * LANE_WIDTH];
-    for (v, x0) in unit_starts.iter().enumerate() {
-        let block = &mut start_lanes[(v / LANE_WIDTH) * n * LANE_WIDTH..];
-        for (i, &e) in x0.iter().flatten().enumerate() {
-            block[i * LANE_WIDTH + v % LANE_WIDTH] = e;
-        }
-    }
-    let run = Run {
-        kernels,
-        batch,
-        starts: &unit_starts,
-        start_lanes: &start_lanes,
-        shift,
-        tol,
-        max_iters,
-        converge_mode,
-        telemetry,
-    };
-
-    let count = batch.len();
-    let stream = |s: usize| run.stream(s * STREAM_TENSORS..count.min((s + 1) * STREAM_TENSORS));
-    let num_streams = count.div_ceil(STREAM_TENSORS);
-    let collect = |streams: Vec<(Vec<Vec<Eigenpair<S>>>, u64)>| {
-        let mut results = Vec::with_capacity(count);
-        let mut total_iterations = 0u64;
-        for (rows, iters) in streams {
-            total_iterations += iters;
-            results.extend(rows);
-        }
-        BatchResult {
-            results,
-            total_iterations,
-        }
-    };
-
-    if threads == 1 {
-        return collect((0..num_streams).map(stream).collect());
-    }
-    on_workers(threads, || {
-        collect((0..num_streams).into_par_iter().map(stream).collect())
-    })
+    Run::new(kernels, batch, starts, shift, policy, telemetry).solve(threads)
 }
 
 /// What every stream of one batched solve shares.
@@ -149,23 +111,119 @@ struct Run<'a, S> {
     kernels: &'a BatchedKernels,
     batch: TensorBatchRef<'a, S>,
     /// The unit starts; `None` marks a start the scalar solver poisons.
-    starts: &'a [Option<Vec<S>>],
+    starts: Vec<Option<Vec<S>>>,
     /// The unit starts in lane form: blocks of `LANE_WIDTH` starts, each
     /// laid out like an iterate buffer.
-    start_lanes: &'a [S],
+    start_lanes: Vec<S>,
     shift: Shift,
     tol: f64,
     max_iters: usize,
     converge_mode: bool,
     telemetry: &'a Telemetry,
+    /// Run the AVX2 compilation of the stream loop where the CPU has it;
+    /// tests clear it to check the baseline compilation on any host.
+    /// Only x86-64 has the AVX2 compilation.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    dispatch: bool,
 }
 
-impl<S: Scalar> Run<'_, S> {
-    /// Solve every tensor of `tensors` from every start; returns their
-    /// rows, in tensor order, and their total iterations. Counts are kept
-    /// in the stream and emitted once, so disabled telemetry costs one
-    /// branch per stream.
-    fn stream(&self, tensors: Range<usize>) -> (Vec<Vec<Eigenpair<S>>>, u64) {
+/// One stream's rows, in tensor order, and its total iterations.
+type Stream<S> = (Vec<Vec<Eigenpair<S>>>, u64);
+
+impl<'a, S: Scalar> Run<'a, S> {
+    fn new(
+        kernels: &'a BatchedKernels,
+        batch: TensorBatchRef<'a, S>,
+        starts: &[Vec<S>],
+        shift: Shift,
+        policy: IterationPolicy,
+        telemetry: &'a Telemetry,
+    ) -> Self {
+        // The scalar solver normalizes each start once; every lane shares
+        // the starts, so one normalization serves the batch.
+        let n = kernels.dim();
+        let starts: Vec<Option<Vec<S>>> = starts.iter().map(|x0| unit_start(x0, n)).collect();
+        let (tol, max_iters, converge_mode) = policy.limits();
+        // The same starts in lane form, `LANE_WIDTH` per block, for the λ₀
+        // panels; a poisoned start's lanes stay zero and are never read.
+        let mut start_lanes = vec![S::ZERO; starts.len().div_ceil(LANE_WIDTH) * n * LANE_WIDTH];
+        for (v, x0) in starts.iter().enumerate() {
+            let block = &mut start_lanes[(v / LANE_WIDTH) * n * LANE_WIDTH..];
+            for (i, &e) in x0.iter().flatten().enumerate() {
+                block[i * LANE_WIDTH + v % LANE_WIDTH] = e;
+            }
+        }
+        Self {
+            kernels,
+            batch,
+            starts,
+            start_lanes,
+            shift,
+            tol,
+            max_iters,
+            converge_mode,
+            telemetry,
+            dispatch: true,
+        }
+    }
+
+    /// Cut the batch into streams and solve them on `threads` workers.
+    fn solve(&self, threads: usize) -> BatchResult<S> {
+        let count = self.batch.len();
+        let stream =
+            |s: usize| self.stream(s * STREAM_TENSORS..count.min((s + 1) * STREAM_TENSORS));
+        let num_streams = count.div_ceil(STREAM_TENSORS);
+        let collect = |streams: Vec<Stream<S>>| {
+            let mut results = Vec::with_capacity(count);
+            let mut total_iterations = 0u64;
+            for (rows, iters) in streams {
+                total_iterations += iters;
+                results.extend(rows);
+            }
+            BatchResult {
+                results,
+                total_iterations,
+            }
+        };
+
+        if threads == 1 {
+            return collect((0..num_streams).map(stream).collect());
+        }
+        on_workers(threads, || {
+            collect((0..num_streams).into_par_iter().map(stream).collect())
+        })
+    }
+
+    /// Solve every tensor of `tensors` from every start, in the AVX2
+    /// compilation of the stream loop where the CPU has AVX2 and in the
+    /// baseline one elsewhere. Both return the same bits.
+    fn stream(&self, tensors: Range<usize>) -> Stream<S> {
+        #[cfg(target_arch = "x86_64")]
+        if self.dispatch && std::arch::is_x86_feature_detected!("avx2") {
+            self.telemetry.counter("batch.avx2_streams", 1);
+            // SAFETY: `stream_avx2` requires nothing beyond AVX2, and the
+            // `is_x86_feature_detected!` just above found it on this CPU.
+            return unsafe { self.stream_avx2(tensors) };
+        }
+        self.stream_lanes(tensors)
+    }
+
+    /// [`Run::stream_lanes`] compiled for AVX2: it and everything it
+    /// inlines, down to the lane panels, may use the 256-bit registers.
+    /// Only `avx2` is enabled, not `fma`, so every operation rounds as the
+    /// baseline code's does. Callers must check that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn stream_avx2(&self, tensors: Range<usize>) -> Stream<S> {
+        self.stream_lanes(tensors)
+    }
+
+    /// The stream loop, inlined into each compilation. Returns the
+    /// stream's rows, in tensor order, and their total iterations. Counts
+    /// are kept in the stream and emitted once, so disabled telemetry
+    /// costs one branch per stream.
+    #[inline(always)]
+    fn stream_lanes(&self, tensors: Range<usize>) -> Stream<S> {
         let started = self.telemetry.is_enabled().then(Instant::now);
         let len = tensors.len();
         let mut lanes = Lanes::new(self, tensors);
@@ -285,6 +343,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
     /// first start of the stream's next unclaimed tensor. Solves that need
     /// no iteration (poisoned starts, a zero iteration cap) finish here; a
     /// lane with no tensor left idles.
+    #[inline(always)]
     fn refill(&mut self, w: usize) {
         let run = self.run;
         loop {
@@ -334,26 +393,17 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
     /// has none left. A tensor the lane cannot run (a shape the kernels
     /// were not built for, or a shift that is not a constant of the
     /// tensor) gets a poisoned row and the lane claims the next one.
+    #[inline(always)]
     fn claim(&mut self, w: usize) -> bool {
         let run = self.run;
         let (n, starts) = (run.kernels.dim(), run.starts.len());
         while self.next < self.end {
             let t = self.next;
             self.next += 1;
-            let alpha = run.batch.try_get(t).ok().and_then(|a| {
-                self.panel.load(run.kernels, w, a).ok()?;
-                for lane in 0..LANE_WIDTH {
-                    self.claimed.load(run.kernels, lane, a).ok()?;
-                }
-                let lambda0 = &mut self.lambda0[w * starts..(w + 1) * starts];
-                let blocks = run.start_lanes.chunks_exact(n * LANE_WIDTH);
-                for (xs, lambda0) in blocks.zip(lambda0.chunks_mut(LANE_WIDTH)) {
-                    let mut out = [S::ZERO; LANE_WIDTH];
-                    self.claimed.axm(run.kernels, xs, &mut out).ok()?;
-                    lambda0.copy_from_slice(&out[..lambda0.len()]);
-                }
-                run.shift.fixed_value(a)
-            });
+            let alpha = match run.batch.try_get(t) {
+                Ok(a) => self.load(w, a),
+                Err(_) => None,
+            };
             let mut row = Vec::with_capacity(starts);
             let Some(alpha) = alpha else {
                 row.resize_with(starts, || Eigenpair::poisoned(vec![S::ZERO; n], 0.0));
@@ -371,12 +421,34 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
         false
     }
 
+    /// Load tensor `a` into lane `w` and into every lane of the claim
+    /// panel, evaluate its λ₀ from every start there, and resolve its
+    /// shift; `None` if the lane cannot run it.
+    #[inline(always)]
+    fn load(&mut self, w: usize, a: SymTensorRef<'_, S>) -> Option<f64> {
+        let run = self.run;
+        let (n, starts) = (run.kernels.dim(), run.starts.len());
+        self.panel.load(run.kernels, w, a).ok()?;
+        for lane in 0..LANE_WIDTH {
+            self.claimed.load(run.kernels, lane, a).ok()?;
+        }
+        let lambda0 = &mut self.lambda0[w * starts..(w + 1) * starts];
+        let blocks = run.start_lanes.chunks_exact(n * LANE_WIDTH);
+        for (xs, lambda0) in blocks.zip(lambda0.chunks_mut(LANE_WIDTH)) {
+            let mut out = [S::ZERO; LANE_WIDTH];
+            self.claimed.axm(run.kernels, xs, &mut out).ok()?;
+            lambda0.copy_from_slice(&out[..lambda0.len()]);
+        }
+        run.shift.fixed_value(a)
+    }
+
     /// One panel iteration of every live lane — ŷ ← A·xᵐ⁻¹ with the lane's
     /// shift, x ← ŷ/‖ŷ‖, λ ← A·xᵐ — after which each finished solve writes
     /// its pair and refills its lane. The per-lane work on the way is what
     /// every iteration needs; the rest waits for the rare iteration on
     /// which a lane's norm leaves the range of its sum of squares, a lane
     /// converges, or a lane reaches the cap.
+    #[inline(always)]
     fn step(&mut self) {
         let run = self.run;
         self.slots += 1;
@@ -453,7 +525,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
 
     /// Finish the live lanes that converged or reached the cap, refill
     /// them and the `ended` ones, and find the next cap.
-    #[inline(never)]
+    #[inline(always)]
     fn retire(&mut self, mut ended: [bool; LANE_WIDTH], converged: [bool; LANE_WIDTH]) {
         let max_iters = self.run.max_iters as u64;
         for w in 0..LANE_WIDTH {
@@ -518,6 +590,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
 /// ŷ ← ŷ + α x on every lane with that lane's α, negated on the lanes
 /// that fail the `α ≥ 0` test, and each lane's sum of squares: the scalar
 /// iteration's per-component order, `LANE_WIDTH` lanes per step.
+#[inline(always)]
 fn shift_and_sum_squares<S: Scalar>(
     ys: &mut [S],
     xs: &[S],
@@ -611,6 +684,23 @@ mod tests {
         )
     }
 
+    /// [`lockstep`] in the baseline compilation of the stream loop, the one
+    /// a CPU without AVX2 runs, on any host.
+    fn lockstep_baseline<S: Scalar>(
+        tensors: &TensorBatch<S>,
+        starts: &[Vec<S>],
+        solver: SsHopm,
+        threads: usize,
+        telemetry: &Telemetry,
+    ) -> BatchResult<S> {
+        let shift = lockstep_alpha::<S>(&solver).unwrap();
+        let kernels = BatchedKernels::new(tensors.order(), tensors.dim());
+        let policy = solver.policy();
+        let mut run = Run::new(&kernels, tensors.view(), starts, shift, policy, telemetry);
+        run.dispatch = false;
+        run.solve(threads)
+    }
+
     /// Assert that two results agree to the bit in λ, x, α, iteration
     /// counts and flags.
     fn assert_same<S: Scalar>(want: &BatchResult<S>, got: &BatchResult<S>, at: &str) {
@@ -634,8 +724,10 @@ mod tests {
     }
 
     /// Solve on the scalar table path and in lockstep on one, two and
-    /// three threads, assert that every pair agrees to the bit, and return
-    /// the one-thread lockstep result.
+    /// three threads, and in the baseline compilation of the stream loop
+    /// on one, assert that every pair agrees to the bit, and return the
+    /// one-thread lockstep result. On an AVX2 host the first three run the
+    /// AVX2 compilation, so both compilations are checked there.
     fn assert_lockstep_matches_scalar<S: Scalar>(
         tensors: &TensorBatch<S>,
         starts: &[Vec<S>],
@@ -653,6 +745,8 @@ mod tests {
             let par = lockstep(tensors, starts, solver, threads, &tel);
             assert_same(&reference, &par, &format!("{at}, {threads} threads"));
         }
+        let baseline = lockstep_baseline(tensors, starts, solver, 1, &tel);
+        assert_same(&reference, &baseline, &format!("{at}, baseline code"));
         got
     }
 
@@ -953,6 +1047,31 @@ mod tests {
             Some(10)
         );
         assert_eq!(snap.span("batch.solve").map(|s| s.count), Some(1));
+    }
+
+    /// With telemetry on, every stream the AVX2 compilation ran counts
+    /// once: all of them on an AVX2 host, none elsewhere and none in the
+    /// baseline compilation.
+    #[test]
+    fn avx2_streams_count_the_streams_the_avx2_code_ran() {
+        // Two streams: a full one and three tensors.
+        let (tensors, starts) = workload::<f64>(4, 3, STREAM_TENSORS + 3, 2, 24);
+        let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(3));
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let avx2_streams =
+            |tel: &Telemetry| tel.snapshot().counter("batch.avx2_streams").unwrap_or(0);
+        for threads in [1, 2] {
+            let tel = Telemetry::enabled();
+            lockstep(&tensors, &starts, solver, threads, &tel);
+            let want = if avx2 { 2 } else { 0 };
+            assert_eq!(avx2_streams(&tel), want, "{threads} threads");
+        }
+        let tel = Telemetry::enabled();
+        lockstep_baseline(&tensors, &starts, solver, 1, &tel);
+        assert_eq!(avx2_streams(&tel), 0);
     }
 
     /// Lane slots the retired per-start panels computed for the same

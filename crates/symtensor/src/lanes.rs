@@ -26,6 +26,10 @@
 //! lane's result is bitwise identical to the scalar table-driven kernel —
 //! the lockstep SS-HOPM driver in `sshopm` relies on this for its parity
 //! suite.
+//!
+//! Both are `#[inline(always)]`, so they compile into the caller's code:
+//! the lockstep driver's AVX2 stream loop runs them as AVX2 code, and a
+//! direct caller built for the baseline target runs baseline code.
 
 use crate::batch::TensorBatchRef;
 use crate::error::{Error, Result};
@@ -208,6 +212,7 @@ impl<S: Scalar> LanePanel<S> {
     ///
     /// # Errors
     /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`out`.
+    #[inline(always)]
     pub fn axm(&self, kernels: &BatchedKernels, xs: &[S], out: &mut [S]) -> Result<()> {
         let t = &kernels.tables;
         check_vec(xs, t.dim() * LANE_WIDTH)?;
@@ -240,6 +245,7 @@ impl<S: Scalar> LanePanel<S> {
     ///
     /// # Errors
     /// Returns [`Error::VectorLengthMismatch`] on wrongly sized `xs`/`ys`.
+    #[inline(always)]
     pub fn axm1(&self, kernels: &BatchedKernels, xs: &[S], ys: &mut [S]) -> Result<()> {
         let t = &kernels.tables;
         let n = t.dim();
