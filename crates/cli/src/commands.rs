@@ -3,7 +3,7 @@
 //! boundary.
 
 use crate::args::Args;
-use crate::CmdError;
+use crate::{listing, CmdError};
 use backend::{
     parse_fault_plan, BackendSpec, CpuParallel, DeviceKind, GpuSimBackend, KernelStrategy,
     ResilientBackend, SolveBackend,
@@ -174,43 +174,64 @@ fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>
     Ok((spec, backend))
 }
 
-/// Render a unified [`telemetry::RunReport`] in one of the supported
-/// formats: `text` (human-readable summary), `json` (pretty,
-/// schema-versioned), or `prom` (Prometheus text exposition).
-fn render_run_report(run: &telemetry::RunReport, format: &str) -> Result<String, CmdError> {
-    match format {
-        "text" => Ok(run.render_text()),
-        "json" => Ok(run.to_json_pretty()),
-        "prom" | "prometheus" => Ok(run.to_prometheus()),
-        other => Err(CmdError(format!(
-            "invalid report format {other:?}: expected text, json, or prom"
-        ))),
-    }
+/// Where and how to write the unified [`telemetry::RunReport`]:
+/// `report`'s `--format`/`--out`, or the `--report-format F`/
+/// `--report-out PATH` of `solve` and `fibers`. Commands build it with
+/// their other arguments, so a bad format fails before any work is done.
+struct ReportRequest<'a> {
+    path: Option<&'a str>,
+    format: &'a str,
+    render: fn(&telemetry::RunReport) -> String,
 }
 
-/// Handle the `--report-out PATH` / `--report-format F` options shared by
-/// `solve` and `fibers`: when either is present, render the unified run
-/// report and write it to PATH (default format `text`), or append it to
-/// the command's normal output when only a format was given.
-fn write_report_output(args: &Args, run: &telemetry::RunReport, out: &mut dyn Write) -> CmdResult {
-    let path = args.get("report-out");
-    let format = args.get("report-format");
-    if path.is_none() && format.is_none() {
-        return Ok(());
+impl<'a> ReportRequest<'a> {
+    /// `format` is `text` (human-readable summary), `json` (pretty,
+    /// schema-versioned), or `prom` (Prometheus text exposition).
+    fn new(format: &'a str, path: Option<&'a str>) -> Result<Self, CmdError> {
+        let render = match format {
+            "text" => telemetry::RunReport::render_text,
+            "json" => telemetry::RunReport::to_json_pretty,
+            "prom" | "prometheus" => telemetry::RunReport::to_prometheus,
+            other => {
+                return Err(CmdError(format!(
+                    "invalid report format {other:?}: expected text, json, or prom"
+                )))
+            }
+        };
+        Ok(ReportRequest {
+            path,
+            format,
+            render,
+        })
     }
-    let format = format.unwrap_or("text");
-    let mut rendered = render_run_report(run, format)?;
-    if !rendered.ends_with('\n') {
-        rendered.push('\n');
-    }
-    match path {
-        Some(p) => {
-            std::fs::write(p, &rendered).map_err(|e| CmdError(format!("cannot write {p}: {e}")))?;
-            writeln!(out, "wrote run report ({format}) to {p}")?;
+
+    /// The report `solve` or `fibers` was asked for (default format
+    /// `text`), or `None` when neither option is present.
+    fn from_options(args: &'a Args) -> Result<Option<Self>, CmdError> {
+        let path = args.get("report-out");
+        match (args.get("report-format"), path) {
+            (None, None) => Ok(None),
+            (format, _) => Self::new(format.unwrap_or("text"), path).map(Some),
         }
-        None => write!(out, "{rendered}")?,
     }
-    Ok(())
+
+    /// Render `run` and write it to the path, confirming on `out`, or
+    /// append it to `out` when there is no path.
+    fn write(&self, run: &telemetry::RunReport, out: &mut dyn Write) -> CmdResult {
+        let mut rendered = (self.render)(run);
+        if !rendered.ends_with('\n') {
+            rendered.push('\n');
+        }
+        match self.path {
+            Some(p) => {
+                std::fs::write(p, &rendered)
+                    .map_err(|e| CmdError(format!("cannot write {p}: {e}")))?;
+                writeln!(out, "wrote run report ({}) to {p}", self.format)?;
+            }
+            None => write!(out, "{rendered}")?,
+        }
+        Ok(())
+    }
 }
 
 /// Validate/adjust the shift for a GPU-simulated backend, which only
@@ -342,6 +363,7 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
     let solver_spec = parse_solver(&args)?;
     let refine = args.flag("refine");
     let show_all = args.flag("all");
+    let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
     if spec.is_gpu() {
         shift = gpu_shift(args.get("shift"), shift)?;
@@ -372,7 +394,7 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
     };
     let (report, run) = backend.solve_batch_with_report(&tensors, &starts, &*solver, telemetry)?;
     telemetry.counter("solve.tensors", tensors.len() as u64);
-    let mut summaries = vec![report.summary()];
+    let mut summaries = vec![run.headline()];
     if !report.fault_log.injected.is_empty() || report.fault_log.degraded {
         summaries.push(report.fault_log.summary());
     }
@@ -432,7 +454,9 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
     for summary in &summaries {
         writeln!(out, "{summary}")?;
     }
-    write_report_output(&args, &run, out)?;
+    if let Some(request) = report_request {
+        request.write(&run, out)?;
+    }
     Ok(())
 }
 
@@ -496,7 +520,7 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         &["failover", "pipeline"],
     )?;
     let path = args.positional(0, "file")?;
-    let tensors = load_batch(path)?;
+    let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
     let mut shift = match args.get("shift") {
         None => dwmri::ExtractConfig::default().shift,
@@ -514,20 +538,16 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         solver,
         ..Default::default()
     };
+    let tensors = load_batch(path)?;
     let (all_fibers, report) =
         dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, &Telemetry::disabled())?;
     let mut counts = [0usize; 4];
+    // One write per voxel; the whole listing is never held in memory.
+    let mut line = String::new();
     for (i, fibers) in all_fibers.iter().enumerate() {
         counts[fibers.len().min(3)] += 1;
-        write!(out, "voxel {i}: {} fiber(s)", fibers.len())?;
-        for f in fibers {
-            write!(
-                out,
-                "  [{:.4} {:.4} {:.4}] (lambda {:.4})",
-                f.direction[0], f.direction[1], f.direction[2], f.lambda
-            )?;
-        }
-        writeln!(out)?;
+        listing::voxel_line(&mut line, i, fibers)?;
+        out.write_all(line.as_bytes())?;
     }
     writeln!(
         out,
@@ -538,7 +558,10 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         counts[2],
         counts[3]
     )?;
-    write_report_output(&args, &report.run_report(), out)?;
+    // Only a requested report is built: it walks every pair.
+    if let Some(request) = report_request {
+        request.write(&report.run_report(), out)?;
+    }
     Ok(())
 }
 
@@ -859,6 +882,7 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
         ],
         &["failover", "pipeline"],
     )?;
+    let request = ReportRequest::new(args.get("format").unwrap_or("text"), args.get("out"))?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let tensors: TensorBatch<f64> = match args.positional(0, "file").ok() {
@@ -889,19 +913,7 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
     let solver = solver_spec.build::<f64>(shift, IterationPolicy::Fixed(iters));
     let _span = telemetry.span("cli.report");
     let (_batch, run) = backend.solve_batch_with_report(&tensors, &starts, &*solver, telemetry)?;
-    let format = args.get("format").unwrap_or("text");
-    let mut rendered = render_run_report(&run, format)?;
-    if !rendered.ends_with('\n') {
-        rendered.push('\n');
-    }
-    match args.get("out") {
-        Some(p) => {
-            std::fs::write(p, &rendered).map_err(|e| CmdError(format!("cannot write {p}: {e}")))?;
-            writeln!(out, "wrote run report ({format}) to {p}")?;
-        }
-        None => write!(out, "{rendered}")?,
-    }
-    Ok(())
+    request.write(&run, out)
 }
 
 #[cfg(test)]
@@ -2011,6 +2023,27 @@ mod tests {
             "{text}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A bad `--report-format` fails with the other argument errors:
+    /// before the file is read (this one does not exist) and before
+    /// anything is written.
+    #[test]
+    fn bad_report_format_fails_before_the_run() {
+        let missing = tmp("no-such-file.txt");
+        for cmd in [solve, fibers] {
+            for extra in [&[][..], &["--report-out", "unused.txt"]] {
+                let mut argv = sv(&[&missing, "--report-format", "bogus"]);
+                argv.extend(sv(extra));
+                let mut out = Vec::new();
+                let err = cmd(argv, &mut out).unwrap_err();
+                assert_eq!(
+                    err, "invalid report format \"bogus\": expected text, json, or prom",
+                    "{extra:?}"
+                );
+                assert!(out.is_empty(), "{extra:?}");
+            }
+        }
     }
 
     #[test]

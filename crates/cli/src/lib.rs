@@ -68,6 +68,7 @@
 
 pub mod args;
 pub mod commands;
+mod listing;
 
 use std::io::Write;
 use telemetry::{JsonLinesSink, Telemetry};

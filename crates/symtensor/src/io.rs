@@ -187,18 +187,13 @@ pub fn read_tensor_batch<S: Scalar, R: Read>(r: R) -> std::result::Result<Tensor
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        for tok in trimmed.split_whitespace() {
-            let v: f64 = tok.parse().map_err(|_| IoError::BadNumber {
-                token: tok.to_string(),
-            })?;
-            let v = S::from_f64(v);
-            if !v.is_finite() {
-                return Err(IoError::NonFinite(tok.to_string()));
-            }
-            if values.len() == needed {
-                return Err(IoError::TrailingValues);
-            }
-            values.push(v);
+        // U+000B is the one ASCII character that is Unicode whitespace but
+        // not ASCII whitespace, so an ASCII line without it splits the same
+        // both ways, and the ASCII split skips decoding UTF-8.
+        if trimmed.is_ascii() && !trimmed.as_bytes().contains(&b'\x0b') {
+            push_values(trimmed.split_ascii_whitespace(), &mut values, needed)?;
+        } else {
+            push_values(trimmed.split_whitespace(), &mut values, needed)?;
         }
     }
     if values.len() < needed {
@@ -227,6 +222,28 @@ pub fn read_tensor<S: Scalar, R: Read>(r: R) -> std::result::Result<SymTensor<S>
         )));
     }
     Ok(batch.get(0).to_owned())
+}
+
+/// Parse value tokens onto `values`, which may hold `needed` at most.
+fn push_values<'a, S: Scalar>(
+    tokens: impl Iterator<Item = &'a str>,
+    values: &mut Vec<S>,
+    needed: usize,
+) -> std::result::Result<(), IoError> {
+    for tok in tokens {
+        let v: f64 = tok.parse().map_err(|_| IoError::BadNumber {
+            token: tok.to_string(),
+        })?;
+        let v = S::from_f64(v);
+        if !v.is_finite() {
+            return Err(IoError::NonFinite(tok.to_string()));
+        }
+        if values.len() == needed {
+            return Err(IoError::TrailingValues);
+        }
+        values.push(v);
+    }
+    Ok(())
 }
 
 /// Values per tensor of shape `(m, n)`; `None` if they overflow a `usize`.
@@ -473,6 +490,89 @@ mod tests {
             "{err}"
         );
         assert!(read_tensor_batch::<f64, _>(text.as_bytes()).is_ok());
+    }
+
+    /// The value lines of `body` read with `split_whitespace` on every
+    /// line, the reader's rule before ASCII lines took the ASCII split.
+    fn split_whitespace_reference(body: &str, needed: usize) -> Result<Vec<u64>, IoError> {
+        let mut values = Vec::new();
+        for line in body.split_inclusive('\n') {
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            for tok in trimmed.split_whitespace() {
+                let v: f64 = tok.parse().map_err(|_| IoError::BadNumber {
+                    token: tok.to_string(),
+                })?;
+                if !v.is_finite() {
+                    return Err(IoError::NonFinite(tok.to_string()));
+                }
+                if values.len() == needed {
+                    return Err(IoError::TrailingValues);
+                }
+                values.push(v.to_bits());
+            }
+        }
+        match needed - values.len() {
+            0 => Ok(values),
+            missing => Err(IoError::UnexpectedEof { missing }),
+        }
+    }
+
+    /// `read_tensor_batch` on two (2, 2) tensors gives the reference's
+    /// bits, or its error variant with the same token.
+    fn assert_reads_like_reference(body: &str) {
+        let text = format!("symtensor 1\norder 2 dim 2 count 2\n{body}");
+        let got = read_tensor_batch::<f64, _>(text.as_bytes())
+            .map(|b| b.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let want = split_whitespace_reference(body, 6);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{body:?}");
+    }
+
+    #[test]
+    fn ascii_split_reads_what_split_whitespace_reads() {
+        for body in [
+            "1\t2\t3\n4 5 6\n",
+            "1 2 3\r\n4 5 6\r\n",
+            "1\x0c2 3\n4 5 6\n",
+            "1\x0b2 3\n4 5 6\n",
+            "1\x0b\x0b2\t\x0b3 4 5 6\x0b\n",
+            "\x0b1 2 3 4 5 6\n",
+            "1\u{a0}2 3\n4 5 6\n",
+            "1\u{2003}2 3\n4 5 6\n",
+            "1\u{3000}2 3\n4 5 6\n",
+            "1\u{85}2 3 4 5 6\n",
+            "1\x1c2 3 4 5 6\n",
+            "# comment \u{3000}\n1 2 3\n\n\t\n  # indented\n4 5 6\n# tail\n",
+            "1\n2\n3 4\n5\n6\n",
+            "1 2 x 4 5 6\n",
+            "1 2 2\u{e9} 4 5 6\n",
+            "1 2 3 4 5 6 7\n",
+            "1 2 3\n",
+            "1 NaN 3 4 5 6\n",
+            "1 2 3 4 5 -inf\n",
+            "",
+        ] {
+            assert_reads_like_reference(body);
+        }
+    }
+
+    #[test]
+    fn ascii_split_matches_on_random_mixed_separators() {
+        use rand::Rng;
+        let pieces = [
+            "1", "-2.5", "3e-3", "0x1", "x", "NaN", "#", " ", " ", "\t", "\x0b", "\x0c", "\r",
+            "\n", "\n", "\u{a0}", "\u{2003}", "\u{3000}", "\u{85}", "\x1c", "\u{e9}",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x70c3);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(0..24);
+            let body: String = (0..len)
+                .map(|_| pieces[rng.gen_range(0..pieces.len())])
+                .collect();
+            assert_reads_like_reference(&body);
+        }
     }
 
     #[test]
