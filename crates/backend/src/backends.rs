@@ -7,7 +7,7 @@ use crate::spec::{device_slug, BackendError};
 use crate::strategy::{KernelRegistry, KernelStrategy};
 use gpusim::{Cluster, DeviceSlice, DeviceSpec, Host, ProfileSnapshot, Schedule, TransferModel};
 use sshopm::batch::BatchSolver;
-use sshopm::{Shift, Solver};
+use sshopm::{Eigenpair, Shift, Solver};
 use std::time::Instant;
 use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::{CommStats, HostStats, Telemetry};
@@ -72,6 +72,33 @@ pub trait SolveBackend<S: Scalar>: Sync {
             run.merge_telemetry(&telemetry.snapshot());
         }
         Ok((report, run))
+    }
+
+    /// Like [`solve_batch`](SolveBackend::solve_batch), but lend each
+    /// tensor's row of pairs to `each`, by batch index, instead of
+    /// returning a report: every tensor's row exactly once, bit-identical
+    /// to the row `solve_batch` returns for it, in no fixed order and
+    /// possibly from several threads at once.
+    ///
+    /// The default calls `solve_batch` and lends its rows in order on the
+    /// calling thread. [`CpuParallel`] lends each row on the worker that
+    /// solved it, and its lanes reuse the row's memory for their next
+    /// tensor, so a caller that keeps only what it derives from each row
+    /// never holds the per-start pairs. With no report, that path emits
+    /// no `run.report` event.
+    fn solve_batch_each(
+        &self,
+        batch: &TensorBatch<S>,
+        starts: &[Vec<S>],
+        solver: &dyn Solver<S>,
+        telemetry: &Telemetry,
+        each: &(dyn Fn(usize, &[Eigenpair<S>]) + Sync),
+    ) -> Result<(), BackendError> {
+        let report = self.solve_batch(batch, starts, solver, telemetry)?;
+        for (t, row) in report.results.iter().enumerate() {
+            each(t, row);
+        }
+        Ok(())
     }
 }
 
@@ -198,6 +225,38 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
             result.total_iterations * flops::sshopm_iter_flops(m, n),
         );
         Ok(finish(report, &cache_before, telemetry))
+    }
+
+    /// The engines' lending paths, picked as `solve_batch` picks the
+    /// engine: each row is lent on the worker that solved it.
+    fn solve_batch_each(
+        &self,
+        batch: &TensorBatch<S>,
+        starts: &[Vec<S>],
+        solver: &dyn Solver<S>,
+        telemetry: &Telemetry,
+        each: &(dyn Fn(usize, &[Eigenpair<S>]) + Sync),
+    ) -> Result<(), BackendError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let plan = KernelRegistry::global().plan::<S>(batch.order(), batch.dim(), self.strategy);
+        match plan.lanes.as_ref().zip(sshopm::lockstep_alpha(solver)) {
+            Some((lanes, shift)) => sshopm::solve_batch_lockstep_each(
+                lanes,
+                batch.view(),
+                starts,
+                shift,
+                solver.policy(),
+                self.threads,
+                telemetry,
+                each,
+            ),
+            None => BatchSolver::new(solver)
+                .with_threads(self.threads)
+                .run_each(&*plan.kernels, batch, starts, telemetry, each),
+        };
+        Ok(())
     }
 }
 

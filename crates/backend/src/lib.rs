@@ -29,7 +29,10 @@
 //! * [`BatchReport`] — one result type unifying what used to be scattered
 //!   across `BatchResult`, `LaunchReport` and ad-hoc timing tuples:
 //!   eigenpairs, total iterations, wall time, flop accounting and
-//!   per-device profile snapshots.
+//!   per-device profile snapshots. A caller that needs only what it
+//!   derives from each tensor's row of pairs calls
+//!   [`SolveBackend::solve_batch_each`] instead, which lends the rows and
+//!   keeps none.
 //!
 //! ```
 //! use backend::{BackendSpec, KernelStrategy, SolveBackend};

@@ -539,8 +539,20 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         ..Default::default()
     };
     let tensors = load_batch(path)?;
-    let (all_fibers, report) =
-        dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, &Telemetry::disabled())?;
+    let telemetry = Telemetry::disabled();
+    // Only a requested report keeps every voxel's pairs: it walks them.
+    // Otherwise each voxel's row becomes its fibers as it is solved.
+    let (all_fibers, report) = match report_request {
+        Some(_) => {
+            let (fibers, report) =
+                dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, &telemetry)?;
+            (fibers, Some(report))
+        }
+        None => (
+            dwmri::extract_fibers_with(&tensors, &cfg, &*backend, &telemetry)?,
+            None,
+        ),
+    };
     let mut counts = [0usize; 4];
     // One write per voxel; the whole listing is never held in memory.
     let mut line = String::new();
@@ -558,8 +570,7 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
         counts[2],
         counts[3]
     )?;
-    // Only a requested report is built: it walks every pair.
-    if let Some(request) = report_request {
+    if let Some((request, report)) = report_request.zip(report) {
         request.write(&report.run_report(), out)?;
     }
     Ok(())
@@ -609,28 +620,33 @@ pub fn tract(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
 fn inner_tract(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     let args = Args::parse(argv, &["width", "height", "starts", "seeds"], &[])?;
     let path = args.positional(0, "file")?;
-    let tensors = load_batch(path)?;
     let width: usize = args.get_parsed("width", 0)?;
     if width == 0 {
         return Err(CmdError(
             "--width W is required (grid layout of the file)".into(),
         ));
     }
+    let starts = parse_starts(&args, 64)?;
+    let num_seeds: usize = args.get_parsed("seeds", 5)?;
+    // The height defaults to the file's row count, known only once read.
+    let height: Option<usize> = match args.get("height") {
+        Some(_) => Some(args.get_parsed("height", 0)?),
+        None => None,
+    };
+    let tensors = load_batch(path)?;
     if tensors.len() % width != 0 {
         return Err(CmdError(format!(
             "{} tensors do not tile a grid of width {width}",
             tensors.len()
         )));
     }
-    let height: usize = args.get_parsed("height", tensors.len() / width)?;
+    let height = height.unwrap_or(tensors.len() / width);
     if width.checked_mul(height) != Some(tensors.len()) {
         return Err(CmdError(format!(
             "grid {width}x{height} != {} tensors",
             tensors.len()
         )));
     }
-    let starts = parse_starts(&args, 64)?;
-    let num_seeds: usize = args.get_parsed("seeds", 5)?;
 
     let cfg = dwmri::ExtractConfig {
         num_starts: starts,
@@ -2044,6 +2060,93 @@ mod tests {
                 assert!(out.is_empty(), "{extra:?}");
             }
         }
+    }
+
+    /// `fibers` prints the same listing whether each voxel's row is lent
+    /// to the fiber pass (no report) or kept for a report, on both CPU
+    /// engines, one and two threads, and the simulated GPU's default path.
+    #[test]
+    fn fibers_listing_does_not_depend_on_the_report() {
+        let path = tmp("fibers-lend.txt");
+        let rpt = tmp("fibers-lend-report.txt");
+        let mut out = Vec::new();
+        phantom(
+            sv(&[
+                "--out", &path, "--width", "4", "--height", "3", "--noise", "0.02",
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        let mut runs: Vec<Vec<&str>> = Vec::new();
+        for backend in ["cpu", "cpu:2"] {
+            for kernel in ["batched", "tape", "general"] {
+                for shift in ["0", "convex", "adaptive"] {
+                    runs.push(vec![
+                        "--backend",
+                        backend,
+                        "--kernel",
+                        kernel,
+                        "--shift",
+                        shift,
+                    ]);
+                }
+            }
+        }
+        runs.push(vec!["--backend", "gpusim", "--shift", "0"]);
+        for run in runs {
+            let fibers_out = |extra: &[&str]| {
+                let mut argv = sv(&[&path, "--starts", "16"]);
+                argv.extend(sv(&run));
+                argv.extend(sv(extra));
+                let mut out = Vec::new();
+                fibers(argv, &mut out).unwrap();
+                String::from_utf8(out).unwrap()
+            };
+            let plain = fibers_out(&[]);
+            let reported = fibers_out(&["--report-out", &rpt]);
+            assert!(plain.contains("summary: 12 voxels"), "{run:?}: {plain}");
+            let confirmation = format!("wrote run report (text) to {rpt}\n");
+            assert_eq!(reported, plain + &confirmation, "{run:?}");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&rpt).ok();
+    }
+
+    /// `tract` checks its arguments before it reads the file: each bad
+    /// one is named though the file does not exist.
+    #[test]
+    fn tract_checks_its_arguments_before_the_file() {
+        let missing = tmp("no-such-grid.txt");
+        let cases: [(&[&str], &str); 5] = [
+            (&[], "--width W is required (grid layout of the file)"),
+            (
+                &["--width", "0"],
+                "--width W is required (grid layout of the file)",
+            ),
+            (
+                &["--width", "2", "--starts", "0"],
+                "invalid --starts 0: need at least one starting vector",
+            ),
+            (
+                &["--width", "2", "--seeds", "x"],
+                "invalid value for --seeds: \"x\"",
+            ),
+            (
+                &["--width", "2", "--height", "x"],
+                "invalid value for --height: \"x\"",
+            ),
+        ];
+        for (extra, want) in cases {
+            let mut argv = sv(&[&missing]);
+            argv.extend(sv(extra));
+            let mut out = Vec::new();
+            assert_eq!(tract(argv, &mut out).unwrap_err(), want, "{extra:?}");
+            assert!(out.is_empty(), "{extra:?}");
+        }
+        // Good arguments reach the read.
+        let mut out = Vec::new();
+        let err = tract(sv(&[&missing, "--width", "2"]), &mut out).unwrap_err();
+        assert!(err.starts_with(&format!("cannot open {missing}")), "{err}");
     }
 
     #[test]

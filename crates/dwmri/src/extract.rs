@@ -7,13 +7,19 @@
 //! axis; estimates are canonicalized to a positive leading component.
 
 use crate::fiber::Dir3;
-use backend::SolveBackend;
+use backend::{BackendError, SolveBackend};
 use sshopm::solver::IterationPolicy;
 use sshopm::{
-    multistart, spectra_from_rows, DedupConfig, Shift, Solver, SolverSpec, Spectrum, Stability,
+    multistart, spectra_from_rows, spectrum_from_pairs, DedupConfig, Shift, Solver, SolverSpec,
+    Spectrum, Stability,
 };
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 use symtensor::{SymTensorRef, TensorBatch};
 use telemetry::Telemetry;
+
+/// The stability classifier's tolerance, in every extraction path.
+const CLASSIFY_TOL: f64 = 1e-5;
 
 /// Tuning for fiber extraction.
 #[derive(Debug, Clone)]
@@ -94,7 +100,13 @@ pub fn extract_fibers<'a>(
     check_starts(cfg)?;
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
     let solver = extraction_solver(cfg);
-    let spectrum = multistart(&*solver, tensor, &starts, &DedupConfig::default(), 1e-5);
+    let spectrum = multistart(
+        &*solver,
+        tensor,
+        &starts,
+        &DedupConfig::default(),
+        CLASSIFY_TOL,
+    );
     Ok(spectrum_to_fibers(&spectrum, cfg))
 }
 
@@ -102,44 +114,90 @@ pub fn extract_fibers<'a>(
 /// voxel) through an execution backend.
 ///
 /// Every tensor is solved from the same `cfg.num_starts` Fibonacci-sphere
-/// starts in one [`SolveBackend::solve_batch`] call — this is the paper's
-/// application workload (Section VI): thousands of independent voxels,
-/// each a small batched SS-HOPM problem. The batch arena guarantees a
-/// uniform shape by construction and hands the backend one contiguous
-/// buffer (a single coalesced host→device transfer on the GPU backends).
-/// The result is one `Vec<FiberEstimate>` per input tensor, in order, each
-/// identical to what [`extract_fibers`] returns for that tensor whatever
-/// the backend's thread count.
+/// starts in one [`SolveBackend::solve_batch_each`] call — this is the
+/// paper's application workload (Section VI): thousands of independent
+/// voxels, each a small batched SS-HOPM problem. The batch arena
+/// guarantees a uniform shape by construction and hands the backend one
+/// contiguous buffer (a single coalesced host→device transfer on the GPU
+/// backends). Each voxel's row of pairs becomes its fibers as soon as it
+/// is lent (on the worker that solved it, on [`backend::CpuParallel`]),
+/// so no per-start pair outlives its voxel. The result is one
+/// `Vec<FiberEstimate>` per input tensor, in order, each identical to
+/// what [`extract_fibers`] returns for that tensor whatever the backend's
+/// thread count.
+///
+/// With telemetry enabled the pass adds the `spectra.entries` /
+/// `spectra.failures` counters once, summed over the voxels; it records
+/// no `sshopm.spectra` span, as it runs inside the backend's
+/// `batch.solve`.
 ///
 /// Note the GPU-simulated backends support only [`Shift::Fixed`]; pass a
 /// CPU backend for the convex/adaptive shifts recommended for noisy data.
-/// A batch of non-3-dimensional tensors, `cfg.num_starts == 0` and
-/// backend failures (unsupported shift, an exhausted resilient run)
-/// surface as [`backend::BackendError`], never panics.
+/// A batch of non-3-dimensional tensors, `cfg.num_starts == 0`, backend
+/// failures (unsupported shift, an exhausted resilient run) and a backend
+/// that lends a voxel's row twice or never surface as
+/// [`backend::BackendError`], never panics.
 pub fn extract_fibers_with(
     tensors: &TensorBatch<f64>,
     cfg: &ExtractConfig,
     backend: &dyn SolveBackend<f64>,
     telemetry: &Telemetry,
 ) -> Result<Vec<Vec<FiberEstimate>>, backend::BackendError> {
-    extract_fibers_reported(tensors, cfg, backend, telemetry).map(|(fibers, _)| fibers)
+    let starts = batch_starts(tensors, cfg)?;
+    let solver = extraction_solver(cfg);
+    let voxels: Vec<OnceLock<Vec<FiberEstimate>>> =
+        (0..tensors.len()).map(|_| OnceLock::new()).collect();
+    let (entries, failures) = (AtomicU64::new(0), AtomicU64::new(0));
+    let stray = AtomicBool::new(false);
+    let batch = tensors.view();
+    let each = |t: usize, row: &[sshopm::Eigenpair<f64>]| {
+        let (Ok(a), Some(voxel)) = (batch.try_get(t), voxels.get(t)) else {
+            stray.store(true, Relaxed);
+            return;
+        };
+        let spectrum = spectrum_from_pairs(a, row, &DedupConfig::default(), CLASSIFY_TOL);
+        entries.fetch_add(spectrum.entries.len() as u64, Relaxed);
+        failures.fetch_add(spectrum.failures as u64, Relaxed);
+        if voxel.set(spectrum_to_fibers(&spectrum, cfg)).is_err() {
+            stray.store(true, Relaxed);
+        }
+    };
+    backend.solve_batch_each(tensors, &starts, &*solver, telemetry, &each)?;
+    telemetry.counter("spectra.entries", entries.into_inner());
+    telemetry.counter("spectra.failures", failures.into_inner());
+    if stray.into_inner() {
+        return Err(BackendError(format!(
+            "backend {} lent a row twice or for no voxel",
+            backend.label()
+        )));
+    }
+    voxels
+        .into_iter()
+        .enumerate()
+        .map(|(t, voxel)| {
+            voxel.into_inner().ok_or_else(|| {
+                BackendError(format!(
+                    "backend {} lent no row for voxel {t}",
+                    backend.label()
+                ))
+            })
+        })
+        .collect()
 }
 
 /// [`extract_fibers_with`], additionally returning the backend's
 /// [`backend::BatchReport`] so callers can render throughput, fault, and
 /// latency observability (e.g. a unified [`telemetry::RunReport`]) for the
-/// extraction run instead of only the fiber directions.
+/// extraction run instead of only the fiber directions. The report keeps
+/// every voxel's row of pairs, so the pass runs after the solve, on the
+/// calling thread ([`spectra_from_rows`]).
 pub fn extract_fibers_reported(
     tensors: &TensorBatch<f64>,
     cfg: &ExtractConfig,
     backend: &dyn SolveBackend<f64>,
     telemetry: &Telemetry,
 ) -> Result<(Vec<Vec<FiberEstimate>>, backend::BatchReport<f64>), backend::BackendError> {
-    if !tensors.is_empty() {
-        check_dim3(tensors.dim())?;
-    }
-    check_starts(cfg)?;
-    let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
+    let starts = batch_starts(tensors, cfg)?;
     let solver = extraction_solver(cfg);
     let report = backend.solve_batch(tensors, &starts, &*solver, telemetry)?;
     // The per-start pairs stay inside the report (its workload/throughput
@@ -148,11 +206,24 @@ pub fn extract_fibers_reported(
         tensors,
         &report.results,
         &DedupConfig::default(),
-        1e-5,
+        CLASSIFY_TOL,
         telemetry,
         |spectrum| spectrum_to_fibers(&spectrum, cfg),
     );
     Ok((fibers, report))
+}
+
+/// Check the batch and the start count; the starts every batch
+/// extraction runs.
+fn batch_starts(
+    tensors: &TensorBatch<f64>,
+    cfg: &ExtractConfig,
+) -> Result<Vec<Vec<f64>>, BackendError> {
+    if !tensors.is_empty() {
+        check_dim3(tensors.dim())?;
+    }
+    check_starts(cfg)?;
+    Ok(sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts))
 }
 
 fn check_dim3(n: usize) -> Result<(), backend::BackendError> {
@@ -419,7 +490,7 @@ mod tests {
         };
         let telemetry = Telemetry::enabled();
         let (fibers, _) =
-            extract_fibers_reported(&tensors, &cfg, &Stub(vec![row]), &telemetry).unwrap();
+            extract_fibers_reported(&tensors, &cfg, &Stub(vec![row.clone()]), &telemetry).unwrap();
         assert_eq!(fibers.len(), 1);
         assert_eq!(fibers[0].len(), 1, "{fibers:?}");
         assert_eq!(fibers[0][0].direction, [1.0, 0.0, 0.0]);
@@ -427,6 +498,84 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("spectra.entries"), Some(2));
         assert_eq!(snap.counter("spectra.failures"), Some(2));
+
+        // The lending path, through the trait's default, alike.
+        let telemetry = Telemetry::enabled();
+        let lent = extract_fibers_with(&tensors, &cfg, &Stub(vec![row]), &telemetry).unwrap();
+        assert_eq!(lent.len(), 1);
+        assert_eq!(lent[0].len(), 1, "{lent:?}");
+        assert_eq!(lent[0][0].direction, [1.0, 0.0, 0.0]);
+        assert_eq!(lent[0][0].basin_fraction, 5.0 / 8.0);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("spectra.entries"), Some(2));
+        assert_eq!(snap.counter("spectra.failures"), Some(2));
+    }
+
+    /// The lending path keeps each voxel's fibers and counts the same
+    /// spectrum entries and failures as the report path, on a stub's rows
+    /// (through the trait's default) and on both CPU engines.
+    #[test]
+    fn lending_extraction_matches_the_report_path() {
+        use backend::{CpuParallel, KernelStrategy};
+
+        let fitted: Vec<_> = (1..=6)
+            .map(|k| fit_config(&FiberConfig::crossing_at_angle(f64::from(k) * 15.0)))
+            .collect();
+        let tensors = TensorBatch::from_tensors(&fitted).unwrap();
+        let cfg = ExtractConfig {
+            num_starts: 24,
+            max_iters: 40,
+            ..Default::default()
+        };
+        let counts = |snap: &telemetry::TelemetrySnapshot| {
+            let entries = snap.counter("spectra.entries");
+            (entries, snap.counter("spectra.failures"))
+        };
+        for threads in [1, 2] {
+            for strategy in [KernelStrategy::Batched, KernelStrategy::General] {
+                let backend = CpuParallel::new(threads, strategy);
+                let (kept, lent) = (Telemetry::enabled(), Telemetry::enabled());
+                let (want, _) = extract_fibers_reported(&tensors, &cfg, &backend, &kept).unwrap();
+                let got = extract_fibers_with(&tensors, &cfg, &backend, &lent).unwrap();
+                let at = format!("cpu:{threads} {strategy}");
+                assert_eq!(got.len(), want.len(), "{at}");
+                for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                    assert_eq!(g.lambda.to_bits(), w.lambda.to_bits(), "{at}");
+                    assert_eq!(g.direction.map(f64::to_bits), w.direction.map(f64::to_bits));
+                    assert_eq!(g.basin_fraction.to_bits(), w.basin_fraction.to_bits());
+                }
+                let (kept, lent) = (kept.snapshot(), lent.snapshot());
+                assert_eq!(counts(&lent), counts(&kept), "{at}");
+                // The capped solves leave some starts unconverged.
+                assert!(lent.counter("spectra.failures") > Some(0), "{at}");
+                assert!(kept.span("sshopm.spectra").is_some(), "{at}");
+                assert!(lent.span("sshopm.spectra").is_none(), "{at}");
+            }
+        }
+    }
+
+    /// A backend that lends no row for a voxel fails the extraction with
+    /// a typed error rather than returning an empty fiber list.
+    #[test]
+    fn a_voxel_whose_row_never_arrives_is_a_typed_error() {
+        let tensors = TensorBatch::from_tensors(&[
+            SymTensor::<f64>::diagonal_ones(4, 3),
+            SymTensor::<f64>::diagonal_ones(4, 3),
+        ])
+        .unwrap();
+        let pair = sshopm::Eigenpair {
+            lambda: 1.0,
+            x: vec![1.0, 0.0, 0.0],
+            iterations: 3,
+            converged: true,
+            alpha: 0.0,
+        };
+        let cfg = ExtractConfig::default();
+        let one_row = Stub(vec![vec![pair; 4]]);
+        let Err(err) = extract_fibers_with(&tensors, &cfg, &one_row, &Telemetry::disabled()) else {
+            panic!("a missing row must not pass as a voxel without fibers");
+        };
+        assert_eq!(err.to_string(), "backend stub lent no row for voxel 1");
     }
 
     #[test]

@@ -95,50 +95,87 @@ impl<V> BatchSolver<V> {
     where
         V: Solver<S>,
     {
-        let batch = batch.into();
+        let (results, total_iterations) =
+            self.rows(kernels, batch.into(), starts, telemetry, |_, row| row);
+        BatchResult {
+            results,
+            total_iterations,
+        }
+    }
+
+    /// [`run`](Self::run), lending each tensor's row of pairs to `each`,
+    /// by batch index, on the worker that solved it, right after solving
+    /// it, instead of returning the rows; returns the total iterations.
+    /// Every tensor's row is lent exactly once, bit-identical to the row
+    /// [`run`](Self::run) returns for it, in no fixed order. Telemetry is
+    /// [`run`](Self::run)'s.
+    pub fn run_each<'a, S: Scalar, K: TensorKernels<S> + ?Sized>(
+        &self,
+        kernels: &K,
+        batch: impl Into<TensorBatchRef<'a, S>>,
+        starts: &[Vec<S>],
+        telemetry: &Telemetry,
+        each: &(dyn Fn(usize, &[Eigenpair<S>]) + Sync),
+    ) -> u64
+    where
+        V: Solver<S>,
+    {
+        let lend = |t, row: Vec<Eigenpair<S>>| each(t, &row);
+        self.rows(kernels, batch.into(), starts, telemetry, lend).1
+    }
+
+    /// Solve every tensor's row and pass it to `row` on the thread that
+    /// solved it: `row`'s outputs in tensor order and the total
+    /// iterations.
+    fn rows<S: Scalar, K: TensorKernels<S> + ?Sized, T: Send>(
+        &self,
+        kernels: &K,
+        batch: TensorBatchRef<'_, S>,
+        starts: &[Vec<S>],
+        telemetry: &Telemetry,
+        row: impl Fn(usize, Vec<Eigenpair<S>>) -> T + Sync,
+    ) -> (Vec<T>, u64)
+    where
+        V: Solver<S>,
+    {
         let _batch_span = telemetry.span("batch.solve");
         if self.threads == 1 {
-            let mut results = Vec::with_capacity(batch.len());
+            let mut out = Vec::with_capacity(batch.len());
             let mut total_iterations = 0u64;
             // One iteration buffer for the whole batch: the sequential
             // path performs no per-voxel allocation beyond the results.
             let mut scratch = Vec::new();
-            for a in batch.iter() {
-                let (row, iters) =
+            for (t, a) in batch.iter().enumerate() {
+                let (pairs, iters) =
                     solve_one_tensor(&self.solver, kernels, a, starts, telemetry, &mut scratch);
                 total_iterations += iters;
-                results.push(row);
+                out.push(row(t, pairs));
             }
-            return BatchResult {
-                results,
-                total_iterations,
-            };
+            return (out, total_iterations);
         }
 
         let solve_all = || {
-            let rows: Vec<(Vec<Eigenpair<S>>, u64)> = (0..batch.len())
+            let solved: Vec<(T, u64)> = (0..batch.len())
                 .into_par_iter()
-                .map(|i| {
-                    solve_one_tensor(
+                .map(|t| {
+                    let (pairs, iters) = solve_one_tensor(
                         &self.solver,
                         kernels,
-                        batch.get(i),
+                        batch.get(t),
                         starts,
                         telemetry,
                         &mut Vec::new(),
-                    )
+                    );
+                    (row(t, pairs), iters)
                 })
                 .collect();
-            let mut results = Vec::with_capacity(rows.len());
+            let mut out = Vec::with_capacity(solved.len());
             let mut total_iterations = 0u64;
-            for (row, iters) in rows {
-                results.push(row);
+            for (r, iters) in solved {
+                out.push(r);
                 total_iterations += iters;
             }
-            BatchResult {
-                results,
-                total_iterations,
-            }
+            (out, total_iterations)
         };
 
         on_workers(self.threads, solve_all)
@@ -382,5 +419,65 @@ mod tests {
         let res = solver.solve(&empty, &[]);
         assert_eq!(res.num_tensors(), 0);
         assert_eq!(res.total_iterations, 0);
+    }
+
+    /// `run_each` lends every tensor's row exactly once, bit-identical to
+    /// `run`'s, with the same iteration total, on one to three threads,
+    /// for converging, fixed-count and zero-cap solves, poisoned starts
+    /// and no starts at all.
+    #[test]
+    fn run_each_lends_the_rows_run_returns() {
+        use std::sync::Mutex;
+        let (tensors, mut starts) = workload(7, 4, 10);
+        starts.push(vec![0.0; 3]);
+        let solvers = [
+            SsHopm::new(Shift::Convex).with_tolerance(1e-12),
+            SsHopm::new(Shift::Adaptive).with_tolerance(1e-12),
+            SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(9)),
+            SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(0)),
+        ];
+        for solver in solvers {
+            for starts in [&starts[..], &[]] {
+                let want = run_on(
+                    BatchSolver::new(solver),
+                    1,
+                    &GeneralKernels,
+                    &tensors,
+                    starts,
+                );
+                for threads in [1, 2, 3] {
+                    let rows: Vec<Mutex<Option<Vec<Eigenpair<f64>>>>> =
+                        (0..tensors.len()).map(|_| Mutex::new(None)).collect();
+                    let each = |t: usize, row: &[Eigenpair<f64>]| {
+                        let earlier = rows[t].lock().unwrap().replace(row.to_vec());
+                        assert!(earlier.is_none(), "tensor {t} lent twice");
+                    };
+                    let iters = BatchSolver::new(solver).with_threads(threads).run_each(
+                        &GeneralKernels,
+                        &tensors,
+                        starts,
+                        &Telemetry::disabled(),
+                        &each,
+                    );
+                    let at = format!("{solver:?}, {} starts, {threads} threads", starts.len());
+                    assert_eq!(iters, want.total_iterations, "{at}");
+                    for (t, row) in rows.into_iter().enumerate() {
+                        let got = row.into_inner().unwrap().expect("every row is lent");
+                        let want = &want.results[t];
+                        assert_eq!(got.len(), want.len(), "{at}");
+                        for (g, w) in got.iter().zip(want) {
+                            assert_eq!(g.lambda.to_bits(), w.lambda.to_bits(), "{at}");
+                            assert_eq!(g.x.len(), w.x.len(), "{at}");
+                            for (a, b) in g.x.iter().zip(&w.x) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{at}");
+                            }
+                            assert_eq!(g.iterations, w.iterations, "{at}");
+                            assert_eq!(g.converged, w.converged, "{at}");
+                            assert_eq!(g.alpha.to_bits(), w.alpha.to_bits(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

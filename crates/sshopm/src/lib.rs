@@ -56,7 +56,7 @@ pub use batch::{BatchResult, BatchSolver};
 pub use classify::{classify, Stability};
 pub use decompose::{best_rank_one, decompose, SymCp};
 pub use geap::Geap;
-pub use lockstep::{lockstep_alpha, solve_batch_lockstep};
+pub use lockstep::{lockstep_alpha, solve_batch_lockstep, solve_batch_lockstep_each};
 pub use multistart::{
     multistart, spectra_from_rows, spectrum_from_pairs, DedupConfig, Spectrum, SpectrumEntry,
 };

@@ -106,6 +106,33 @@ pub fn solve_batch_lockstep<S: Scalar>(
     Run::new(kernels, batch, starts, shift, policy, telemetry).solve(threads)
 }
 
+/// [`solve_batch_lockstep`], lending each tensor's finished row of pairs
+/// to `each`, by batch index, on the worker that solved it, instead of
+/// returning the rows; returns the total iterations.
+///
+/// Every tensor's row is lent exactly once, bit-identical to the row
+/// [`solve_batch_lockstep`] returns for it, in no fixed order. The lane
+/// keeps the row's memory, and each pair's `x`, for its next tensor, so
+/// a caller that keeps only what it derives from each row makes the solve
+/// allocate per stream, not per pair. Telemetry is
+/// [`solve_batch_lockstep`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_batch_lockstep_each<S: Scalar>(
+    kernels: &BatchedKernels,
+    batch: TensorBatchRef<'_, S>,
+    starts: &[Vec<S>],
+    shift: Shift,
+    policy: IterationPolicy,
+    threads: usize,
+    telemetry: &Telemetry,
+    each: &(dyn Fn(usize, &[Eigenpair<S>]) + Sync),
+) -> u64 {
+    let _batch_span = telemetry.span("batch.solve");
+    let mut run = Run::new(kernels, batch, starts, shift, policy, telemetry);
+    run.each = Some(each);
+    run.solve(threads).total_iterations
+}
+
 /// What every stream of one batched solve shares.
 struct Run<'a, S> {
     kernels: &'a BatchedKernels,
@@ -125,9 +152,16 @@ struct Run<'a, S> {
     /// Only x86-64 has the AVX2 compilation.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     dispatch: bool,
+    /// The caller's closure each finished row is lent to; `None`, the
+    /// default, keeps the rows.
+    each: Option<&'a Each<'a, S>>,
 }
 
-/// One stream's rows, in tensor order, and its total iterations.
+/// A closure a finished row is lent to, with its tensor's batch index.
+type Each<'a, S> = dyn Fn(usize, &[Eigenpair<S>]) + Sync + 'a;
+
+/// One stream's kept rows, in tensor order (none when they are lent), and
+/// its total iterations.
 type Stream<S> = (Vec<Vec<Eigenpair<S>>>, u64);
 
 impl<'a, S: Scalar> Run<'a, S> {
@@ -164,17 +198,20 @@ impl<'a, S: Scalar> Run<'a, S> {
             converge_mode,
             telemetry,
             dispatch: true,
+            each: None,
         }
     }
 
-    /// Cut the batch into streams and solve them on `threads` workers.
+    /// Cut the batch into streams and solve them on `threads` workers:
+    /// the kept rows (none when they are lent) and the total iterations.
     fn solve(&self, threads: usize) -> BatchResult<S> {
         let count = self.batch.len();
         let stream =
             |s: usize| self.stream(s * STREAM_TENSORS..count.min((s + 1) * STREAM_TENSORS));
         let num_streams = count.div_ceil(STREAM_TENSORS);
         let collect = |streams: Vec<Stream<S>>| {
-            let mut results = Vec::with_capacity(count);
+            let kept = if self.each.is_some() { 0 } else { count };
+            let mut results = Vec::with_capacity(kept);
             let mut total_iterations = 0u64;
             for (rows, iters) in streams {
                 total_iterations += iters;
@@ -219,9 +256,9 @@ impl<'a, S: Scalar> Run<'a, S> {
     }
 
     /// The stream loop, inlined into each compilation. Returns the
-    /// stream's rows, in tensor order, and their total iterations. Counts
-    /// are kept in the stream and emitted once, so disabled telemetry
-    /// costs one branch per stream.
+    /// stream's kept rows, in tensor order, and their total iterations.
+    /// Counts are kept in the stream and emitted once, so disabled
+    /// telemetry costs one branch per stream.
     #[inline(always)]
     fn stream_lanes(&self, tensors: Range<usize>) -> Stream<S> {
         let started = self.telemetry.is_enabled().then(Instant::now);
@@ -246,12 +283,13 @@ impl<'a, S: Scalar> Run<'a, S> {
             t.counter("batch.iterations", lanes.iterations_done);
             t.counter("batch.lane_slots", lanes.slots * LANE_WIDTH as u64);
         }
-        (lanes.rows, lanes.iterations_done)
+        (lanes.kept, lanes.iterations_done)
     }
 }
 
 /// The lanes of one stream: the panel holding each lane's tensor, the
-/// lane-major iterates and each lane's solve in progress.
+/// lane-major iterates, each lane's solve in progress and the row of its
+/// tensor's pairs.
 ///
 /// λ₀ needs one `A·xᵐ` before a solve's first update. Rather than a panel
 /// call for whichever lanes refilled on an iteration, a lane that claims a
@@ -259,9 +297,12 @@ impl<'a, S: Scalar> Run<'a, S> {
 /// in every lane of a second panel, `LANE_WIDTH` starts per call.
 struct Lanes<'r, 'a, S> {
     run: &'r Run<'a, S>,
-    /// Row `t` holds the pairs of the stream's `t`-th tensor, in start
-    /// order; each is sized for every start when its tensor is claimed.
-    rows: Vec<Vec<Eigenpair<S>>>,
+    /// When rows are kept, row `t` holds the pairs of the stream's `t`-th
+    /// tensor, in start order, moved here when the tensor is done.
+    kept: Vec<Vec<Eigenpair<S>>>,
+    /// Each lane's row: its tensor's pairs so far, in start order, sized
+    /// for every start when the lane claims a tensor into an empty row.
+    row: [Vec<Eigenpair<S>>; LANE_WIDTH],
     /// The batch index of the stream's first tensor, of the next tensor a
     /// lane may claim, and one past the stream's last.
     first: usize,
@@ -281,6 +322,10 @@ struct Lanes<'r, 'a, S> {
     lane: Vec<S>,
     /// Each lane's tensor (a row index), or `None` before it claims one.
     tensor: [Option<usize>; LANE_WIDTH],
+    /// Whether the lanes can run each lane's tensor; the starts of one
+    /// they cannot (a shape the kernels were not built for, or a shift
+    /// that is not a constant of the tensor) are poisoned.
+    runnable: [bool; LANE_WIDTH],
     /// Each lane's next start to run on its tensor.
     next_start: [usize; LANE_WIDTH],
     /// Each lane's shift, resolved once per tensor; the scalar form the
@@ -306,9 +351,14 @@ struct Lanes<'r, 'a, S> {
 impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
     fn new(run: &'r Run<'a, S>, tensors: Range<usize>) -> Self {
         let n = run.kernels.dim();
+        let kept = match run.each {
+            Some(_) => Vec::new(),
+            None => (0..tensors.len()).map(|_| Vec::new()).collect(),
+        };
         Self {
             run,
-            rows: Vec::with_capacity(tensors.len()),
+            kept,
+            row: std::array::from_fn(|_| Vec::new()),
             first: tensors.start,
             next: tensors.start,
             end: tensors.end,
@@ -319,6 +369,7 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             ys: vec![S::ZERO; n * LANE_WIDTH],
             lane: Vec::new(),
             tensor: [None; LANE_WIDTH],
+            runnable: [false; LANE_WIDTH],
             next_start: [0; LANE_WIDTH],
             alpha: [0.0; LANE_WIDTH],
             alpha_s: [S::ZERO; LANE_WIDTH],
@@ -333,16 +384,60 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
         }
     }
 
-    fn push(&mut self, row: usize, pair: Eigenpair<S>) {
-        self.iterations_done += pair.iterations as u64;
-        self.converged += u64::from(pair.converged);
-        self.rows[row].push(pair);
+    /// Write lane `w`'s pair for its current start, with the lane's
+    /// column of the iterates as `x`, into the lane's row: the one write
+    /// path. A row the lane kept from its last tensor has the slot, and
+    /// the pair is overwritten in place, `x` keeping its allocation;
+    /// otherwise the pair is new.
+    fn write(&mut self, w: usize, lambda: S, iterations: usize, converged: bool, alpha: f64) {
+        self.iterations_done += iterations as u64;
+        self.converged += u64::from(converged);
+        let xs = &self.xs;
+        let x = (0..self.run.kernels.dim()).map(|i| xs[i * LANE_WIDTH + w]);
+        let row = &mut self.row[w];
+        match row.get_mut(self.next_start[w] - 1) {
+            Some(pair) => {
+                pair.lambda = lambda;
+                pair.x.clear();
+                pair.x.extend(x);
+                pair.iterations = iterations;
+                pair.converged = converged;
+                pair.alpha = alpha;
+            }
+            None => row.push(Eigenpair {
+                lambda,
+                x: x.collect(),
+                iterations,
+                converged,
+                alpha,
+            }),
+        }
+    }
+
+    /// Write a poisoned pair (`λ = NaN`, `x = 0`) for lane `w`'s current
+    /// start, as the scalar solver returns for a start it cannot run.
+    fn poison(&mut self, w: usize, alpha: f64) {
+        for i in 0..self.run.kernels.dim() {
+            self.xs[i * LANE_WIDTH + w] = S::ZERO;
+        }
+        self.write(w, S::from_f64(f64::NAN), 0, false, alpha);
+    }
+
+    /// Hand on lane `w`'s finished row, for the stream's `t`-th tensor:
+    /// lend it to the caller, the lane keeping its memory, or move it to
+    /// the kept rows, the lane starting an empty one.
+    fn hand_off(&mut self, w: usize, t: usize) {
+        match self.run.each {
+            Some(each) => each(self.first + t, &self.row[w]),
+            None => self.kept[t] = std::mem::take(&mut self.row[w]),
+        }
     }
 
     /// Hand lane `w` its next solve: the next start of its tensor, or the
     /// first start of the stream's next unclaimed tensor. Solves that need
-    /// no iteration (poisoned starts, a zero iteration cap) finish here; a
-    /// lane with no tensor left idles.
+    /// no iteration (poisoned starts, a zero iteration cap) finish here,
+    /// and a tensor with all its starts done is handed on here, whether or
+    /// not any of them iterated; a lane with no tensor left idles.
     #[inline(always)]
     fn refill(&mut self, w: usize) {
         let run = self.run;
@@ -356,30 +451,21 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             let v = self.next_start[w];
             let Some(x0) = run.starts.get(v) else {
                 self.tensor[w] = None;
+                self.hand_off(w, t);
                 continue;
             };
             self.next_start[w] = v + 1;
-            let Some(x0) = x0 else {
-                self.push(
-                    t,
-                    Eigenpair::poisoned(vec![S::ZERO; run.kernels.dim()], 0.0),
-                );
+            let Some(x0) = x0.as_ref().filter(|_| self.runnable[w]) else {
+                self.poison(w, 0.0);
                 continue;
             };
-            let lambda0 = self.lambda0[w * run.starts.len() + v];
-            if run.max_iters == 0 {
-                let pair = Eigenpair {
-                    lambda: lambda0,
-                    x: x0.clone(),
-                    iterations: 0,
-                    converged: !run.converge_mode,
-                    alpha: self.alpha[w],
-                };
-                self.push(t, pair);
-                continue;
-            }
             for (i, &e) in x0.iter().enumerate() {
                 self.xs[i * LANE_WIDTH + w] = e;
+            }
+            let lambda0 = self.lambda0[w * run.starts.len() + v];
+            if run.max_iters == 0 {
+                self.write(w, lambda0, 0, !run.converge_mode, self.alpha[w]);
+                continue;
             }
             self.lambda[w] = lambda0;
             self.began[w] = self.slots;
@@ -392,33 +478,31 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
     /// shift and evaluate its λ₀ from every start; `false` when the stream
     /// has none left. A tensor the lane cannot run (a shape the kernels
     /// were not built for, or a shift that is not a constant of the
-    /// tensor) gets a poisoned row and the lane claims the next one.
+    /// tensor) is claimed all the same, and its starts are poisoned.
     #[inline(always)]
     fn claim(&mut self, w: usize) -> bool {
         let run = self.run;
-        let (n, starts) = (run.kernels.dim(), run.starts.len());
-        while self.next < self.end {
-            let t = self.next;
-            self.next += 1;
-            let alpha = match run.batch.try_get(t) {
-                Ok(a) => self.load(w, a),
-                Err(_) => None,
-            };
-            let mut row = Vec::with_capacity(starts);
-            let Some(alpha) = alpha else {
-                row.resize_with(starts, || Eigenpair::poisoned(vec![S::ZERO; n], 0.0));
-                self.rows.push(row);
-                continue;
-            };
-            self.rows.push(row);
-            self.tensor[w] = Some(t - self.first);
-            self.next_start[w] = 0;
+        if self.next == self.end {
+            return false;
+        }
+        let t = self.next;
+        self.next += 1;
+        let alpha = match run.batch.try_get(t) {
+            Ok(a) => self.load(w, a),
+            Err(_) => None,
+        };
+        if self.row[w].is_empty() {
+            self.row[w].reserve_exact(run.starts.len());
+        }
+        self.tensor[w] = Some(t - self.first);
+        self.next_start[w] = 0;
+        self.runnable[w] = alpha.is_some();
+        if let Some(alpha) = alpha {
             self.alpha[w] = alpha;
             self.alpha_s[w] = S::from_f64(alpha);
             self.nonnegative[w] = alpha >= 0.0;
-            return true;
         }
-        false
+        true
     }
 
     /// Load tensor `a` into lane `w` and into every lane of the claim
@@ -551,21 +635,12 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
             .unwrap_or(u64::MAX);
     }
 
-    /// Write lane `w`'s solve into its tensor's row and free the lane.
+    /// Write lane `w`'s solve into its row and free the lane.
     fn finish(&mut self, w: usize, converged: bool) {
         self.live[w] = false;
-        let pair = Eigenpair {
-            lambda: self.lambda[w],
-            x: (0..self.run.kernels.dim())
-                .map(|i| self.xs[i * LANE_WIDTH + w])
-                .collect(),
-            iterations: (self.slots - self.began[w]) as usize,
-            converged: converged || !self.run.converge_mode,
-            alpha: self.alpha[w],
-        };
-        if let Some(t) = self.tensor[w] {
-            self.push(t, pair);
-        }
+        let iterations = (self.slots - self.began[w]) as usize;
+        let converged = converged || !self.run.converge_mode;
+        self.write(w, self.lambda[w], iterations, converged, self.alpha[w]);
     }
 
     /// End every live lane's solve with a poisoned pair and refill the
@@ -573,13 +648,10 @@ impl<'r, 'a, S: Scalar> Lanes<'r, 'a, S> {
     /// rule that out.
     #[cold]
     fn abandon_live(&mut self) {
-        let n = self.run.kernels.dim();
         for w in 0..LANE_WIDTH {
             if self.live[w] {
                 self.live[w] = false;
-                if let Some(t) = self.tensor[w] {
-                    self.push(t, Eigenpair::poisoned(vec![S::ZERO; n], self.alpha[w]));
-                }
+                self.poison(w, self.alpha[w]);
                 self.refill(w);
             }
         }
@@ -636,6 +708,7 @@ mod tests {
     use crate::starts::random_uniform_starts;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Mutex;
     use symtensor::lanes::COMPILED_SHAPES;
     use symtensor::{PrecomputedTables, SymTensor, TensorBatch};
 
@@ -1141,6 +1214,154 @@ mod tests {
             &Telemetry::disabled(),
         );
         assert_eq!(res.num_tensors(), 3);
+        assert!(res.results.iter().all(Vec::is_empty));
+    }
+
+    /// Solve `tensors` in lockstep under `engine` on `threads` workers, in
+    /// the AVX2 compilation where the CPU has it (`dispatch`) or else the
+    /// baseline one: the kept rows or, with `lend`, the lent rows, each
+    /// checked to arrive exactly once, in tensor order.
+    fn drive<S: Scalar>(
+        kernels: &BatchedKernels,
+        tensors: &TensorBatch<S>,
+        starts: &[Vec<S>],
+        (shift, policy): (Shift, IterationPolicy),
+        (threads, dispatch, lend): (usize, bool, bool),
+    ) -> BatchResult<S> {
+        let tel = Telemetry::disabled();
+        let mut run = Run::new(kernels, tensors.view(), starts, shift, policy, &tel);
+        run.dispatch = dispatch;
+        if !lend {
+            return run.solve(threads);
+        }
+        let rows: Vec<Mutex<Option<Vec<Eigenpair<S>>>>> =
+            (0..tensors.len()).map(|_| Mutex::new(None)).collect();
+        let each = |t: usize, row: &[Eigenpair<S>]| {
+            let earlier = rows[t].lock().unwrap().replace(row.to_vec());
+            assert!(earlier.is_none(), "tensor {t} lent twice");
+        };
+        run.each = Some(&each);
+        let res = run.solve(threads);
+        assert!(res.results.is_empty(), "a lending solve kept rows");
+        let results = rows
+            .into_iter()
+            .enumerate()
+            .map(|(t, row)| {
+                let row = row.into_inner().unwrap();
+                row.unwrap_or_else(|| panic!("tensor {t} was never lent"))
+            })
+            .collect();
+        BatchResult {
+            results,
+            total_iterations: res.total_iterations,
+        }
+    }
+
+    /// Assert that the lending path lends every tensor's row exactly
+    /// once, bit-identical to the kept row, with the same iteration total:
+    /// on one, two and three threads, in both compilations.
+    fn assert_lent_rows_are_kept_rows<S: Scalar>(
+        kernels: &BatchedKernels,
+        tensors: &TensorBatch<S>,
+        starts: &[Vec<S>],
+        engine: (Shift, IterationPolicy),
+        at: &str,
+    ) -> BatchResult<S> {
+        let kept = drive(kernels, tensors, starts, engine, (1, true, false));
+        for threads in [1, 2, 3] {
+            for dispatch in [true, false] {
+                let lent = drive(kernels, tensors, starts, engine, (threads, dispatch, true));
+                let how = format!("{at}, lent on {threads} threads, dispatch {dispatch}");
+                assert_same(&kept, &lent, &how);
+            }
+        }
+        kept
+    }
+
+    /// The lanes reuse a lent row, and each pair's `x`, for their next
+    /// tensor; every row still arrives once, holding its own tensor's
+    /// pairs: converged, capped, fixed-count, zero-cap and poisoned
+    /// solves, per-lane shifts, both precisions, the compiled panels and
+    /// the table walk, and batches of one to three streams.
+    #[test]
+    fn lent_rows_are_bitwise_the_kept_rows() {
+        let converge = |shift| (shift, IterationPolicy::default());
+        let capped = IterationPolicy::Converge {
+            tol: 1e-14,
+            max_iters: 4,
+        };
+        let engines = [
+            ("convex", converge(Shift::Convex)),
+            ("concave", converge(Shift::Concave)),
+            ("negative shift", converge(Shift::Fixed(-3.0))),
+            ("capped", (Shift::Fixed(0.0), capped)),
+            ("fixed", (Shift::Fixed(0.5), IterationPolicy::Fixed(20))),
+            ("fixed 0", (Shift::Convex, IterationPolicy::Fixed(0))),
+        ];
+        for (m, n) in [(4, 3), (5, 4)] {
+            let kernels = BatchedKernels::new(m, n);
+            let (tensors, starts) = workload::<f64>(m, n, 11, 3, 60 + m as u64);
+            let (tensors32, starts32) = workload::<f32>(m, n, 11, 3, 70 + m as u64);
+            for (name, engine) in engines {
+                let at = format!("({m},{n}) {name}");
+                assert_lent_rows_are_kept_rows(&kernels, &tensors, &starts, engine, &at);
+                assert_lent_rows_are_kept_rows(&kernels, &tensors32, &starts32, engine, &at);
+            }
+        }
+
+        // Zero, short and long starts among good ones poison their pairs.
+        let kernels = BatchedKernels::new(4, 3);
+        let (tensors, mut starts) = workload::<f64>(4, 3, 10, 3, 61);
+        starts.splice(
+            1..1,
+            [vec![0.0; 3], vec![1.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]],
+        );
+        let res = assert_lent_rows_are_kept_rows(
+            &kernels,
+            &tensors,
+            &starts,
+            converge(Shift::Convex),
+            "bad starts",
+        );
+        assert!(res.iter_flat().any(|(_, v, p)| v == 2 && p.lambda.is_nan()));
+
+        // Three streams: two full ones and three tensors.
+        let count = 2 * STREAM_TENSORS + 3;
+        let (tensors, starts) = workload::<f64>(4, 3, count, 2, 62);
+        let engine = (Shift::Fixed(0.0), IterationPolicy::Fixed(3));
+        let res = assert_lent_rows_are_kept_rows(&kernels, &tensors, &starts, engine, "streams");
+        assert_eq!(res.total_iterations, (count * 2 * 3) as u64);
+    }
+
+    /// A tensor the lanes cannot run (a shift that is not a constant of
+    /// the tensor, a shape the kernels were not built for) is lent its
+    /// poisoned row once, like any other.
+    #[test]
+    fn rows_no_lane_iterates_are_lent_once() {
+        let kernels = BatchedKernels::new(4, 3);
+        let (tensors, starts) = workload::<f64>(4, 3, 12, 3, 63);
+        let adaptive = (Shift::Adaptive, IterationPolicy::default());
+        let res = assert_lent_rows_are_kept_rows(&kernels, &tensors, &starts, adaptive, "adaptive");
+        let (other, _) = workload::<f64>(5, 3, 12, 0, 64);
+        let engine = (Shift::Convex, IterationPolicy::default());
+        let wrong = assert_lent_rows_are_kept_rows(&kernels, &other, &starts, engine, "shape");
+        for res in [res, wrong] {
+            assert_eq!(res.num_tensors(), 12);
+            assert_eq!(res.total_iterations, 0);
+            assert!(res
+                .iter_flat()
+                .all(|(_, _, p)| p.lambda.is_nan() && !p.converged));
+        }
+    }
+
+    /// With no starts every tensor is lent an empty row, once.
+    #[test]
+    fn empty_starts_lend_every_tensor_an_empty_row() {
+        let kernels = BatchedKernels::new(4, 3);
+        let (tensors, _) = workload::<f64>(4, 3, STREAM_TENSORS + 5, 0, 65);
+        let engine = (Shift::Convex, IterationPolicy::default());
+        let res = assert_lent_rows_are_kept_rows(&kernels, &tensors, &[], engine, "no starts");
+        assert_eq!(res.num_tensors(), STREAM_TENSORS + 5);
         assert!(res.results.iter().all(Vec::is_empty));
     }
 }

@@ -7,7 +7,9 @@
 //!
 //! The lockstep lane driver allocates each result pair's eigenvector, each
 //! tensor row once at its final size, and a few buffers per stream; its
-//! refills and iterations allocate nothing.
+//! refills and iterations allocate nothing. Lending the rows instead, it
+//! allocates per stream, not per tensor: each lane's row and its pairs'
+//! eigenvectors are made once and reused for the lane's next tensor.
 //!
 //! It also pins the post-solve pass: the n = 3 stability class allocates
 //! nothing, dedup clones a pair only for a new spectrum entry, and the
@@ -20,11 +22,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sshopm::lockstep::STREAM_TENSORS;
 use sshopm::{
-    classify, solve_batch_lockstep, spectra_from_rows, spectrum_from_pairs, DedupConfig, Eigenpair,
-    IterationPolicy, NoopObserver, Shift, Solver, SsHopm,
+    classify, solve_batch_lockstep, solve_batch_lockstep_each, spectra_from_rows,
+    spectrum_from_pairs, DedupConfig, Eigenpair, IterationPolicy, NoopObserver, Shift, Solver,
+    SsHopm,
 };
 use symtensor::{
     BatchedKernels, PrecomputedTables, SymTensor, TensorBatch, TensorKernels, UnrolledKernels,
+    LANE_WIDTH,
 };
 use telemetry::Telemetry;
 
@@ -142,6 +146,47 @@ fn lockstep_allocates_per_pair_row_and_stream_not_per_iteration() {
     assert!(
         short <= bound as u64,
         "{short} allocations for {pairs} pairs of {count} tensors, bound {bound}"
+    );
+}
+
+#[test]
+fn lending_lockstep_allocates_per_stream_not_per_tensor() {
+    let mut rng = StdRng::seed_from_u64(20);
+    let starts = sshopm::starts::random_uniform_starts::<f64, _>(3, 16, &mut rng);
+    let kernels = BatchedKernels::new(4, 3);
+    let solve = |streams: usize| {
+        let count = streams * STREAM_TENSORS;
+        let tensors = TensorBatch::<f64>::random(4, 3, count, &mut rng.clone()).unwrap();
+        let before = allocs();
+        let iterations = solve_batch_lockstep_each(
+            &kernels,
+            tensors.view(),
+            &starts,
+            Shift::Fixed(0.0),
+            IterationPolicy::Fixed(5),
+            1,
+            &Telemetry::disabled(),
+            &|_, _| {},
+        );
+        let made = allocs() - before;
+        assert_eq!(iterations, (count * starts.len() * 5) as u64);
+        made
+    };
+    let (two, four) = (solve(2), solve(4));
+    // Per stream: the two panels, the λ₀ block and the two iterate
+    // buffers, and each lane's row with one eigenvector per start. Per
+    // batch: the normalized starts, their list and their lane form, and
+    // the list of stream results.
+    let per_stream = 5 + LANE_WIDTH * (1 + starts.len());
+    let per_batch = starts.len() + 3;
+    assert!(
+        four - two <= 2 * per_stream as u64,
+        "{two} allocations for 2 streams, {four} for 4: more than {per_stream} per stream"
+    );
+    assert!(
+        two <= (per_batch + 2 * per_stream) as u64,
+        "{two} allocations for 2 streams, bound {}",
+        per_batch + 2 * per_stream
     );
 }
 
