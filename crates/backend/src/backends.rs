@@ -39,14 +39,13 @@ pub trait SolveBackend<S: Scalar>: Sync {
     /// around by zero-copy slicing and GPU-style substrates can model the
     /// host→device staging as a single coalesced transfer. Uniform shape
     /// is guaranteed by construction. CPU substrates run any
-    /// [`Solver`]; GPU-simulated backends support only solvers whose
-    /// [`Solver::tensor_shift`] is `Shift::Fixed` (SS-HOPM under one `α`
-    /// for every tensor, the paper's `α = 0` setting) and return a
-    /// descriptive [`BackendError`] pointing at the CPU backends otherwise:
-    /// the device kernel stages one `α` per launch, so per-tensor convex
-    /// and concave shifts, adaptive shifts and the GEAP and QRST
-    /// iterations stay on the CPU. Overflowing shapes are reported as
-    /// errors, never panics.
+    /// [`Solver`]; GPU-simulated backends run the solvers the lockstep
+    /// lanes run ([`sshopm::lockstep_alpha`]: SS-HOPM under a fixed,
+    /// convex or concave shift, each a constant of the tensor, so one `α`
+    /// per thread block) and return a descriptive [`BackendError`]
+    /// pointing at the CPU backends otherwise: the adaptive shift and the
+    /// GEAP and QRST iterations re-evaluate per iterate, so they stay on
+    /// the CPU. Overflowing shapes are reported as errors, never panics.
     fn solve_batch(
         &self,
         batch: &TensorBatch<S>,
@@ -260,21 +259,21 @@ impl<S: Scalar> SolveBackend<S> for CpuParallel {
     }
 }
 
-/// The one shift `α` the GPU kernels stage for a whole launch: the
-/// solver's [`Solver::tensor_shift`] when it is `Shift::Fixed`, or an error
-/// pointing at the CPU backends.
-pub(crate) fn fixed_alpha<S: Scalar>(
+/// The shift a simulated GPU runs `solver` under: its
+/// [`sshopm::lockstep_alpha`], resolved once per tensor (one `α` per
+/// block), or an error pointing at the CPU backends.
+pub(crate) fn device_shift<S: Scalar>(
     solver: &dyn Solver<S>,
     what: &str,
-) -> Result<f64, BackendError> {
-    match solver.tensor_shift() {
-        Some(Shift::Fixed(alpha)) => Ok(alpha),
-        _ => Err(BackendError(format!(
-            "{what} supports only Shift::Fixed (the paper's GPU setting: one α for the \
-             whole launch); solver `{}` has no such shift — run it on a cpu backend",
+) -> Result<Shift, BackendError> {
+    sshopm::lockstep_alpha(solver).ok_or_else(|| {
+        BackendError(format!(
+            "{what} runs only SS-HOPM under a shift that is a constant of each tensor \
+             (Shift::Fixed, Shift::Convex or Shift::Concave: one α per block); solver `{}` \
+             has no such shift — run it on a cpu backend",
             solver.name()
-        ))),
-    }
+        ))
+    })
 }
 
 /// Record the same progress counters the CPU drivers emit, so traces from
@@ -484,14 +483,14 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
         if batch.is_empty() {
             return Ok(empty_report(label, variant.name(), solver));
         }
-        let alpha = fixed_alpha(solver, "GpuSimBackend")?;
+        let shift = device_shift(solver, "GpuSimBackend")?;
         let cache_before = KernelRegistry::global().stats();
         let _batch_span = telemetry.span("batch.solve");
         let (result, launch) = self.cluster.launch(
             batch,
             starts,
             solver.policy(),
-            alpha,
+            shift,
             variant,
             self.schedule(),
         )?;

@@ -44,7 +44,7 @@
 //! fallback time.
 
 use crate::backends::{
-    device_profile, empty_report, finish, fixed_alpha, record_batch_counters, GpuSimBackend,
+    device_profile, device_shift, empty_report, finish, record_batch_counters, GpuSimBackend,
     SolveBackend, CHUNK_TENSORS,
 };
 use crate::report::{BatchReport, FaultLog};
@@ -57,7 +57,7 @@ use gpusim::{
 };
 use sshopm::batch::BatchSolver;
 use sshopm::{Eigenpair, Solver};
-use symtensor::{flops, Scalar, TensorBatch};
+use symtensor::{flops, BatchedKernels, Scalar, TensorBatch};
 use telemetry::Telemetry;
 
 /// A fault-tolerant execution backend over one or more simulated GPUs.
@@ -199,7 +199,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         if starts.is_empty() {
             return Err(gpusim::GpuError::EmptyStarts.into());
         }
-        let alpha = fixed_alpha(solver, "ResilientBackend")?;
+        let shift = device_shift(solver, "ResilientBackend")?;
         let cache_before = crate::strategy::KernelRegistry::global().stats();
         // The CPU kernels used for failover and NaN recovery: every plan
         // returns the bits every GPU variant computes, so CPU re-solves are
@@ -208,6 +208,8 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         // one memoized kernel object.
         let cpu_plan = crate::strategy::KernelRegistry::global().plan::<S>(m, n, strategy);
         let cpu_kernels = cpu_plan.kernels;
+        // The lane kernels every launch of this solve runs, built once.
+        let lanes = BatchedKernels::new(m, n);
         let cpu_solver = BatchSolver::new(solver).with_threads(1);
         let num_entries = batch.stride();
         let _span = telemetry.span("resilient.solve");
@@ -349,10 +351,11 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             &mut queue,
                             stream,
                             &devices[dev],
+                            &lanes,
                             chunk,
                             starts,
                             solver.policy(),
-                            alpha,
+                            shift,
                             variant,
                         )?;
                         useful_flops += report.useful_flops;
@@ -386,10 +389,11 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                                 &mut queue,
                                 stream,
                                 &devices[dev],
+                                &lanes,
                                 &scratch,
                                 starts,
                                 solver.policy(),
-                                alpha,
+                                shift,
                                 variant,
                             )?;
                             useful_flops += preport.useful_flops;

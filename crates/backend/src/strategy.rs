@@ -8,7 +8,7 @@
 pub use kernelgen::{KernelPlan, KernelRegistry, KernelStrategy};
 
 use gpusim::GpuVariant;
-use symtensor::UnrolledKernels;
+use symtensor::lanes::COMPILED_SHAPES;
 
 /// Map a strategy onto a simulated-GPU kernel variant for shape `(m, n)`.
 ///
@@ -17,7 +17,7 @@ use symtensor::UnrolledKernels;
 /// bits, so any CPU plan re-solves a tensor exactly as the device would.
 pub fn gpu_variant(strategy: KernelStrategy, m: usize, n: usize) -> GpuVariant {
     match strategy {
-        KernelStrategy::Tape if UnrolledKernels::for_shape(m, n).is_some() => GpuVariant::Unrolled,
+        KernelStrategy::Tape if COMPILED_SHAPES.contains(&(m, n)) => GpuVariant::Unrolled,
         _ => GpuVariant::General,
     }
 }

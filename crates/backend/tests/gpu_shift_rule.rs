@@ -1,8 +1,10 @@
 //! The simulated GPU's shift rule, on every simulated-GPU backend: the
-//! device kernel stages one `α` for a whole launch, so only SS-HOPM under
-//! a fixed shift runs there. Every other solve — a convex, concave or
-//! adaptive shift, GEAP, QRST — is a typed error that points at the cpu
-//! backends, never a panic and never a silently different iteration.
+//! device runs what the lockstep lanes run, SS-HOPM under a shift that is
+//! a constant of each tensor — fixed, convex or concave, one `α` per
+//! block — and returns the cpu backend's bits for it. The adaptive shift,
+//! GEAP and QRST re-evaluate per iterate, so they are a typed error that
+//! points at the cpu backends, never a panic and never a silently
+//! different iteration.
 
 use backend::{BackendSpec, KernelStrategy, ResilientBackend, SolveBackend};
 use gpusim::FaultPlan;
@@ -37,51 +39,70 @@ fn workload() -> (TensorBatch<f64>, Vec<Vec<f64>>) {
 }
 
 #[test]
-fn only_a_fixed_shift_runs_on_a_simulated_gpu() {
+fn tensor_constant_shifts_run_on_a_simulated_gpu() {
     let (tensors, starts) = workload();
-    let policy = IterationPolicy::Fixed(6);
-    let rejected = [
+    let cpu = BackendSpec::parse("cpu")
+        .unwrap()
+        .build::<f64>(KernelStrategy::General)
+        .unwrap();
+    let accepted = [
+        ("sshopm", Shift::Fixed(0.0)),
         ("sshopm", Shift::Convex),
         ("sshopm", Shift::Concave),
+        ("sshopm:0.5", Shift::Convex),
+    ];
+    let policies = [
+        IterationPolicy::Fixed(6),
+        IterationPolicy::Converge {
+            tol: 1e-10,
+            max_iters: 200,
+        },
+    ];
+    let rejected = [
         ("sshopm", Shift::Adaptive),
         ("geap", Shift::Convex),
         ("qrst", Shift::Convex),
     ];
-    let pinned = SolverSpec::parse("sshopm:0.5")
-        .unwrap()
-        .build::<f64>(Shift::Convex, policy);
-    let cpu = BackendSpec::parse("cpu").unwrap();
-    let reference = cpu
-        .build::<f64>(KernelStrategy::General)
-        .unwrap()
-        .solve_batch(&tensors, &starts, &*pinned, &Telemetry::disabled())
-        .unwrap();
+    let gpus = gpu_backends();
 
-    for (label, backend) in gpu_backends() {
+    for policy in policies {
+        for (spec, shift) in accepted {
+            let solver = SolverSpec::parse(spec).unwrap().build::<f64>(shift, policy);
+            let reference = cpu
+                .solve_batch(&tensors, &starts, &*solver, &Telemetry::disabled())
+                .unwrap();
+            for (label, backend) in &gpus {
+                let at = format!("{label}: {spec} under {shift:?}, {policy:?}");
+                let report = backend
+                    .solve_batch(&tensors, &starts, &*solver, &Telemetry::disabled())
+                    .unwrap_or_else(|e| panic!("{at} must run: {e}"));
+                assert_eq!(report.total_iterations, reference.total_iterations, "{at}");
+                assert_eq!(report.results.len(), reference.results.len(), "{at}");
+                for (row, want) in report.results.iter().zip(&reference.results) {
+                    assert_eq!(row.len(), want.len(), "{at}");
+                    for (pair, want) in row.iter().zip(want) {
+                        assert_eq!(pair.lambda.to_bits(), want.lambda.to_bits(), "{at}");
+                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&pair.x), bits(&want.x), "{at}");
+                        assert_eq!(pair.alpha.to_bits(), want.alpha.to_bits(), "{at}");
+                        assert_eq!(pair.iterations, want.iterations, "{at}");
+                        assert_eq!(pair.converged, want.converged, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    let policy = policies[0];
+    for (label, backend) in &gpus {
         for (spec, shift) in rejected {
             let solver = SolverSpec::parse(spec).unwrap().build::<f64>(shift, policy);
             let err = backend
                 .solve_batch(&tensors, &starts, &*solver, &Telemetry::disabled())
                 .unwrap_err();
             let at = format!("{label}: {spec} under {shift:?}");
-            assert!(err.0.contains("Shift::Fixed"), "{at}: {err}");
+            assert!(err.0.contains("constant of each tensor"), "{at}: {err}");
             assert!(err.0.contains("cpu backend"), "{at}: {err}");
-        }
-
-        let report = backend
-            .solve_batch(&tensors, &starts, &*pinned, &Telemetry::disabled())
-            .unwrap_or_else(|e| panic!("{label}: sshopm:0.5 must run: {e}"));
-        assert_eq!(
-            report.total_iterations, reference.total_iterations,
-            "{label}"
-        );
-        assert_eq!(report.results.len(), reference.results.len(), "{label}");
-        for (row, want) in report.results.iter().zip(&reference.results) {
-            assert_eq!(row.len(), want.len(), "{label}");
-            for (pair, want) in row.iter().zip(want) {
-                assert_eq!(pair.alpha, 0.5, "{label}");
-                assert_eq!(pair.lambda.to_bits(), want.lambda.to_bits(), "{label}");
-            }
         }
     }
 }

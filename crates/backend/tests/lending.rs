@@ -163,18 +163,18 @@ fn gpusim_lends_through_the_default() {
     }
     // A shift the device cannot stage is the same error either way.
     let backend = cpu("gpusim", KernelStrategy::Batched);
-    let convex = SsHopm::new(Shift::Convex);
+    let adaptive = SsHopm::new(Shift::Adaptive);
     let err = backend
         .solve_batch_each(
             &tensors,
             &starts,
-            &convex,
+            &adaptive,
             &Telemetry::disabled(),
             &|_, _| {},
         )
         .unwrap_err();
     let want = backend
-        .solve_batch(&tensors, &starts, &convex, &Telemetry::disabled())
+        .solve_batch(&tensors, &starts, &adaptive, &Telemetry::disabled())
         .unwrap_err();
     assert_eq!(err.to_string(), want.to_string());
 }

@@ -363,7 +363,7 @@ fn empty_batches_and_device_lists_are_not_panics() {
 #[test]
 fn adaptive_shift_on_gpu_backend_is_an_error() {
     let (tensors, starts, _) = workload(4, 3, 2, 2, 1);
-    let adaptive = SsHopm::new(Shift::Convex);
+    let adaptive = SsHopm::new(Shift::Adaptive);
     let gpu = GpuSimBackend::new(DeviceSpec::tesla_c2050(), KernelStrategy::General);
     let err = gpu
         .solve_batch(&tensors, &starts, &adaptive, &Telemetry::disabled())

@@ -39,8 +39,8 @@ fn main() {
     ];
 
     let mut json_rows = Vec::new();
-    // The adaptive/convex shifts are CPU-only, so the whole sweep runs on
-    // the parallel CPU backend (all cores, general kernels).
+    // The adaptive shift is CPU-only, so the whole sweep runs on the
+    // parallel CPU backend (all cores, general kernels).
     let backend = CpuParallel::new(0, KernelStrategy::General);
     for (label, shift) in policies {
         let solver = SsHopm::new(shift).with_policy(IterationPolicy::Converge {

@@ -10,7 +10,7 @@ use backend::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sshopm::{spectra_from_rows, DedupConfig, IterationPolicy, Shift, SolverSpec, SsHopm};
+use sshopm::{spectra_from_rows, DedupConfig, IterationPolicy, Shift, Solver, SolverSpec, SsHopm};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use symtensor::io::{read_tensor_batch, write_tensor_batch};
@@ -84,17 +84,23 @@ fn parse_solver(args: &Args) -> Result<SolverSpec, CmdError> {
     Ok(SolverSpec::parse(args.get("solver").unwrap_or("sshopm"))?)
 }
 
-/// Reject CPU-only solvers on GPU-simulated backends with a clean error,
-/// mirroring [`gpu_shift`]: the kernel model stages only the fixed-shift
-/// SS-HOPM iteration on-device.
-fn gpu_solver(solver: SolverSpec) -> Result<(), CmdError> {
-    match solver {
-        SolverSpec::SsHopm { .. } => Ok(()),
-        other => Err(CmdError(format!(
-            "--solver {other} is CPU-only: gpusim backends stage only the fixed-shift \
-             sshopm iteration on-device; use --backend cpu for geap/qrst"
-        ))),
+/// Reject, on a simulated-GPU backend, a solver the lockstep lanes cannot
+/// run ([`sshopm::lockstep_alpha`]): the device runs SS-HOPM under a
+/// fixed, convex or concave shift, one per tensor, and nothing else.
+/// Commands call this before they read the tensor file.
+fn check_gpu_solver(spec: &BackendSpec, solver: &dyn Solver<f64>) -> CmdResult {
+    if !spec.is_gpu() || sshopm::lockstep_alpha(solver).is_some() {
+        return Ok(());
     }
+    // SS-HOPM runs in lanes under every shift but the adaptive one.
+    let what = match solver.name() {
+        "sshopm" => "--shift adaptive".to_string(),
+        other => format!("--solver {other}"),
+    };
+    Err(CmdError(format!(
+        "{what} is CPU-only: gpusim backends run sshopm under a fixed, convex or concave \
+         shift, one per tensor; use --backend cpu"
+    )))
 }
 
 /// Streams per device when `--pipeline` asks for overlap without
@@ -234,20 +240,6 @@ impl<'a> ReportRequest<'a> {
     }
 }
 
-/// Validate/adjust the shift for a GPU-simulated backend, which only
-/// supports fixed shifts: an *explicit* non-numeric `--shift` is a clean
-/// error; with no explicit shift the paper's `α = 0` is used.
-fn gpu_shift(explicit: Option<&str>, shift: Shift) -> Result<Shift, CmdError> {
-    match (explicit, shift) {
-        (_, Shift::Fixed(_)) => Ok(shift),
-        (None, _) => Ok(Shift::Fixed(0.0)),
-        (Some(s), _) => Err(CmdError(format!(
-            "--shift {s} is CPU-only: gpusim backends support only fixed numeric shifts \
-             (e.g. --shift 0); use --backend cpu for adaptive/convex shifts"
-        ))),
-    }
-}
-
 /// `random <m> <n> <count> --out FILE [--seed S]`
 pub fn random(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
     inner_random(argv, out).map_err(|e| e.0)
@@ -359,19 +351,12 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
     let path = args.positional(0, "file")?;
     let starts_count = parse_starts(&args, 32)?;
     let tol: f64 = args.get_parsed("tol", 1e-12)?;
-    let mut shift = parse_shift(args.get("shift"))?;
+    let shift = parse_shift(args.get("shift"))?;
     let solver_spec = parse_solver(&args)?;
     let refine = args.flag("refine");
     let show_all = args.flag("all");
     let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
-    if spec.is_gpu() {
-        shift = gpu_shift(args.get("shift"), shift)?;
-        gpu_solver(solver_spec)?;
-    }
-
-    let tensors = load_batch(path)?;
-    let _cmd_span = telemetry.span("cli.solve");
     // The same Converge policy SsHopm::new().with_tolerance() produced
     // before solver selection existed, so the default spec is bitwise
     // identical to the pre-trait path.
@@ -382,6 +367,10 @@ fn inner_solve(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) ->
             max_iters: 1000,
         },
     );
+    check_gpu_solver(&spec, &*solver)?;
+
+    let tensors = load_batch(path)?;
+    let _cmd_span = telemetry.span("cli.solve");
 
     // The file format guarantees one shape per batch, so the whole file is
     // a single homogeneous arena: one batched solve through the backend.
@@ -497,10 +486,20 @@ fn inner_phantom(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
 /// `fibers <file> [--backend B] [--kernel K] [--shift ...] [--starts N]
 /// [--max-fibers K]`
 pub fn fibers(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
-    inner_fibers(argv, out).map_err(|e| e.0)
+    fibers_instrumented(argv, out, &Telemetry::disabled())
 }
 
-fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
+/// [`fibers`] with a live telemetry pipeline: the backend's batch spans
+/// and counters, plus the extraction's `spectra.*` counts.
+pub fn fibers_instrumented(
+    argv: Vec<String>,
+    out: &mut dyn Write,
+    telemetry: &Telemetry,
+) -> Result<(), String> {
+    inner_fibers(argv, out, telemetry).map_err(|e| e.0)
+}
+
+fn inner_fibers(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> CmdResult {
     let args = Args::parse(
         argv,
         &[
@@ -522,34 +521,30 @@ fn inner_fibers(argv: Vec<String>, out: &mut dyn Write) -> CmdResult {
     let path = args.positional(0, "file")?;
     let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
-    let mut shift = match args.get("shift") {
+    let shift = match args.get("shift") {
         None => dwmri::ExtractConfig::default().shift,
         Some(_) => parse_shift(args.get("shift"))?,
     };
-    let solver = parse_solver(&args)?;
-    if spec.is_gpu() {
-        shift = gpu_shift(args.get("shift"), shift)?;
-        gpu_solver(solver)?;
-    }
     let cfg = dwmri::ExtractConfig {
         num_starts: parse_starts(&args, 64)?,
         max_fibers: args.get_parsed("max-fibers", 3)?,
         shift,
-        solver,
+        solver: parse_solver(&args)?,
         ..Default::default()
     };
+    check_gpu_solver(&spec, &*cfg.build_solver())?;
     let tensors = load_batch(path)?;
-    let telemetry = Telemetry::disabled();
+    let _cmd_span = telemetry.span("cli.fibers");
     // Only a requested report keeps every voxel's pairs: it walks them.
     // Otherwise each voxel's row becomes its fibers as it is solved.
     let (all_fibers, report) = match report_request {
         Some(_) => {
             let (fibers, report) =
-                dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, &telemetry)?;
+                dwmri::extract_fibers_reported(&tensors, &cfg, &*backend, telemetry)?;
             (fibers, Some(report))
         }
         None => (
-            dwmri::extract_fibers_with(&tensors, &cfg, &*backend, &telemetry)?,
+            dwmri::extract_fibers_with(&tensors, &cfg, &*backend, telemetry)?,
             None,
         ),
     };
@@ -899,6 +894,14 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
         &["failover", "pipeline"],
     )?;
     let request = ReportRequest::new(args.get("format").unwrap_or("text"), args.get("out"))?;
+    let (spec, backend) = parse_backend(&args)?;
+    let starts_count = parse_starts(&args, 32)?;
+    let iters: usize = args.get_parsed("iters", 20)?;
+    let solver = parse_solver(&args)?.build::<f64>(
+        parse_shift(args.get("shift"))?,
+        IterationPolicy::Fixed(iters),
+    );
+    check_gpu_solver(&spec, &*solver)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let tensors: TensorBatch<f64> = match args.positional(0, "file").ok() {
@@ -911,22 +914,12 @@ fn inner_report(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -
                 .map_err(|e| CmdError(format!("invalid shape [{m},{n}]: {e}")))?
         }
     };
-    let (spec, backend) = parse_backend(&args)?;
-    let mut shift = parse_shift(args.get("shift"))?;
-    let solver_spec = parse_solver(&args)?;
-    if spec.is_gpu() {
-        shift = gpu_shift(args.get("shift"), shift)?;
-        gpu_solver(solver_spec)?;
-    }
-    let starts_count = parse_starts(&args, 32)?;
-    let iters: usize = args.get_parsed("iters", 20)?;
     let n = tensors.dim();
     let starts = if n == 3 {
         sshopm::starts::fibonacci_sphere::<f64>(starts_count)
     } else {
         sshopm::starts::random_gaussian_starts::<f64, _>(n, starts_count, &mut rng)
     };
-    let solver = solver_spec.build::<f64>(shift, IterationPolicy::Fixed(iters));
     let _span = telemetry.span("cli.report");
     let (_batch, run) = backend.solve_batch_with_report(&tensors, &starts, &*solver, telemetry)?;
     request.write(&run, out)
@@ -2210,5 +2203,92 @@ mod tests {
             assert!(out.is_empty(), "{name} printed before failing");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// With no `--shift`, every backend runs the same default shift (the
+    /// convex one) and prints the same voxel and eigenpair lines: the
+    /// simulated GPU takes its eigenpairs from the cpu backend's lanes.
+    #[test]
+    fn default_shift_prints_the_same_lines_on_every_backend() {
+        let (ph, vox, rpt) = (
+            tmp("one-shift-ph.txt"),
+            tmp("one-shift-vox.txt"),
+            tmp("one-shift-report.txt"),
+        );
+        let mut out = Vec::new();
+        // At α = 0 a quarter of these voxels print other fibers.
+        phantom(
+            sv(&[
+                "--out", &ph, "--width", "8", "--height", "8", "--noise", "0.02", "--seed", "3",
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        random(sv(&["4", "3", "4", "--out", &vox, "--seed", "3"]), &mut out).unwrap();
+        type Cmd = fn(Vec<String>, &mut dyn Write) -> Result<(), String>;
+        let lines = |cmd: Cmd, argv: &[&str], backend: &str| {
+            let mut argv = sv(argv);
+            argv.extend(sv(&["--backend", backend]));
+            let mut out = Vec::new();
+            cmd(argv, &mut out).unwrap_or_else(|e| panic!("{backend}: {e}"));
+            // The backend's own headline (label, seconds) aside, every
+            // line is the solve's.
+            String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .filter(|l| !l.starts_with("backend "))
+                .map(|l| format!("{l}\n"))
+                .collect::<String>()
+        };
+        let runs: [(&str, Cmd, Vec<&str>); 3] = [
+            ("fibers", fibers, vec![&ph, "--starts", "16"]),
+            (
+                "fibers --report-out",
+                fibers,
+                vec![&ph, "--starts", "16", "--report-out", &rpt],
+            ),
+            ("solve", solve, vec![&vox, "--starts", "8"]),
+        ];
+        for (name, cmd, argv) in runs {
+            let want = lines(cmd, &argv, "cpu");
+            assert!(
+                want.contains("voxel 0:") || want.contains("lambda"),
+                "{name}: {want}"
+            );
+            for backend in ["gpusim", "gpusim:2", "pipelined", "cluster:1:2"] {
+                assert_eq!(lines(cmd, &argv, backend), want, "{name} on {backend}");
+            }
+        }
+        for path in [&ph, &vox, &rpt] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    /// A solver the simulated GPU cannot run is a `CPU-only` error raised
+    /// before the tensor file is read.
+    #[test]
+    fn cpu_only_solvers_fail_on_gpusim_before_the_file() {
+        let missing = tmp("no-such-tensors.txt");
+        type Cmd = fn(Vec<String>, &mut dyn Write) -> Result<(), String>;
+        let cmds: [(&str, Cmd); 3] = [("solve", solve), ("fibers", fibers), ("report", report)];
+        for (name, cmd) in cmds {
+            for bad in [
+                ["--shift", "adaptive"],
+                ["--solver", "geap"],
+                ["--solver", "qrst"],
+            ] {
+                let mut argv = sv(&[&missing, "--backend", "gpusim"]);
+                argv.extend(sv(&bad));
+                let mut out = Vec::new();
+                let err = cmd(argv, &mut out).unwrap_err();
+                assert!(err.contains("CPU-only"), "{name} {bad:?}: {err}");
+                assert!(err.contains(bad[1]), "{name} {bad:?}: {err}");
+            }
+            for shift in ["0", "convex", "concave"] {
+                let argv = sv(&[&missing, "--backend", "gpusim", "--shift", shift]);
+                let err = cmd(argv, &mut Vec::new()).unwrap_err();
+                assert!(err.contains("cannot open"), "{name} --shift {shift}: {err}");
+            }
+        }
     }
 }

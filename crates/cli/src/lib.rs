@@ -42,11 +42,13 @@
 //! returns the same eigenpairs bit for bit; only the speed and the printed
 //! kernel label differ. Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
-//! directly comparable summaries. The simulated GPU supports only fixed
-//! numeric shifts. `--solver` takes a [`sshopm::SolverSpec`] string —
-//! `sshopm` (default), `sshopm:ALPHA` (pinned fixed shift), `geap`
-//! (adaptive projected-Hessian shift), or `qrst` (orthogonal-similarity
-//! QR iteration); `geap`/`qrst` are CPU-only.
+//! directly comparable summaries; the simulated GPU takes its eigenpairs
+//! from the same lanes, so every backend runs the same `--shift` and
+//! prints the same eigenpairs. `--solver` takes a [`sshopm::SolverSpec`]
+//! string — `sshopm` (default), `sshopm:ALPHA` (pinned fixed shift),
+//! `geap` (adaptive projected-Hessian shift), or `qrst`
+//! (orthogonal-similarity QR iteration); `geap`, `qrst` and `--shift
+//! adaptive` are CPU-only.
 //!
 //! Global options, accepted before or after the subcommand:
 //!
@@ -154,7 +156,7 @@ pub fn run(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
         "info" => commands::info(rest, cmd_out),
         "solve" => commands::solve_instrumented(rest, cmd_out, &telemetry),
         "phantom" => commands::phantom(rest, cmd_out),
-        "fibers" => commands::fibers(rest, cmd_out),
+        "fibers" => commands::fibers_instrumented(rest, cmd_out, &telemetry),
         "decompose" => commands::decompose(rest, cmd_out),
         "tract" => commands::tract(rest, cmd_out),
         "gpu" => commands::gpu_instrumented(rest, cmd_out, &telemetry),
@@ -216,7 +218,8 @@ pub fn usage() -> String {
      \x20 tesla-c1060, gtx-580, pipelined[:device][:count] for stream-based\n\
      \x20 double-buffered execution, or cluster[:device][:hosts[:devices[:streams]]]\n\
      \x20 for hosts sharded over modeled NICs (default 2 hosts x 2 devices,\n\
-     \x20 1 stream). gpusim backends need a fixed numeric --shift.\n\
+     \x20 1 stream). Every backend runs the same --shift and prints the\n\
+     \x20 same eigenpairs; --shift adaptive is CPU-only.\n\
      \x20 --pipeline upgrades a gpusim backend to pipelined (chunked launches\n\
      \x20 whose transfers overlap compute; prints the resolved event-timeline\n\
      \x20 summary) and a one-stream cluster to 2 streams per device.\n\
@@ -379,6 +382,57 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("cli.profile"), "{text}");
         assert!(text.contains("gpu.launches"), "{text}");
+    }
+
+    /// `fibers` records on the run's telemetry like `solve`: the backend's
+    /// batch counters and the extraction's spectra counts reach
+    /// `--metrics-out` and the `--verbose` summary.
+    #[test]
+    fn fibers_honours_the_global_telemetry_flags() {
+        let mut base = std::env::temp_dir();
+        base.push(format!(
+            "tensor-eig-fibers-telemetry-{}",
+            std::process::id()
+        ));
+        let phantom = base.with_extension("txt");
+        let metrics = base.with_extension("metrics.jsonl");
+        let (phantom_s, metrics_s) = (
+            phantom.to_string_lossy().into_owned(),
+            metrics.to_string_lossy().into_owned(),
+        );
+        let mut out = Vec::new();
+        run(
+            sv(&[
+                "phantom", "--out", &phantom_s, "--width", "3", "--height", "2",
+            ]),
+            &mut out,
+        )
+        .unwrap();
+        let fibers = sv(&["fibers", &phantom_s, "--starts", "8"]);
+
+        let mut argv = sv(&["--metrics-out", &metrics_s]);
+        argv.extend(fibers.clone());
+        run(argv, &mut Vec::new()).unwrap();
+        let lines = std::fs::read_to_string(&metrics).unwrap();
+        for name in ["batch.solves", "spectra.entries", "cli.fibers"] {
+            let quoted = format!("\"{name}\"");
+            assert!(
+                lines.lines().any(|l| l.contains(&quoted)),
+                "{name} missing from {lines}"
+            );
+        }
+
+        let mut argv = sv(&["--verbose"]);
+        argv.extend(fibers);
+        let mut out = Vec::new();
+        run(argv, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("summary: 6 voxels"), "{text}");
+        for name in ["batch.solves", "spectra.entries"] {
+            assert!(text.contains(name), "{name} missing from {text}");
+        }
+        std::fs::remove_file(&phantom).ok();
+        std::fs::remove_file(&metrics).ok();
     }
 
     #[test]

@@ -44,6 +44,20 @@ pub struct ExtractConfig {
     pub relative_threshold: f64,
 }
 
+impl ExtractConfig {
+    /// The solver every extraction runs: `solver` under `shift`, to `tol`
+    /// within `max_iters` iterations.
+    pub fn build_solver(&self) -> Box<dyn Solver<f64>> {
+        self.solver.build(
+            self.shift,
+            IterationPolicy::Converge {
+                tol: self.tol,
+                max_iters: self.max_iters,
+            },
+        )
+    }
+}
+
 impl Default for ExtractConfig {
     fn default() -> Self {
         Self {
@@ -99,7 +113,7 @@ pub fn extract_fibers<'a>(
     check_dim3(tensor.dim())?;
     check_starts(cfg)?;
     let starts = sshopm::starts::fibonacci_sphere::<f64>(cfg.num_starts);
-    let solver = extraction_solver(cfg);
+    let solver = cfg.build_solver();
     let spectrum = multistart(
         &*solver,
         tensor,
@@ -131,10 +145,11 @@ pub fn extract_fibers<'a>(
 /// no `sshopm.spectra` span, as it runs inside the backend's
 /// `batch.solve`.
 ///
-/// Note the GPU-simulated backends support only [`Shift::Fixed`]; pass a
-/// CPU backend for the convex/adaptive shifts recommended for noisy data.
+/// Every backend runs the fixed, convex and concave shifts, and returns
+/// the same fibers for them; the adaptive shift and the `geap` and `qrst`
+/// solvers run on the CPU backends only.
 /// A batch of non-3-dimensional tensors, `cfg.num_starts == 0`, backend
-/// failures (unsupported shift, an exhausted resilient run) and a backend
+/// failures (unsupported solver, an exhausted resilient run) and a backend
 /// that lends a voxel's row twice or never surface as
 /// [`backend::BackendError`], never panics.
 pub fn extract_fibers_with(
@@ -144,7 +159,7 @@ pub fn extract_fibers_with(
     telemetry: &Telemetry,
 ) -> Result<Vec<Vec<FiberEstimate>>, backend::BackendError> {
     let starts = batch_starts(tensors, cfg)?;
-    let solver = extraction_solver(cfg);
+    let solver = cfg.build_solver();
     let voxels: Vec<OnceLock<Vec<FiberEstimate>>> =
         (0..tensors.len()).map(|_| OnceLock::new()).collect();
     let (entries, failures) = (AtomicU64::new(0), AtomicU64::new(0));
@@ -198,7 +213,7 @@ pub fn extract_fibers_reported(
     telemetry: &Telemetry,
 ) -> Result<(Vec<Vec<FiberEstimate>>, backend::BatchReport<f64>), backend::BackendError> {
     let starts = batch_starts(tensors, cfg)?;
-    let solver = extraction_solver(cfg);
+    let solver = cfg.build_solver();
     let report = backend.solve_batch(tensors, &starts, &*solver, telemetry)?;
     // The per-start pairs stay inside the report (its workload/throughput
     // accounting is derived from `results`); the pass borrows them.
@@ -244,16 +259,6 @@ fn check_starts(cfg: &ExtractConfig) -> Result<(), backend::BackendError> {
     Err(backend::BackendError(
         "fiber extraction needs at least one start (num_starts = 0)".into(),
     ))
-}
-
-fn extraction_solver(cfg: &ExtractConfig) -> Box<dyn Solver<f64>> {
-    cfg.solver.build(
-        cfg.shift,
-        IterationPolicy::Converge {
-            tol: cfg.tol,
-            max_iters: cfg.max_iters,
-        },
-    )
 }
 
 /// Shared back half of fiber extraction: local maxima of the deduplicated

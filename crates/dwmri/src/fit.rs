@@ -13,60 +13,32 @@
 //! coefficients onto tensor entries in the paper's reference \[6\].
 
 use crate::fiber::Dir3;
-use linalg::{lstsq, Matrix};
+use linalg::{lstsq, LinalgError, Matrix};
 use symtensor::index::IndexClassIter;
-use symtensor::multinomial::num_unique_entries;
-use symtensor::{SymTensor, TensorBatch};
+use symtensor::SymTensor;
 
 /// Fit an order-`m` symmetric tensor in 3D to ADC measurements.
 ///
 /// # Errors
-/// Returns the underlying linear-algebra error if the system is
-/// underdetermined (`measurements.len() < C(m+2, m)`) or the directions are
-/// degenerate (e.g. all coplanar).
+/// Returns [`LinalgError::DimensionMismatch`] if `directions` and
+/// `values` differ in length, and the underlying linear-algebra error if
+/// the system is underdetermined (`measurements.len() < C(m+2, m)`) or
+/// the directions are degenerate (e.g. all coplanar).
 pub fn fit_tensor(
     m: usize,
     directions: &[Dir3],
     values: &[f64],
-) -> Result<SymTensor<f64>, linalg::LinalgError> {
-    assert_eq!(directions.len(), values.len(), "one value per direction");
-    let u = num_unique_entries(m, 3) as usize;
+) -> Result<SymTensor<f64>, LinalgError> {
+    if directions.len() != values.len() {
+        return Err(LinalgError::DimensionMismatch {
+            context: "fit_tensor needs one value per direction",
+        });
+    }
     let design = design_matrix(m, directions);
     let coeffs = lstsq(&design, values)?;
-    debug_assert_eq!(coeffs.len(), u);
-    Ok(SymTensor::from_values(m, 3, coeffs).expect("shape consistent"))
-}
-
-/// Fit an order-`m` symmetric tensor and append its packed coefficients
-/// directly onto a [`TensorBatch`] arena — the voxel-pipeline form of
-/// [`fit_tensor`]: no intermediate `SymTensor` allocation, the
-/// least-squares solution lands straight in the contiguous buffer the
-/// batch solvers (and the simulated GPU's single coalesced host→device
-/// copy) consume.
-///
-/// # Panics
-/// Panics if `batch` was not constructed for shape `(m, 3)`.
-///
-/// # Errors
-/// Same conditions as [`fit_tensor`].
-pub fn fit_tensor_into(
-    m: usize,
-    directions: &[Dir3],
-    values: &[f64],
-    batch: &mut TensorBatch<f64>,
-) -> Result<(), linalg::LinalgError> {
-    assert_eq!(directions.len(), values.len(), "one value per direction");
-    assert_eq!(
-        (batch.order(), batch.dim()),
-        (m, 3),
-        "batch shape does not match the fit shape"
-    );
-    let design = design_matrix(m, directions);
-    let coeffs = lstsq(&design, values)?;
-    batch
-        .push_values(&coeffs)
-        .expect("lstsq returns one coefficient per unique entry");
-    Ok(())
+    SymTensor::from_values(m, 3, coeffs).map_err(|_| LinalgError::DimensionMismatch {
+        context: "fit_tensor: one coefficient per unique entry of the order-m tensor",
+    })
 }
 
 /// The `N × U` design matrix whose row `i` contains, for each index class,
@@ -159,19 +131,14 @@ mod tests {
     }
 
     #[test]
-    fn fit_into_batch_matches_fit_tensor() {
-        // The direct-into-arena path produces the same bits as the
-        // standalone fit, with the coefficients already packed contiguously.
-        let truth = SymTensor::<f64>::from_fn(4, 3, |c| (c.rank() as f64 * 0.37).sin());
-        let dirs = gradient_directions(24);
-        let vals: Vec<f64> = dirs.iter().map(|g| evaluate(&truth, g)).collect();
-        let mut batch = TensorBatch::new(4, 3).unwrap();
-        fit_tensor_into(4, &dirs, &vals, &mut batch).unwrap();
-        fit_tensor_into(4, &dirs, &vals, &mut batch).unwrap();
-        let standalone = fit_tensor(4, &dirs, &vals).unwrap();
-        assert_eq!(batch.len(), 2);
-        for view in batch.iter() {
-            assert_eq!(view.values(), standalone.values());
+    fn mismatched_lengths_are_a_typed_error() {
+        let dirs = gradient_directions(20);
+        for values in [vec![1.0; 19], vec![1.0; 21], Vec::new()] {
+            let err = fit_tensor(4, &dirs, &values).unwrap_err();
+            assert!(
+                matches!(err, LinalgError::DimensionMismatch { .. }),
+                "{err}"
+            );
         }
     }
 

@@ -1,10 +1,10 @@
-//! Per-thread operation counters gathered during functional execution.
+//! Operation counters charged to a launch.
 //!
 //! The counters separate "useful" floating-point work (what GFLOPS figures
 //! are computed from) from integer bookkeeping and memory traffic (what the
-//! timing model charges for separately). Counting happens in the simulated
-//! kernels, not inside the `symtensor` hot loops, so the library kernels
-//! stay clean.
+//! timing model charges for separately). They are analytic counts per
+//! iteration, scaled by each solve's iteration count, not counted inside
+//! the `symtensor` hot loops, so the library kernels stay clean.
 
 /// Operation counts for one thread (or aggregated over many).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,6 +53,23 @@ impl OpCounters {
         self.global_loads + self.global_stores
     }
 
+    /// Every count multiplied by `k`: the counters of `k` identical
+    /// executions.
+    pub fn scaled(&self, k: u64) -> OpCounters {
+        OpCounters {
+            fadd: self.fadd * k,
+            fmul: self.fmul * k,
+            ffma: self.ffma * k,
+            fdiv: self.fdiv * k,
+            fsqrt: self.fsqrt * k,
+            int_ops: self.int_ops * k,
+            shared_loads: self.shared_loads * k,
+            shared_stores: self.shared_stores * k,
+            global_loads: self.global_loads * k,
+            global_stores: self.global_stores * k,
+        }
+    }
+
     /// Merge another counter set into this one.
     pub fn merge(&mut self, other: &OpCounters) {
         self.fadd += other.fadd;
@@ -84,6 +101,20 @@ mod tests {
         };
         assert_eq!(c.useful_flops(), 3 + 5 + 14 + 1 + 1);
         assert_eq!(c.arithmetic_instructions(), 3 + 5 + 7 + 1 + 1);
+    }
+
+    #[test]
+    fn scaled_multiplies_every_field() {
+        let c = OpCounters {
+            fadd: 3,
+            ffma: 2,
+            global_stores: 4,
+            ..Default::default()
+        };
+        let mut twice = c;
+        twice.merge(&c);
+        assert_eq!(c.scaled(2), twice);
+        assert_eq!(c.scaled(0), OpCounters::default());
     }
 
     #[test]

@@ -17,11 +17,15 @@ pub enum GpuError {
     EmptyBatch,
     /// A launch was requested with no start vectors.
     EmptyStarts,
-    /// The batch mixes tensors of different `(m, n)` shapes.
+    /// A launch was requested under [`sshopm::Shift::Adaptive`], which
+    /// changes with the iterate: the device resolves one shift per tensor.
+    AdaptiveShift,
+    /// The batch's `(m, n)` shape is not the one the launch's kernels
+    /// were built for.
     MismatchedShapes {
-        /// Shape of the first tensor in the batch.
+        /// The kernels' shape.
         expected: (usize, usize),
-        /// The first differing shape encountered.
+        /// The batch's shape.
         found: (usize, usize),
     },
     /// The unrolled kernel variant was requested for a shape that has no
@@ -50,9 +54,10 @@ impl std::fmt::Display for GpuError {
             GpuError::EmptyCluster => write!(f, "need at least one host in the cluster"),
             GpuError::EmptyBatch => write!(f, "need at least one tensor to launch"),
             GpuError::EmptyStarts => write!(f, "need at least one start vector"),
+            GpuError::AdaptiveShift => write!(f, "a launch runs one shift per tensor"),
             GpuError::MismatchedShapes { expected, found } => write!(
                 f,
-                "all tensors in a launch must share one shape: expected ({}, {}), found ({}, {})",
+                "kernels built for shape ({}, {}) cannot launch a batch of shape ({}, {})",
                 expected.0, expected.1, found.0, found.1
             ),
             GpuError::NoUnrolledKernel { m, n } => {

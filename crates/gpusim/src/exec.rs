@@ -1,15 +1,15 @@
-//! The functional execution engine: a grid of thread blocks executed on CPU
-//! threads, with SIMT warp accounting.
+//! The launch's cost pass: a grid of thread blocks, one per tensor, one
+//! thread per starting vector, charged with SIMT warp accounting from the
+//! number of iterations each solve ran.
 //!
-//! Blocks are independent (the paper's problem has no inter-block
-//! communication), so they run in parallel via rayon. Within a block,
-//! threads are grouped into warps of `warp_size`; the engine tracks, per
-//! warp, the *maximum* per-thread instruction count — a warp in a real SIMT
+//! The eigenpairs come from `sshopm`'s lane driver ([`crate::kernel`]);
+//! what a thread costs depends only on its iteration count. Within a
+//! block, threads are grouped into warps of `warp_size` consecutive starts,
+//! and each warp is charged its *slowest* thread: a warp in a real SIMT
 //! machine executes until its slowest lane finishes, which is exactly how
 //! convergence divergence costs time on the GPU.
 
 use crate::counters::OpCounters;
-use rayon::prelude::*;
 
 /// Grid geometry for a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,16 +40,19 @@ impl GridConfig {
     }
 }
 
-/// Result of one thread's execution: its output value plus its accounting.
-#[derive(Debug, Clone)]
-pub struct ThreadRecord<T> {
-    /// The kernel's per-thread output.
-    pub output: T,
-    /// Operation counts for this thread.
-    pub counters: OpCounters,
-    /// Issue-slot-weighted instruction count for warp-serial accounting
+/// What a launch charges, given each thread's iteration count.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GridCost {
+    /// Operations one iteration executes.
+    pub per_iteration: OpCounters,
+    /// Issue-slot weight of one iteration for warp-serial accounting
     /// (expensive ops like division count as several slots).
-    pub weighted_instructions: u64,
+    pub iteration_weight: u64,
+    /// Operations each thread executes once (its final write-back).
+    pub per_thread: OpCounters,
+    /// Operations each block executes once (the cooperative global→shared
+    /// staging of its tensor).
+    pub per_block: OpCounters,
 }
 
 /// Aggregated statistics of a whole launch.
@@ -76,73 +79,63 @@ impl LaunchStats {
     }
 }
 
-/// Execute a grid. `block_fn(block_idx)` produces the block's per-thread
-/// records plus any block-level staging counters (e.g. the cooperative
-/// global→shared tensor load). Blocks run in parallel; per-warp serial
-/// costs are computed here.
-pub fn run_grid<T, F>(config: GridConfig, block_fn: F) -> (Vec<Vec<T>>, LaunchStats)
+/// Charge a grid. `blocks` yields, for each block in order, the iteration
+/// count of each of its threads in order; a warp is `warp_size`
+/// consecutive threads of one block, charged at its slowest.
+pub fn run_grid<B, T>(config: GridConfig, cost: &GridCost, blocks: B) -> LaunchStats
 where
-    T: Send,
-    F: Fn(usize) -> (Vec<ThreadRecord<T>>, OpCounters) + Sync,
+    B: IntoIterator<Item = T>,
+    T: IntoIterator<Item = u64>,
 {
-    let per_block: Vec<(Vec<T>, LaunchStats)> = (0..config.num_blocks)
-        .into_par_iter()
-        .map(|b| {
-            let (records, staging) = block_fn(b);
-            // Internal-contract check only (all in-crate callers size the
-            // records from the grid config); debug-only so library builds
-            // carry no abort path.
-            debug_assert_eq!(
-                records.len(),
-                config.threads_per_block,
-                "block_fn must return one record per thread"
-            );
-            let mut stats = LaunchStats {
-                counters: staging,
-                num_warps: config.warps_per_block(),
-                ..Default::default()
-            };
-            let mut outputs = Vec::with_capacity(records.len());
-            for warp in records.chunks(config.warp_size) {
-                let mut warp_max = 0u64;
-                for rec in warp {
-                    stats.counters.merge(&rec.counters);
-                    stats.thread_instructions += rec.weighted_instructions;
-                    warp_max = warp_max.max(rec.weighted_instructions);
-                }
-                stats.warp_serial_instructions += warp_max;
+    let (mut iterations, mut warp_serial_iterations) = (0u64, 0u64);
+    let (mut num_blocks, mut num_threads) = (0u64, 0u64);
+    for block in blocks {
+        let mut threads = 0usize;
+        let mut warp_max = 0u64;
+        for iters in block {
+            if threads.is_multiple_of(config.warp_size) {
+                warp_serial_iterations += warp_max;
+                warp_max = 0;
             }
-            for rec in records {
-                outputs.push(rec.output);
-            }
-            (outputs, stats)
-        })
-        .collect();
-
-    let mut outputs = Vec::with_capacity(config.num_blocks);
-    let mut total = LaunchStats::default();
-    for (out, stats) in per_block {
-        outputs.push(out);
-        total.counters.merge(&stats.counters);
-        total.warp_serial_instructions += stats.warp_serial_instructions;
-        total.thread_instructions += stats.thread_instructions;
-        total.num_warps += stats.num_warps;
+            warp_max = warp_max.max(iters);
+            iterations += iters;
+            threads += 1;
+        }
+        warp_serial_iterations += warp_max;
+        // Internal-contract check only (the launch sizes every block from
+        // the grid config); debug-only so library builds carry no abort
+        // path.
+        debug_assert_eq!(
+            threads, config.threads_per_block,
+            "one iteration count per thread"
+        );
+        num_blocks += 1;
+        num_threads += threads as u64;
     }
-    (outputs, total)
+    let mut counters = cost.per_iteration.scaled(iterations);
+    counters.merge(&cost.per_thread.scaled(num_threads));
+    counters.merge(&cost.per_block.scaled(num_blocks));
+    LaunchStats {
+        counters,
+        warp_serial_instructions: cost.iteration_weight * warp_serial_iterations,
+        thread_instructions: cost.iteration_weight * iterations,
+        num_warps: num_blocks as usize * config.warps_per_block(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn record(weight: u64) -> ThreadRecord<u64> {
-        ThreadRecord {
-            output: weight,
-            counters: OpCounters {
-                fadd: weight,
+    /// One `fadd` and one issue slot per iteration.
+    fn unit_cost() -> GridCost {
+        GridCost {
+            per_iteration: OpCounters {
+                fadd: 1,
                 ..Default::default()
             },
-            weighted_instructions: weight,
+            iteration_weight: 1,
+            ..Default::default()
         }
     }
 
@@ -171,16 +164,12 @@ mod tests {
             threads_per_block: 64,
             warp_size: 32,
         };
-        let (outputs, stats) = run_grid(g, |_b| {
-            (
-                (0..64).map(|_| record(100)).collect(),
-                OpCounters::default(),
-            )
-        });
-        assert_eq!(outputs.len(), 4);
+        let stats = run_grid(g, &unit_cost(), (0..4).map(|_| [100u64; 64]));
+        assert_eq!(stats.num_warps, 8);
         // 8 warps total, each warp-serial cost 100.
         assert_eq!(stats.warp_serial_instructions, 800);
         assert_eq!(stats.thread_instructions, 4 * 64 * 100);
+        assert_eq!(stats.counters.fadd, 4 * 64 * 100);
         assert!((stats.simd_efficiency(32) - 1.0).abs() < 1e-12);
     }
 
@@ -191,13 +180,9 @@ mod tests {
             threads_per_block: 32,
             warp_size: 32,
         };
-        let (_, stats) = run_grid(g, |_b| {
-            // One slow lane (1000), the rest fast (10).
-            let recs = (0..32)
-                .map(|t| record(if t == 0 { 1000 } else { 10 }))
-                .collect();
-            (recs, OpCounters::default())
-        });
+        // One slow lane (1000), the rest fast (10).
+        let block = (0..32).map(|t| if t == 0 { 1000 } else { 10 });
+        let stats = run_grid(g, &unit_cost(), [block]);
         assert_eq!(stats.warp_serial_instructions, 1000);
         assert_eq!(stats.thread_instructions, 1000 + 31 * 10);
         assert!(stats.simd_efficiency(32) < 0.05);
@@ -210,37 +195,37 @@ mod tests {
             threads_per_block: 32,
             warp_size: 32,
         };
-        let (_, stats) = run_grid(g, |_b| {
-            let staging = OpCounters {
+        let cost = GridCost {
+            per_block: OpCounters {
                 global_loads: 15,
                 shared_stores: 15,
                 ..Default::default()
-            };
-            ((0..32).map(|_| record(1)).collect(), staging)
-        });
+            },
+            per_thread: OpCounters {
+                global_stores: 4,
+                ..Default::default()
+            },
+            ..unit_cost()
+        };
+        let stats = run_grid(g, &cost, (0..3).map(|_| [1u64; 32]));
         assert_eq!(stats.counters.global_loads, 45);
         assert_eq!(stats.counters.shared_stores, 45);
+        assert_eq!(stats.counters.global_stores, 3 * 32 * 4);
     }
 
     #[test]
-    fn outputs_preserve_block_and_thread_order() {
+    fn partial_warps_are_charged_per_block() {
+        // 33 threads per block: a full warp and a one-thread warp, each
+        // charged at its own slowest lane, block by block.
         let g = GridConfig {
             num_blocks: 2,
-            threads_per_block: 4,
+            threads_per_block: 33,
             warp_size: 32,
         };
-        let (outputs, _) = run_grid(g, |b| {
-            let recs = (0..4)
-                .map(|t| ThreadRecord {
-                    output: (b, t),
-                    counters: OpCounters::default(),
-                    weighted_instructions: 1,
-                })
-                .collect();
-            (recs, OpCounters::default())
-        });
-        assert_eq!(outputs[1][2], (1, 2));
-        assert_eq!(outputs[0][3], (0, 3));
+        let block = |b: u64| (0..33u64).map(move |t| if t == 32 { 7 * b } else { b });
+        let stats = run_grid(g, &unit_cost(), [block(1), block(2)]);
+        assert_eq!(stats.num_warps, 4);
+        assert_eq!(stats.warp_serial_instructions, (1 + 7) + (2 + 14));
     }
 
     #[test]
@@ -252,8 +237,6 @@ mod tests {
             threads_per_block: 8,
             warp_size: 32,
         };
-        let _ = run_grid(g, |_b| {
-            ((0..7).map(|_| record(1)).collect(), OpCounters::default())
-        });
+        let _ = run_grid(g, &unit_cost(), [[1u64; 7]]);
     }
 }

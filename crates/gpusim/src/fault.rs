@@ -1,7 +1,7 @@
 //! Deterministic, seed-driven fault injection for simulated launches.
 //!
-//! Real Fermi-era hardware misbehaves in ways the functional simulator never
-//! did: ECC scrubbing flips memory bits, the kernel watchdog kills
+//! Real Fermi-era hardware misbehaves in ways a fault-free simulator never
+//! does: ECC scrubbing flips memory bits, the kernel watchdog kills
 //! long-running launches, PCIe transfers fail, and whole boards drop off the
 //! bus. A [`FaultPlan`] reproduces those behaviors *deterministically*: every
 //! draw is a pure hash of `(seed, device, chunk, attempt, kind)`, so a given

@@ -3,10 +3,17 @@
 //! starting vector, the packed tensor staged into block-shared memory, the
 //! iteration vectors in per-thread registers.
 //!
-//! Two kernel variants mirror the paper's:
+//! The eigenpairs come from one numeric engine, `sshopm`'s lane driver
+//! ([`sshopm::solve_batch_lockstep`]), the CPU analogue of that mapping:
+//! it resolves the shift once per tensor (one `α` per block) and returns
+//! the scalar iteration's bits. What a launch costs is a pass over their
+//! iteration counts ([`crate::exec::run_grid`]).
 //!
-//! * **Unrolled** — straight-line kernels ([`symtensor::UnrolledKernels`]);
-//!   `x`/`y` live in registers, coefficients are compile-time constants.
+//! Two kernel variants mirror the paper's, and differ only in that cost:
+//!
+//! * **Unrolled** — straight-line kernels (compiled for
+//!   [`symtensor::lanes::COMPILED_SHAPES`]); `x`/`y` live in registers,
+//!   coefficients are compile-time constants.
 //! * **General** — the Figure 2/3 loops with shared index/coefficient
 //!   tables. Crucially, the dynamically-indexed iteration vectors cannot
 //!   live in the register file (on a real GPU a dynamically indexed local
@@ -14,25 +21,21 @@
 //!   charges those accesses as global traffic with an issue-slot penalty.
 //!   This is the indirection the paper's Section V-D unrolling removes and
 //!   is the main source of its 18.7× GPU unrolled speedup.
-//!
-//! The variants differ only in their modeled cost. The numerics are
-//! computed by the *real* library kernels, which all sum the index classes
-//! in one order, so both variants return the bits of every CPU kernel
-//! strategy on the same scalar type.
 
 use crate::counters::OpCounters;
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::exec::{run_grid, GridConfig, LaunchStats, ThreadRecord};
+use crate::exec::{run_grid, GridConfig, GridCost, LaunchStats};
 use crate::multi::HostTransfer;
 use crate::occupancy::{KernelResources, Occupancy};
 use crate::stream::{Op, StreamId, StreamQueue};
 use crate::timing::{estimate, weights, TimingEstimate};
-use sshopm::{BatchResult, Eigenpair, IterationPolicy, SsHopm};
+use sshopm::{BatchResult, IterationPolicy, Shift};
 use symtensor::flops;
-use symtensor::kernels::GeneralKernels;
+use symtensor::lanes::COMPILED_SHAPES;
 use symtensor::multinomial::{num_unique_entries, try_num_unique_entries};
-use symtensor::{Scalar, TensorBatchRef, UnrolledKernels};
+use symtensor::{BatchedKernels, Scalar, TensorBatchRef};
+use telemetry::Telemetry;
 
 /// Which kernel variant to launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +58,8 @@ impl GpuVariant {
 
 /// Per-thread, per-iteration operation counts for a given shape and
 /// variant. These are analytic counts of exactly what the corresponding
-/// kernel executes per SS-HOPM iteration; the functional run multiplies
-/// them by each thread's actual iteration count.
+/// kernel executes per SS-HOPM iteration; the cost pass multiplies them by
+/// each thread's actual iteration count.
 fn per_iteration_counters(m: usize, n: usize, variant: GpuVariant) -> OpCounters {
     let u = num_unique_entries(m, n);
     let inc = flops::distinct_incidences(m, n);
@@ -124,7 +127,7 @@ pub struct LaunchReport {
     pub resources: KernelResources,
     /// Occupancy on the target device.
     pub occupancy: Occupancy,
-    /// Aggregated functional statistics.
+    /// The cost pass's warp and operation statistics.
     pub stats: LaunchStats,
     /// Useful floating-point operations executed.
     pub useful_flops: u64,
@@ -176,36 +179,44 @@ impl LaunchReport {
 /// Launch the batched SS-HOPM problem on the simulated device.
 ///
 /// This is a thin synchronous wrapper over the asynchronous path: it
-/// enqueues the launch's three ops (upload, kernel, download) on a default
-/// stream of a fresh single-device [`StreamQueue`] via [`enqueue_sshopm`]
-/// and immediately synchronizes. Callers that want transfer/compute
-/// overlap enqueue on their own queue instead (see
-/// [`crate::Cluster::launch`]).
+/// builds the batch shape's [`BatchedKernels`], enqueues the launch's
+/// three ops (upload, kernel, download) on a default stream of a fresh
+/// single-device [`StreamQueue`] via [`enqueue_sshopm`] and immediately
+/// synchronizes. Callers that want transfer/compute overlap enqueue on
+/// their own queue instead (see [`crate::Cluster::launch`]).
 ///
 /// Takes the batch as a borrowed [`TensorBatchRef`] (or anything that
 /// converts into one, e.g. `&TensorBatch`): same-shape is guaranteed by
 /// construction, and the packed arena is exactly the buffer a real driver
 /// would ship to the device in one `cudaMemcpy`. Starting vectors are
-/// shared by all blocks (Section V-C). Returns the functional results,
-/// laid out and counted like a CPU batch, plus the performance report.
+/// shared by all blocks (Section V-C), and `shift` is resolved once per
+/// tensor. Returns the eigenpairs, laid out and counted like a CPU batch,
+/// plus the performance report.
 ///
 /// # Errors
-/// Returns a [`GpuError`] if the batch or `starts` is empty, the shape is
-/// too large to model, or the unrolled variant is requested for a shape
-/// with no compiled kernel. (Mixed shapes cannot reach the launch:
-/// [`symtensor::TensorBatch`] rejects them at construction.)
+/// Returns a [`GpuError`] if the batch or `starts` is empty, the shift is
+/// [`Shift::Adaptive`], the shape is too large to model, or the unrolled
+/// variant is requested for a shape with no compiled kernel. (Mixed shapes
+/// cannot reach the launch: [`symtensor::TensorBatch`] rejects them at
+/// construction.)
 pub fn launch_sshopm<'a, S: Scalar>(
     device: &DeviceSpec,
     batch: impl Into<TensorBatchRef<'a, S>>,
     starts: &[Vec<S>],
     policy: IterationPolicy,
-    alpha: f64,
+    shift: Shift,
     variant: GpuVariant,
 ) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
+    let batch = batch.into();
+    // An empty batch may carry any shape: fail before building its tables.
+    if batch.is_empty() {
+        return Err(GpuError::EmptyBatch);
+    }
+    let kernels = BatchedKernels::new(batch.order(), batch.dim());
     let mut queue = StreamQueue::new(1, crate::multi::TransferModel::pcie2());
     let stream = queue.stream(0);
     let out = enqueue_sshopm(
-        &mut queue, stream, device, batch, starts, policy, alpha, variant,
+        &mut queue, stream, device, &kernels, batch, starts, policy, shift, variant,
     )?;
     // Default-stream semantics: block until everything is resolved. The
     // timeline of a lone launch carries no overlap to report; the
@@ -217,26 +228,31 @@ pub fn launch_sshopm<'a, S: Scalar>(
 
 /// Enqueue one batched SS-HOPM launch on `stream` of `queue`.
 ///
-/// The *functional* half runs immediately (the kernels execute and the
-/// bit-exact results come back now); the *clock* is deferred — the call
-/// enqueues `HostToDevice(arena + starts)`, `Kernel(analytic estimate)`
-/// and `DeviceToHost(packed eigenpairs)` ops that the queue's scheduler
+/// The eigenpairs come back now, from one [`sshopm::solve_batch_lockstep`]
+/// call over `kernels` on the current rayon pool, telemetry disabled (the
+/// caller records the batch); the *clock* is deferred — the call charges
+/// their iteration counts ([`run_grid`]) and enqueues
+/// `HostToDevice(arena + starts)`, `Kernel(analytic estimate)` and
+/// `DeviceToHost(packed eigenpairs)` ops that the queue's scheduler
 /// resolves against the device's copy/compute engines at
 /// [`StreamQueue::synchronize`]. The kernel op's duration is the full
 /// [`TimingEstimate::seconds`], launch overhead included, so chunked
 /// callers pay the overhead per chunk exactly like real launches.
 ///
 /// # Errors
-/// Same contract as [`launch_sshopm`].
+/// Same contract as [`launch_sshopm`], plus
+/// [`GpuError::MismatchedShapes`] when `kernels` were built for another
+/// shape than the batch's.
 #[allow(clippy::too_many_arguments)]
 pub fn enqueue_sshopm<'a, S: Scalar>(
     queue: &mut StreamQueue,
     stream: StreamId,
     device: &DeviceSpec,
+    kernels: &BatchedKernels,
     batch: impl Into<TensorBatchRef<'a, S>>,
     starts: &[Vec<S>],
     policy: IterationPolicy,
-    alpha: f64,
+    shift: Shift,
     variant: GpuVariant,
 ) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
     let batch = batch.into();
@@ -246,10 +262,22 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     if starts.is_empty() {
         return Err(GpuError::EmptyStarts);
     }
+    if matches!(shift, Shift::Adaptive) {
+        return Err(GpuError::AdaptiveShift);
+    }
     let m = batch.order();
     let n = batch.dim();
     if try_num_unique_entries(m, n).is_err() {
         return Err(GpuError::ShapeTooLarge { m, n });
+    }
+    if (kernels.order(), kernels.dim()) != (m, n) {
+        return Err(GpuError::MismatchedShapes {
+            expected: (kernels.order(), kernels.dim()),
+            found: (m, n),
+        });
+    }
+    if variant == GpuVariant::Unrolled && !COMPILED_SHAPES.contains(&(m, n)) {
+        return Err(GpuError::NoUnrolledKernel { m, n });
     }
 
     let grid = GridConfig {
@@ -266,70 +294,52 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     );
     let occupancy = Occupancy::compute(device, &resources);
 
-    let solver = SsHopm::new(sshopm::Shift::Fixed(alpha)).with_policy(policy);
-    let unrolled_kernels = UnrolledKernels::for_shape(m, n);
-    if variant == GpuVariant::Unrolled && unrolled_kernels.is_none() {
-        return Err(GpuError::NoUnrolledKernel { m, n });
-    }
+    let result = sshopm::solve_batch_lockstep(
+        kernels,
+        batch,
+        starts,
+        shift,
+        policy,
+        0,
+        &Telemetry::disabled(),
+    );
 
-    let iter_counters = per_iteration_counters(m, n, variant);
-    let iter_weight = per_iteration_weight(&iter_counters);
+    let per_iteration = per_iteration_counters(m, n, variant);
     let u = num_unique_entries(m, n);
-
-    let (results, stats) = run_grid(grid, |block| {
-        let tensor = batch.get(block);
-        // Cooperative staging of the tensor (and, for the general variant,
-        // the index/coefficient tables) from global into shared memory.
-        // The block's 15 (for the paper shape) values sit contiguously in
-        // the arena at `block * stride`, so consecutive blocks read
-        // adjacent, naturally aligned segments of device memory.
-        let table_words = match variant {
-            GpuVariant::General => u * m as u64 + u, // index reps + coeffs
-            GpuVariant::Unrolled => 0,
-        };
+    // Cooperative staging of the tensor (and, for the general variant,
+    // the index/coefficient tables) from global into shared memory. The
+    // block's 15 (for the paper shape) values sit contiguously in the
+    // arena at `block * stride`, so consecutive blocks read adjacent,
+    // naturally aligned segments of device memory.
+    let table_words = match variant {
+        GpuVariant::General => u * m as u64 + u, // index reps + coeffs
+        GpuVariant::Unrolled => 0,
+    };
+    let cost = GridCost {
+        per_iteration,
+        iteration_weight: per_iteration_weight(&per_iteration),
+        // Final eigenvector/eigenvalue write-back to global memory.
+        per_thread: OpCounters {
+            global_stores: n as u64 + 1,
+            ..Default::default()
+        },
         // Consecutive threads load consecutive words: fully coalesced, so
         // the word count is the traffic (transactions only round up).
-        let staging = OpCounters {
+        per_block: OpCounters {
             global_loads: u + table_words,
             shared_stores: u + table_words,
             ..Default::default()
-        };
-
-        let records: Vec<ThreadRecord<Eigenpair<S>>> = starts
+        },
+    };
+    let stats = run_grid(
+        grid,
+        &cost,
+        result
+            .results
             .iter()
-            .map(|x0| {
-                let pair = match (variant, unrolled_kernels.as_ref()) {
-                    (GpuVariant::Unrolled, Some(k)) => solver.solve_with(k, tensor, x0),
-                    _ => solver.solve_with(&GeneralKernels, tensor, x0),
-                };
-                // Scale the per-iteration counts by this thread's actual
-                // iteration count.
-                let iters = pair.iterations as u64;
-                let mut counters = OpCounters {
-                    fadd: iter_counters.fadd * iters,
-                    fmul: iter_counters.fmul * iters,
-                    ffma: iter_counters.ffma * iters,
-                    fdiv: iter_counters.fdiv * iters,
-                    fsqrt: iter_counters.fsqrt * iters,
-                    int_ops: iter_counters.int_ops * iters,
-                    shared_loads: iter_counters.shared_loads * iters,
-                    shared_stores: iter_counters.shared_stores * iters,
-                    global_loads: iter_counters.global_loads * iters,
-                    global_stores: iter_counters.global_stores * iters,
-                };
-                // Final eigenvector/eigenvalue write-back to global memory.
-                counters.global_stores += n as u64 + 1;
-                ThreadRecord {
-                    weighted_instructions: iter_weight * iters,
-                    counters,
-                    output: pair,
-                }
-            })
-            .collect();
-        (records, staging)
-    });
+            .map(|row| row.iter().map(|pair| pair.iterations as u64)),
+    );
 
-    let total_iterations = results.iter().flatten().map(|p| p.iterations as u64).sum();
     let useful_flops = stats.counters.useful_flops();
     let timing = estimate(device, grid.num_blocks, &stats, &occupancy);
     let gflops = timing.gflops(useful_flops);
@@ -369,10 +379,7 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     );
 
     Ok((
-        BatchResult {
-            results,
-            total_iterations,
-        },
+        result,
         LaunchReport {
             variant,
             grid,
@@ -393,9 +400,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
-    use sshopm::BatchSolver;
-    use symtensor::{SymTensor, TensorBatch};
-    use telemetry::Telemetry;
+    use sshopm::{BatchSolver, SsHopm};
+    use symtensor::{PrecomputedTables, SymTensor, TensorBatch};
 
     fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -409,16 +415,33 @@ mod tests {
         let (tensors, starts) = workload(8, 32, 1);
         let policy = IterationPolicy::Fixed(20);
         let device = DeviceSpec::tesla_c2050();
-        let (gpu, _) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
-        let cpu = BatchSolver::new(SsHopm::new(sshopm::Shift::Fixed(0.0)).with_policy(policy))
-            .with_threads(1)
-            .run(&GeneralKernels, &tensors, &starts, &Telemetry::disabled());
-        assert_eq!(gpu.total_iterations, cpu.total_iterations);
-        for t in 0..8 {
-            for v in 0..32 {
-                assert_eq!(gpu.results[t][v].lambda, cpu.results[t][v].lambda);
-                assert_eq!(gpu.results[t][v].x, cpu.results[t][v].x);
+        for shift in [Shift::Fixed(0.0), Shift::Convex, Shift::Concave] {
+            let (gpu, _) = launch_sshopm(
+                &device,
+                &tensors,
+                &starts,
+                policy,
+                shift,
+                GpuVariant::General,
+            )
+            .unwrap();
+            let cpu = BatchSolver::new(SsHopm::new(shift).with_policy(policy))
+                .with_threads(1)
+                .run(
+                    &PrecomputedTables::new(4, 3),
+                    &tensors,
+                    &starts,
+                    &Telemetry::disabled(),
+                );
+            assert_eq!(gpu.total_iterations, cpu.total_iterations);
+            for t in 0..8 {
+                for v in 0..32 {
+                    let (g, c) = (&gpu.results[t][v], &cpu.results[t][v]);
+                    assert_eq!(g.lambda.to_bits(), c.lambda.to_bits(), "{shift:?}");
+                    assert_eq!(g.x, c.x, "{shift:?}");
+                    assert_eq!(g.alpha.to_bits(), c.alpha.to_bits(), "{shift:?}");
+                    assert_eq!(g.iterations, c.iterations, "{shift:?}");
+                }
             }
         }
     }
@@ -433,12 +456,14 @@ mod tests {
             &tensors,
             &starts,
             policy,
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap();
-        let k = UnrolledKernels::for_shape(4, 3).unwrap();
-        let cpu = BatchSolver::new(SsHopm::new(sshopm::Shift::Fixed(0.0)).with_policy(policy))
+        // Per tensor, the batched kernels run the compiled straight-line
+        // code on (4, 3).
+        let k = BatchedKernels::new(4, 3);
+        let cpu = BatchSolver::new(SsHopm::new(Shift::Fixed(0.0)).with_policy(policy))
             .with_threads(1)
             .run(&k, &tensors, &starts, &Telemetry::disabled());
         for t in 0..4 {
@@ -453,14 +478,21 @@ mod tests {
         let (tensors, starts) = workload(64, 128, 3);
         let policy = IterationPolicy::Fixed(20);
         let device = DeviceSpec::tesla_c2050();
-        let (_, general) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
+        let (_, general) = launch_sshopm(
+            &device,
+            &tensors,
+            &starts,
+            policy,
+            Shift::Fixed(0.0),
+            GpuVariant::General,
+        )
+        .unwrap();
         let (_, unrolled) = launch_sshopm(
             &device,
             &tensors,
             &starts,
             policy,
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap();
@@ -481,7 +513,7 @@ mod tests {
             &tensors,
             &starts,
             policy,
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap();
@@ -508,7 +540,7 @@ mod tests {
                 &tensors,
                 &starts,
                 policy,
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
             )
             .unwrap();
@@ -540,7 +572,7 @@ mod tests {
             &tensors,
             &starts,
             policy,
-            0.2,
+            Shift::Fixed(0.2),
             GpuVariant::Unrolled,
         )
         .unwrap();
@@ -560,7 +592,7 @@ mod tests {
             &tensors,
             &starts,
             IterationPolicy::Fixed(5),
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::General,
         )
         .unwrap();
@@ -579,14 +611,21 @@ mod tests {
         let (tensors, starts) = workload(8, 32, 8);
         let device = DeviceSpec::tesla_c2050();
         let policy = IterationPolicy::Fixed(10);
-        let (_, g) =
-            launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
+        let (_, g) = launch_sshopm(
+            &device,
+            &tensors,
+            &starts,
+            policy,
+            Shift::Fixed(0.0),
+            GpuVariant::General,
+        )
+        .unwrap();
         let (_, u) = launch_sshopm(
             &device,
             &tensors,
             &starts,
             policy,
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap();
@@ -604,11 +643,50 @@ mod tests {
             &tensors,
             &starts,
             IterationPolicy::Fixed(5),
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap_err();
         assert_eq!(err, GpuError::NoUnrolledKernel { m: 5, n: 5 });
+    }
+
+    #[test]
+    fn adaptive_shift_and_foreign_kernels_error_cleanly() {
+        let (tensors, starts) = workload(2, 8, 13);
+        let device = DeviceSpec::tesla_c2050();
+        let policy = IterationPolicy::Fixed(5);
+        let err = launch_sshopm(
+            &device,
+            &tensors,
+            &starts,
+            policy,
+            Shift::Adaptive,
+            GpuVariant::General,
+        )
+        .unwrap_err();
+        assert_eq!(err, GpuError::AdaptiveShift);
+
+        let mut queue = StreamQueue::new(1, crate::multi::TransferModel::pcie2());
+        let stream = queue.stream(0);
+        let err = enqueue_sshopm(
+            &mut queue,
+            stream,
+            &device,
+            &BatchedKernels::new(3, 3),
+            &tensors,
+            &starts,
+            policy,
+            Shift::Fixed(0.0),
+            GpuVariant::General,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            GpuError::MismatchedShapes {
+                expected: (3, 3),
+                found: (4, 3)
+            }
+        );
     }
 
     #[test]
@@ -642,7 +720,7 @@ mod tests {
             &tensors,
             &starts,
             IterationPolicy::Fixed(5),
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::General,
         )
         .unwrap();
@@ -664,7 +742,19 @@ mod tests {
             &none,
             &starts,
             IterationPolicy::Fixed(5),
-            0.0,
+            Shift::Fixed(0.0),
+            GpuVariant::General,
+        )
+        .unwrap_err();
+        assert_eq!(err, GpuError::EmptyBatch);
+        // An empty batch may carry a shape far too large to tabulate.
+        let huge = TensorBatch::<f32>::new(6, 2000).unwrap();
+        let err = launch_sshopm(
+            &device,
+            &huge,
+            &starts,
+            IterationPolicy::Fixed(5),
+            Shift::Fixed(0.0),
             GpuVariant::General,
         )
         .unwrap_err();
@@ -678,7 +768,7 @@ mod tests {
             &tensors,
             &no_starts,
             IterationPolicy::Fixed(5),
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::General,
         )
         .unwrap_err();

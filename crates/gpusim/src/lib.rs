@@ -1,16 +1,18 @@
-//! # gpusim — a functional + analytic SIMT GPU simulator
+//! # gpusim — an analytic SIMT GPU simulator
 //!
 //! The paper's evaluation platform is an NVIDIA Tesla C2050 (Fermi) driven
 //! by CUDA. Rust cannot target that stack here, so this crate substitutes a
-//! simulator with two halves that together preserve the *behaviour* the
-//! paper's numbers depend on:
+//! simulator whose parts together preserve the *behaviour* the paper's
+//! numbers depend on:
 //!
-//! 1. **Functional execution** ([`exec`], [`kernel`]): the exact thread
-//!    organization of Section V-B — one thread block per tensor, one thread
-//!    per starting vector, the tensor staged into block-shared memory, the
-//!    iteration vectors in per-thread "registers" — executed faithfully
-//!    (blocks in parallel via rayon, warps in lockstep with divergence
-//!    tracking) and instrumented with operation counters.
+//! 1. **The launch** ([`kernel`], [`exec`]): the thread organization of
+//!    Section V-B — one thread block per tensor, one thread per starting
+//!    vector, the tensor staged into block-shared memory. The eigenpairs
+//!    come from `sshopm`'s lane driver ([`sshopm::solve_batch_lockstep`]),
+//!    the one numeric engine, which resolves one shift per tensor (one `α`
+//!    per block); the launch keeps only its cost model, a pass over the
+//!    iteration counts that charges each warp of 32 consecutive starts at
+//!    its slowest thread and counts the operations analytically.
 //! 2. **Analytic timing** ([`timing`], [`occupancy`], [`device`]): a
 //!    Fermi-class performance model that converts counted warp instructions
 //!    and memory transactions into estimated cycles, limited by occupancy

@@ -98,6 +98,7 @@ mod tests {
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
     use sshopm::IterationPolicy;
+    use sshopm::Shift;
     use symtensor::TensorBatch;
 
     const SYNC: Schedule = Schedule::SYNCHRONOUS;
@@ -149,13 +150,20 @@ mod tests {
             &tensors,
             &starts,
             policy,
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::Unrolled,
         )
         .unwrap();
         let mg = board(4);
         let (multi, report) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let report = &report.shards[0];
         assert_eq!(multi.results.len(), 16);
@@ -174,10 +182,24 @@ mod tests {
         let one = board(1);
         let two = board(2);
         let (_, r1) = one
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (_, r2) = two
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let speedup = r1.seconds / r2.seconds;
         assert!(
@@ -193,10 +215,24 @@ mod tests {
         let one = board(1);
         let four = board(4);
         let (_, r1) = one
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (_, r4) = four
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         // Fixed transfer latency and launch overhead dominate; no big win.
         assert!(
@@ -232,7 +268,14 @@ mod tests {
         for t in [64usize, 1024] {
             let (tensors, starts) = workload(t, 128, 4);
             let (_, report) = mg
-                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+                .launch(
+                    &tensors,
+                    &starts,
+                    policy,
+                    Shift::Fixed(0.0),
+                    GpuVariant::Unrolled,
+                    SYNC,
+                )
                 .unwrap();
             let report = &report.shards[0];
             let slice = &report.slices[0];
@@ -268,7 +311,7 @@ mod tests {
                 &tensors,
                 &starts,
                 IterationPolicy::Fixed(10),
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 SYNC,
             )
@@ -302,14 +345,21 @@ mod tests {
         let policy = IterationPolicy::Fixed(8);
         let mg = board(2);
         let (sync, _) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (piped, report) = mg
             .launch(
                 &tensors,
                 &starts,
                 policy,
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 Schedule::pipelined(64, 2),
             )
@@ -338,14 +388,21 @@ mod tests {
         let policy = IterationPolicy::Fixed(5);
         let mg = board(1);
         let (_, sync) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (_, piped) = mg
             .launch(
                 &tensors,
                 &starts,
                 policy,
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 Schedule::pipelined(128, 1),
             )
@@ -367,14 +424,21 @@ mod tests {
         let policy = IterationPolicy::Fixed(5);
         let mg = board(1);
         let (_, sync) = mg
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (_, piped) = mg
             .launch(
                 &tensors,
                 &starts,
                 policy,
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 Schedule::pipelined(256, 2),
             )
@@ -408,7 +472,7 @@ mod tests {
                 &none,
                 &starts,
                 IterationPolicy::Fixed(5),
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::General,
                 SYNC,
             )

@@ -268,7 +268,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sshopm::starts::random_uniform_starts;
-    use sshopm::IterationPolicy;
+    use sshopm::{IterationPolicy, Shift};
     use symtensor::TensorBatch;
 
     fn sample_snapshot() -> ProfileSnapshot {
@@ -281,7 +281,7 @@ mod tests {
             &tensors,
             &starts,
             IterationPolicy::Fixed(12),
-            0.0,
+            Shift::Fixed(0.0),
             GpuVariant::General,
         )
         .unwrap();

@@ -18,9 +18,9 @@
 //! enqueue order and destroy precisely the overlap streams exist to
 //! expose.
 //!
-//! The functional half of the simulator is untouched: kernels still
-//! execute (and produce bit-exact results) when they are enqueued; only
-//! the *clock* is deferred to the scheduler.
+//! The numerics are untouched: a launch's eigenpairs are computed (bit
+//! for bit the lane driver's) when it is enqueued; only the *clock* is
+//! deferred to the scheduler.
 
 use crate::multi::TransferModel;
 use telemetry::Telemetry;

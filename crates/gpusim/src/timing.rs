@@ -65,8 +65,9 @@ impl TimingEstimate {
 
 /// Estimate the run time of a launch.
 ///
-/// `num_blocks` is the grid size; `stats` the functional execution's
-/// accounting; `occ` the occupancy of the kernel on `device`.
+/// `num_blocks` is the grid size; `stats` the launch's cost pass
+/// ([`crate::exec::run_grid`]); `occ` the occupancy of the kernel on
+/// `device`.
 ///
 /// If the occupancy is zero (kernel cannot fit), the estimate is infinite.
 pub fn estimate(

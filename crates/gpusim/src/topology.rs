@@ -27,9 +27,9 @@ use crate::error::GpuError;
 use crate::kernel::{enqueue_sshopm, GpuVariant, LaunchReport};
 use crate::multi::{problem_traffic_bytes, TransferModel};
 use crate::stream::{DeviceStreams, StreamQueue, Timeline};
-use sshopm::{BatchResult, IterationPolicy};
+use sshopm::{BatchResult, IterationPolicy, Shift};
 use symtensor::multinomial::num_unique_entries;
-use symtensor::{Scalar, TensorBatchRef};
+use symtensor::{BatchedKernels, Scalar, TensorBatchRef};
 
 /// How each device runs its slice of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,10 +160,11 @@ impl Host {
     #[allow(clippy::too_many_arguments)]
     fn run_shard<S: Scalar>(
         &self,
+        kernels: &BatchedKernels,
         shard: TensorBatchRef<'_, S>,
         starts: &[Vec<S>],
         policy: IterationPolicy,
-        alpha: f64,
+        shift: Shift,
         variant: GpuVariant,
         schedule: Schedule,
         results: &mut BatchResult<S>,
@@ -195,10 +196,11 @@ impl Host {
                     &mut queue,
                     streams.deal(),
                     device,
+                    kernels,
                     slice.slice(lo..(lo + chunk).min(count)),
                     starts,
                     policy,
-                    alpha,
+                    shift,
                     variant,
                 )?;
                 results.results.extend(res.results);
@@ -384,19 +386,20 @@ impl Cluster {
     /// round trip, and run every host's shard on its own devices and
     /// stream queue under `schedule`. Hosts and devices run concurrently;
     /// transfers to distinct devices use distinct PCIe lanes, as on real
-    /// multi-GPU boards. Results come back in original tensor order and
-    /// are bitwise identical for every topology and schedule — sharding
-    /// and chunking change the clock, never the arithmetic.
+    /// multi-GPU boards. All launches share one [`BatchedKernels`] and
+    /// resolve `shift` per tensor. Results come back in original tensor
+    /// order and are bitwise identical for every topology and schedule —
+    /// sharding and chunking change the clock, never the arithmetic.
     ///
     /// # Errors
     /// Returns a [`GpuError`] for an empty batch or any per-device launch
-    /// failure (empty starts, missing unrolled kernel).
+    /// failure (empty starts, adaptive shift, missing unrolled kernel).
     pub fn launch<'a, S: Scalar>(
         &self,
         batch: impl Into<TensorBatchRef<'a, S>>,
         starts: &[Vec<S>],
         policy: IterationPolicy,
-        alpha: f64,
+        shift: Shift,
         variant: GpuVariant,
         schedule: Schedule,
     ) -> Result<(BatchResult<S>, ClusterReport), GpuError> {
@@ -405,6 +408,7 @@ impl Cluster {
             return Err(GpuError::EmptyBatch);
         }
         let (m, n) = (batch.order(), batch.dim());
+        let kernels = BatchedKernels::new(m, n);
         let elem = std::mem::size_of::<S>();
         let counts = self.shard(batch.len());
 
@@ -427,10 +431,11 @@ impl Cluster {
             let slice = batch.slice(offset..offset + count);
             offset += count;
             let (slices, timeline) = host.run_shard(
+                &kernels,
                 slice,
                 starts,
                 policy,
-                alpha,
+                shift,
                 variant,
                 schedule,
                 &mut results,
@@ -642,11 +647,25 @@ mod tests {
             Cluster::single_host(vec![DeviceSpec::tesla_c2050(); 2], TransferModel::pcie2())
                 .unwrap();
         let (base, _) = single
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sharded, report) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         assert_eq!(sharded.results.len(), base.results.len());
         for (a, b) in sharded
@@ -672,7 +691,7 @@ mod tests {
                 &tensors,
                 &starts,
                 IterationPolicy::Fixed(5),
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 SYNC,
             )
@@ -698,7 +717,7 @@ mod tests {
                     &tensors,
                     &starts,
                     IterationPolicy::Fixed(3),
-                    0.0,
+                    Shift::Fixed(0.0),
                     GpuVariant::Unrolled,
                     SYNC,
                 )
@@ -721,7 +740,14 @@ mod tests {
         for hosts in [1usize, 2, 4] {
             let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), hosts, 2).unwrap();
             let (_, report) = cluster
-                .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+                .launch(
+                    &tensors,
+                    &starts,
+                    policy,
+                    Shift::Fixed(0.0),
+                    GpuVariant::Unrolled,
+                    SYNC,
+                )
                 .unwrap();
             assert!(
                 report.seconds < last,
@@ -742,7 +768,7 @@ mod tests {
                 &tensors,
                 &starts,
                 IterationPolicy::Fixed(3),
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 SYNC,
             )
@@ -757,14 +783,21 @@ mod tests {
         let policy = IterationPolicy::Fixed(6);
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
         let (sync, _) = cluster
-            .launch(&tensors, &starts, policy, 0.0, GpuVariant::Unrolled, SYNC)
+            .launch(
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.0),
+                GpuVariant::Unrolled,
+                SYNC,
+            )
             .unwrap();
         let (piped, _) = cluster
             .launch(
                 &tensors,
                 &starts,
                 policy,
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::Unrolled,
                 Schedule::pipelined(64, 2),
             )
@@ -789,7 +822,7 @@ mod tests {
                 &none,
                 &starts,
                 IterationPolicy::Fixed(5),
-                0.0,
+                Shift::Fixed(0.0),
                 GpuVariant::General,
                 SYNC,
             )

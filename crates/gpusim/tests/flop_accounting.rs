@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sshopm::starts::random_uniform_starts;
-use sshopm::IterationPolicy;
+use sshopm::{IterationPolicy, Shift};
 use symtensor::flops::sshopm_iter_flops;
 use symtensor::TensorBatch;
 
@@ -47,8 +47,15 @@ fn launch_useful_flops_match_closed_form_exactly() {
             {
                 continue;
             }
-            let (res, report) =
-                launch_sshopm(&device, &tensors, &starts, policy, 0.4, variant).unwrap();
+            let (res, report) = launch_sshopm(
+                &device,
+                &tensors,
+                &starts,
+                policy,
+                Shift::Fixed(0.4),
+                variant,
+            )
+            .unwrap();
             let total_iterations: u64 = res
                 .results
                 .iter()
@@ -80,7 +87,7 @@ fn fixed_policy_flops_are_t_v_k_times_per_iteration() {
             &tensors,
             &starts,
             IterationPolicy::Fixed(k),
-            0.0,
+            Shift::Fixed(0.0),
             variant,
         )
         .unwrap();

@@ -27,7 +27,7 @@ proptest! {
         let (tensors, starts) = workload(t, v, seed);
         let policy = IterationPolicy::Fixed(iters);
         let device = DeviceSpec::tesla_c2050();
-        let (gpu, report) = launch_sshopm(&device, &tensors, &starts, policy, 0.0, GpuVariant::General).unwrap();
+        let (gpu, report) = launch_sshopm(&device, &tensors, &starts, policy, Shift::Fixed(0.0), GpuVariant::General).unwrap();
         let cpu = BatchSolver::new(SsHopm::new(Shift::Fixed(0.0)).with_policy(policy))
             .with_threads(1)
             .run(&GeneralKernels, &tensors, &starts, &Telemetry::disabled());
@@ -46,9 +46,9 @@ proptest! {
         let (tensors, starts) = workload(4, 8, seed);
         let device = DeviceSpec::tesla_c2050();
         let (_, r1) = launch_sshopm(&device, &tensors, &starts,
-            IterationPolicy::Fixed(iters), 0.0, GpuVariant::Unrolled).unwrap();
+            IterationPolicy::Fixed(iters), Shift::Fixed(0.0), GpuVariant::Unrolled).unwrap();
         let (_, r2) = launch_sshopm(&device, &tensors, &starts,
-            IterationPolicy::Fixed(2 * iters), 0.0, GpuVariant::Unrolled).unwrap();
+            IterationPolicy::Fixed(2 * iters), Shift::Fixed(0.0), GpuVariant::Unrolled).unwrap();
         prop_assert_eq!(r2.useful_flops, 2 * r1.useful_flops);
         prop_assert_eq!(r2.stats.warp_serial_instructions, 2 * r1.stats.warp_serial_instructions);
     }
@@ -89,7 +89,7 @@ proptest! {
         let (tensors, starts) = workload(t, v, seed);
         let device = DeviceSpec::tesla_c2050();
         let (_, report) = launch_sshopm(&device, &tensors, &starts,
-            IterationPolicy::Converge { tol: 1e-5, max_iters: 200 }, 0.5, GpuVariant::General).unwrap();
+            IterationPolicy::Converge { tol: 1e-5, max_iters: 200 }, Shift::Fixed(0.5), GpuVariant::General).unwrap();
         let eff = report.stats.simd_efficiency(device.warp_size);
         prop_assert!(eff > 0.0 && eff <= 1.0 + 1e-12, "efficiency {eff}");
         // Warp-serial cost is at least the per-thread mean and at most the sum.
@@ -105,8 +105,8 @@ proptest! {
         let policy = IterationPolicy::Fixed(10);
         let (t64, starts) = workload(64, 64, seed);
         let (t256, _) = workload(256, 64, seed + 1);
-        let (_, r64) = launch_sshopm(&device, &t64, &starts, policy, 0.0, GpuVariant::Unrolled).unwrap();
-        let (_, r256) = launch_sshopm(&device, &t256, &starts, policy, 0.0, GpuVariant::Unrolled).unwrap();
+        let (_, r64) = launch_sshopm(&device, &t64, &starts, policy, Shift::Fixed(0.0), GpuVariant::Unrolled).unwrap();
+        let (_, r256) = launch_sshopm(&device, &t256, &starts, policy, Shift::Fixed(0.0), GpuVariant::Unrolled).unwrap();
         prop_assert!(r256.gflops >= r64.gflops * 0.9, "{} vs {}", r256.gflops, r64.gflops);
     }
 }

@@ -7,7 +7,7 @@ use gpusim::{
 };
 use proptest::prelude::*;
 use sshopm::starts::random_uniform_starts;
-use sshopm::IterationPolicy;
+use sshopm::{IterationPolicy, Shift};
 use symtensor::TensorBatch;
 
 /// An op drawn from the same space the launch path enqueues.
@@ -152,10 +152,10 @@ proptest! {
         let device = DeviceSpec::tesla_c2050();
 
         let (sync, _) = launch_sshopm(
-            &device, &batch, &starts, policy, 0.0, gpusim::GpuVariant::General).unwrap();
+            &device, &batch, &starts, policy, Shift::Fixed(0.0), gpusim::GpuVariant::General).unwrap();
         let mg = Cluster::single_host(vec![device], TransferModel::pcie2()).unwrap();
         let (piped, report) = mg.launch(
-            &batch, &starts, policy, 0.0, gpusim::GpuVariant::General,
+            &batch, &starts, policy, Shift::Fixed(0.0), gpusim::GpuVariant::General,
             Schedule::pipelined(chunk, streams)).unwrap();
         let report = &report.shards[0];
 

@@ -47,9 +47,9 @@ pub trait Solver<S: Scalar>: Sync {
     /// holds for every iteration ([`Shift::fixed_value`]), if it has one:
     /// SS-HOPM under a fixed, convex or concave shift. Every solve of one
     /// tensor then runs the same update rule, which is what the lockstep
-    /// lane driver needs; the simulated GPU, which stages one `α` for a
-    /// whole launch, takes only [`Shift::Fixed`]. `None` (the default) for
-    /// shifts re-derived per iterate and for other iterations.
+    /// lane driver, and the simulated GPU that takes its eigenpairs from
+    /// it, need. `None` (the default) for shifts re-derived per iterate
+    /// and for other iterations.
     fn tensor_shift(&self) -> Option<Shift> {
         None
     }

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | storage & kernels | [`symtensor`] | packed symmetric tensors, `A·xᵐ`, `A·xᵐ⁻¹`, dense baseline, compile-time straight-line kernels per shape |
 //! | algorithm | [`sshopm`] | SS-HOPM, shifts, classification, multistart, batching |
-//! | GPU substrate | [`gpusim`] | functional + analytic Fermi-class simulator |
+//! | GPU substrate | [`gpusim`] | analytic Fermi-class simulator over the lane driver's eigenpairs |
 //! | execution backends | [`backend`] | one `SolveBackend` trait behind every batched solve |
 //! | application | [`dwmri`] | synthetic DW-MRI phantom and fiber detection |
 //! | small linalg | [`linalg`] | Cholesky / Jacobi / QR / least squares |
