@@ -5,11 +5,14 @@
 use crate::report::{BatchReport, DeviceProfile};
 use crate::spec::{device_slug, BackendError};
 use crate::strategy::{KernelRegistry, KernelStrategy};
-use gpusim::{Cluster, DeviceSlice, DeviceSpec, Host, ProfileSnapshot, Schedule, TransferModel};
-use sshopm::batch::BatchSolver;
-use sshopm::{Eigenpair, Shift, Solver};
+use gpusim::{
+    Cluster, DeviceSlice, DeviceSpec, GpuError, Host, IterationCounts, ProfileSnapshot, Schedule,
+    TransferModel,
+};
+use sshopm::batch::{BatchResult, BatchSolver};
+use sshopm::{Eigenpair, IterationPolicy, Shift, Solver};
 use std::time::Instant;
-use symtensor::{flops, Scalar, TensorBatch};
+use symtensor::{flops, BatchedKernels, Scalar, TensorBatch, TensorBatchRef};
 use telemetry::{CommStats, HostStats, Telemetry};
 
 /// Tensors per launch chunk, for pipelined and cluster schedules and for
@@ -276,6 +279,29 @@ pub(crate) fn device_shift<S: Scalar>(
     })
 }
 
+/// The eigenpairs a simulated GPU returns for `batch`, and each solve's
+/// iteration count, tensor-major, for the simulator to price: one
+/// lane-driver call on the ambient rayon pool, telemetry disabled (the
+/// backend records the batch). The device runs what the lanes run, one
+/// `α` per tensor.
+pub(crate) fn solve_in_lanes<S: Scalar>(
+    lanes: &BatchedKernels,
+    batch: TensorBatchRef<'_, S>,
+    starts: &[Vec<S>],
+    shift: Shift,
+    policy: IterationPolicy,
+) -> (BatchResult<S>, Vec<u64>) {
+    let telemetry = Telemetry::disabled();
+    let result = sshopm::solve_batch_lockstep(lanes, batch, starts, shift, policy, 0, &telemetry);
+    let iterations = result
+        .results
+        .iter()
+        .flatten()
+        .map(|p| p.iterations as u64)
+        .collect();
+    (result, iterations)
+}
+
 /// Record the same progress counters the CPU drivers emit, so traces from
 /// different substrates stay comparable.
 pub(crate) fn record_batch_counters<S: Scalar>(telemetry: &Telemetry, report: &BatchReport<S>) {
@@ -335,8 +361,9 @@ pub(crate) enum Family {
 /// one thread per starting vector, on a [`Cluster`] of hosts × devices —
 /// one device, a multi-GPU host (Section V-B: the tensors are independent,
 /// so the batch splits across devices with no communication) or several
-/// hosts sharded over modeled NICs. Every spec family runs through the
-/// one [`Cluster::launch`]; only the clock and the report rows differ:
+/// hosts sharded over modeled NICs. Every spec family solves the batch in
+/// one lane-driver call and prices its iteration counts through the one
+/// [`Cluster::launch`]; only the clock and the report rows differ:
 ///
 /// * one device (`gpusim`, [`GpuSimBackend::new`]): `seconds` is the
 ///   analytic kernel estimate; transfers are excluded, as in the paper's
@@ -479,21 +506,24 @@ impl<S: Scalar> SolveBackend<S> for GpuSimBackend {
         telemetry: &Telemetry,
     ) -> Result<BatchReport<S>, BackendError> {
         let label = SolveBackend::<S>::label(self);
-        let variant = crate::strategy::gpu_variant(self.strategy, batch.order(), batch.dim());
+        let (m, n) = (batch.order(), batch.dim());
+        let variant = crate::strategy::gpu_variant(self.strategy, m, n);
         if batch.is_empty() {
             return Ok(empty_report(label, variant.name(), solver));
         }
         let shift = device_shift(solver, "GpuSimBackend")?;
-        let cache_before = KernelRegistry::global().stats();
+        if starts.is_empty() {
+            return Err(GpuError::EmptyStarts.into());
+        }
+        let registry = KernelRegistry::global();
+        let cache_before = registry.stats();
         let _batch_span = telemetry.span("batch.solve");
-        let (result, launch) = self.cluster.launch(
-            batch,
-            starts,
-            solver.policy(),
-            shift,
-            variant,
-            self.schedule(),
-        )?;
+        let lanes = registry.batched(m, n);
+        let (result, iterations) =
+            solve_in_lanes(&lanes, batch.view(), starts, shift, solver.policy());
+        let elem = std::mem::size_of::<S>();
+        let counts = IterationCounts::new(m, n, elem, starts.len(), &iterations)?;
+        let launch = self.cluster.launch(counts, variant, self.schedule())?;
         let mut report = BatchReport::new(
             label,
             variant.name(),

@@ -164,9 +164,11 @@ impl<S: Scalar> BatchReport<S> {
         self.results.len()
     }
 
-    /// Starting vectors per tensor (0 for an empty batch).
+    /// Starting vectors per tensor: the longest row, since a failed
+    /// tensor's row is empty (0 for an empty batch, or one where every
+    /// tensor failed).
     pub fn num_starts(&self) -> usize {
-        self.results.first().map_or(0, Vec::len)
+        self.results.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Flatten to `(tensor index, start index, eigenpair)` triples.

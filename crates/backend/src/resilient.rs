@@ -16,21 +16,23 @@
 //!   host to a sibling host's devices and finally to the CPU. On a
 //!   single-host backend a host loss is a total loss.
 //! * **ECC corruption** poisons one tensor with NaN before the launch;
-//!   the post-launch scan detects the non-finite eigenpairs and re-solves
-//!   that single tensor on the CPU from the pristine data. Only the
-//!   affected tensor's packed entries (15 scalars at the paper shape) are
-//!   ever copied into a one-tensor scratch batch — the chunk itself
-//!   launches straight from the borrowed arena slice, so the fault-free
-//!   tensors' results come out of the exact same buffers as a fault-free
-//!   run. With failover disabled the poisoned tensor *fails alone* — its
-//!   batch index lands in [`FaultLog::failed_indices`] and its result row
-//!   is empty, while the rest of the chunk stands.
+//!   the post-launch scan detects the non-finite eigenpairs and recovers
+//!   that single tensor from the pristine data. Only the affected tensor's
+//!   packed entries (15 scalars at the paper shape) are ever copied into a
+//!   one-tensor scratch batch, solved through the lane driver so the scan
+//!   checks real output. With failover disabled the poisoned tensor *fails
+//!   alone* — its batch index lands in [`FaultLog::failed_indices`] and its
+//!   result row is empty, while the rest of the chunk stands.
 //!
-//! Every substrate runs the identical library kernels, so recovered
-//! results are **bit-identical** to a fault-free run (the resilience test
-//! suite asserts this against a sequential CPU solve). The price of a
-//! fault shows up only in the modeled wall time: timeouts, backoff waits
-//! and re-solves all cost seconds, never correctness.
+//! The eigenpairs come from one lane-driver call over the whole batch
+//! (the device runs what the lanes run), so every recovered row — from a
+//! retry, another device or the CPU fallback — is **bit-identical** to a
+//! fault-free run (the resilience test suite asserts this against a
+//! sequential CPU solve). Each chunk attempt is priced from that solve's
+//! iteration counts. The price of a fault shows up only in the modeled
+//! wall time: timeouts and backoff waits cost seconds, never correctness.
+//! Work that falls back to the CPU is counted (its iterations and flops)
+//! but not charged on the modeled clock.
 //!
 //! Execution is stream-based: each device deals the chunks it runs
 //! round-robin over its own streams ([`gpusim::DeviceStreams`], the rule
@@ -40,24 +42,22 @@
 //! ([`StreamQueue::cancel_from`]), and enqueues a [`Op::Stall`] for the
 //! watchdog/backoff time — other streams' chunks (earlier successful
 //! launches included) keep their place on the event timeline. The modeled
-//! wall-clock is the resolved [`gpusim::Timeline`] makespan plus any CPU
-//! fallback time.
+//! wall-clock is the resolved [`gpusim::Timeline`] makespan.
 
 use crate::backends::{
-    device_profile, device_shift, empty_report, finish, record_batch_counters, GpuSimBackend,
-    SolveBackend, CHUNK_TENSORS,
+    device_profile, device_shift, empty_report, finish, record_batch_counters, solve_in_lanes,
+    GpuSimBackend, SolveBackend, CHUNK_TENSORS,
 };
 use crate::report::{BatchReport, FaultLog};
 use crate::spec::{device_slug, BackendError, BackendSpec};
-use crate::strategy::KernelStrategy;
+use crate::strategy::{KernelRegistry, KernelStrategy};
 use gpusim::{
     corrupt_tensor, problem_traffic_bytes, DeviceSlice, DeviceSpec, DeviceStreams, FaultKind,
-    FaultPlan, FaultSite, LaunchReport, Op, StreamQueue, TransferModel, BACKOFF_BASE_SECONDS,
-    WATCHDOG_TIMEOUT_SECONDS,
+    FaultPlan, FaultSite, IterationCounts, LaunchReport, Op, StreamQueue, TransferModel,
+    BACKOFF_BASE_SECONDS, WATCHDOG_TIMEOUT_SECONDS,
 };
-use sshopm::batch::BatchSolver;
-use sshopm::{Eigenpair, Solver};
-use symtensor::{flops, BatchedKernels, Scalar, TensorBatch};
+use sshopm::Solver;
+use symtensor::{flops, Scalar, TensorBatch};
 use telemetry::Telemetry;
 
 /// A fault-tolerant execution backend over one or more simulated GPUs.
@@ -158,9 +158,9 @@ impl ResilientBackend {
 }
 
 /// What one launch attempt of one chunk did.
-enum Attempt<S> {
-    /// The launch completed; rows are the chunk's eigenpairs.
-    Completed(Vec<Vec<Eigenpair<S>>>),
+enum Attempt {
+    /// The launch completed; the chunk's rows stand.
+    Completed,
     /// A transient fault (watchdog / transfer) killed the attempt.
     Transient,
     /// The device dropped off the bus.
@@ -200,22 +200,20 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
             return Err(gpusim::GpuError::EmptyStarts.into());
         }
         let shift = device_shift(solver, "ResilientBackend")?;
-        let cache_before = crate::strategy::KernelRegistry::global().stats();
-        // The CPU kernels used for failover and NaN recovery: every plan
-        // returns the bits every GPU variant computes, so CPU re-solves are
-        // bit-identical to what the device would have produced. The plan
-        // comes from the process-wide registry, so repeated re-solves share
-        // one memoized kernel object.
-        let cpu_plan = crate::strategy::KernelRegistry::global().plan::<S>(m, n, strategy);
-        let cpu_kernels = cpu_plan.kernels;
-        // The lane kernels every launch of this solve runs, built once.
-        let lanes = BatchedKernels::new(m, n);
-        let cpu_solver = BatchSolver::new(solver).with_threads(1);
+        let registry = KernelRegistry::global();
+        let cache_before = registry.stats();
+        let lanes = registry.batched(m, n);
         let num_entries = batch.stride();
         let _span = telemetry.span("resilient.solve");
+        // Every eigenpair, once: a chunk's rows stand if some device (or
+        // the CPU fallback) completes it, and are emptied if it fails.
+        let (solved, iterations) =
+            solve_in_lanes(&lanes, batch.view(), starts, shift, solver.policy());
+        let elem = std::mem::size_of::<S>();
+        let counts = IterationCounts::new(m, n, elem, starts.len(), &iterations)?;
+        let mut results = solved.results;
 
         let mut log = FaultLog::default();
-        let mut results: Vec<Vec<Eigenpair<S>>> = vec![Vec::new(); batch.len()];
         let cluster = self.inner.cluster();
         let devices = cluster.flat_devices();
         let ndev = devices.len();
@@ -230,7 +228,6 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         // Per device that ran chunks: tensors solved and its merged
         // launch reports, for the report's device rows.
         let mut ran: Vec<Option<(usize, LaunchReport)>> = vec![None; ndev];
-        let mut cpu_seconds = 0.0_f64;
         let mut alive = vec![true; ndev];
         let mut total_iterations = 0u64;
         let mut useful_flops = 0u64;
@@ -243,12 +240,13 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
             // Zero-copy view into the arena: the chunk is never cloned,
             // faults or not.
             let chunk = batch.slice(lo..hi);
+            let chunk_counts = counts.slice(lo..hi);
             // Bytes a faulted attempt had in flight when it was torn down.
             let (chunk_down_bytes, _) =
-                problem_traffic_bytes(chunk.len(), starts.len(), m, n, std::mem::size_of::<S>());
+                problem_traffic_bytes(chunk.len(), starts.len(), m, n, elem);
             // Faults injected into this chunk, not yet resolved either way.
             let mut pending: Vec<gpusim::InjectedFault> = Vec::new();
-            let mut rows: Option<Vec<Vec<Eigenpair<S>>>> = None;
+            let mut done = false;
             let mut ecc_failed_locals: Vec<usize> = Vec::new();
 
             'devices: for offset in 0..ndev {
@@ -343,19 +341,15 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                         );
                         Attempt::Transient
                     } else {
-                        // Clean launch straight from the borrowed arena
-                        // slice — the fault-free tensors' results come out
-                        // of exactly the buffers a fault-free run reads.
+                        // Clean launch of the chunk, priced from the one
+                        // solve's counts: its rows come out of the exact
+                        // buffers a fault-free run returns.
                         let ecc = faults.iter().find(|f| f.kind == FaultKind::EccCorruption);
-                        let (res, report) = gpusim::enqueue_sshopm(
+                        let report = gpusim::enqueue_sshopm(
                             &mut queue,
                             stream,
                             &devices[dev],
-                            &lanes,
-                            chunk,
-                            starts,
-                            solver.policy(),
-                            shift,
+                            chunk_counts,
                             variant,
                         )?;
                         useful_flops += report.useful_flops;
@@ -366,14 +360,13 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                             }
                             None => ran[dev] = Some((chunk.len(), report)),
                         }
-                        total_iterations += res.total_iterations;
-                        let mut chunk_rows = res.results;
+                        total_iterations += chunk_counts.total();
                         if let Some(f) = ecc {
                             // ECC corruption hits one tensor: copy just its
                             // packed entries (15 scalars at the paper
                             // shape) into a one-tensor scratch batch,
-                            // flip an entry to NaN, and launch that alone —
-                            // never the whole chunk.
+                            // flip an entry to NaN, and solve and launch
+                            // that alone — never the whole chunk.
                             let j = f.tensor_index.unwrap_or(0);
                             let entry = self.plan.ecc_entry(site, num_entries);
                             let corrupted = corrupt_tensor(&chunk.get(j).to_owned(), entry);
@@ -385,48 +378,48 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                                     return Err(BackendError(format!("ECC scratch batch: {e}")))
                                 }
                             };
-                            let (pres, preport) = gpusim::enqueue_sshopm(
+                            let (poisoned, scratch_iterations) = solve_in_lanes(
+                                &lanes,
+                                scratch.view(),
+                                starts,
+                                shift,
+                                solver.policy(),
+                            );
+                            let scratch_counts = IterationCounts::new(
+                                m,
+                                n,
+                                elem,
+                                starts.len(),
+                                &scratch_iterations,
+                            )?;
+                            let preport = gpusim::enqueue_sshopm(
                                 &mut queue,
                                 stream,
                                 &devices[dev],
-                                &lanes,
-                                &scratch,
-                                starts,
-                                solver.policy(),
-                                shift,
+                                scratch_counts,
                                 variant,
                             )?;
                             useful_flops += preport.useful_flops;
                             if let Some((_, merged)) = &mut ran[dev] {
                                 merged.merge(&preport);
                             }
-                            total_iterations += pres.total_iterations;
-                            let prow = pres.results.into_iter().next().unwrap_or_default();
-                            let detected = prow.iter().any(|p| !p.is_finite());
-                            chunk_rows[j] = prow;
+                            total_iterations += poisoned.total_iterations;
+                            let detected =
+                                poisoned.results.iter().flatten().any(|p| !p.is_finite());
                             if detected {
                                 log.observed += 1;
                             }
                             if self.failover {
-                                // Re-solve just the poisoned tensor on the
-                                // CPU from the pristine arena slice — same
-                                // kernels, bit-identical eigenpairs.
-                                let started = std::time::Instant::now();
-                                let cpu = cpu_solver.run(
-                                    &*cpu_kernels,
-                                    chunk.slice(j..j + 1),
-                                    starts,
-                                    &Telemetry::disabled(),
-                                );
-                                cpu_seconds += started.elapsed().as_secs_f64();
-                                total_iterations += cpu.total_iterations;
-                                useful_flops += cpu.total_iterations * iter_flops;
-                                chunk_rows[j] = cpu.results.into_iter().next().unwrap_or_default();
+                                // Recover just the poisoned tensor on the
+                                // CPU from the pristine arena: its row of
+                                // the one solve.
+                                let recovered = chunk_counts.slice(j..j + 1).total();
+                                total_iterations += recovered;
+                                useful_flops += recovered * iter_flops;
                                 log.degraded = true;
                             } else {
                                 // The poisoned tensor fails alone; the
                                 // rest of the chunk stands.
-                                chunk_rows[j] = Vec::new();
                                 ecc_failed_locals.push(j);
                                 log.failed += 1;
                                 if let Some(pos) = pending.iter().position(|p| p == f) {
@@ -434,11 +427,11 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                                 }
                             }
                         }
-                        Attempt::Completed(chunk_rows)
+                        Attempt::Completed
                     };
                     match outcome {
-                        Attempt::Completed(r) => {
-                            rows = Some(r);
+                        Attempt::Completed => {
+                            done = true;
                             break 'devices;
                         }
                         Attempt::DeviceLost => {
@@ -462,32 +455,29 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
                 }
             }
 
-            if rows.is_none() && self.failover {
-                // Every device is dead or exhausted: degrade to the CPU.
+            if !done && self.failover {
+                // Every device is dead or exhausted: degrade to the CPU,
+                // whose rows are the one solve's.
                 log.failovers += 1;
                 log.degraded = true;
-                let started = std::time::Instant::now();
-                let cpu = cpu_solver.run(&*cpu_kernels, chunk, starts, &Telemetry::disabled());
-                cpu_seconds += started.elapsed().as_secs_f64();
-                total_iterations += cpu.total_iterations;
-                useful_flops += cpu.total_iterations * iter_flops;
-                rows = Some(cpu.results);
+                let fallback = chunk_counts.total();
+                total_iterations += fallback;
+                useful_flops += fallback * iter_flops;
+                done = true;
             }
 
-            match rows {
-                Some(r) => {
-                    for (local, row) in r.into_iter().enumerate() {
-                        results[lo + local] = row;
-                    }
-                    for j in ecc_failed_locals {
-                        log.failed_indices.push(lo + j);
-                    }
-                    log.recovered += pending.len();
+            if done {
+                for j in ecc_failed_locals {
+                    results[lo + j] = Vec::new();
+                    log.failed_indices.push(lo + j);
                 }
-                None => {
-                    log.failed += pending.len();
-                    log.failed_indices.extend(lo..hi);
+                log.recovered += pending.len();
+            } else {
+                log.failed += pending.len();
+                for row in &mut results[lo..hi] {
+                    *row = Vec::new();
                 }
+                log.failed_indices.extend(lo..hi);
             }
         }
 
@@ -501,7 +491,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
             telemetry.counter("fault.failed_tensors", log.failed_indices.len() as u64);
         }
         // Devices run concurrently (the scheduler resolves their streams
-        // against independent engines); CPU fallback work serializes after.
+        // against independent engines); the makespan is the whole clock.
         let timeline = queue.synchronize();
         let mut report = BatchReport::new(
             label,
@@ -509,7 +499,7 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
             solver.name(),
             results,
             total_iterations,
-            timeline.makespan() + cpu_seconds,
+            timeline.makespan(),
             useful_flops,
         );
         report.fault_log = log;

@@ -29,9 +29,7 @@ fn workload() -> (TensorBatch<f32>, Vec<Vec<f32>>, SsHopm) {
 
 /// Bitwise equality of the numerics a user can observe: eigenpairs (λ
 /// and x to the bit), per-start iteration counts and convergence flags.
-/// Modeled time is asserted separately: resilient runs fold real
-/// wall-clock time for CPU fallback work into `seconds`, so only clean
-/// runs can pin it to the bit.
+/// Modeled time is asserted separately.
 fn assert_results_bitwise_equal(got: &BatchReport<f32>, want: &BatchReport<f32>) {
     assert_eq!(got.total_iterations, want.total_iterations);
     assert_eq!(got.useful_flops, want.useful_flops);
@@ -99,7 +97,8 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
             .with_transfer(0.2)
             .with_device_loss(0.01)
     };
-    let cluster_spec = BackendSpec::parse("cluster:tesla-c2050:1:2").unwrap();
+    // Two streams per device: the schedule a resilient `gpusim:2` runs.
+    let cluster_spec = BackendSpec::parse("cluster:tesla-c2050:1:2:2").unwrap();
     let gpu_spec = BackendSpec::parse("gpusim:tesla-c2050:2").unwrap();
     let build = |spec: &BackendSpec| {
         ResilientBackend::from_spec(spec, KernelStrategy::Tape, plan())
@@ -123,6 +122,13 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
     assert!(!a.fault_log.injected.is_empty(), "plan should fire on 10k");
     assert!(a.fault_log.accounts_for_all_faults());
     assert_results_bitwise_equal(&a, &b);
+    assert_eq!(
+        a.seconds.to_bits(),
+        b.seconds.to_bits(),
+        "modeled time diverged under faults: {} vs {}",
+        a.seconds,
+        b.seconds
+    );
 }
 
 #[test]

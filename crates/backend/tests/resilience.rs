@@ -5,8 +5,8 @@
 //! ledger must account for every injected fault.
 
 use backend::{
-    BackendSpec, CpuParallel, FaultLog, GpuSimBackend, KernelStrategy, ResilientBackend,
-    SolveBackend,
+    parse_fault_plan, BackendSpec, CpuParallel, FaultLog, GpuSimBackend, KernelStrategy,
+    ResilientBackend, SolveBackend,
 };
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use proptest::prelude::*;
@@ -252,6 +252,55 @@ fn device_loss_fails_over_across_devices_then_cpu() {
     assert!(log.failovers >= 2);
     let reference = cpu_reference(&tensors, &starts, &solver);
     assert_recovered_or_reported(&report.results, &reference, log);
+}
+
+/// A degraded run's clock is modeled, not measured: the same seeded plan
+/// on the same batch, with chunks lost to a host failure and finished on
+/// the CPU, reports the same `seconds` to the bit every time.
+#[test]
+fn degraded_runs_report_a_reproducible_modeled_clock() {
+    let (tensors, starts, solver) = workload(4, 3, 1024, 4, 9);
+    let spec = BackendSpec::parse("gpusim:2").unwrap();
+    let plan = parse_fault_plan("seed=9,host-loss=0.3,ecc=0.2").unwrap();
+    let run = || {
+        ResilientBackend::from_spec(&spec, KernelStrategy::General, plan)
+            .unwrap()
+            .with_failover(true)
+            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
+            .unwrap()
+    };
+    let (a, b) = (run(), run());
+    assert!(a.fault_log.degraded, "{}", a.fault_log.summary());
+    assert_eq!(a.fault_log.failed, 0, "{}", a.fault_log.summary());
+    let timeline = a.timeline.as_ref().expect("resilient runs have a timeline");
+    assert_eq!(a.seconds.to_bits(), timeline.makespan().to_bits());
+    assert_eq!(
+        a.seconds.to_bits(),
+        b.seconds.to_bits(),
+        "{} vs {}",
+        a.seconds,
+        b.seconds
+    );
+}
+
+/// A run whose first tensor failed still reports its start count: the
+/// longest row, not the first. This is `report --tensors 2 --backend
+/// gpusim --faults seed=1,ecc=1`: tensor 0 is poisoned and, with no
+/// failover, fails alone.
+#[test]
+fn a_failed_first_tensor_keeps_the_run_reports_start_count() {
+    let (tensors, starts, solver) = workload(4, 3, 2, 32, 1);
+    let spec = BackendSpec::parse("gpusim").unwrap();
+    let plan = parse_fault_plan("seed=1,ecc=1").unwrap();
+    let backend = ResilientBackend::from_spec(&spec, KernelStrategy::Batched, plan).unwrap();
+    let (report, run) = backend
+        .solve_batch_with_report(&tensors, &starts, &solver, &Telemetry::disabled())
+        .unwrap();
+    assert_eq!(report.fault_log.failed_indices, vec![0]);
+    assert!(report.results[0].is_empty());
+    assert_eq!(report.num_starts(), 32);
+    assert_eq!(run.workload.num_starts, 32);
+    assert_eq!(run.workload.total_solves, 64);
 }
 
 /// Without failover a dead device takes its whole share of the batch with

@@ -808,6 +808,11 @@ fn inner_profile(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) 
             let m: usize = args.get_parsed("m", 4)?;
             let n: usize = args.get_parsed("n", 3)?;
             let count: usize = args.get_parsed("tensors", 256)?;
+            if count == 0 {
+                return Err(CmdError(
+                    "invalid --tensors 0: need at least one tensor to profile".into(),
+                ));
+            }
             TensorBatch::<f64>::random(m, n, count, &mut rng)
                 .map_err(|e| CmdError(format!("invalid shape [{m},{n}]: {e}")))?
                 .to_f32()
@@ -2150,6 +2155,19 @@ mod tests {
         assert!(err.contains("unknown command"));
         let err = crate::run(vec![], &mut out).unwrap_err();
         assert!(err.contains("commands:"));
+    }
+
+    /// `profile --tensors 0` fails before the solve with an error naming
+    /// the flag, as `profile <file>` fails on an empty file.
+    #[test]
+    fn profile_rejects_an_empty_synthetic_batch() {
+        let mut out = Vec::new();
+        let err = crate::run(sv(&["profile", "--tensors", "0"]), &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid --tensors 0: need at least one tensor to profile"
+        );
+        assert!(out.is_empty(), "printed before failing");
     }
 
     #[test]

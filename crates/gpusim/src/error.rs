@@ -17,16 +17,13 @@ pub enum GpuError {
     EmptyBatch,
     /// A launch was requested with no start vectors.
     EmptyStarts,
-    /// A launch was requested under [`sshopm::Shift::Adaptive`], which
-    /// changes with the iterate: the device resolves one shift per tensor.
-    AdaptiveShift,
-    /// The batch's `(m, n)` shape is not the one the launch's kernels
-    /// were built for.
-    MismatchedShapes {
-        /// The kernels' shape.
-        expected: (usize, usize),
-        /// The batch's shape.
-        found: (usize, usize),
+    /// A launch's iteration counts are not a whole number of tensors'
+    /// rows: their count is not a multiple of the start count.
+    RaggedCounts {
+        /// Iteration counts given.
+        counts: usize,
+        /// Starts per tensor.
+        starts: usize,
     },
     /// The unrolled kernel variant was requested for a shape that has no
     /// compiled kernel.
@@ -54,11 +51,9 @@ impl std::fmt::Display for GpuError {
             GpuError::EmptyCluster => write!(f, "need at least one host in the cluster"),
             GpuError::EmptyBatch => write!(f, "need at least one tensor to launch"),
             GpuError::EmptyStarts => write!(f, "need at least one start vector"),
-            GpuError::AdaptiveShift => write!(f, "a launch runs one shift per tensor"),
-            GpuError::MismatchedShapes { expected, found } => write!(
+            GpuError::RaggedCounts { counts, starts } => write!(
                 f,
-                "kernels built for shape ({}, {}) cannot launch a batch of shape ({}, {})",
-                expected.0, expected.1, found.0, found.1
+                "{counts} iteration counts are not whole rows of {starts} starts per tensor"
             ),
             GpuError::NoUnrolledKernel { m, n } => {
                 write!(f, "no unrolled kernel generated for shape ({m}, {n})")

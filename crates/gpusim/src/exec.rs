@@ -2,12 +2,13 @@
 //! thread per starting vector, charged with SIMT warp accounting from the
 //! number of iterations each solve ran.
 //!
-//! The eigenpairs come from `sshopm`'s lane driver ([`crate::kernel`]);
-//! what a thread costs depends only on its iteration count. Within a
-//! block, threads are grouped into warps of `warp_size` consecutive starts,
-//! and each warp is charged its *slowest* thread: a warp in a real SIMT
-//! machine executes until its slowest lane finishes, which is exactly how
-//! convergence divergence costs time on the GPU.
+//! The eigenpairs are computed outside the simulator; what a thread costs
+//! depends only on its iteration count, which is all a launch is given
+//! ([`crate::IterationCounts`]). Within a block, threads are grouped into
+//! warps of `warp_size` consecutive starts, and each warp is charged its
+//! *slowest* thread: a warp in a real SIMT machine executes until its
+//! slowest lane finishes, which is exactly how convergence divergence
+//! costs time on the GPU.
 
 use crate::counters::OpCounters;
 

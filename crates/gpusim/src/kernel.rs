@@ -3,11 +3,12 @@
 //! starting vector, the packed tensor staged into block-shared memory, the
 //! iteration vectors in per-thread registers.
 //!
-//! The eigenpairs come from one numeric engine, `sshopm`'s lane driver
-//! ([`sshopm::solve_batch_lockstep`]), the CPU analogue of that mapping:
-//! it resolves the shift once per tensor (one `α` per block) and returns
-//! the scalar iteration's bits. What a launch costs is a pass over their
-//! iteration counts ([`crate::exec::run_grid`]).
+//! A launch prices work that is already done: the caller solves the batch
+//! (the `backend` crate runs `sshopm`'s lane driver once per batch, the CPU
+//! analogue of this mapping) and hands the launch only what the mapping's
+//! cost depends on ([`IterationCounts`]): the shape, the scalar width, the
+//! start count and each solve's iteration count. The cost is a pass over
+//! those counts ([`crate::exec::run_grid`]).
 //!
 //! Two kernel variants mirror the paper's, and differ only in that cost:
 //!
@@ -26,16 +27,14 @@ use crate::counters::OpCounters;
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
 use crate::exec::{run_grid, GridConfig, GridCost, LaunchStats};
-use crate::multi::HostTransfer;
+use crate::multi::{problem_traffic_bytes, HostTransfer};
 use crate::occupancy::{KernelResources, Occupancy};
 use crate::stream::{Op, StreamId, StreamQueue};
 use crate::timing::{estimate, weights, TimingEstimate};
-use sshopm::{BatchResult, IterationPolicy, Shift};
+use std::ops::Range;
 use symtensor::flops;
 use symtensor::lanes::COMPILED_SHAPES;
 use symtensor::multinomial::{num_unique_entries, try_num_unique_entries};
-use symtensor::{BatchedKernels, Scalar, TensorBatchRef};
-use telemetry::Telemetry;
 
 /// Which kernel variant to launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +52,82 @@ impl GpuVariant {
             GpuVariant::General => "general",
             GpuVariant::Unrolled => "unrolled",
         }
+    }
+}
+
+/// What a launch prices: a batch's shape and scalar width, and the
+/// iteration count of every (tensor, start) solve in tensor-major order —
+/// tensor `t`'s row is `iterations[t * num_starts..(t + 1) * num_starts]`.
+/// This is all the Section V-B mapping's cost depends on; the eigenpairs
+/// themselves never reach the simulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IterationCounts<'a> {
+    pub(crate) order: usize,
+    pub(crate) dim: usize,
+    pub(crate) elem_bytes: usize,
+    pub(crate) num_starts: usize,
+    iterations: &'a [u64],
+}
+
+impl<'a> IterationCounts<'a> {
+    /// The counts of a batch of order-`order`, dimension-`dim` tensors
+    /// whose scalars are `elem_bytes` wide, each solved from `num_starts`
+    /// starts.
+    ///
+    /// # Errors
+    /// [`GpuError::EmptyStarts`] when `num_starts` is zero, and
+    /// [`GpuError::RaggedCounts`] when `iterations` is not a whole number
+    /// of rows of `num_starts`.
+    pub fn new(
+        order: usize,
+        dim: usize,
+        elem_bytes: usize,
+        num_starts: usize,
+        iterations: &'a [u64],
+    ) -> Result<Self, GpuError> {
+        if num_starts == 0 {
+            return Err(GpuError::EmptyStarts);
+        }
+        if !iterations.len().is_multiple_of(num_starts) {
+            return Err(GpuError::RaggedCounts {
+                counts: iterations.len(),
+                starts: num_starts,
+            });
+        }
+        Ok(Self {
+            order,
+            dim,
+            elem_bytes,
+            num_starts,
+            iterations,
+        })
+    }
+
+    /// Tensors counted: the blocks of a launch.
+    pub(crate) fn num_tensors(&self) -> usize {
+        self.iterations.len() / self.num_starts
+    }
+
+    /// Total iterations of every solve.
+    pub fn total(&self) -> u64 {
+        self.iterations.iter().sum()
+    }
+
+    /// The counts of tensors `tensors.start..tensors.end`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds (slice-indexing semantics).
+    pub fn slice(&self, tensors: Range<usize>) -> IterationCounts<'a> {
+        let v = self.num_starts;
+        IterationCounts {
+            iterations: &self.iterations[tensors.start * v..tensors.end * v],
+            ..*self
+        }
+    }
+
+    /// Each tensor's row of counts, in order.
+    fn rows(&self) -> impl Iterator<Item = &'a [u64]> {
+        self.iterations.chunks_exact(self.num_starts)
     }
 }
 
@@ -176,133 +251,52 @@ impl LaunchReport {
     }
 }
 
-/// Launch the batched SS-HOPM problem on the simulated device.
+/// Enqueue one batched SS-HOPM launch of `counts` on `stream` of `queue`.
 ///
-/// This is a thin synchronous wrapper over the asynchronous path: it
-/// builds the batch shape's [`BatchedKernels`], enqueues the launch's
-/// three ops (upload, kernel, download) on a default stream of a fresh
-/// single-device [`StreamQueue`] via [`enqueue_sshopm`] and immediately
-/// synchronizes. Callers that want transfer/compute overlap enqueue on
-/// their own queue instead (see [`crate::Cluster::launch`]).
-///
-/// Takes the batch as a borrowed [`TensorBatchRef`] (or anything that
-/// converts into one, e.g. `&TensorBatch`): same-shape is guaranteed by
-/// construction, and the packed arena is exactly the buffer a real driver
-/// would ship to the device in one `cudaMemcpy`. Starting vectors are
-/// shared by all blocks (Section V-C), and `shift` is resolved once per
-/// tensor. Returns the eigenpairs, laid out and counted like a CPU batch,
-/// plus the performance report.
-///
-/// # Errors
-/// Returns a [`GpuError`] if the batch or `starts` is empty, the shift is
-/// [`Shift::Adaptive`], the shape is too large to model, or the unrolled
-/// variant is requested for a shape with no compiled kernel. (Mixed shapes
-/// cannot reach the launch: [`symtensor::TensorBatch`] rejects them at
-/// construction.)
-pub fn launch_sshopm<'a, S: Scalar>(
-    device: &DeviceSpec,
-    batch: impl Into<TensorBatchRef<'a, S>>,
-    starts: &[Vec<S>],
-    policy: IterationPolicy,
-    shift: Shift,
-    variant: GpuVariant,
-) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
-    let batch = batch.into();
-    // An empty batch may carry any shape: fail before building its tables.
-    if batch.is_empty() {
-        return Err(GpuError::EmptyBatch);
-    }
-    let kernels = BatchedKernels::new(batch.order(), batch.dim());
-    let mut queue = StreamQueue::new(1, crate::multi::TransferModel::pcie2());
-    let stream = queue.stream(0);
-    let out = enqueue_sshopm(
-        &mut queue, stream, device, &kernels, batch, starts, policy, shift, variant,
-    )?;
-    // Default-stream semantics: block until everything is resolved. The
-    // timeline of a lone launch carries no overlap to report; the
-    // kernel-only `timing` in the report matches the paper's convention of
-    // excluding transfers.
-    let _ = queue.synchronize();
-    Ok(out)
-}
-
-/// Enqueue one batched SS-HOPM launch on `stream` of `queue`.
-///
-/// The eigenpairs come back now, from one [`sshopm::solve_batch_lockstep`]
-/// call over `kernels` on the current rayon pool, telemetry disabled (the
-/// caller records the batch); the *clock* is deferred — the call charges
-/// their iteration counts ([`run_grid`]) and enqueues
+/// The call charges the iteration counts ([`run_grid`]) and enqueues
 /// `HostToDevice(arena + starts)`, `Kernel(analytic estimate)` and
-/// `DeviceToHost(packed eigenpairs)` ops that the queue's scheduler
-/// resolves against the device's copy/compute engines at
-/// [`StreamQueue::synchronize`]. The kernel op's duration is the full
-/// [`TimingEstimate::seconds`], launch overhead included, so chunked
-/// callers pay the overhead per chunk exactly like real launches.
+/// `DeviceToHost(packed eigenpairs)` ops; the *clock* is deferred — the
+/// queue's scheduler resolves them against the device's copy/compute
+/// engines at [`StreamQueue::synchronize`]. The kernel op's duration is
+/// the full [`TimingEstimate::seconds`], launch overhead included, so
+/// chunked callers pay the overhead per chunk exactly like real launches.
 ///
 /// # Errors
-/// Same contract as [`launch_sshopm`], plus
-/// [`GpuError::MismatchedShapes`] when `kernels` were built for another
-/// shape than the batch's.
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_sshopm<'a, S: Scalar>(
+/// Returns a [`GpuError`] if `counts` holds no tensor, the shape is too
+/// large to model, or the unrolled variant is requested for a shape with
+/// no compiled kernel.
+pub fn enqueue_sshopm(
     queue: &mut StreamQueue,
     stream: StreamId,
     device: &DeviceSpec,
-    kernels: &BatchedKernels,
-    batch: impl Into<TensorBatchRef<'a, S>>,
-    starts: &[Vec<S>],
-    policy: IterationPolicy,
-    shift: Shift,
+    counts: IterationCounts<'_>,
     variant: GpuVariant,
-) -> Result<(BatchResult<S>, LaunchReport), GpuError> {
-    let batch = batch.into();
-    if batch.is_empty() {
+) -> Result<LaunchReport, GpuError> {
+    // An empty batch may carry any shape: fail before sizing its tables.
+    if counts.num_tensors() == 0 {
         return Err(GpuError::EmptyBatch);
     }
-    if starts.is_empty() {
-        return Err(GpuError::EmptyStarts);
-    }
-    if matches!(shift, Shift::Adaptive) {
-        return Err(GpuError::AdaptiveShift);
-    }
-    let m = batch.order();
-    let n = batch.dim();
+    let (m, n) = (counts.order, counts.dim);
     if try_num_unique_entries(m, n).is_err() {
         return Err(GpuError::ShapeTooLarge { m, n });
-    }
-    if (kernels.order(), kernels.dim()) != (m, n) {
-        return Err(GpuError::MismatchedShapes {
-            expected: (kernels.order(), kernels.dim()),
-            found: (m, n),
-        });
     }
     if variant == GpuVariant::Unrolled && !COMPILED_SHAPES.contains(&(m, n)) {
         return Err(GpuError::NoUnrolledKernel { m, n });
     }
 
     let grid = GridConfig {
-        num_blocks: batch.len(),
-        threads_per_block: starts.len(),
+        num_blocks: counts.num_tensors(),
+        threads_per_block: counts.num_starts,
         warp_size: device.warp_size,
     };
     let resources = KernelResources::sshopm(
         m,
         n,
-        starts.len(),
-        std::mem::size_of::<S>(),
+        counts.num_starts,
+        counts.elem_bytes,
         variant == GpuVariant::Unrolled,
     );
     let occupancy = Occupancy::compute(device, &resources);
-
-    let result = sshopm::solve_batch_lockstep(
-        kernels,
-        batch,
-        starts,
-        shift,
-        policy,
-        0,
-        &Telemetry::disabled(),
-    );
 
     let per_iteration = per_iteration_counters(m, n, variant);
     let u = num_unique_entries(m, n);
@@ -331,14 +325,7 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
             ..Default::default()
         },
     };
-    let stats = run_grid(
-        grid,
-        &cost,
-        result
-            .results
-            .iter()
-            .map(|row| row.iter().map(|pair| pair.iterations as u64)),
-    );
+    let stats = run_grid(grid, &cost, counts.rows().map(|row| row.iter().copied()));
 
     let useful_flops = stats.counters.useful_flops();
     let timing = estimate(device, grid.num_blocks, &stats, &occupancy);
@@ -347,11 +334,17 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
     // The arena is contiguous, so the whole tensor payload goes down in a
     // single coalesced DMA (plus the shared starts); results come back in
     // one packed copy. A Vec-of-tensors layout would need one DMA per
-    // tensor, paying the per-transfer latency `batch.len()` times.
-    let elem = std::mem::size_of::<S>() as u64;
+    // tensor, paying the per-transfer latency once per tensor.
+    let (down_bytes, up_bytes) = problem_traffic_bytes(
+        grid.num_blocks,
+        grid.threads_per_block,
+        m,
+        n,
+        counts.elem_bytes,
+    );
     let host_transfer = HostTransfer {
-        down_bytes: (batch.values().len() + starts.len() * n) as u64 * elem,
-        up_bytes: (batch.len() * starts.len()) as u64 * (n as u64 + 1) * elem,
+        down_bytes,
+        up_bytes,
         down_copies: 1,
         up_copies: 1,
     };
@@ -378,124 +371,87 @@ pub fn enqueue_sshopm<'a, S: Scalar>(
         },
     );
 
-    Ok((
-        result,
-        LaunchReport {
-            variant,
-            grid,
-            resources,
-            occupancy,
-            stats,
-            useful_flops,
-            timing,
-            gflops,
-            host_transfer,
-        },
-    ))
+    Ok(LaunchReport {
+        variant,
+        grid,
+        resources,
+        occupancy,
+        stats,
+        useful_flops,
+        timing,
+        gflops,
+        host_transfer,
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::multi::TransferModel;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sshopm::starts::random_uniform_starts;
-    use sshopm::{BatchSolver, SsHopm};
-    use symtensor::{PrecomputedTables, SymTensor, TensorBatch};
+    use rand::{Rng, SeedableRng};
+    use symtensor::{SymTensor, TensorBatch};
 
-    fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
+    /// One launch of `counts`, alone on a fresh single-device queue.
+    pub(crate) fn launch(
+        device: &DeviceSpec,
+        counts: IterationCounts<'_>,
+        variant: GpuVariant,
+    ) -> Result<LaunchReport, GpuError> {
+        let mut queue = StreamQueue::new(1, TransferModel::pcie2());
+        let stream = queue.stream(0);
+        enqueue_sshopm(&mut queue, stream, device, counts, variant)
+    }
+
+    /// `t` tensors × `v` starts, each solve `iters` long: what a fixed
+    /// iteration budget runs.
+    pub(crate) fn uniform(t: usize, v: usize, iters: u64) -> Vec<u64> {
+        vec![iters; t * v]
+    }
+
+    /// Counts that differ from solve to solve, as a convergence policy's
+    /// do.
+    fn ragged(t: usize, v: usize, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let tensors = TensorBatch::random(4, 3, t, &mut rng).unwrap();
-        let starts = random_uniform_starts(3, v, &mut rng);
-        (tensors, starts)
+        (0..t * v).map(|_| rng.gen_range(5u64..200)).collect()
+    }
+
+    /// `iterations` as (4, 3) `f32` solves from `v` starts each.
+    pub(crate) fn paper_shape(v: usize, iterations: &[u64]) -> IterationCounts<'_> {
+        IterationCounts::new(4, 3, 4, v, iterations).unwrap()
     }
 
     #[test]
-    fn gpu_results_match_cpu_batch_exactly() {
-        let (tensors, starts) = workload(8, 32, 1);
-        let policy = IterationPolicy::Fixed(20);
-        let device = DeviceSpec::tesla_c2050();
-        for shift in [Shift::Fixed(0.0), Shift::Convex, Shift::Concave] {
-            let (gpu, _) = launch_sshopm(
-                &device,
-                &tensors,
-                &starts,
-                policy,
-                shift,
-                GpuVariant::General,
-            )
-            .unwrap();
-            let cpu = BatchSolver::new(SsHopm::new(shift).with_policy(policy))
-                .with_threads(1)
-                .run(
-                    &PrecomputedTables::new(4, 3),
-                    &tensors,
-                    &starts,
-                    &Telemetry::disabled(),
-                );
-            assert_eq!(gpu.total_iterations, cpu.total_iterations);
-            for t in 0..8 {
-                for v in 0..32 {
-                    let (g, c) = (&gpu.results[t][v], &cpu.results[t][v]);
-                    assert_eq!(g.lambda.to_bits(), c.lambda.to_bits(), "{shift:?}");
-                    assert_eq!(g.x, c.x, "{shift:?}");
-                    assert_eq!(g.alpha.to_bits(), c.alpha.to_bits(), "{shift:?}");
-                    assert_eq!(g.iterations, c.iterations, "{shift:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unrolled_variant_matches_unrolled_cpu() {
-        let (tensors, starts) = workload(4, 32, 2);
-        let policy = IterationPolicy::Fixed(15);
-        let device = DeviceSpec::tesla_c2050();
-        let (gpu, _) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
-        // Per tensor, the batched kernels run the compiled straight-line
-        // code on (4, 3).
-        let k = BatchedKernels::new(4, 3);
-        let cpu = BatchSolver::new(SsHopm::new(Shift::Fixed(0.0)).with_policy(policy))
-            .with_threads(1)
-            .run(&k, &tensors, &starts, &Telemetry::disabled());
-        for t in 0..4 {
-            for v in 0..32 {
-                assert_eq!(gpu.results[t][v].lambda, cpu.results[t][v].lambda);
-            }
-        }
+    fn counts_are_tensor_major_rows() {
+        let iterations: Vec<u64> = (0..12).collect();
+        let counts = paper_shape(4, &iterations);
+        assert_eq!(counts.num_tensors(), 3);
+        assert_eq!(counts.total(), 66);
+        let middle = counts.slice(1..2);
+        assert_eq!(middle.num_tensors(), 1);
+        assert_eq!(
+            middle.rows().collect::<Vec<_>>(),
+            vec![&[4u64, 5, 6, 7][..]]
+        );
+        assert_eq!(
+            (
+                middle.order,
+                middle.dim,
+                middle.elem_bytes,
+                middle.num_starts
+            ),
+            (4, 3, 4, 4)
+        );
+        assert_eq!(counts.slice(3..3).num_tensors(), 0);
     }
 
     #[test]
     fn unrolled_is_faster_than_general() {
-        let (tensors, starts) = workload(64, 128, 3);
-        let policy = IterationPolicy::Fixed(20);
+        let iterations = uniform(64, 128, 20);
+        let counts = paper_shape(128, &iterations);
         let device = DeviceSpec::tesla_c2050();
-        let (_, general) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap();
-        let (_, unrolled) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
+        let general = launch(&device, counts, GpuVariant::General).unwrap();
+        let unrolled = launch(&device, counts, GpuVariant::Unrolled).unwrap();
         // Paper Table III(a): 18.7x on the GPU. The model should show a
         // large multiple (>4x) without hand-tuning to the exact figure.
         let speedup = general.timing.seconds / unrolled.timing.seconds;
@@ -505,18 +461,9 @@ mod tests {
 
     #[test]
     fn achieved_gflops_is_a_plausible_fraction_of_peak() {
-        let (tensors, starts) = workload(1024, 128, 4);
-        let policy = IterationPolicy::Fixed(20);
+        let iterations = uniform(1024, 128, 20);
         let device = DeviceSpec::tesla_c2050();
-        let (_, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
+        let report = launch(&device, paper_shape(128, &iterations), GpuVariant::Unrolled).unwrap();
         let frac = report.gflops / device.peak_sp_gflops();
         // Paper: 31% of peak. Accept a generous band around it.
         assert!(
@@ -529,21 +476,13 @@ mod tests {
     #[test]
     fn throughput_ramps_with_problem_size_then_saturates() {
         // Figure 5's GPU curve: small T underutilizes the device.
-        let policy = IterationPolicy::Fixed(20);
         let device = DeviceSpec::tesla_c2050();
         let mut last = 0.0;
         let mut series = Vec::new();
         for t in [1usize, 4, 16, 64, 256, 1024] {
-            let (tensors, starts) = workload(t, 128, 5);
-            let (_, report) = launch_sshopm(
-                &device,
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-            )
-            .unwrap();
+            let iterations = uniform(t, 128, 20);
+            let report =
+                launch(&device, paper_shape(128, &iterations), GpuVariant::Unrolled).unwrap();
             series.push((t, report.gflops));
             assert!(
                 report.gflops >= last * 0.95,
@@ -561,21 +500,9 @@ mod tests {
 
     #[test]
     fn divergence_costs_show_up_with_convergence_policy() {
-        let (tensors, starts) = workload(16, 64, 6);
+        let iterations = ragged(16, 64, 6);
         let device = DeviceSpec::tesla_c2050();
-        let policy = IterationPolicy::Converge {
-            tol: 1e-6,
-            max_iters: 500,
-        };
-        let (_, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.2),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
+        let report = launch(&device, paper_shape(64, &iterations), GpuVariant::Unrolled).unwrap();
         // Different threads converge at different iterations: SIMD
         // efficiency strictly below 1.
         let eff = report.stats.simd_efficiency(32);
@@ -585,19 +512,9 @@ mod tests {
 
     #[test]
     fn report_carries_consistent_metadata() {
-        let (tensors, starts) = workload(10, 32, 7);
+        let iterations = uniform(10, 32, 5);
         let device = DeviceSpec::tesla_c2050();
-        let (res, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap();
-        assert_eq!(res.results.len(), 10);
-        assert_eq!(res.results[0].len(), 32);
+        let report = launch(&device, paper_shape(32, &iterations), GpuVariant::General).unwrap();
         assert_eq!(report.grid.num_blocks, 10);
         assert_eq!(report.grid.threads_per_block, 32);
         assert_eq!(report.variant.name(), "general");
@@ -608,91 +525,26 @@ mod tests {
 
     #[test]
     fn general_variant_moves_local_memory_traffic() {
-        let (tensors, starts) = workload(8, 32, 8);
+        let iterations = uniform(8, 32, 10);
+        let counts = paper_shape(32, &iterations);
         let device = DeviceSpec::tesla_c2050();
-        let policy = IterationPolicy::Fixed(10);
-        let (_, g) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap();
-        let (_, u) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
+        let g = launch(&device, counts, GpuVariant::General).unwrap();
+        let u = launch(&device, counts, GpuVariant::Unrolled).unwrap();
         assert!(g.stats.counters.global_words() > 10 * u.stats.counters.global_words());
     }
 
     #[test]
     fn unrolled_errors_for_ungenerated_shape() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let tensors = TensorBatch::<f32>::random(5, 5, 1, &mut rng).unwrap();
-        let starts = random_uniform_starts(5, 32, &mut rng);
-        let device = DeviceSpec::tesla_c2050();
-        let err = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap_err();
+        let iterations = uniform(1, 32, 5);
+        let counts = IterationCounts::new(5, 5, 4, 32, &iterations).unwrap();
+        let err = launch(&DeviceSpec::tesla_c2050(), counts, GpuVariant::Unrolled).unwrap_err();
         assert_eq!(err, GpuError::NoUnrolledKernel { m: 5, n: 5 });
     }
 
     #[test]
-    fn adaptive_shift_and_foreign_kernels_error_cleanly() {
-        let (tensors, starts) = workload(2, 8, 13);
-        let device = DeviceSpec::tesla_c2050();
-        let policy = IterationPolicy::Fixed(5);
-        let err = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Adaptive,
-            GpuVariant::General,
-        )
-        .unwrap_err();
-        assert_eq!(err, GpuError::AdaptiveShift);
-
-        let mut queue = StreamQueue::new(1, crate::multi::TransferModel::pcie2());
-        let stream = queue.stream(0);
-        let err = enqueue_sshopm(
-            &mut queue,
-            stream,
-            &device,
-            &BatchedKernels::new(3, 3),
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            GpuError::MismatchedShapes {
-                expected: (3, 3),
-                found: (4, 3)
-            }
-        );
-    }
-
-    #[test]
     fn mixed_shapes_are_rejected_at_batch_construction() {
-        // A mixed-shape launch is now structurally impossible: the batch
-        // arena rejects the stray tensor before any device is involved.
+        // A launch never sees a mixed-shape batch: the arena rejects the
+        // stray tensor before anything is solved or priced.
         let mut rng = StdRng::seed_from_u64(10);
         let mut batch = TensorBatch::<f32>::new(4, 3).unwrap();
         batch
@@ -713,17 +565,9 @@ mod tests {
 
     #[test]
     fn host_transfer_is_one_coalesced_copy_each_way() {
-        let (tensors, starts) = workload(8, 32, 12);
+        let iterations = uniform(8, 32, 5);
         let device = DeviceSpec::tesla_c2050();
-        let (_, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap();
+        let report = launch(&device, paper_shape(32, &iterations), GpuVariant::General).unwrap();
         let ht = report.host_transfer;
         assert_eq!(ht.down_copies, 1);
         assert_eq!(ht.up_copies, 1);
@@ -735,43 +579,23 @@ mod tests {
     #[test]
     fn empty_batch_and_empty_starts_error_cleanly() {
         let device = DeviceSpec::tesla_c2050();
-        let none = TensorBatch::<f32>::new(4, 3).unwrap();
-        let starts = vec![vec![1.0f32, 0.0, 0.0]];
-        let err = launch_sshopm(
-            &device,
-            &none,
-            &starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap_err();
+        let err = launch(&device, paper_shape(1, &[]), GpuVariant::General).unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);
         // An empty batch may carry a shape far too large to tabulate.
-        let huge = TensorBatch::<f32>::new(6, 2000).unwrap();
-        let err = launch_sshopm(
-            &device,
-            &huge,
-            &starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap_err();
+        let huge = IterationCounts::new(6, 2000, 4, 1, &[]).unwrap();
+        let err = launch(&device, huge, GpuVariant::General).unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);
 
-        let mut rng = StdRng::seed_from_u64(11);
-        let tensors = TensorBatch::<f32>::random(4, 3, 1, &mut rng).unwrap();
-        let no_starts: Vec<Vec<f32>> = Vec::new();
-        let err = launch_sshopm(
-            &device,
-            &tensors,
-            &no_starts,
-            IterationPolicy::Fixed(5),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap_err();
+        let err = IterationCounts::new(4, 3, 4, 0, &[]).unwrap_err();
         assert_eq!(err, GpuError::EmptyStarts);
+        let err = IterationCounts::new(4, 3, 4, 2, &[5, 5, 5]).unwrap_err();
+        assert_eq!(
+            err,
+            GpuError::RaggedCounts {
+                counts: 3,
+                starts: 2
+            }
+        );
+        assert!(err.to_string().contains("3 iteration counts"), "{err}");
     }
 }

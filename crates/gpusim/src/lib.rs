@@ -7,12 +7,13 @@
 //!
 //! 1. **The launch** ([`kernel`], [`exec`]): the thread organization of
 //!    Section V-B — one thread block per tensor, one thread per starting
-//!    vector, the tensor staged into block-shared memory. The eigenpairs
-//!    come from `sshopm`'s lane driver ([`sshopm::solve_batch_lockstep`]),
-//!    the one numeric engine, which resolves one shift per tensor (one `α`
-//!    per block); the launch keeps only its cost model, a pass over the
-//!    iteration counts that charges each warp of 32 consecutive starts at
-//!    its slowest thread and counts the operations analytically.
+//!    vector, the tensor staged into block-shared memory. The simulator
+//!    prices and does not solve: a launch takes a solved batch's shape,
+//!    scalar width, start count and each solve's iteration count
+//!    ([`IterationCounts`]; the `backend` crate gets them from one call of
+//!    `sshopm`'s lane driver over the whole batch), charges each warp of
+//!    32 consecutive starts at its slowest thread, and counts the
+//!    operations analytically.
 //! 2. **Analytic timing** ([`timing`], [`occupancy`], [`device`]): a
 //!    Fermi-class performance model that converts counted warp instructions
 //!    and memory transactions into estimated cycles, limited by occupancy
@@ -30,11 +31,11 @@
 //! 4. **One execution model** ([`topology`]): an explicit `Cluster` →
 //!    `Host` → device tree, each link (NIC and PCIe) with its own
 //!    bandwidth/latency model; one GPU is the 1 × 1 cluster. The single
-//!    [`Cluster::launch`] cuts the packed arena into one contiguous slice
-//!    per host and per device, charges one modeled NIC transfer per
-//!    non-root shard against the Al Daas et al. communication lower
-//!    bound, and runs each device's slice on its host's stream queue
-//!    under a [`Schedule`] (whole, or in double-buffered chunks).
+//!    [`Cluster::launch`] cuts the counts into one contiguous slice per
+//!    host and per device, charges one modeled NIC transfer per non-root
+//!    shard against the Al Daas et al. communication lower bound, and
+//!    prices each device's slice on its host's stream queue under a
+//!    [`Schedule`] (whole, or in double-buffered chunks).
 //!
 //! The model is deliberately simple and fully documented; it is calibrated
 //! so the *shape* of the paper's results (GPU ≫ CPU, unrolled ≫ general,
@@ -65,7 +66,7 @@ pub use fault::{
     corrupt_tensor, FaultKind, FaultPlan, FaultSite, InjectedFault, BACKOFF_BASE_SECONDS,
     WATCHDOG_TIMEOUT_SECONDS,
 };
-pub use kernel::{enqueue_sshopm, launch_sshopm, GpuVariant, LaunchReport};
+pub use kernel::{enqueue_sshopm, GpuVariant, IterationCounts, LaunchReport};
 pub use multi::{problem_traffic_bytes, HostTransfer, TransferModel};
 pub use occupancy::{KernelResources, Occupancy};
 pub use profile::{CounterBreakdown, ProfileSnapshot};

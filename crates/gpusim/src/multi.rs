@@ -92,14 +92,9 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
     use crate::error::GpuError;
-    use crate::kernel::{launch_sshopm, GpuVariant};
+    use crate::kernel::tests::{paper_shape, uniform};
+    use crate::kernel::GpuVariant;
     use crate::topology::{Cluster, Host, Schedule};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sshopm::starts::random_uniform_starts;
-    use sshopm::IterationPolicy;
-    use sshopm::Shift;
-    use symtensor::TensorBatch;
 
     const SYNC: Schedule = Schedule::SYNCHRONOUS;
 
@@ -110,13 +105,6 @@ mod tests {
             TransferModel::pcie2(),
         )
         .unwrap()
-    }
-
-    fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tensors = TensorBatch::random(4, 3, t, &mut rng).unwrap();
-        let starts = random_uniform_starts(3, v, &mut rng);
-        (tensors, starts)
     }
 
     #[test]
@@ -138,69 +126,27 @@ mod tests {
         let counts = mg.split(100);
         assert_eq!(counts.iter().sum::<usize>(), 100);
         assert!(counts[0] > counts[1], "{counts:?}");
+        // Shares round down and the remainder goes to the fastest device
+        // first, so the slower device can get none.
+        assert_eq!(mg.split(2), vec![2, 0]);
     }
 
     #[test]
     fn multi_gpu_results_match_single_gpu() {
-        let (tensors, starts) = workload(16, 32, 1);
-        let policy = IterationPolicy::Fixed(10);
-        let single = DeviceSpec::tesla_c2050();
-        let (base, _) = launch_sshopm(
-            &single,
-            &tensors,
-            &starts,
-            policy,
-            Shift::Fixed(0.0),
-            GpuVariant::Unrolled,
-        )
-        .unwrap();
-        let mg = board(4);
-        let (multi, report) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        let report = &report.shards[0];
-        assert_eq!(multi.results.len(), 16);
-        for t in 0..16 {
-            for v in 0..32 {
-                assert_eq!(multi.results[t][v].lambda, base.results[t][v].lambda);
-            }
-        }
-        assert_eq!(report.slices.len(), 4);
+        let iterations = uniform(16, 32, 10);
+        let counts = paper_shape(32, &iterations);
+        let single = board(1).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let report = board(4).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        assert_eq!(report.useful_flops, single.useful_flops);
+        assert_eq!(report.shards[0].slices.len(), 4);
     }
 
     #[test]
     fn two_gpus_are_faster_than_one_at_scale() {
-        let (tensors, starts) = workload(512, 128, 2);
-        let policy = IterationPolicy::Fixed(20);
-        let one = board(1);
-        let two = board(2);
-        let (_, r1) = one
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        let (_, r2) = two
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
+        let iterations = uniform(512, 128, 20);
+        let counts = paper_shape(128, &iterations);
+        let r1 = board(1).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let r2 = board(2).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
         let speedup = r1.seconds / r2.seconds;
         assert!(
             speedup > 1.5,
@@ -210,30 +156,10 @@ mod tests {
 
     #[test]
     fn tiny_batches_do_not_benefit_from_more_gpus() {
-        let (tensors, starts) = workload(2, 32, 3);
-        let policy = IterationPolicy::Fixed(5);
-        let one = board(1);
-        let four = board(4);
-        let (_, r1) = one
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        let (_, r4) = four
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
+        let iterations = uniform(2, 32, 5);
+        let counts = paper_shape(32, &iterations);
+        let r1 = board(1).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let r4 = board(4).launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
         // Fixed transfer latency and launch overhead dominate; no big win.
         assert!(
             r4.seconds > r1.seconds * 0.4,
@@ -263,22 +189,13 @@ mod tests {
         // fraction rather than vanishing; the model must keep it modest
         // (kernel-bound overall) and attribute most bytes to the upload of
         // results, not the tensor download.
-        let policy = IterationPolicy::Fixed(20);
         let mg = board(1);
         for t in [64usize, 1024] {
-            let (tensors, starts) = workload(t, 128, 4);
-            let (_, report) = mg
-                .launch(
-                    &tensors,
-                    &starts,
-                    policy,
-                    Shift::Fixed(0.0),
-                    GpuVariant::Unrolled,
-                    SYNC,
-                )
+            let iterations = uniform(t, 128, 20);
+            let report = mg
+                .launch(paper_shape(128, &iterations), GpuVariant::Unrolled, SYNC)
                 .unwrap();
-            let report = &report.shards[0];
-            let slice = &report.slices[0];
+            let slice = &report.shards[0].slices[0];
             let share = slice.transfer_seconds / slice.total_seconds;
             assert!(share < 0.5, "T={t}: transfer share {share:.3}");
             let (down, up) = problem_traffic_bytes(t, 128, 4, 3, 4);
@@ -304,17 +221,9 @@ mod tests {
     /// back, so the makespan equals kernel seconds plus both copies.
     #[test]
     fn synchronous_timeline_equals_serial_transfer_plus_compute() {
-        let (tensors, starts) = workload(64, 32, 21);
-        let mg = board(1);
-        let (_, report) = mg
-            .launch(
-                &tensors,
-                &starts,
-                IterationPolicy::Fixed(10),
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
+        let iterations = uniform(64, 32, 10);
+        let report = board(1)
+            .launch(paper_shape(32, &iterations), GpuVariant::Unrolled, SYNC)
             .unwrap();
         let report = &report.shards[0];
         assert_eq!(report.timeline.ops.len(), 3);
@@ -341,41 +250,21 @@ mod tests {
 
     #[test]
     fn pipelined_results_are_bitwise_identical_to_synchronous() {
-        let (tensors, starts) = workload(300, 32, 22);
-        let policy = IterationPolicy::Fixed(8);
+        let iterations = uniform(300, 32, 8);
+        let counts = paper_shape(32, &iterations);
         let mg = board(2);
-        let (sync, _) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
+        let sync = mg.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let piped = mg
+            .launch(counts, GpuVariant::Unrolled, Schedule::pipelined(64, 2))
             .unwrap();
-        let (piped, report) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                Schedule::pipelined(64, 2),
-            )
-            .unwrap();
-        assert_eq!(piped.results.len(), sync.results.len());
-        for (t, (a, b)) in piped.results.iter().zip(&sync.results).enumerate() {
-            for (v, (pa, pb)) in a.iter().zip(b).enumerate() {
-                assert_eq!(pa.lambda.to_bits(), pb.lambda.to_bits(), "t{t} v{v}");
-                for (xa, xb) in pa.x.iter().zip(&pb.x) {
-                    assert_eq!(xa.to_bits(), xb.to_bits(), "t{t} v{v}");
-                }
-            }
+        // Chunking moves the clock, not the counted work.
+        for (p, s) in piped.shards[0].slices.iter().zip(&sync.shards[0].slices) {
+            assert_eq!(p.report.stats.counters, s.report.stats.counters);
+            assert_eq!(p.report.useful_flops, s.report.useful_flops);
         }
         // Both devices split the work and chunked it: 150 tensors / 64 →
         // 3 chunks each, 3 ops per chunk.
-        assert_eq!(report.shards[0].timeline.ops.len(), 2 * 3 * 3);
+        assert_eq!(piped.shards[0].timeline.ops.len(), 2 * 3 * 3);
     }
 
     /// Regression pin (satellite): chunked paths charge the launch
@@ -384,28 +273,12 @@ mod tests {
     #[test]
     fn pipelined_charges_launch_overhead_per_chunk() {
         use crate::timing::LAUNCH_OVERHEAD_S;
-        let (tensors, starts) = workload(512, 32, 23);
-        let policy = IterationPolicy::Fixed(5);
+        let iterations = uniform(512, 32, 5);
+        let counts = paper_shape(32, &iterations);
         let mg = board(1);
-        let (_, sync) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        let (_, piped) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                Schedule::pipelined(128, 1),
-            )
+        let sync = mg.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let piped = mg
+            .launch(counts, GpuVariant::Unrolled, Schedule::pipelined(128, 1))
             .unwrap();
         let (sync, piped) = (&sync.shards[0], &piped.shards[0]);
         // 4 chunks: 3 more launch overheads than the single launch.
@@ -420,28 +293,12 @@ mod tests {
     fn double_buffering_beats_synchronous_at_scale() {
         // Enough result traffic that hiding downloads behind kernels pays
         // for the extra per-chunk launch overheads.
-        let (tensors, starts) = workload(2048, 64, 24);
-        let policy = IterationPolicy::Fixed(5);
+        let iterations = uniform(2048, 64, 5);
+        let counts = paper_shape(64, &iterations);
         let mg = board(1);
-        let (_, sync) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        let (_, piped) = mg
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                Schedule::pipelined(256, 2),
-            )
+        let sync = mg.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let piped = mg
+            .launch(counts, GpuVariant::Unrolled, Schedule::pipelined(256, 2))
             .unwrap();
         let (sync, piped) = (&sync.shards[0], &piped.shards[0]);
         assert!(
@@ -464,18 +321,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_an_error_not_a_panic() {
-        let mg = board(2);
-        let none = TensorBatch::<f32>::new(4, 3).unwrap();
-        let starts = vec![vec![1.0f32, 0.0, 0.0]];
-        let err = mg
-            .launch(
-                &none,
-                &starts,
-                IterationPolicy::Fixed(5),
-                Shift::Fixed(0.0),
-                GpuVariant::General,
-                SYNC,
-            )
+        let err = board(2)
+            .launch(paper_shape(1, &[]), GpuVariant::General, SYNC)
             .unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);
     }

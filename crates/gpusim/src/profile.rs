@@ -264,27 +264,14 @@ impl Serialize for ProfileSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{launch_sshopm, GpuVariant};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sshopm::starts::random_uniform_starts;
-    use sshopm::{IterationPolicy, Shift};
-    use symtensor::TensorBatch;
+    use crate::kernel::{tests::launch, GpuVariant, IterationCounts};
 
     fn sample_snapshot() -> ProfileSnapshot {
-        let mut rng = StdRng::seed_from_u64(21);
-        let tensors = TensorBatch::<f32>::random(4, 3, 6, &mut rng).unwrap();
-        let starts = random_uniform_starts(3, 32, &mut rng);
+        // 6 tensors × 32 starts, 12 iterations each.
+        let iterations = [12u64; 6 * 32];
+        let counts = IterationCounts::new(4, 3, 4, 32, &iterations).unwrap();
         let device = DeviceSpec::tesla_c2050();
-        let (_, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(12),
-            Shift::Fixed(0.0),
-            GpuVariant::General,
-        )
-        .unwrap();
+        let report = launch(&device, counts, GpuVariant::General).unwrap();
         ProfileSnapshot::from_report(&device, &report)
     }
 

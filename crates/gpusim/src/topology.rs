@@ -7,13 +7,14 @@
 //! cluster, several GPUs on one board are 1 × N
 //! ([`Cluster::single_host`]).
 //!
-//! [`Cluster::launch`] cuts the packed tensor arena into one contiguous
-//! slice per host and each host's slice into one per device, both
-//! proportional to peak throughput ([`Cluster::shard`], [`Host::split`]).
-//! It charges one modeled NIC transfer per non-root shard (shard arena +
-//! starting vectors down, packed eigenpairs back up) and runs each
-//! device's slice on the host's own stream queue under a [`Schedule`]:
-//! whole, or in double-buffered chunks. Because the tensors are
+//! [`Cluster::launch`] prices a solved batch from its iteration counts
+//! ([`IterationCounts`]). It cuts the batch into one contiguous slice per
+//! host and each host's slice into one per device, both proportional to
+//! peak throughput ([`Cluster::shard`], [`Host::split`]). It charges one
+//! modeled NIC transfer per non-root shard (shard arena + starting vectors
+//! down, packed eigenpairs back up) and enqueues each device's slice on
+//! the host's own stream queue under a [`Schedule`]: whole, or in
+//! double-buffered chunks. Because the tensors are
 //! independent (Section V-B of the paper: the batch "generalizes to a
 //! system with multiple GPUs" with no communication), this moves every
 //! byte at most once — the NIC traffic is charged against the lower bound
@@ -24,12 +25,10 @@
 
 use crate::device::DeviceSpec;
 use crate::error::GpuError;
-use crate::kernel::{enqueue_sshopm, GpuVariant, LaunchReport};
+use crate::kernel::{enqueue_sshopm, GpuVariant, IterationCounts, LaunchReport};
 use crate::multi::{problem_traffic_bytes, TransferModel};
 use crate::stream::{DeviceStreams, StreamQueue, Timeline};
-use sshopm::{BatchResult, IterationPolicy, Shift};
 use symtensor::multinomial::num_unique_entries;
-use symtensor::{BatchedKernels, Scalar, TensorBatchRef};
 
 /// How each device runs its slice of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +140,9 @@ impl Host {
     }
 
     /// Split `total` tensors across this host's devices proportionally to
-    /// peak throughput (every device gets at least one while tensors
-    /// remain).
+    /// peak throughput: each share rounded down, the remainder dealt one
+    /// at a time to the fastest devices first. A slow device can get none
+    /// (a C2050 + C1060 host splits 2 tensors as `[2, 0]`).
     pub fn split(&self, total: usize) -> Vec<usize> {
         let peaks: Vec<f64> = self
             .devices
@@ -152,22 +152,14 @@ impl Host {
         split_by_peak(&peaks, total)
     }
 
-    /// Run one shard on this host's devices, on the host's own stream
-    /// queue: each device's slice is a contiguous, zero-copy sub-range of
-    /// the arena, launched whole or in chunks as `schedule` says. Results
-    /// are appended to `results` in tensor order, and their iterations
-    /// added to its count.
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard<S: Scalar>(
+    /// Price one shard on this host's devices, on the host's own stream
+    /// queue: each device's slice is a contiguous sub-range of the
+    /// shard's counts, launched whole or in chunks as `schedule` says.
+    fn run_shard(
         &self,
-        kernels: &BatchedKernels,
-        shard: TensorBatchRef<'_, S>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        shift: Shift,
+        shard: IterationCounts<'_>,
         variant: GpuVariant,
         schedule: Schedule,
-        results: &mut BatchResult<S>,
     ) -> Result<(Vec<DeviceSlice>, Timeline), GpuError> {
         let mut queue = StreamQueue::for_host(self);
         // (device_index, tensors, merged report) per device with work;
@@ -175,7 +167,7 @@ impl Host {
         let mut merged: Vec<(usize, usize, LaunchReport)> = Vec::new();
         let mut offset = 0usize;
         for (device_index, (&count, device)) in self
-            .split(shard.len())
+            .split(shard.num_tensors())
             .iter()
             .zip(&self.devices)
             .enumerate()
@@ -192,19 +184,13 @@ impl Host {
             let mut streams = DeviceStreams::new(&mut queue, device_index, streams);
             let mut device_report: Option<LaunchReport> = None;
             for lo in (0..count).step_by(chunk) {
-                let (res, report) = enqueue_sshopm(
+                let report = enqueue_sshopm(
                     &mut queue,
                     streams.deal(),
                     device,
-                    kernels,
                     slice.slice(lo..(lo + chunk).min(count)),
-                    starts,
-                    policy,
-                    shift,
                     variant,
                 )?;
-                results.results.extend(res.results);
-                results.total_iterations += res.total_iterations;
                 match &mut device_report {
                     None => device_report = Some(report),
                     Some(acc) => acc.merge(&report),
@@ -381,71 +367,51 @@ impl Cluster {
             + (self.hosts.len() as u64 - 1) * starts_bytes
     }
 
-    /// Launch the batched SS-HOPM problem across the cluster: shard the
-    /// arena contiguously over hosts, charge each non-root shard one NIC
-    /// round trip, and run every host's shard on its own devices and
-    /// stream queue under `schedule`. Hosts and devices run concurrently;
-    /// transfers to distinct devices use distinct PCIe lanes, as on real
-    /// multi-GPU boards. All launches share one [`BatchedKernels`] and
-    /// resolve `shift` per tensor. Results come back in original tensor
-    /// order and are bitwise identical for every topology and schedule —
-    /// sharding and chunking change the clock, never the arithmetic.
+    /// Price a solved batch across the cluster from its iteration counts:
+    /// shard the batch contiguously over hosts, charge each non-root shard
+    /// one NIC round trip, and enqueue every host's shard on its own
+    /// devices and stream queue under `schedule`. Hosts and devices run
+    /// concurrently; transfers to distinct devices use distinct PCIe
+    /// lanes, as on real multi-GPU boards. Sharding and chunking change
+    /// the clock, never the counted work.
     ///
     /// # Errors
     /// Returns a [`GpuError`] for an empty batch or any per-device launch
-    /// failure (empty starts, adaptive shift, missing unrolled kernel).
-    pub fn launch<'a, S: Scalar>(
+    /// failure (a shape too large to model, a missing unrolled kernel).
+    pub fn launch(
         &self,
-        batch: impl Into<TensorBatchRef<'a, S>>,
-        starts: &[Vec<S>],
-        policy: IterationPolicy,
-        shift: Shift,
+        counts: IterationCounts<'_>,
         variant: GpuVariant,
         schedule: Schedule,
-    ) -> Result<(BatchResult<S>, ClusterReport), GpuError> {
-        let batch = batch.into();
-        if batch.is_empty() {
+    ) -> Result<ClusterReport, GpuError> {
+        if counts.num_tensors() == 0 {
             return Err(GpuError::EmptyBatch);
         }
-        let (m, n) = (batch.order(), batch.dim());
-        let kernels = BatchedKernels::new(m, n);
-        let elem = std::mem::size_of::<S>();
-        let counts = self.shard(batch.len());
+        let (m, n, elem) = (counts.order, counts.dim, counts.elem_bytes);
+        let num_starts = counts.num_starts;
+        let shares = self.shard(counts.num_tensors());
 
-        let mut results = BatchResult {
-            results: Vec::with_capacity(batch.len()),
-            total_iterations: 0,
-        };
         let mut shards = Vec::new();
         let mut offset = 0usize;
         let mut nic_bytes = 0u64;
         let mut wall = 0.0_f64;
 
-        for (host_index, (&count, host)) in counts.iter().zip(&self.hosts).enumerate() {
+        for (host_index, (&count, host)) in shares.iter().zip(&self.hosts).enumerate() {
             if count == 0 {
                 continue;
             }
-            // Contiguous arena slice: the shard is a zero-copy sub-range
-            // of the same packed buffer, so it ships over the NIC (and
-            // then over PCIe) as one coalesced payload.
-            let slice = batch.slice(offset..offset + count);
+            // Contiguous arena slice: the shard is a sub-range of the same
+            // packed buffer, so it ships over the NIC (and then over PCIe)
+            // as one coalesced payload.
+            let shard = counts.slice(offset..offset + count);
             offset += count;
-            let (slices, timeline) = host.run_shard(
-                &kernels,
-                slice,
-                starts,
-                policy,
-                shift,
-                variant,
-                schedule,
-                &mut results,
-            )?;
+            let (slices, timeline) = host.run_shard(shard, variant, schedule)?;
             // One modeled NIC transfer each way per non-root shard; the
             // root's shard is already resident.
             let (nic_down_bytes, nic_up_bytes) = if host_index == 0 {
                 (0, 0)
             } else {
-                problem_traffic_bytes(count, starts.len(), m, n, elem)
+                problem_traffic_bytes(count, num_starts, m, n, elem)
             };
             let nic_seconds = if host_index == 0 {
                 0.0
@@ -478,18 +444,15 @@ impl Cluster {
             0.0
         };
         let comm_lower_bound_bytes =
-            self.comm_lower_bound_bytes(batch.len(), starts.len(), m, n, elem);
-        Ok((
-            results,
-            ClusterReport {
-                shards,
-                seconds: wall,
-                useful_flops,
-                gflops,
-                nic_bytes,
-                comm_lower_bound_bytes,
-            },
-        ))
+            self.comm_lower_bound_bytes(counts.num_tensors(), num_starts, m, n, elem);
+        Ok(ClusterReport {
+            shards,
+            seconds: wall,
+            useful_flops,
+            gflops,
+            nic_bytes,
+            comm_lower_bound_bytes,
+        })
     }
 }
 
@@ -567,19 +530,10 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sshopm::starts::random_uniform_starts;
-    use symtensor::TensorBatch;
+    use crate::kernel::tests::{paper_shape, uniform};
+    use symtensor::flops::sshopm_iter_flops;
 
     const SYNC: Schedule = Schedule::SYNCHRONOUS;
-
-    fn workload(t: usize, v: usize, seed: u64) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tensors = TensorBatch::random(4, 3, t, &mut rng).unwrap();
-        let starts = random_uniform_starts(3, v, &mut rng);
-        (tensors, starts)
-    }
 
     #[test]
     fn empty_topologies_are_errors_not_panics() {
@@ -641,60 +595,72 @@ mod tests {
 
     #[test]
     fn cluster_results_match_single_host_bitwise() {
-        let (tensors, starts) = workload(64, 16, 11);
-        let policy = IterationPolicy::Fixed(8);
+        let iterations = uniform(64, 16, 8);
+        let counts = paper_shape(16, &iterations);
         let single =
             Cluster::single_host(vec![DeviceSpec::tesla_c2050(); 2], TransferModel::pcie2())
                 .unwrap();
-        let (base, _) = single
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
+        let base = single.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
-        let (sharded, report) = cluster
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
-            .unwrap();
-        assert_eq!(sharded.results.len(), base.results.len());
-        for (a, b) in sharded
-            .results
-            .iter()
-            .flatten()
-            .zip(base.results.iter().flatten())
-        {
-            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
-            for (xa, xb) in a.x.iter().zip(&b.x) {
-                assert_eq!(xa.to_bits(), xb.to_bits());
-            }
-        }
+        let report = cluster.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        assert_eq!(report.useful_flops, base.useful_flops);
         assert_eq!(report.shards.len(), 2);
+    }
+
+    /// Each device slice is charged exactly what a one-device launch of
+    /// its own counts is charged: the counts of tensors
+    /// `offset..offset + num_tensors`, device after device. Every
+    /// (tensor, start) has its own count, so a slice that slips by one
+    /// tensor is charged a different sum.
+    #[test]
+    fn each_slice_is_charged_exactly_its_own_counts() {
+        let (t, v) = (37usize, 8usize);
+        // 7919 is coprime to 1009, and 37 × 8 < 1009: all counts differ.
+        let iterations: Vec<u64> = (0..(t * v) as u64).map(|i| 1 + i * 7919 % 1009).collect();
+        let counts = paper_shape(v, &iterations);
+        let device = DeviceSpec::tesla_c2050();
+        let host = Cluster::single_host(vec![device.clone(); 3], TransferModel::pcie2()).unwrap();
+        for schedule in [SYNC, Schedule::pipelined(5, 2)] {
+            let report = host.launch(counts, GpuVariant::Unrolled, schedule).unwrap();
+            let slices = &report.shards[0].slices;
+            assert_eq!(slices.len(), 3, "{schedule:?}");
+            let mut offset = 0;
+            for slice in slices {
+                let own = counts.slice(offset..offset + slice.num_tensors);
+                offset += slice.num_tensors;
+                let alone = Cluster::from(device.clone())
+                    .launch(own, GpuVariant::Unrolled, schedule)
+                    .unwrap();
+                let (got, want) = (&slice.report, &alone.shards[0].slices[0].report);
+                let at = format!("{schedule:?}, device {}", slice.device_index);
+                assert_eq!(got.grid, want.grid, "{at}");
+                assert_eq!(got.stats.counters, want.stats.counters, "{at}");
+                assert_eq!(
+                    got.stats.warp_serial_instructions, want.stats.warp_serial_instructions,
+                    "{at}"
+                );
+                assert_eq!(got.useful_flops, want.useful_flops, "{at}");
+                assert_eq!(
+                    got.timing.seconds.to_bits(),
+                    want.timing.seconds.to_bits(),
+                    "{at}"
+                );
+            }
+            assert_eq!(offset, t);
+            assert_eq!(
+                report.useful_flops,
+                counts.total() * sshopm_iter_flops(4, 3),
+                "{schedule:?}"
+            );
+        }
     }
 
     #[test]
     fn root_shard_is_nic_free_and_nonroot_shards_pay() {
-        let (tensors, starts) = workload(128, 16, 12);
+        let iterations = uniform(128, 16, 5);
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 1).unwrap();
-        let (_, report) = cluster
-            .launch(
-                &tensors,
-                &starts,
-                IterationPolicy::Fixed(5),
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
+        let report = cluster
+            .launch(paper_shape(16, &iterations), GpuVariant::Unrolled, SYNC)
             .unwrap();
         assert_eq!(report.shards[0].nic_down_bytes, 0);
         assert_eq!(report.shards[0].nic_seconds, 0.0);
@@ -709,18 +675,11 @@ mod tests {
 
     #[test]
     fn communication_stays_near_the_lower_bound() {
-        let (tensors, starts) = workload(4096, 8, 13);
+        let iterations = uniform(4096, 8, 3);
         for hosts in [1usize, 2, 4, 8] {
             let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), hosts, 2).unwrap();
-            let (_, report) = cluster
-                .launch(
-                    &tensors,
-                    &starts,
-                    IterationPolicy::Fixed(3),
-                    Shift::Fixed(0.0),
-                    GpuVariant::Unrolled,
-                    SYNC,
-                )
+            let report = cluster
+                .launch(paper_shape(8, &iterations), GpuVariant::Unrolled, SYNC)
                 .unwrap();
             let ratio = report.comm_ratio();
             assert!(
@@ -734,20 +693,12 @@ mod tests {
 
     #[test]
     fn makespan_decreases_as_hosts_are_added() {
-        let (tensors, starts) = workload(2048, 32, 14);
-        let policy = IterationPolicy::Fixed(10);
+        let iterations = uniform(2048, 32, 10);
         let mut last = f64::INFINITY;
         for hosts in [1usize, 2, 4] {
             let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), hosts, 2).unwrap();
-            let (_, report) = cluster
-                .launch(
-                    &tensors,
-                    &starts,
-                    policy,
-                    Shift::Fixed(0.0),
-                    GpuVariant::Unrolled,
-                    SYNC,
-                )
+            let report = cluster
+                .launch(paper_shape(32, &iterations), GpuVariant::Unrolled, SYNC)
                 .unwrap();
             assert!(
                 report.seconds < last,
@@ -762,16 +713,9 @@ mod tests {
     fn one_host_has_zero_bound_and_unit_ratio() {
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 1, 4).unwrap();
         assert_eq!(cluster.comm_lower_bound_bytes(1000, 16, 4, 3, 4), 0);
-        let (tensors, starts) = workload(32, 8, 15);
-        let (_, report) = cluster
-            .launch(
-                &tensors,
-                &starts,
-                IterationPolicy::Fixed(3),
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
+        let iterations = uniform(32, 8, 3);
+        let report = cluster
+            .launch(paper_shape(8, &iterations), GpuVariant::Unrolled, SYNC)
             .unwrap();
         assert_eq!(report.nic_bytes, 0);
         assert_eq!(report.comm_ratio(), 1.0);
@@ -779,53 +723,26 @@ mod tests {
 
     #[test]
     fn pipelined_cluster_results_match_synchronous() {
-        let (tensors, starts) = workload(300, 16, 16);
-        let policy = IterationPolicy::Fixed(6);
+        let iterations = uniform(300, 16, 6);
+        let counts = paper_shape(16, &iterations);
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 2).unwrap();
-        let (sync, _) = cluster
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                SYNC,
-            )
+        let sync = cluster.launch(counts, GpuVariant::Unrolled, SYNC).unwrap();
+        let piped = cluster
+            .launch(counts, GpuVariant::Unrolled, Schedule::pipelined(64, 2))
             .unwrap();
-        let (piped, _) = cluster
-            .launch(
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.0),
-                GpuVariant::Unrolled,
-                Schedule::pipelined(64, 2),
-            )
-            .unwrap();
-        for (a, b) in piped
-            .results
-            .iter()
-            .flatten()
-            .zip(sync.results.iter().flatten())
-        {
-            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+        assert_eq!(piped.useful_flops, sync.useful_flops);
+        // 75 tensors per device in chunks of 64: 2 chunks of 3 ops on each
+        // of a host's 2 devices.
+        for shard in &piped.shards {
+            assert_eq!(shard.timeline.ops.len(), 2 * 2 * 3);
         }
     }
 
     #[test]
     fn empty_batch_is_an_error() {
         let cluster = Cluster::homogeneous(DeviceSpec::tesla_c2050(), 2, 1).unwrap();
-        let none = TensorBatch::<f32>::new(4, 3).unwrap();
-        let starts = vec![vec![1.0f32, 0.0, 0.0]];
         let err = cluster
-            .launch(
-                &none,
-                &starts,
-                IterationPolicy::Fixed(5),
-                Shift::Fixed(0.0),
-                GpuVariant::General,
-                SYNC,
-            )
+            .launch(paper_shape(1, &[]), GpuVariant::General, SYNC)
             .unwrap_err();
         assert_eq!(err, GpuError::EmptyBatch);
     }

@@ -6,26 +6,27 @@
 //! combinatorial formulas. Agreement must be *exact* — these are integer
 //! counts of the same arithmetic, not estimates.
 
-use gpusim::{launch_sshopm, DeviceSpec, GpuVariant, OpCounters};
+use gpusim::{
+    Cluster, DeviceSpec, GpuVariant, IterationCounts, LaunchReport, OpCounters, Schedule,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sshopm::starts::random_uniform_starts;
-use sshopm::{IterationPolicy, Shift};
+use rand::{Rng, SeedableRng};
 use symtensor::flops::sshopm_iter_flops;
-use symtensor::TensorBatch;
 
-fn workload(
-    m: usize,
-    n: usize,
-    t: usize,
-    v: usize,
-    seed: u64,
-) -> (TensorBatch<f32>, Vec<Vec<f32>>) {
+/// `t` tensors × `v` starts of iteration counts that differ from solve to
+/// solve, as a convergence policy's do.
+fn ragged(t: usize, v: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let tensors = TensorBatch::random(m, n, t, &mut rng).unwrap();
-    let starts = random_uniform_starts(n, v, &mut rng);
-    (tensors, starts)
+    (0..t * v).map(|_| rng.gen_range(1u64..200)).collect()
+}
+
+/// One synchronous launch of `counts` (`f32` scalars) on `device`.
+fn launch(device: &DeviceSpec, counts: IterationCounts<'_>, variant: GpuVariant) -> LaunchReport {
+    let report = Cluster::from(device.clone())
+        .launch(counts, variant, Schedule::SYNCHRONOUS)
+        .unwrap();
+    report.shards[0].slices[0].report.clone()
 }
 
 /// Counted useful flops of a launch == Σ_threads iterations × the
@@ -33,35 +34,19 @@ fn workload(
 #[test]
 fn launch_useful_flops_match_closed_form_exactly() {
     for (m, n) in [(3, 3), (4, 3), (4, 4), (3, 5)] {
-        let (tensors, starts) = workload(m, n, 7, 32, 42 + m as u64 * 10 + n as u64);
+        // Counts that differ per thread exercise the per-thread scaling
+        // rather than a uniform T·V·k.
+        let iterations = ragged(7, 32, 42 + m as u64 * 10 + n as u64);
+        let counts = IterationCounts::new(m, n, 4, 32, &iterations).unwrap();
         let device = DeviceSpec::tesla_c2050();
-        // A convergence policy makes per-thread iteration counts differ,
-        // exercising the per-thread scaling rather than a uniform T·V·k.
-        let policy = IterationPolicy::Converge {
-            tol: 1e-5,
-            max_iters: 200,
-        };
         for variant in [GpuVariant::General, GpuVariant::Unrolled] {
             if variant == GpuVariant::Unrolled
                 && symtensor::UnrolledKernels::for_shape(m, n).is_none()
             {
                 continue;
             }
-            let (res, report) = launch_sshopm(
-                &device,
-                &tensors,
-                &starts,
-                policy,
-                Shift::Fixed(0.4),
-                variant,
-            )
-            .unwrap();
-            let total_iterations: u64 = res
-                .results
-                .iter()
-                .flatten()
-                .map(|p| p.iterations as u64)
-                .sum();
+            let report = launch(&device, counts, variant);
+            let total_iterations: u64 = iterations.iter().sum();
             assert!(total_iterations > 0);
             assert_eq!(
                 report.useful_flops,
@@ -79,18 +64,11 @@ fn launch_useful_flops_match_closed_form_exactly() {
 #[test]
 fn fixed_policy_flops_are_t_v_k_times_per_iteration() {
     let (t, v, k) = (9, 64, 25);
-    let (tensors, starts) = workload(4, 3, t, v, 7);
+    let iterations = vec![k as u64; t * v];
+    let counts = IterationCounts::new(4, 3, 4, v, &iterations).unwrap();
     let device = DeviceSpec::tesla_c2050();
     for variant in [GpuVariant::General, GpuVariant::Unrolled] {
-        let (_, report) = launch_sshopm(
-            &device,
-            &tensors,
-            &starts,
-            IterationPolicy::Fixed(k),
-            Shift::Fixed(0.0),
-            variant,
-        )
-        .unwrap();
+        let report = launch(&device, counts, variant);
         assert_eq!(
             report.useful_flops,
             (t * v * k) as u64 * sshopm_iter_flops(4, 3)
