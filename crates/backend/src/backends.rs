@@ -432,11 +432,11 @@ impl GpuSimBackend {
         Ok(self)
     }
 
-    /// Set the tensors per chunk of a chunked schedule: `pipelined` specs
-    /// and `cluster` specs with more than one stream per device. Zero is
-    /// an error (the CLI's
-    /// `--chunk-tensors` flag lands here): a zero-sized pipeline chunk
-    /// would make no progress.
+    /// Set the tensors per chunk of a chunked schedule: `pipelined` specs,
+    /// `cluster` specs with more than one stream per device, and the
+    /// [`ResilientBackend`](crate::ResilientBackend) that wraps this
+    /// backend. Zero is an error (the CLI's `--chunk-tensors` flag lands
+    /// here): a zero-sized pipeline chunk would make no progress.
     pub fn with_chunk_tensors(mut self, chunk_tensors: usize) -> Result<Self, BackendError> {
         if chunk_tensors == 0 {
             return Err(BackendError(
@@ -456,6 +456,16 @@ impl GpuSimBackend {
     /// Streams per device.
     pub(crate) fn streams_per_device(&self) -> usize {
         self.streams_per_device
+    }
+
+    /// Tensors per chunk of a chunked schedule or a resilient run.
+    pub(crate) fn chunk_tensors(&self) -> usize {
+        self.chunk_tensors
+    }
+
+    /// Whether the backend was built from a `cluster` spec.
+    pub(crate) fn is_cluster(&self) -> bool {
+        self.family == Family::Cluster
     }
 
     /// Kernel implementation in use (mapped onto a GPU variant).

@@ -1,9 +1,10 @@
 //! [`ResilientBackend`]: fault-tolerant batched execution over simulated
 //! GPUs.
 //!
-//! Wraps a [`GpuSimBackend`] — its topology, kernel strategy and streams —
-//! but splits the batch into small chunks and survives the faults a
-//! [`gpusim::FaultPlan`] injects:
+//! Wraps a [`GpuSimBackend`] — its topology, kernel strategy, streams and
+//! chunk size ([`GpuSimBackend::with_chunk_tensors`], 256 tensors by
+//! default) — but splits the batch into those chunks and survives the
+//! faults a [`gpusim::FaultPlan`] injects:
 //!
 //! * **Transient launch failures** (watchdog timeouts, transfer errors)
 //!   are retried on the same device with exponential backoff, up to
@@ -46,7 +47,7 @@
 
 use crate::backends::{
     device_profile, device_shift, empty_report, finish, record_batch_counters, solve_in_lanes,
-    GpuSimBackend, SolveBackend, CHUNK_TENSORS,
+    GpuSimBackend, SolveBackend,
 };
 use crate::report::{BatchReport, FaultLog};
 use crate::spec::{device_slug, BackendError, BackendSpec};
@@ -168,17 +169,21 @@ enum Attempt {
 }
 
 impl<S: Scalar> SolveBackend<S> for ResilientBackend {
+    /// `resilient:` and the topology as the `pipelined` and `cluster`
+    /// specs label it, streams per device last: the modeled clock depends
+    /// on them.
     fn label(&self) -> String {
         let cluster = self.inner.cluster();
         let slug = device_slug(cluster.hosts()[0].devices[0].name);
+        let streams = self.inner.streams_per_device();
         let (hosts, devices) = (cluster.num_hosts(), cluster.num_devices());
-        if hosts > 1 {
+        if self.inner.is_cluster() {
             format!(
-                "resilient:cluster:gpusim:{slug}:{hosts}x{}",
+                "resilient:cluster:gpusim:{slug}:{hosts}x{}x{streams}",
                 devices / hosts
             )
         } else {
-            format!("resilient:gpusim:{slug}:{devices}")
+            format!("resilient:gpusim:{slug}:{devices}x{streams}")
         }
     }
 
@@ -233,10 +238,11 @@ impl<S: Scalar> SolveBackend<S> for ResilientBackend {
         let mut useful_flops = 0u64;
         let iter_flops = flops::sshopm_iter_flops(m, n);
 
-        let num_chunks = batch.len().div_ceil(CHUNK_TENSORS);
+        let chunk_tensors = self.inner.chunk_tensors();
+        let num_chunks = batch.len().div_ceil(chunk_tensors);
         for chunk_index in 0..num_chunks {
-            let lo = chunk_index * CHUNK_TENSORS;
-            let hi = (lo + CHUNK_TENSORS).min(batch.len());
+            let lo = chunk_index * chunk_tensors;
+            let hi = (lo + chunk_tensors).min(batch.len());
             // Zero-copy view into the arena: the chunk is never cloned,
             // faults or not.
             let chunk = batch.slice(lo..hi);
@@ -649,7 +655,7 @@ mod tests {
         assert!(backend.failover);
         assert_eq!(
             SolveBackend::<f64>::label(&backend),
-            "resilient:gpusim:tesla-c2050:3"
+            "resilient:gpusim:tesla-c2050:3x2"
         );
     }
 
@@ -665,7 +671,7 @@ mod tests {
         assert_eq!(backend.num_hosts(), 3);
         assert_eq!(
             SolveBackend::<f64>::label(&backend),
-            "resilient:cluster:gpusim:tesla-c2050:3x2"
+            "resilient:cluster:gpusim:tesla-c2050:3x2x1"
         );
     }
 

@@ -112,9 +112,11 @@ fn single_host_cluster_matches_multi_gpu_under_faults() {
     let b = build(&gpu_spec)
         .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
         .unwrap();
-    // A single-host cluster is the same fault surface: same label, same
-    // injection draws, same ledger, same bits out.
-    assert_eq!(a.backend, b.backend, "single-host labels must not fork");
+    // A single-host cluster is the same fault surface: same injection
+    // draws, same ledger, same bits out. Each label names the spec family
+    // and the streams per device.
+    assert_eq!(a.backend, "resilient:cluster:gpusim:tesla-c2050:1x2x2");
+    assert_eq!(b.backend, "resilient:gpusim:tesla-c2050:2x2");
     assert_eq!(a.fault_log.injected, b.fault_log.injected);
     assert_eq!(a.fault_log.failed_indices, b.fault_log.failed_indices);
     assert_eq!(a.fault_log.retries, b.fault_log.retries);

@@ -517,3 +517,28 @@ fn resilient_chunks_double_buffer_with_an_even_device_count() {
         );
     }
 }
+
+/// A resilient run deals chunks of its simulated GPUs' chunk size, which
+/// the CLI's `--chunk-tensors` sets: with every launch timing out and no
+/// retries, each of the 300 tensors' chunks records one fault — 2 chunks
+/// of the default 256 tensors, 19 of 16.
+#[test]
+fn resilient_chunks_follow_the_inner_chunk_size() {
+    let (tensors, starts, solver) = workload(4, 3, 300, 8, 67);
+    let spec = BackendSpec::parse("gpusim:2").unwrap();
+    let plan = parse_fault_plan("seed=1,watchdog=1").unwrap();
+    let injected = |chunk_tensors: Option<usize>| {
+        let mut backend = ResilientBackend::from_spec(&spec, KernelStrategy::General, plan)
+            .unwrap()
+            .with_retries(0);
+        if let Some(chunk) = chunk_tensors {
+            backend.inner = backend.inner.with_chunk_tensors(chunk).unwrap();
+        }
+        let report = backend
+            .solve_batch(&tensors, &starts, &solver, &Telemetry::disabled())
+            .unwrap();
+        report.fault_log.injected.len()
+    };
+    assert_eq!(injected(None), 2);
+    assert_eq!(injected(Some(16)), 19);
+}

@@ -6,12 +6,13 @@
 //! ```
 //!
 //! Runs the fixed scenario matrix (see `bench::regress`), writes the
-//! schema-versioned summary to `BENCH_regress.json`, and compares it
-//! against the committed baseline (default
-//! `benchmarks/baselines/<suite>.json`). Exits nonzero on regression.
-//! Alongside the matrix it runs the solver comparison (`sshopm`, `geap`,
-//! `qrst` on one shared workload; iteration counts are the deterministic
-//! metric) and writes it to `BENCH_solvers.json`.
+//! schema-versioned summary to `BENCH_regress.json` (or `--out`), and
+//! compares it against the committed baseline (default
+//! `benchmarks/baselines/<suite>.json` under the workspace root, whatever
+//! the working directory). Exits nonzero on regression. Alongside the
+//! matrix it runs the solver comparison (`sshopm`, `geap`, `qrst` on one
+//! shared workload; iteration counts are the deterministic metric) and
+//! writes it to `BENCH_solvers.json` in the directory of `--out`.
 //!
 //! * `--quick` — the small CI perf-smoke suite (default: full).
 //! * `--tolerance X` — scale both tolerance bands (1.0 = committed).
@@ -19,7 +20,9 @@
 //! * `--validate-baselines` — schema-check every committed baseline
 //!   under `benchmarks/baselines/` without running anything.
 
-use bench::regress::{baseline_from_run, compare, run_matrix, run_solvers, validate_baseline};
+use bench::regress::{
+    baseline_from_run, baselines_dir, compare, run_matrix, run_solvers, validate_baseline,
+};
 use serde::Value;
 use std::process::ExitCode;
 
@@ -70,8 +73,8 @@ fn parse_args() -> Result<Options, String> {
 
 /// Schema-check every `benchmarks/baselines/*.json`; true when clean.
 fn validate_all_baselines() -> bool {
-    let dir = std::path::Path::new("benchmarks/baselines");
-    let entries = match std::fs::read_dir(dir) {
+    let dir = baselines_dir();
+    let entries = match std::fs::read_dir(&dir) {
         Ok(entries) => entries,
         Err(e) => {
             eprintln!("cannot read {}: {e}", dir.display());
@@ -131,10 +134,10 @@ fn main() -> ExitCode {
     }
 
     let suite = if opts.quick { "quick" } else { "full" };
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| format!("benchmarks/baselines/{suite}.json"));
+    let baseline_path = opts.baseline.clone().unwrap_or_else(|| {
+        let default = baselines_dir().join(format!("{suite}.json"));
+        default.display().to_string()
+    });
     println!("running {suite} regression matrix (seed {})", opts.seed);
     let run = run_matrix(opts.quick, opts.seed);
     if let Err(e) = std::fs::write(&opts.out, run.to_json_pretty() + "\n") {
@@ -144,7 +147,12 @@ fn main() -> ExitCode {
     println!("wrote {}", opts.out);
 
     let solvers = run_solvers(opts.quick, opts.seed);
-    bench::write_bench_json("solvers", &solvers);
+    let out_dir = std::path::Path::new(&opts.out).parent();
+    bench::write_bench_json_in(
+        out_dir.unwrap_or(std::path::Path::new("")),
+        "solvers",
+        &solvers,
+    );
 
     if opts.update {
         let baseline = baseline_from_run(&run);

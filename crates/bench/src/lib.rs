@@ -309,10 +309,15 @@ pub fn bench_metadata(bench_name: &str) -> serde::Value {
 /// Write `value` to `BENCH_<name>.json` in the current directory and
 /// report the path (or the error — benches keep running either way).
 pub fn write_bench_json(name: &str, value: &serde::Value) {
-    let path = format!("BENCH_{name}.json");
+    write_bench_json_in(std::path::Path::new(""), name, value)
+}
+
+/// [`write_bench_json`] into `dir` instead of the current directory.
+pub fn write_bench_json_in(dir: &std::path::Path, name: &str, value: &serde::Value) {
+    let path = dir.join(format!("BENCH_{name}.json"));
     match std::fs::write(&path, value.to_json_pretty() + "\n") {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(err) => eprintln!("could not write {}: {err}", path.display()),
     }
 }
 

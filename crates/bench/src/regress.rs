@@ -25,6 +25,16 @@ use backend::{
 use gpusim::{DeviceSpec, FaultPlan, TransferModel};
 use serde::Value;
 use sshopm::{IterationPolicy, Shift, SolverSpec};
+use std::path::{Path, PathBuf};
+
+/// The committed baselines, `benchmarks/baselines/` under the workspace
+/// root. It is found from this crate's manifest directory, so `regress`
+/// reads the same files from any working directory.
+pub fn baselines_dir() -> PathBuf {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest.ancestors().nth(2).unwrap_or(manifest);
+    root.join("benchmarks").join("baselines")
+}
 
 /// Schema version stamped into every regress run and baseline file.
 pub const REGRESS_SCHEMA_VERSION: u64 = 1;
@@ -473,6 +483,16 @@ pub fn compare(current: &Value, baseline: &Value, tolerance_scale: f64) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default baseline of each suite resolves to its committed file,
+    /// an absolute path that does not depend on the working directory.
+    #[test]
+    fn default_baselines_resolve_from_the_workspace_root() {
+        for suite in ["quick", "full"] {
+            let path = baselines_dir().join(format!("{suite}.json"));
+            assert!(path.is_absolute() && path.is_file(), "{}", path.display());
+        }
+    }
 
     /// Multiply every deterministic metric value in a run/baseline
     /// document by `factor`, simulating a stale (inflated) baseline.

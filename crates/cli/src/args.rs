@@ -3,6 +3,7 @@
 //! policy. Unknown options are errors; every command documents its own
 //! option set.
 
+use crate::CmdError;
 use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: positional values in order plus a map of
@@ -15,18 +16,6 @@ pub struct Args {
     pub options: BTreeMap<String, String>,
 }
 
-/// A parse error with a human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArgError {}
-
 impl Args {
     /// Parse raw arguments against the sets of options that take a value
     /// and boolean flags; anything starting with `--` outside both sets is
@@ -35,7 +24,7 @@ impl Args {
         raw: I,
         value_opts: &[&str],
         flag_opts: &[&str],
-    ) -> Result<Args, ArgError> {
+    ) -> Result<Args, CmdError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
         while let Some(tok) = iter.next() {
@@ -45,10 +34,10 @@ impl Args {
                 } else if value_opts.contains(&name) {
                     let value = iter
                         .next()
-                        .ok_or_else(|| ArgError(format!("--{name} requires a value")))?;
+                        .ok_or_else(|| CmdError(format!("--{name} requires a value")))?;
                     args.options.insert(name.to_string(), value);
                 } else {
-                    return Err(ArgError(format!("unknown option --{name}")));
+                    return Err(CmdError(format!("unknown option --{name}")));
                 }
             } else {
                 args.positional.push(tok);
@@ -58,11 +47,11 @@ impl Args {
     }
 
     /// Positional argument `i`, or an error naming it.
-    pub fn positional(&self, i: usize, name: &str) -> Result<&str, ArgError> {
+    pub fn positional(&self, i: usize, name: &str) -> Result<&str, CmdError> {
         self.positional
             .get(i)
             .map(|s| s.as_str())
-            .ok_or_else(|| ArgError(format!("missing required argument <{name}>")))
+            .ok_or_else(|| CmdError(format!("missing required argument <{name}>")))
     }
 
     /// Option value as a string, if present.
@@ -75,14 +64,18 @@ impl Args {
         self.options.contains_key(name)
     }
 
+    /// Parse an option into any `FromStr` type, if present.
+    pub fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CmdError> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| CmdError(format!("invalid value for --{name}: {v:?}")))
+        };
+        self.get(name).map(parse).transpose()
+    }
+
     /// Parse an option into any `FromStr` type, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value for --{name}: {v:?}"))),
-        }
+    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CmdError> {
+        Ok(self.get_opt(name)?.unwrap_or(default))
     }
 }
 

@@ -1,27 +1,26 @@
 //! # tensor-eig-cli — command-line front end
 //!
-//! Subcommands (see [`run`]):
+//! Subcommands, one module each, dispatched by [`run`]; `tensor-eig help`
+//! ([`usage`]) prints every command's options from the same table:
 //!
-//! * `random <m> <n> <count> --out FILE [--seed S]` — generate tensors;
-//! * `info <file>` — shape/count summary of a tensor file;
-//! * `solve <file> [--backend B] [--kernel K] [--solver V] [--starts N]
-//!   [--shift convex|concave|adaptive|FLOAT] [--tol T] [--refine]` —
-//!   eigenpairs per tensor, batched through any execution backend;
-//! * `phantom --out FILE [--width W --height H --noise X --seed S]` —
-//!   DW-MRI phantom tensors;
-//! * `fibers <file> [--backend B] [--kernel K] [--solver V] [--starts N]
-//!   [--max-fibers K]` — fiber directions;
-//! * `gpu <file> [--starts N] [--variant general|unrolled] [--devices K]
-//!   [--iters I]` — batched solve on the simulated GPU;
-//! * `profile [file]` — run one simulated GPU launch and dump the full
+//! * `random` — generate a file of random tensors;
+//! * `info` — shape/count summary of a tensor file;
+//! * `solve` — eigenpairs per tensor, batched through any execution
+//!   backend;
+//! * `phantom` — DW-MRI phantom tensors;
+//! * `fibers` — fiber directions per voxel;
+//! * `decompose` — greedy rank-one decomposition of each tensor;
+//! * `tract` — streamlines traced through a grid's fiber field;
+//! * `gpu` — one batched solve on the simulated GPU, with its modeled
+//!   cost;
+//! * `profile` — run one simulated GPU launch and dump the full
 //!   [`gpusim::ProfileSnapshot`] as pretty JSON;
-//! * `report [file] [--format text|json|prom] [--out PATH]` — run one
-//!   batched solve (synthetic workload without a file) and emit the
-//!   unified, schema-versioned [`telemetry::RunReport`]: throughput,
-//!   fault/retry/failover rates, and per-chunk/per-stream/per-device
-//!   latency quantiles. `solve` and `fibers` accept `--report-out PATH`
-//!   and `--report-format F` to emit the same report alongside their
-//!   normal output.
+//! * `report` — run one batched solve (synthetic workload without a file)
+//!   and emit the unified, schema-versioned [`telemetry::RunReport`]:
+//!   throughput, fault/retry/failover rates, and per-chunk/per-stream/
+//!   per-device latency quantiles. `solve` and `fibers` accept
+//!   `--report-out PATH` and `--report-format F` to emit the same report
+//!   alongside their normal output.
 //!
 //! `--backend` takes a [`backend::BackendSpec`] string — `cpu` (default,
 //! sequential), `cpu:8` / `cpu:all` (rayon pool), `gpusim` (one simulated
@@ -68,8 +67,8 @@
 
 #![deny(missing_docs)]
 
-pub mod args;
-pub mod commands;
+mod args;
+mod commands;
 mod listing;
 
 use std::io::Write;
@@ -78,7 +77,7 @@ use telemetry::{JsonLinesSink, Telemetry};
 /// Global options recognized anywhere on the command line, stripped
 /// before subcommand dispatch.
 #[derive(Debug, Default, Clone)]
-pub struct GlobalOpts {
+pub(crate) struct GlobalOpts {
     /// Print a telemetry summary after the command.
     pub verbose: bool,
     /// Suppress normal command output.
@@ -145,40 +144,19 @@ impl GlobalOpts {
 pub fn run(argv: Vec<String>, out: &mut dyn Write) -> Result<(), String> {
     let (globals, argv) = GlobalOpts::extract(argv)?;
     let telemetry = globals.telemetry()?;
-    let Some((cmd, rest)) = argv.split_first() else {
+    let Some((name, rest)) = argv.split_first() else {
         return Err(usage());
     };
-    let rest = rest.to_vec();
     let mut devnull = std::io::sink();
     let cmd_out: &mut dyn Write = if globals.quiet { &mut devnull } else { out };
-    let result: Result<(), String> = match cmd.as_str() {
-        "random" => commands::random(rest, cmd_out),
-        "info" => commands::info(rest, cmd_out),
-        "solve" => commands::solve_instrumented(rest, cmd_out, &telemetry),
-        "phantom" => commands::phantom(rest, cmd_out),
-        "fibers" => commands::fibers_instrumented(rest, cmd_out, &telemetry),
-        "decompose" => commands::decompose(rest, cmd_out),
-        "tract" => commands::tract(rest, cmd_out),
-        "gpu" => commands::gpu_instrumented(rest, cmd_out, &telemetry),
-        "profile" => commands::profile(rest, cmd_out, &telemetry),
-        "report" => commands::report_instrumented(rest, cmd_out, &telemetry),
-        "help" | "--help" | "-h" => {
+    match commands::COMMANDS.iter().find(|cmd| cmd.name == name) {
+        Some(cmd) => (cmd.run)(rest.to_vec(), cmd_out, &telemetry).map_err(|e| e.0)?,
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
             let _ = writeln!(cmd_out, "{}", usage());
-            Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
-    };
-    result?;
-    finish_telemetry(&globals, &telemetry, out)
-}
-
-/// Post-command telemetry drain: trace export, sink flush, verbose
-/// summary.
-fn finish_telemetry(
-    globals: &GlobalOpts,
-    telemetry: &Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), String> {
+        None => return Err(format!("unknown command {name:?}\n{}", usage())),
+    }
+    // The telemetry drain: trace export, sink flush, verbose summary.
     if let Some(path) = &globals.trace_out {
         std::fs::write(path, telemetry.chrome_trace_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -190,21 +168,18 @@ fn finish_telemetry(
     Ok(())
 }
 
-/// The usage banner.
+/// The usage banner: one line per command of `commands::COMMANDS`, then
+/// the global options and notes.
 pub fn usage() -> String {
-    "tensor-eig [global options] <command> [options]\n\
-     commands:\n\
-     \x20 random <m> <n> <count> --out FILE [--seed S]\n\
-     \x20 info <file>\n\
-     \x20 solve <file> [--backend B] [--kernel K] [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] [--tol T] [--seed S] [--refine] [--all] [--pipeline] [--streams K] [--chunk-tensors N]\n\
-     \x20 phantom --out FILE [--width W] [--height H] [--noise X] [--seed S]\n\
-     \x20 fibers <file> [--backend B] [--kernel K] [--solver V] [--shift ...] [--starts N] [--max-fibers K] [--pipeline] [--streams K] [--chunk-tensors N]\n\
-     \x20 decompose <file> [--terms K] [--starts N] [--tol T]\n\
-     \x20 tract <file> --width W [--height H] [--starts N] [--seeds K]\n\
-     \x20 gpu <file> [--starts N] [--variant general|unrolled] [--devices K] [--iters I] [--seed S]\n\
-     \x20 profile [file] [--tensors T] [--m M] [--n N] [--starts N] [--variant general|unrolled] [--iters I] [--device c1060|c2050|gtx580] [--seed S] [--pipeline] [--streams K]\n\
-     \x20 report [file] [--tensors T] [--m M] [--n N] [--starts N] [--iters I] [--backend B] [--kernel K] [--solver V] [--format text|json|prom] [--out PATH] [--seed S]\n\
-     \x20 help\n\
+    let mut text = String::from("tensor-eig [global options] <command> [options]\ncommands:\n");
+    for cmd in commands::COMMANDS {
+        text += &format!("  {}\n", cmd.usage());
+    }
+    text + USAGE_NOTES
+}
+
+/// The banner after the command lines.
+const USAGE_NOTES: &str = "  help\n\
      global options:\n\
      \x20 --verbose            print a telemetry summary after the command\n\
      \x20 --quiet              suppress normal output (errors still shown)\n\
@@ -224,8 +199,9 @@ pub fn usage() -> String {
      \x20 whose transfers overlap compute; prints the resolved event-timeline\n\
      \x20 summary) and a one-stream cluster to 2 streams per device.\n\
      \x20 --streams K overrides the streams per device (default 2);\n\
-     \x20 --chunk-tensors N sets the tensors per chunk of pipelined and\n\
-     \x20 cluster backends (default 256).\n\
+     \x20 --chunk-tensors N sets the tensors per chunk of pipelined, cluster\n\
+     \x20 and fault-injected backends (default 256); CPU backends take none\n\
+     \x20 of the three.\n\
      \x20 --kernel K picks how contractions are computed: batched (default;\n\
      \x20 on the CPU, sshopm under a fixed, convex or concave shift runs in\n\
      \x20 lockstep lanes over the tensor arena, other solves on the compiled\n\
@@ -243,23 +219,21 @@ pub fn usage() -> String {
      \x20 p50/p90/p99 latency histograms) as text, JSON, or Prometheus text\n\
      \x20 exposition; solve and fibers take --report-out PATH and\n\
      \x20 --report-format text|json|prom to emit the same report alongside\n\
-     \x20 their normal output."
-        .to_string()
-}
+     \x20 their normal output.";
 
 /// Internal command error, stringly typed at the CLI boundary.
 #[derive(Debug)]
-pub struct CmdError(pub String);
+pub(crate) struct CmdError(pub(crate) String);
+
+impl std::fmt::Display for CmdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
 
 impl<E: std::error::Error> From<E> for CmdError {
     fn from(e: E) -> Self {
         CmdError(e.to_string())
-    }
-}
-
-impl From<CmdError> for String {
-    fn from(e: CmdError) -> String {
-        e.0
     }
 }
 
