@@ -49,7 +49,7 @@ fn tensor_constant_shifts_run_on_a_simulated_gpu() {
         ("sshopm", Shift::Fixed(0.0)),
         ("sshopm", Shift::Convex),
         ("sshopm", Shift::Concave),
-        ("sshopm:0.5", Shift::Convex),
+        ("sshopm", Shift::Fixed(0.5)),
     ];
     let policies = [
         IterationPolicy::Fixed(6),

@@ -60,8 +60,8 @@ fn assert_bitwise_equal(got: &BatchReport<f32>, want: &BatchReport<f32>, label: 
     }
 }
 
-/// The exact solver the CLI builds for `--solver sshopm --shift fixed:A
-/// --tol T` — the refactored spec path.
+/// The exact solver the CLI builds for `--solver sshopm --shift A --tol
+/// T` — the refactored spec path.
 fn spec_solver(spec: &str, shift: Shift) -> Box<dyn Solver<f32>> {
     SolverSpec::parse(spec).unwrap().build::<f32>(
         shift,
@@ -104,25 +104,6 @@ fn default_spec_is_bitwise_identical_to_pre_refactor_sshopm() {
             );
             assert_eq!(via_spec.solver, "sshopm");
         }
-    }
-}
-
-#[test]
-fn pinned_alpha_spec_matches_explicit_fixed_shift() {
-    // `sshopm:A` must behave exactly like `sshopm` with `--shift fixed:A`
-    // — the pinned alpha overrides whatever default shift the caller
-    // supplies.
-    let (tensors, starts) = workload(4, 3);
-    let pinned = spec_solver("sshopm:2.5", Shift::Convex);
-    let explicit = legacy_solver(Shift::Fixed(2.5));
-    for backend in backends(KernelStrategy::Tape) {
-        let a = backend
-            .solve_batch(&tensors, &starts, &*pinned, &Telemetry::disabled())
-            .unwrap();
-        let b = backend
-            .solve_batch(&tensors, &starts, &explicit, &Telemetry::disabled())
-            .unwrap();
-        assert_bitwise_equal(&a, &b, &a.backend.clone());
     }
 }
 

@@ -20,15 +20,12 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let path = args.positional(0, "file")?;
     let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
-    let shift = match args.get("shift") {
-        None => dwmri::ExtractConfig::default().shift,
-        Some(_) => parse_shift(args.get("shift"))?,
-    };
+    let (solver, shift) = parse_solver(&args)?;
     let cfg = dwmri::ExtractConfig {
         num_starts: parse_starts(&args, 64)?,
         max_fibers: args.get_parsed("max-fibers", 3)?,
         shift,
-        solver: parse_solver(&args)?,
+        solver,
         ..Default::default()
     };
     check_gpu_solver(&spec, &*cfg.build_solver())?;

@@ -4,9 +4,8 @@ use super::*;
 
 pub(super) const COMMAND: Command = Command {
     name: "gpu",
-    usage: "<file> [--starts N] [--variant general|unrolled] [--devices K] [--iters I] \
-            [--seed S]",
-    values: &["starts", "variant", "devices", "iters", "seed"],
+    usage: "<file> [--starts N] [--kernel K] [--devices K] [--iters I] [--seed S]",
+    values: &["starts", "kernel", "devices", "iters", "seed"],
     flags: &[],
     groups: &[],
     run,
@@ -20,7 +19,7 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let starts_count = parse_starts(&args, 128)?;
     let devices: usize = args.get_parsed("devices", 1)?;
     let iters: usize = args.get_parsed("iters", 20)?;
-    let strategy = parse_variant(args.get("variant"))?;
+    let strategy = parse_kernel(&args, KernelStrategy::Tape)?;
 
     let tensors = load_f32(path)?;
     let (m, n) = (tensors.order(), tensors.dim());
@@ -35,11 +34,12 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let solver = SsHopm::new(Shift::Fixed(0.0)).with_policy(IterationPolicy::Fixed(iters));
     let _launch_span = telemetry.span("cli.gpu");
     let report = backend.solve_batch(&tensors, &starts, &solver, telemetry)?;
-    if strategy != KernelStrategy::General && report.kernel == gpusim::GpuVariant::General.name() {
+    // Only `tape` asks for the unrolled variant; the others run general.
+    if strategy == KernelStrategy::Tape && report.kernel == gpusim::GpuVariant::General.name() {
         writeln!(
             out,
             "note: no {} kernel for shape ({m},{n}); falling back to {}",
-            args.get("variant").unwrap_or("unrolled"),
+            args.get("kernel").unwrap_or("unrolled"),
             report.kernel
         )?;
     }

@@ -145,19 +145,28 @@ fn parse_starts(args: &Args, default: usize) -> Result<usize, CmdError> {
     }
 }
 
-/// Parse `--solver` (default `sshopm`) into a [`SolverSpec`]; the parse
-/// error already names the valid alternatives.
-fn parse_solver(args: &Args) -> Result<SolverSpec, CmdError> {
-    Ok(SolverSpec::parse(args.get("solver").unwrap_or("sshopm"))?)
+/// Parse `--solver` (default `sshopm`) into a [`SolverSpec`] and
+/// `--shift` into the shift it runs under. The shift is SS-HOPM's alone:
+/// `geap` picks its own per iterate and `qrst` has none, so an explicit
+/// `--shift` with either is an error naming both flags.
+fn parse_solver(args: &Args) -> Result<(SolverSpec, Shift), CmdError> {
+    let shift = parse_shift(args.get("shift"))?;
+    let name = args.get("solver").unwrap_or("sshopm");
+    let solver =
+        SolverSpec::parse(name).map_err(|e| CmdError(format!("invalid --solver {name:?}: {e}")))?;
+    match args.get("shift") {
+        Some(v) if solver != SolverSpec::SsHopm => Err(CmdError(format!(
+            "--shift {v} has no effect with --solver {solver}: only sshopm takes a shift"
+        ))),
+        _ => Ok((solver, shift)),
+    }
 }
 
-/// Parse `--variant` (the GPU-side kernel choice) into a strategy;
-/// `unrolled` (the default) and `tape` both mean straight-line kernels.
-fn parse_variant(s: Option<&str>) -> Result<KernelStrategy, CmdError> {
-    match s {
-        None | Some("unrolled" | "tape") => Ok(KernelStrategy::Tape),
-        Some("general") => Ok(KernelStrategy::General),
-        Some(v) => Err(CmdError(format!("invalid --variant {v:?}"))),
+/// Parse `--kernel` into a [`KernelStrategy`], `default` when absent.
+fn parse_kernel(args: &Args, default: KernelStrategy) -> Result<KernelStrategy, CmdError> {
+    match args.get("kernel") {
+        None => Ok(default),
+        Some(k) => Ok(KernelStrategy::parse(k)?),
     }
 }
 
@@ -180,14 +189,10 @@ fn check_gpu_solver(spec: &BackendSpec, solver: &dyn Solver<f64>) -> Result<(), 
     )))
 }
 
-/// Streams per device when `--pipeline` asks for overlap without
-/// `--streams`: classic double buffering.
-const DEFAULT_STREAMS: usize = 2;
-
 /// Where a batched solve runs, read by [`parse_backend`].
 const BACKEND: Opts = Opts {
-    usage: "[--backend B] [--kernel K] [--pipeline] [--streams K] [--chunk-tensors N] \
-            [--faults SPEC] [--retry N] [--failover]",
+    usage: "[--backend B] [--kernel K] [--streams K] [--chunk-tensors N] [--faults SPEC] \
+            [--retry N] [--failover]",
     values: &[
         "backend",
         "kernel",
@@ -196,7 +201,7 @@ const BACKEND: Opts = Opts {
         "faults",
         "retry",
     ],
-    flags: &["pipeline", "failover"],
+    flags: &["failover"],
 };
 
 /// Parse the [`BACKEND`] group: `--backend` (default `cpu`) and `--kernel`
@@ -204,37 +209,43 @@ const BACKEND: Opts = Opts {
 /// the spec alone fixes the topology, schedule and label
 /// ([`BackendSpec::build_gpusim`]). When any of `--faults SPEC`,
 /// `--retry N` or `--failover` is present the backend is wrapped in a
-/// [`ResilientBackend`] (gpusim specs only). `--pipeline` upgrades a
-/// `gpusim` spec to its `pipelined` form and a one-stream `cluster` spec
-/// to [`DEFAULT_STREAMS`]. An explicit `--streams N` overrides the streams
-/// per device everywhere; `--chunk-tensors N` resizes the chunks of
-/// pipelined, cluster and resilient schedules. A CPU backend has no
-/// streams or chunks, so it rejects all three.
+/// [`ResilientBackend`] (gpusim specs only). `--streams N` overrides the
+/// streams per device and `--chunk-tensors N` the tensors per chunk, and
+/// each is an error wherever the built schedule would ignore it.
 fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>), CmdError> {
-    let mut spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
-    let strategy = match args.get("kernel") {
-        None => KernelStrategy::Batched,
-        Some(k) => KernelStrategy::parse(k)?,
-    };
+    let spec: BackendSpec = args.get("backend").unwrap_or("cpu").parse()?;
+    let strategy = parse_kernel(args, KernelStrategy::Batched)?;
     let streams: Option<usize> = args.get_opt("streams")?;
     let chunk_tensors: Option<usize> = args.get_opt("chunk-tensors")?;
-    // Streams and chunks overlap transfers with compute on a device.
-    let gpu_only = ["pipeline", "streams", "chunk-tensors"]
+    let resilient =
+        args.get("faults").is_some() || args.get("retry").is_some() || args.flag("failover");
+    // Only a chunked schedule deals chunks over streams: a pipelined spec,
+    // a resilient run, or a cluster with more than one stream per device.
+    // A cluster's stream count is what turns chunking on, so a cluster
+    // always takes `--streams`.
+    let takes = |flag: &str| match spec {
+        BackendSpec::Cpu { .. } => false,
+        BackendSpec::GpuSim { .. } => resilient,
+        BackendSpec::Pipelined { .. } => true,
+        BackendSpec::Cluster { streams: s, .. } => {
+            resilient || flag == "streams" || streams.unwrap_or(s) > 1
+        }
+    };
+    let ignored = ["streams", "chunk-tensors"]
         .into_iter()
-        .find(|flag| args.get(flag).is_some());
-    if let (BackendSpec::Cpu { .. }, Some(flag)) = (&spec, gpu_only) {
-        return Err(CmdError(format!(
-            "--{flag} requires a gpusim backend, got {spec}: CPU backends have no streams to \
-             overlap"
-        )));
-    }
-    if args.flag("pipeline") {
-        if let BackendSpec::GpuSim { device, devices } = spec {
-            spec = BackendSpec::Pipelined { device, devices };
-        }
-        if let BackendSpec::Cluster { streams: s @ 1, .. } = &mut spec {
-            *s = DEFAULT_STREAMS;
-        }
+        .find(|&flag| args.get(flag).is_some() && !takes(flag));
+    if let Some(flag) = ignored {
+        return Err(CmdError(match spec {
+            BackendSpec::Cpu { .. } => format!(
+                "--{flag} requires a gpusim backend, got {spec}: CPU backends have no streams \
+                 to overlap"
+            ),
+            _ => format!(
+                "--{flag} has no effect on {spec}: it launches each device's slice whole; \
+                 streams and chunks act on pipelined specs, clusters with more than one stream \
+                 per device, and runs with --faults, --retry or --failover"
+            ),
+        }));
     }
     let sized = |mut gpus: GpuSimBackend| -> Result<GpuSimBackend, CmdError> {
         if let Some(k) = streams {
@@ -245,8 +256,6 @@ fn parse_backend(args: &Args) -> Result<(BackendSpec, Box<dyn SolveBackend<f64>>
         }
         Ok(gpus)
     };
-    let resilient =
-        args.get("faults").is_some() || args.get("retry").is_some() || args.flag("failover");
     let backend: Box<dyn SolveBackend<f64>> = if resilient {
         let plan = parse_fault_plan(args.get("faults").unwrap_or(""))?;
         let mut built = ResilientBackend::from_spec(&spec, strategy, plan)?
@@ -514,13 +523,7 @@ mod tests {
         let mut out = Vec::new();
         gpu(
             sv(&[
-                &path,
-                "--variant",
-                "general",
-                "--iters",
-                "2",
-                "--starts",
-                "8",
+                &path, "--kernel", "general", "--iters", "2", "--starts", "8",
             ]),
             &mut out,
         )
@@ -628,8 +631,8 @@ mod tests {
         let err = solve(sv(&[&path, "--shift", "sideways"]), &mut out).unwrap_err();
         assert!(err.contains("invalid --shift"));
         // A non-finite shift is an error naming the flag and the value, on
-        // every backend and through `--solver sshopm:ALPHA`, not a report
-        // of failed solves.
+        // every backend, not a report of failed solves; the solver spec
+        // takes no shift at all.
         for v in ["nan", "inf", "-inf", "1e400"] {
             for extra in [&[][..], &["--backend", "gpusim"]] {
                 let mut argv = vec![path.as_str(), "--shift", v, "--starts", "4"];
@@ -685,15 +688,7 @@ mod tests {
         let mut out = Vec::new();
         profile(
             sv(&[
-                &path,
-                "--variant",
-                "general",
-                "--device",
-                "gtx580",
-                "--starts",
-                "4",
-                "--iters",
-                "2",
+                &path, "--kernel", "general", "--device", "gtx580", "--starts", "4", "--iters", "2",
             ]),
             &mut out,
         )
@@ -793,7 +788,7 @@ mod tests {
         let run = |backend: &str| {
             let mut out = Vec::new();
             solve(
-                sv(&[&path, "--starts", "24", "--backend", backend, "--all"]),
+                sv(&[&path, "--starts", "24", "--backend", backend]),
                 &mut out,
             )
             .unwrap();
@@ -976,7 +971,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        for solver in ["geap", "qrst", "sshopm:1.5"] {
+        for solver in ["geap", "qrst", "sshopm"] {
             let mut out = Vec::new();
             solve(sv(&[&path, "--starts", "8", "--solver", solver]), &mut out).unwrap();
             let text = String::from_utf8(out).unwrap();
@@ -986,7 +981,11 @@ mod tests {
         // A malformed solver spec is a clean error naming the grammar.
         let mut out = Vec::new();
         let err = solve(sv(&[&path, "--solver", "newton"]), &mut out).unwrap_err();
-        assert!(err.contains("sshopm[:alpha]"), "{err}");
+        assert!(err.contains("invalid --solver \"newton\""), "{err}");
+        assert!(
+            err.contains("expected \"sshopm\", \"geap\" or \"qrst\""),
+            "{err}"
+        );
         // Adaptive solvers on GPU backends are clean errors, like --shift.
         let mut out = Vec::new();
         let err = solve(
@@ -1052,8 +1051,11 @@ mod tests {
         assert_eq!(run.solver, "geap");
     }
 
+    /// `solve` prints the resolved stream timeline whenever its report
+    /// carries one: multi-device, pipelined and fault-injected gpusim
+    /// runs, not a single device.
     #[test]
-    fn solve_pipeline_flag_prints_timeline_summary() {
+    fn solve_prints_the_timeline_its_report_carries() {
         let path = tmp("solvepipe.txt");
         let mut out = Vec::new();
         random(
@@ -1061,53 +1063,30 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        let mut out = Vec::new();
-        solve(
-            sv(&[
-                &path,
-                "--starts",
-                "8",
-                "--backend",
-                "gpusim",
-                "--shift",
-                "0",
-                "--pipeline",
-                "--streams",
-                "2",
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let solve_on = |backend: &[&str]| {
+            let mut argv = sv(&[&path, "--starts", "8", "--shift", "0"]);
+            argv.extend(sv(backend));
+            let mut out = Vec::new();
+            solve(argv, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let text = solve_on(&["--backend", "pipelined", "--streams", "2"]);
         assert!(
             text.contains("backend pipelined:gpusim:tesla-c2050:1x2"),
             "{text}"
         );
         assert!(text.contains("timeline:"), "{text}");
         assert!(text.contains("makespan"), "{text}");
-        // The explicit spec form routes the same way without the flag,
-        // but the timeline summary stays opt-in via --pipeline.
-        let mut out = Vec::new();
-        solve(
-            sv(&[
-                &path,
-                "--starts",
-                "8",
-                "--backend",
-                "pipelined",
-                "--shift",
-                "0",
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("backend pipelined:gpusim"), "{text}");
+        for backend in [
+            &["--backend", "gpusim:2"][..],
+            &["--backend", "gpusim", "--retry", "1"],
+        ] {
+            let text = solve_on(backend);
+            assert!(text.contains("timeline:"), "{backend:?}: {text}");
+        }
+        let text = solve_on(&["--backend", "gpusim"]);
+        assert!(text.contains("backend gpusim:tesla-c2050"), "{text}");
         assert!(!text.contains("timeline:"), "{text}");
-        // --pipeline on a CPU backend is a clean error.
-        let mut out = Vec::new();
-        let err = solve(sv(&[&path, "--pipeline"]), &mut out).unwrap_err();
-        assert!(err.contains("--pipeline requires"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1140,7 +1119,8 @@ mod tests {
             "{text}"
         );
         // --streams 0 and --chunk-tensors 0 are typed errors naming the
-        // flag, for cluster and pipelined backends alike.
+        // flag, for cluster and pipelined backends alike (chunks need a
+        // cluster with more than one stream per device).
         let mut out = Vec::new();
         let err = solve(
             sv(&[
@@ -1161,7 +1141,7 @@ mod tests {
             sv(&[
                 &path,
                 "--backend",
-                "cluster:1:2",
+                "cluster:1:2:2",
                 "--shift",
                 "0",
                 "--chunk-tensors",
@@ -1176,10 +1156,9 @@ mod tests {
             sv(&[
                 &path,
                 "--backend",
-                "gpusim",
+                "pipelined",
                 "--shift",
                 "0",
-                "--pipeline",
                 "--streams",
                 "0",
             ]),
@@ -1358,14 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_flag_pipelines_a_one_stream_cluster() {
-        let run = report_json("8", &["--backend", "cluster", "--pipeline"]);
-        assert_eq!(run.backend, "cluster:gpusim:tesla-c2050:2x2x2");
-        let run = report_json("8", &["--backend", "cluster:2:2:3", "--pipeline"]);
-        assert_eq!(run.backend, "cluster:gpusim:tesla-c2050:2x2x3");
-    }
-
-    #[test]
     fn report_pipeline_backend_carries_stream_latencies() {
         let mut out = Vec::new();
         report(
@@ -1377,8 +1348,7 @@ mod tests {
                 "--iters",
                 "2",
                 "--backend",
-                "gpusim",
-                "--pipeline",
+                "pipelined",
                 "--format",
                 "json",
             ]),
@@ -1669,12 +1639,12 @@ mod tests {
             argv.extend(sv(&["--backend", backend]));
             let mut out = Vec::new();
             cmd(argv, &mut out).unwrap_or_else(|e| panic!("{backend}: {e}"));
-            // The backend's own headline (label, seconds) aside, every
-            // line is the solve's.
+            // The backend's own headline (label, seconds) and modeled
+            // timeline aside, every line is the solve's.
             String::from_utf8(out)
                 .unwrap()
                 .lines()
-                .filter(|l| !l.starts_with("backend "))
+                .filter(|l| !l.starts_with("backend ") && !l.starts_with("timeline: "))
                 .map(|l| format!("{l}\n"))
                 .collect::<String>()
         };
@@ -1763,8 +1733,7 @@ mod tests {
     }
 
     /// `--streams` and `--chunk-tensors` have nothing to act on in a CPU
-    /// backend, so they fail like `--pipeline`, naming the flag, before
-    /// the file is read.
+    /// backend, so they fail, naming the flag, before the file is read.
     #[test]
     fn solve_rejects_streams_on_a_cpu_backend() {
         let missing = tmp("no-such-cpu-streams.txt");
@@ -1809,5 +1778,174 @@ mod tests {
         let err = profile(argv, &mut out).unwrap_err();
         assert!(err.starts_with("--streams requires --pipeline"), "{err}");
         assert!(out.is_empty());
+    }
+
+    /// Every option a command accepts takes effect: one the run would
+    /// ignore is an error naming it, raised before any output, and a
+    /// deleted spelling no longer parses. Each argv here names real files
+    /// and would otherwise run.
+    #[test]
+    fn ignored_and_deleted_options_are_typed_errors() {
+        let (vox, ph) = (tmp("ignored-vox.txt"), tmp("ignored-ph.txt"));
+        let argv = sv(&["4", "3", "3", "--out", &vox, "--seed", "2"]);
+        random(argv, &mut Vec::new()).unwrap();
+        let argv = sv(&["--out", &ph, "--width", "2", "--height", "2"]);
+        phantom(argv, &mut Vec::new()).unwrap();
+        type Cmd = fn(Vec<String>, &mut dyn Write) -> Result<(), String>;
+        // What solve, fibers and report reject alike, with the text the
+        // error must hold.
+        let shared: [(&[&str], &str); 9] = [
+            (
+                &["--solver", "geap", "--shift", "6"],
+                "--shift 6 has no effect with --solver geap",
+            ),
+            (
+                &["--solver", "qrst", "--shift", "convex"],
+                "--shift convex has no effect with --solver qrst",
+            ),
+            (
+                &["--backend", "gpusim", "--streams", "2"],
+                "--streams has no effect on gpusim",
+            ),
+            (
+                &["--backend", "gpusim", "--chunk-tensors", "64"],
+                "--chunk-tensors has no effect on gpusim",
+            ),
+            (
+                &["--backend", "gpusim:2", "--streams", "3"],
+                "--streams has no effect on gpusim:tesla-c2050:2",
+            ),
+            (
+                &["--backend", "cluster:2:2", "--chunk-tensors", "64"],
+                "--chunk-tensors has no effect on cluster",
+            ),
+            (
+                &[
+                    "--backend",
+                    "cluster:2:2:3",
+                    "--streams",
+                    "1",
+                    "--chunk-tensors",
+                    "64",
+                ],
+                "--chunk-tensors has no effect on cluster:2:2:3",
+            ),
+            (
+                &["--backend", "gpusim", "--pipeline"],
+                "unknown option --pipeline",
+            ),
+            (
+                &["--solver", "sshopm:0.5"],
+                "invalid --solver \"sshopm:0.5\"",
+            ),
+        ];
+        let mut cases: Vec<(&str, Cmd, Vec<&str>, &str)> = Vec::new();
+        let runs: [(&str, Cmd, Vec<&str>); 3] = [
+            ("solve", solve, vec![&vox, "--starts", "2"]),
+            ("fibers", fibers, vec![&ph, "--starts", "4"]),
+            (
+                "report",
+                report,
+                vec![&vox, "--starts", "2", "--iters", "1"],
+            ),
+        ];
+        for (name, cmd, base) in runs {
+            for (extra, want) in shared {
+                cases.push((name, cmd, [&base[..], extra].concat(), want));
+            }
+        }
+        // The seed is checked before the file on every dimension.
+        cases.push((
+            "solve",
+            solve,
+            vec![&vox, "--seed", "x"],
+            "invalid value for --seed: \"x\"",
+        ));
+        cases.push(("solve", solve, vec![&vox, "--all"], "unknown option --all"));
+        let gpu_argv = [vox.as_str(), "--starts", "4", "--iters", "2"];
+        cases.push((
+            "gpu",
+            gpu,
+            [&gpu_argv[..], &["--variant", "general"]].concat(),
+            "unknown option --variant",
+        ));
+        let synthetic = [
+            "--tensors",
+            "4",
+            "--starts",
+            "4",
+            "--iters",
+            "2",
+            "--variant",
+            "general",
+        ];
+        cases.push((
+            "profile",
+            profile,
+            synthetic.to_vec(),
+            "unknown option --variant",
+        ));
+        for (name, cmd, argv, want) in cases {
+            let mut out = Vec::new();
+            let err = cmd(sv(&argv), &mut out).unwrap_err();
+            assert!(err.contains(want), "{name} {argv:?}: {err}");
+            assert!(out.is_empty(), "{name} {argv:?} printed before failing");
+        }
+        std::fs::remove_file(&vox).ok();
+        std::fs::remove_file(&ph).ok();
+    }
+
+    /// Every `tensor-eig <command> …` line in the shell blocks of the
+    /// README and EXPERIMENTS parses against that command's options plus
+    /// the global flags, so the docs name no option the CLI lacks.
+    #[test]
+    fn documented_command_lines_parse() {
+        let docs = [
+            ("README.md", include_str!("../../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../../EXPERIMENTS.md")),
+        ];
+        let mut checked = 0;
+        for (doc, text) in docs {
+            let mut in_shell = false;
+            let mut line = String::new();
+            for raw in text.lines() {
+                if let Some(info) = raw.trim_start().strip_prefix("```") {
+                    in_shell = !in_shell && matches!(info.trim(), "bash" | "sh");
+                    continue;
+                }
+                if !in_shell {
+                    continue;
+                }
+                // Join `\` continuations, and drop comments.
+                line += raw.split('#').next().unwrap_or_default();
+                if let Some(head) = line.strip_suffix('\\') {
+                    line = head.to_string();
+                    continue;
+                }
+                let tokens: Vec<String> = std::mem::take(&mut line)
+                    .split_whitespace()
+                    .skip_while(|&t| t != "tensor-eig")
+                    .skip(1)
+                    .skip_while(|&t| t == "--")
+                    .take_while(|t| !matches!(*t, "|" | ">" | "&&" | ";"))
+                    .map(str::to_string)
+                    .collect();
+                if tokens.is_empty() {
+                    continue;
+                }
+                let (_, argv) = crate::GlobalOpts::extract(tokens.clone())
+                    .unwrap_or_else(|e| panic!("{doc}: {tokens:?}: {e}"));
+                let (name, rest) = argv.split_first().expect("a command");
+                let cmd = COMMANDS
+                    .iter()
+                    .find(|cmd| cmd.name == name)
+                    .unwrap_or_else(|| panic!("{doc}: unknown command in {tokens:?}"));
+                if let Err(e) = cmd.parse(rest.to_vec()) {
+                    panic!("{doc}: {tokens:?}: {e}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 25, "only {checked} command lines found");
     }
 }

@@ -5,15 +5,19 @@ use backend::DeviceKind;
 
 pub(super) const COMMAND: Command = Command {
     name: "profile",
-    usage: "[file] [--tensors T] [--m M] [--n N] [--starts N] [--variant general|unrolled] \
-            [--iters I] [--device c1060|c2050|gtx580] [--seed S] [--pipeline] [--streams K]",
+    usage: "[file] [--tensors T] [--m M] [--n N] [--starts N] [--kernel K] [--iters I] \
+            [--device c1060|c2050|gtx580] [--seed S] [--pipeline] [--streams K]",
     values: &[
-        "tensors", "m", "n", "starts", "variant", "iters", "device", "seed", "streams",
+        "tensors", "m", "n", "starts", "kernel", "iters", "device", "seed", "streams",
     ],
     flags: &["pipeline"],
     groups: &[],
     run,
 };
+
+/// Streams per device when `--pipeline` is given without `--streams`:
+/// classic double buffering.
+const DEFAULT_STREAMS: usize = 2;
 
 /// Runs one simulated kernel launch through a [`GpuSimBackend`] and dumps
 /// the full profile snapshot — counter breakdown, occupancy, divergence
@@ -42,7 +46,7 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
         }
     };
     let n = tensors.dim();
-    let strategy = parse_variant(args.get("variant"))?;
+    let strategy = parse_kernel(&args, KernelStrategy::Tape)?;
     let device = match args.get("device") {
         None | Some("c2050") => DeviceKind::TeslaC2050,
         Some("c1060") => DeviceKind::TeslaC1060,

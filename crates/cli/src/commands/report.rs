@@ -29,10 +29,8 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let (spec, backend) = parse_backend(&args)?;
     let starts_count = parse_starts(&args, 32)?;
     let iters: usize = args.get_parsed("iters", 20)?;
-    let solver = parse_solver(&args)?.build::<f64>(
-        parse_shift(args.get("shift"))?,
-        IterationPolicy::Fixed(iters),
-    );
+    let (solver, shift) = parse_solver(&args)?;
+    let solver = solver.build::<f64>(shift, IterationPolicy::Fixed(iters));
     check_gpu_solver(&spec, &*solver)?;
     let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
     let tensors: TensorBatch<f64> = match args.positional(0, "file").ok() {

@@ -6,9 +6,9 @@ use sshopm::{spectra_from_rows, DedupConfig};
 pub(super) const COMMAND: Command = Command {
     name: "solve",
     usage: "<file> [--solver V] [--starts N] [--shift convex|concave|adaptive|FLOAT] \
-            [--tol T] [--seed S] [--refine] [--all]",
+            [--tol T] [--seed S] [--refine]",
     values: &["solver", "starts", "shift", "tol", "seed"],
-    flags: &["refine", "all"],
+    flags: &["refine"],
     groups: &[BACKEND, REPORT],
     run,
 };
@@ -20,8 +20,10 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let path = args.positional(0, "file")?;
     let starts_count = parse_starts(&args, 32)?;
     let tol: f64 = args.get_parsed("tol", 1e-12)?;
-    let shift = parse_shift(args.get("shift"))?;
-    let solver_spec = parse_solver(&args)?;
+    let (solver_spec, shift) = parse_solver(&args)?;
+    // The seed draws the starts only when n != 3, but it is an argument
+    // like the others: checked before the file is read.
+    let seed: u64 = args.get_parsed("seed", 0)?;
     let refine = args.flag("refine");
     let report_request = ReportRequest::from_options(&args)?;
     let (spec, backend) = parse_backend(&args)?;
@@ -46,7 +48,7 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let starts = if n == 3 {
         sshopm::starts::fibonacci_sphere::<f64>(starts_count)
     } else {
-        let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
+        let mut rng = StdRng::seed_from_u64(seed);
         sshopm::starts::random_gaussian_starts::<f64, _>(n, starts_count, &mut rng)
     };
     let (report, run) = backend.solve_batch_with_report(&tensors, &starts, &*solver, telemetry)?;
@@ -55,10 +57,8 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     if !report.fault_log.injected.is_empty() || report.fault_log.degraded {
         summaries.push(report.fault_log.summary());
     }
-    if args.flag("pipeline") {
-        if let Some(timeline) = &report.timeline {
-            summaries.push(timeline.summary());
-        }
+    if let Some(timeline) = &report.timeline {
+        summaries.push(timeline.summary());
     }
     let spectra = spectra_from_rows(
         &tensors,

@@ -12,7 +12,9 @@ pub(super) const COMMAND: Command = Command {
     run,
 };
 
-fn run(argv: Vec<String>, out: &mut dyn Write, _: &Telemetry) -> Result<(), CmdError> {
+/// The extraction's batch spans and counters, plus its `spectra.*`
+/// counts, go to `telemetry` under a `cli.tract` span.
+fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<(), CmdError> {
     let args = COMMAND.parse(argv)?;
     let path = args.positional(0, "file")?;
     let width: usize = args.get_parsed("width", 0)?;
@@ -26,6 +28,7 @@ fn run(argv: Vec<String>, out: &mut dyn Write, _: &Telemetry) -> Result<(), CmdE
     // The height defaults to the file's row count, known only once read.
     let height: Option<usize> = args.get_opt("height")?;
     let tensors = load_batch(path)?;
+    let _cmd_span = telemetry.span("cli.tract");
     if tensors.len() % width != 0 {
         return Err(CmdError(format!(
             "{} tensors do not tile a grid of width {width}",
@@ -46,7 +49,7 @@ fn run(argv: Vec<String>, out: &mut dyn Write, _: &Telemetry) -> Result<(), CmdE
     };
     // The CLI's default kernel: the convex-shift extraction runs in lanes.
     let backend = CpuParallel::new(0, KernelStrategy::Batched);
-    let fibers = dwmri::extract_fibers_with(&tensors, &cfg, &backend, &Telemetry::disabled())?;
+    let fibers = dwmri::extract_fibers_with(&tensors, &cfg, &backend, telemetry)?;
     let field = dwmri::FiberField::new(width, height, fibers)?;
 
     // Evenly spaced seeds along the left edge.

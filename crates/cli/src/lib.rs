@@ -25,11 +25,10 @@
 //! `--backend` takes a [`backend::BackendSpec`] string — `cpu` (default,
 //! sequential), `cpu:8` / `cpu:all` (rayon pool), `gpusim` (one simulated
 //! Tesla C2050), `gpusim:gtx-580`, `gpusim:tesla-c2050:4` (multi-GPU),
-//! `pipelined[:device][:count]` (stream-based double buffering; also
-//! reachable via `--pipeline` on a gpusim spec, with `--streams K`
-//! streams per device and `--chunk-tensors N` tensors per chunk), or
-//! `cluster[:device][:hosts[:devices[:streams]]]` (hosts sharded over
-//! modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
+//! `pipelined[:device][:count]` (stream-based double buffering, with
+//! `--streams K` streams per device and `--chunk-tensors N` tensors per
+//! chunk), or `cluster[:device][:hosts[:devices[:streams]]]` (hosts
+//! sharded over modeled NICs) — and `--kernel` a [`backend::KernelStrategy`]
 //! (`batched` (default), `general`, `blocked` or `tape`, with the paper's
 //! labels `precomputed` and `unrolled` as spellings of `batched` and
 //! `tape`). On a CPU backend `batched` runs SS-HOPM under a fixed, convex
@@ -37,17 +36,21 @@
 //! and one shift per lane, and every other solve on the compiled kernels
 //! where a shape has them; `tape` is `batched` where a shape has compiled
 //! unrolled code (the lane panels are that code) and `blocked` elsewhere,
-//! and on the simulated GPU it picks the unrolled variant. Every strategy
+//! and on the simulated GPU it picks the unrolled variant (`gpu` and
+//! `profile` take `--kernel` too, default `tape`). Every strategy
 //! returns the same eigenpairs bit for bit; only the speed and the printed
 //! kernel label differ. Every batched solve runs through the same
 //! [`backend::SolveBackend`] trait, so CPU and simulated-GPU runs print
 //! directly comparable summaries; the simulated GPU takes its eigenpairs
 //! from the same lanes, so every backend runs the same `--shift` and
 //! prints the same eigenpairs. `--solver` takes a [`sshopm::SolverSpec`]
-//! string — `sshopm` (default), `sshopm:ALPHA` (pinned fixed shift),
+//! string — `sshopm` (default, the one solver `--shift` applies to),
 //! `geap` (adaptive projected-Hessian shift), or `qrst`
 //! (orthogonal-similarity QR iteration); `geap`, `qrst` and `--shift
-//! adaptive` are CPU-only.
+//! adaptive` are CPU-only. Every option a command accepts takes effect:
+//! one that would be ignored (`--shift` with `geap` or `qrst`,
+//! `--streams` or `--chunk-tensors` on a schedule without chunks) is an
+//! error naming it.
 //!
 //! Global options, accepted before or after the subcommand:
 //!
@@ -195,13 +198,11 @@ const USAGE_NOTES: &str = "  help\n\
      \x20 for hosts sharded over modeled NICs (default 2 hosts x 2 devices,\n\
      \x20 1 stream). Every backend runs the same --shift and prints the\n\
      \x20 same eigenpairs; --shift adaptive is CPU-only.\n\
-     \x20 --pipeline upgrades a gpusim backend to pipelined (chunked launches\n\
-     \x20 whose transfers overlap compute; prints the resolved event-timeline\n\
-     \x20 summary) and a one-stream cluster to 2 streams per device.\n\
-     \x20 --streams K overrides the streams per device (default 2);\n\
-     \x20 --chunk-tensors N sets the tensors per chunk of pipelined, cluster\n\
-     \x20 and fault-injected backends (default 256); CPU backends take none\n\
-     \x20 of the three.\n\
+     \x20 --streams K sets the streams per device of a pipelined backend\n\
+     \x20 (default 2), a cluster (default 1; above 1 its shards run in\n\
+     \x20 chunks) or a run with --faults, --retry or --failover (default 2);\n\
+     \x20 --chunk-tensors N sets the tensors per chunk (default 256) wherever\n\
+     \x20 chunks run. Either is an error where the backend would ignore it.\n\
      \x20 --kernel K picks how contractions are computed: batched (default;\n\
      \x20 on the CPU, sshopm under a fixed, convex or concave shift runs in\n\
      \x20 lockstep lanes over the tensor arena, other solves on the compiled\n\
@@ -210,11 +211,12 @@ const USAGE_NOTES: &str = "  help\n\
      \x20 elsewhere; the simulated GPU runs its unrolled variant there).\n\
      \x20 precomputed and unrolled, the paper's labels, are spellings of\n\
      \x20 batched and tape. Every kernel returns the same eigenpairs bit for\n\
-     \x20 bit.\n\
-     \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default),\n\
-     \x20 sshopm:ALPHA (pinned fixed shift), geap (adaptive projected-Hessian\n\
+     \x20 bit. gpu and profile take --kernel too (default tape: the simulated\n\
+     \x20 GPU's unrolled variant where the shape has compiled code).\n\
+     \x20 --solver V picks the per-tensor eigen-iteration: sshopm (default;\n\
+     \x20 the one solver --shift applies to), geap (adaptive projected-Hessian\n\
      \x20 shift), qrst (orthogonal-similarity QR iteration). geap and qrst\n\
-     \x20 are CPU-only.\n\
+     \x20 are CPU-only and take no --shift.\n\
      \x20 report emits the unified run report (throughput, fault rates,\n\
      \x20 p50/p90/p99 latency histograms) as text, JSON, or Prometheus text\n\
      \x20 exposition; solve and fibers take --report-out PATH and\n\
@@ -409,6 +411,51 @@ mod tests {
         std::fs::remove_file(&metrics).ok();
     }
 
+    /// `tract` records on the run's telemetry like `fibers`: a `cli.tract`
+    /// span over the extraction's batch and spectra counters.
+    #[test]
+    fn tract_honours_the_global_telemetry_flags() {
+        let mut base = std::env::temp_dir();
+        base.push(format!("tensor-eig-tract-telemetry-{}", std::process::id()));
+        let phantom = base.with_extension("txt");
+        let metrics = base.with_extension("metrics.jsonl");
+        let (phantom_s, metrics_s) = (
+            phantom.to_string_lossy().into_owned(),
+            metrics.to_string_lossy().into_owned(),
+        );
+        let argv = sv(&[
+            "phantom", "--out", &phantom_s, "--width", "6", "--height", "4",
+        ]);
+        run(argv, &mut Vec::new()).unwrap();
+        let tract = sv(&[
+            "tract", &phantom_s, "--width", "6", "--starts", "16", "--seeds", "2",
+        ]);
+
+        let mut argv = sv(&["--metrics-out", &metrics_s]);
+        argv.extend(tract.clone());
+        run(argv, &mut Vec::new()).unwrap();
+        let lines = std::fs::read_to_string(&metrics).unwrap();
+        for name in ["batch.solves", "spectra.entries", "cli.tract"] {
+            let quoted = format!("\"{name}\"");
+            assert!(
+                lines.lines().any(|l| l.contains(&quoted)),
+                "{name} missing from {lines}"
+            );
+        }
+
+        let mut argv = sv(&["--verbose"]);
+        argv.extend(tract);
+        let mut out = Vec::new();
+        run(argv, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("tracking 2 seeds over a 6x4 field"), "{text}");
+        for name in ["cli.tract", "batch.solves", "spectra.entries"] {
+            assert!(text.contains(name), "{name} missing from {text}");
+        }
+        std::fs::remove_file(&phantom).ok();
+        std::fs::remove_file(&metrics).ok();
+    }
+
     #[test]
     fn usage_documents_globals_and_seed() {
         let u = usage();
@@ -421,13 +468,13 @@ mod tests {
             "--backend B",
             "--kernel K",
             "--solver V",
-            "sshopm:ALPHA",
+            "the one solver --shift applies to",
             "geap",
             "qrst",
             "gpusim:<device>[:count]",
             "pipelined[:device][:count]",
             "cluster[:device][:hosts[:devices[:streams]]]",
-            "--pipeline",
+            "profile [file]",
             "--streams K",
             "--chunk-tensors N",
             "profile",

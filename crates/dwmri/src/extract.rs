@@ -29,8 +29,9 @@ pub struct ExtractConfig {
     /// Which eigen-iteration to run per voxel (`sshopm` by default;
     /// `geap`/`qrst` trade iteration cost for basin coverage).
     pub solver: SolverSpec,
-    /// SS-HOPM shift policy. The paper uses `α = 0` for its clean synthetic
-    /// set; `Shift::Convex` is the safe default for noisy data. Ignored by
+    /// SS-HOPM shift policy, the one place a shift is given (`solver`
+    /// carries none). The paper uses `α = 0` for its clean synthetic set;
+    /// `Shift::Convex` is the safe default for noisy data. Ignored by
     /// solvers that pick their own shift (`geap`, `qrst`).
     pub shift: Shift,
     /// Convergence tolerance on the eigenvalue.

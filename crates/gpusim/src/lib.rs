@@ -70,8 +70,6 @@ pub use kernel::{enqueue_sshopm, GpuVariant, IterationCounts, LaunchReport};
 pub use multi::{problem_traffic_bytes, HostTransfer, TransferModel};
 pub use occupancy::{KernelResources, Occupancy};
 pub use profile::{CounterBreakdown, ProfileSnapshot};
-pub use stream::{
-    DeviceStreams, Engine, EventId, Op, OpId, StreamId, StreamQueue, TimedOp, Timeline,
-};
+pub use stream::{DeviceStreams, Engine, Op, OpId, StreamId, StreamQueue, TimedOp, Timeline};
 pub use timing::TimingEstimate;
 pub use topology::{Cluster, ClusterReport, DeviceSlice, Host, HostShard, Schedule};

@@ -14,7 +14,7 @@
 //! behind compute — is the [`crate::stream::Timeline`], emitted as
 //! modeled telemetry spans (one chrome://tracing row per stream) by
 //! [`crate::stream::Timeline::emit`] and summarized by the CLI's
-//! `--pipeline` flag alongside this snapshot.
+//! `profile --pipeline` alongside this snapshot.
 
 use crate::device::DeviceSpec;
 use crate::kernel::LaunchReport;

@@ -1,4 +1,4 @@
-//! CUDA-style streams, events, and a discrete-event timeline scheduler.
+//! CUDA-style streams and a discrete-event timeline scheduler.
 //!
 //! Real Fermi-class hardware (the paper's Tesla C2050) executes work from
 //! *streams*: per-stream FIFO queues of transfer and kernel operations
@@ -119,33 +119,16 @@ impl OpId {
     }
 }
 
-/// A recorded synchronization point: completes when every op enqueued on
-/// its stream *before* the record has completed (CUDA `cudaEventRecord`
-/// semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventId {
-    stream: StreamId,
-    /// Ops on `stream` at record time; the event resolves when the first
-    /// `up_to` ops of the stream have resolved.
-    up_to: usize,
-}
-
 struct PendingOp {
     op: Op,
     /// Global enqueue sequence number — the deterministic tie-breaker.
     seq: usize,
-    /// Events this op waits on before it may start.
-    waits: Vec<EventId>,
     cancelled: bool,
 }
 
 struct StreamState {
     device: usize,
     ops: Vec<PendingOp>,
-    /// Waits registered via [`StreamQueue::wait_event`], attached to the
-    /// next op enqueued on this stream (CUDA `cudaStreamWaitEvent`
-    /// semantics: all *subsequent* work waits).
-    pending_waits: Vec<EventId>,
 }
 
 /// A queue of asynchronous ops across one or more devices, resolved into
@@ -191,7 +174,6 @@ impl StreamQueue {
         self.streams.push(StreamState {
             device: device.min(self.num_devices - 1),
             ops: Vec::new(),
-            pending_waits: Vec::new(),
         });
         id
     }
@@ -202,30 +184,13 @@ impl StreamQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let s = &mut self.streams[stream.0];
-        let waits = std::mem::take(&mut s.pending_waits);
         let index = s.ops.len();
         s.ops.push(PendingOp {
             op,
             seq,
-            waits,
             cancelled: false,
         });
         OpId { stream, index }
-    }
-
-    /// Record an event on `stream`: it completes once everything enqueued
-    /// on the stream so far has completed.
-    pub fn record_event(&mut self, stream: StreamId) -> EventId {
-        EventId {
-            stream,
-            up_to: self.streams[stream.0].ops.len(),
-        }
-    }
-
-    /// Make all *future* work on `stream` wait for `event` (ops already
-    /// enqueued are unaffected).
-    pub fn wait_event(&mut self, stream: StreamId, event: EventId) {
-        self.streams[stream.0].pending_waits.push(event);
     }
 
     /// A mark at the current tail of `stream`: ops enqueued from now on
@@ -263,8 +228,8 @@ impl StreamQueue {
     /// Resolve the whole queue into an event timeline.
     ///
     /// List scheduling: repeatedly pick, among the head ops of all streams
-    /// whose stream predecessors and waited events have resolved, the op
-    /// with the earliest feasible start (`max(ready, engine free)` on its
+    /// (each ready once its stream predecessor has resolved), the op with
+    /// the earliest feasible start (`max(ready, engine free)` on its
     /// device's engine); ties break by earliest ready time, then lowest
     /// enqueue sequence number. This is deterministic and respects both
     /// FIFO order within streams and the per-device engine constraints.
@@ -284,7 +249,7 @@ impl StreamQueue {
         let mut ops: Vec<TimedOp> = Vec::with_capacity(total);
 
         while done < total {
-            // Candidate = best (start, ready, seq) among ready stream heads.
+            // Candidate = best (start, ready, seq) among the stream heads.
             let mut best: Option<(f64, f64, usize, usize)> = None; // start, ready, seq, stream
             let mut progressed = false;
             for si in 0..num_streams {
@@ -292,21 +257,7 @@ impl StreamQueue {
                 let Some(p) = self.streams[si].ops.get(i) else {
                     continue;
                 };
-                let mut ready = if i == 0 { 0.0 } else { op_end[si][i - 1] };
-                let mut waits_resolved = true;
-                for ev in &p.waits {
-                    let evs = ev.stream.0;
-                    if next[evs] < ev.up_to {
-                        waits_resolved = false;
-                        break;
-                    }
-                    if ev.up_to > 0 {
-                        ready = ready.max(op_end[evs][ev.up_to - 1]);
-                    }
-                }
-                if !waits_resolved {
-                    continue;
-                }
+                let ready = if i == 0 { 0.0 } else { op_end[si][i - 1] };
                 if p.cancelled {
                     // Resolves instantly at its ready time: no engine, no
                     // timeline entry.
@@ -335,23 +286,9 @@ impl StreamQueue {
             if progressed {
                 continue;
             }
-            let Some((start, _, _, si)) = best else {
-                // Defensive: an event wait that can never resolve (only
-                // possible through API misuse — recorded events always
-                // cover already-enqueued ops, which makes the dependency
-                // graph acyclic). Force progress on the lowest-sequence
-                // head so synchronize always terminates.
-                let forced = (0..num_streams)
-                    .filter(|&si| next[si] < self.streams[si].ops.len())
-                    .min_by_key(|&si| self.streams[si].ops[next[si]].seq);
-                let Some(si) = forced else { break };
-                let i = next[si];
-                let ready = if i == 0 { 0.0 } else { op_end[si][i - 1] };
-                op_end[si][i] = ready;
-                next[si] += 1;
-                done += 1;
-                continue;
-            };
+            // Every undrained stream's head is a candidate, so there is
+            // always a best op while work remains.
+            let Some((start, _, _, si)) = best else { break };
             let i = next[si];
             let p = &self.streams[si].ops[i];
             let device = self.streams[si].device;
@@ -666,20 +603,6 @@ mod tests {
         assert_eq!(t.ops[0].start_s, 0.0);
         assert_eq!(t.ops[1].start_s, 0.0);
         assert!((t.makespan() - 1e-3).abs() < 1e-15);
-    }
-
-    #[test]
-    fn events_order_work_across_streams() {
-        let mut q = StreamQueue::new(1, link());
-        let s0 = q.stream(0);
-        let s1 = q.stream(0);
-        q.enqueue(s0, Op::Kernel { seconds: 5e-3 });
-        let ev = q.record_event(s0);
-        q.wait_event(s1, ev);
-        q.enqueue(s1, Op::Kernel { seconds: 1e-3 });
-        let t = q.synchronize();
-        let dep = t.ops.iter().find(|o| o.stream == s1).unwrap();
-        assert!((dep.start_s - 5e-3).abs() < 1e-15, "{dep:?}");
     }
 
     #[test]

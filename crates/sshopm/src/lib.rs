@@ -19,8 +19,7 @@
 //!   the one per-start entry (observed, traced or plain), with
 //!   [`mod@geap`] (adaptive projected-Hessian shifts) and [`mod@qrst`]
 //!   (orthogonal-similarity QR iteration) as alternatives to SS-HOPM,
-//!   selected by a [`SolverSpec`] string (`sshopm[:alpha]`, `geap`,
-//!   `qrst`).
+//!   selected by a [`SolverSpec`] string (`sshopm`, `geap`, `qrst`).
 //!
 //! ```
 //! use symtensor::SymTensor;

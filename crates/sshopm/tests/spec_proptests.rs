@@ -7,12 +7,7 @@ use proptest::prelude::*;
 use sshopm::SolverSpec;
 
 fn arb_spec() -> impl Strategy<Value = SolverSpec> {
-    (0usize..4, -1e6f64..1e6).prop_map(|(kind, alpha)| match kind {
-        0 => SolverSpec::SsHopm { alpha: None },
-        1 => SolverSpec::SsHopm { alpha: Some(alpha) },
-        2 => SolverSpec::Geap,
-        _ => SolverSpec::Qrst,
-    })
+    proptest::sample::select(vec![SolverSpec::SsHopm, SolverSpec::Geap, SolverSpec::Qrst])
 }
 
 fn arb_garbage() -> impl Strategy<Value = String> {
@@ -39,20 +34,12 @@ proptest! {
     }
 
     #[test]
-    fn explicit_alphas_parse_exactly(alpha in -1e300f64..1e300) {
-        // Rust float formatting is shortest-round-trip, so any finite
-        // alpha must survive spec -> string -> spec bitwise.
-        let spec = SolverSpec::parse(&format!("sshopm:{alpha}")).unwrap();
-        prop_assert_eq!(spec, SolverSpec::SsHopm { alpha: Some(alpha) });
-    }
-
-    #[test]
     fn arbitrary_garbage_never_panics(s in arb_garbage()) {
         // Any outcome is fine as long as errors are descriptive Results
         // that name the valid forms, not panics.
         if let Err(err) = SolverSpec::parse(&s) {
             let msg = err.to_string();
-            prop_assert!(msg.contains("sshopm[:alpha]"), "{}", msg);
+            prop_assert!(msg.contains("\"sshopm\""), "{}", msg);
             prop_assert!(msg.contains("geap"), "{}", msg);
             prop_assert!(msg.contains("qrst"), "{}", msg);
         }
