@@ -109,6 +109,22 @@ fn load_f32(path: &str) -> Result<TensorBatch<f32>, CmdError> {
     Ok(tensors.to_f32())
 }
 
+/// `report` and `profile` shape their synthetic workload with `--tensors`,
+/// `--m` and `--n`; a tensor file replaces that workload, so with a file
+/// each of them is an error naming it, raised before the file is read.
+fn reject_synthetic_options(args: &Args) -> Result<(), CmdError> {
+    match ["tensors", "m", "n"]
+        .into_iter()
+        .find(|&flag| args.get(flag).is_some())
+    {
+        Some(flag) => Err(CmdError(format!(
+            "--{flag} has no effect with a tensor file: it shapes the synthetic workload \
+             the file replaces"
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn save_batch(path: &str, batch: &TensorBatch<f64>) -> Result<(), CmdError> {
     let file = File::create(path).map_err(|e| CmdError(format!("cannot create {path}: {e}")))?;
     let mut w = BufWriter::new(file);
@@ -1885,6 +1901,21 @@ mod tests {
             synthetic.to_vec(),
             "unknown option --variant",
         ));
+        // A tensor file replaces the synthetic workload these options shape.
+        let synthetic_options: [(&str, &str, &str); 3] = [
+            (
+                "--tensors",
+                "4",
+                "--tensors has no effect with a tensor file",
+            ),
+            ("--m", "3", "--m has no effect with a tensor file"),
+            ("--n", "2", "--n has no effect with a tensor file"),
+        ];
+        for (flag, value, want) in synthetic_options {
+            let argv = vec![vox.as_str(), "--starts", "2", "--iters", "1", flag, value];
+            cases.push(("report", report, argv.clone(), want));
+            cases.push(("profile", profile, argv, want));
+        }
         for (name, cmd, argv, want) in cases {
             let mut out = Vec::new();
             let err = cmd(sv(&argv), &mut out).unwrap_err();

@@ -22,7 +22,8 @@ const DEFAULT_STREAMS: usize = 2;
 /// Runs one simulated kernel launch through a [`GpuSimBackend`] and dumps
 /// the full profile snapshot — counter breakdown, occupancy, divergence
 /// and coalescing statistics, timing components — as pretty JSON. Without
-/// a tensor file it profiles a synthetic random workload. With
+/// a tensor file it profiles a synthetic random workload shaped by
+/// `--tensors`, `--m` and `--n`; with one, those options are errors. With
 /// `--pipeline` the launch runs as a `pipelined` spec on `--streams`
 /// streams instead and the resolved event-timeline summary (makespan vs
 /// serial, overlap saved) is appended after the JSON.
@@ -30,7 +31,10 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     let args = COMMAND.parse(argv)?;
     let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
     let tensors: TensorBatch<f32> = match args.positional(0, "file").ok() {
-        Some(path) => load_f32(path)?,
+        Some(path) => {
+            reject_synthetic_options(&args)?;
+            load_f32(path)?
+        }
         None => {
             let m: usize = args.get_parsed("m", 4)?;
             let n: usize = args.get_parsed("n", 3)?;

@@ -21,7 +21,9 @@ pub(super) const COMMAND: Command = Command {
 /// per-device latency quantiles (p50/p90/p99), and per-device occupancy.
 /// Counters, gauges and histograms recorded on `telemetry` during the run
 /// are folded into it. Without a tensor file it reports on a synthetic
-/// random workload. `--format` picks the renderer (default `text`);
+/// random workload of `--tensors` tensors of order `--m` and dimension
+/// `--n`; with one, those options are errors. `--format` picks the
+/// renderer (default `text`);
 /// `--out` writes the report to a file instead of stdout.
 fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<(), CmdError> {
     let args = COMMAND.parse(argv)?;
@@ -34,7 +36,10 @@ fn run(argv: Vec<String>, out: &mut dyn Write, telemetry: &Telemetry) -> Result<
     check_gpu_solver(&spec, &*solver)?;
     let mut rng = StdRng::seed_from_u64(args.get_parsed("seed", 0)?);
     let tensors: TensorBatch<f64> = match args.positional(0, "file").ok() {
-        Some(path) => load_batch(path)?,
+        Some(path) => {
+            reject_synthetic_options(&args)?;
+            load_batch(path)?
+        }
         None => {
             let m: usize = args.get_parsed("m", 4)?;
             let n: usize = args.get_parsed("n", 3)?;

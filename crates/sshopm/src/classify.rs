@@ -17,6 +17,7 @@
 
 use linalg::{Matrix, SymmetricEigen};
 use symtensor::kernels::axm2_matrix;
+use symtensor::multinomial::MAX_ORDER;
 use symtensor::{Scalar, SymTensorRef};
 
 /// Stability classification of a tensor eigenpair.
@@ -141,6 +142,15 @@ fn axm2_dim3<S: Scalar>(a: SymTensorRef<'_, S>, x: [f64; 3]) -> [f64; 6] {
     let m = a.order();
     let norm = (m * (m - 1)) as f64;
     let values = a.values();
+    // `pow[c][k]` is `x[c].powi(k)` for every exponent an entry takes,
+    // `k ≤ m − 2`: 3(m − 1) `powi` calls per Hessian, and each product
+    // below multiplies the same values in the same order as `powi` inline.
+    let mut pow = [[1.0f64; MAX_ORDER - 1]; 3];
+    for (row, &xc) in pow.iter_mut().zip(&x) {
+        for (k, p) in row.iter_mut().enumerate().take(m - 1) {
+            *p = xc.powi(k as i32);
+        }
+    }
     let mut h = [0.0f64; 6];
     let mut rank = 0;
     // C(m; k0, m−k0, 0) = C(m, k0), stepped down exactly as k0 falls.
@@ -163,11 +173,7 @@ fn axm2_dim3<S: Scalar>(a: SymTensorRef<'_, S>, x: [f64; 3]) -> [f64; 6] {
                     continue;
                 }
                 d[j] -= 1;
-                h[e] += (ci * cj) as f64
-                    * av
-                    * x[0].powi(d[0] as i32)
-                    * x[1].powi(d[1] as i32)
-                    * x[2].powi(d[2] as i32);
+                h[e] += (ci * cj) as f64 * av * pow[0][d[0]] * pow[1][d[1]] * pow[2][d[2]];
             }
             // (k0, k1, k2) → (k0, k1 − 1, k2 + 1).
             coeff = coeff * k1 as f64 / (k[2] + 1) as f64;
@@ -350,6 +356,66 @@ mod tests {
     fn n1_is_degenerate() {
         let a = SymTensor::<f64>::from_values(3, 1, vec![2.0]).unwrap();
         assert_eq!(classify(&a, 2.0, &[1.0], 1e-8), Stability::Degenerate);
+    }
+
+    /// The reference Hessian: `powi` three times per (class, entry) pair.
+    fn axm2_dim3_powi<S: Scalar>(a: SymTensorRef<'_, S>, x: [f64; 3]) -> [f64; 6] {
+        const ENTRIES: [(usize, usize); 6] = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+        let m = a.order();
+        let norm = (m * (m - 1)) as f64;
+        let values = a.values();
+        let mut h = [0.0f64; 6];
+        let mut rank = 0;
+        // C(m; k0, m−k0, 0) = C(m, k0), stepped down exactly as k0 falls.
+        let mut outer = 1.0f64;
+        for k0 in (0..=m).rev() {
+            let mut coeff = outer;
+            for k1 in (0..=m - k0).rev() {
+                let k = [k0, k1, m - k0 - k1];
+                let av = values[rank].to_f64() * coeff / norm;
+                rank += 1;
+                for (e, &(i, j)) in ENTRIES.iter().enumerate() {
+                    let mut d = k;
+                    let ci = d[i];
+                    if ci == 0 {
+                        continue;
+                    }
+                    d[i] -= 1;
+                    let cj = d[j];
+                    if cj == 0 {
+                        continue;
+                    }
+                    d[j] -= 1;
+                    h[e] += (ci * cj) as f64
+                        * av
+                        * x[0].powi(d[0] as i32)
+                        * x[1].powi(d[1] as i32)
+                        * x[2].powi(d[2] as i32);
+                }
+                // (k0, k1, k2) → (k0, k1 − 1, k2 + 1).
+                coeff = coeff * k1 as f64 / (k[2] + 1) as f64;
+            }
+            // C(m, k0) → C(m, k0 − 1).
+            outer = outer * k0 as f64 / (m - k0 + 1) as f64;
+        }
+        h
+    }
+
+    #[test]
+    fn dim3_hessian_power_table_keeps_the_bits() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let points = crate::starts::random_uniform_starts::<f64, _>(3, 6, &mut rng);
+        let axes = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]];
+        for m in 2..=8 {
+            for seed in 0..4u64 {
+                let a = SymTensor::<f64>::random(m, 3, &mut StdRng::seed_from_u64(seed));
+                for x in points.iter().map(|p| [p[0], p[1], p[2]]).chain(axes) {
+                    let got = axm2_dim3(a.view(), x).map(f64::to_bits);
+                    let want = axm2_dim3_powi(a.view(), x).map(f64::to_bits);
+                    assert_eq!(got, want, "m={m} seed {seed} x={x:?}");
+                }
+            }
+        }
     }
 
     #[test]
